@@ -72,6 +72,21 @@ def _parse_labels(text: str | None) -> tuple[str, ...]:
     return tuple(tok for tok in (piece.strip() for piece in text.split(",")) if tok)
 
 
+def _int_at_least(minimum: int):
+    """argparse type for an integer flag that must be at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _fmt_set(order: Sequence[str], labels: Iterable[str]) -> str:
     position = {lab: i for i, lab in enumerate(order)}
     return "{" + ",".join(sorted(labels, key=position.__getitem__)) + "}"
@@ -82,7 +97,12 @@ def _emit_json(payload: dict) -> None:
 
 
 def _load_context(args: argparse.Namespace) -> SplitContext:
-    text = Path(args.input).read_text()
+    try:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{args.input}: not valid UTF-8 (byte {exc.start}: {exc.reason})"
+        ) from None
     if args.kind == "graph":
         matrix = incidence_matrix(parse_graph(text, args.input))
     else:
@@ -272,13 +292,18 @@ def _iter_check_subsets(
         oracle = split_matroid(ctx)
         yield from oracle.all_subsets()
         return
-    rng = random.Random(seed)
-    seen: set[int] = set()
-    for _ in range(sample):
-        mask = rng.randrange(1 << n)
-        if mask in seen:
-            continue
-        seen.add(mask)
+    total = 1 << n
+    if sample >= total:
+        masks: Iterable[int] = range(total)
+    else:
+        # Repeated draws are redrawn, so exactly ``sample`` distinct
+        # subsets come out, in the order of their first draw.
+        rng = random.Random(seed)
+        drawn: dict[int, None] = {}
+        while len(drawn) < sample:
+            drawn[rng.randrange(total)] = None
+        masks = drawn
+    for mask in masks:
         yield frozenset(ground[i] for i in range(n) if (mask >> i) & 1)
 
 
@@ -463,7 +488,7 @@ def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--e", required=True, help="marked element of X")
     sub.add_argument("--label-a", default="a", dest="label_a")
     sub.add_argument("--label-gamma", default="gamma", dest="label_gamma")
-    sub.add_argument("--cap", type=int, default=BinaryMatroid.DEFAULT_CAP)
+    sub.add_argument("--cap", type=_int_at_least(0), default=BinaryMatroid.DEFAULT_CAP)
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -488,7 +513,7 @@ def build_parser() -> _Parser:
 
     check = subparsers.add_parser("check")
     _add_instance_flags(check)
-    check.add_argument("--sample", type=int, default=None, metavar="N")
+    check.add_argument("--sample", type=_int_at_least(1), default=None, metavar="N")
     check.add_argument("--seed", type=int, default=0, metavar="S")
     check.set_defaults(func=cmd_check)
 

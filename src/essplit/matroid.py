@@ -1,19 +1,31 @@
-"""Brute-force matroid queries driven by a GF(2) representation.
+"""Matroid queries driven by a GF(2) representation.
 
-``BinaryMatroid`` answers rank, closure, circuit and flat questions by
-definition-level computation on the column space of its matrix.  It is
-deliberately naive: this module is the ground truth that every
+``BinaryMatroid`` answers rank, closure, circuit and flat questions from
+the column space of its matrix.  It is the ground truth that every
 closed-form prediction elsewhere in the package is checked against, so
-clarity beats speed everywhere.
+each answer is computed from linear algebra alone, never from the
+predictions.  Rank and closure are one elimination each.  The two
+enumerations follow the size of their answer rather than walking every
+subset:
+
+* ``circuits()`` either sweeps subsets by size or walks the cycle space
+  (the kernel of the matrix), whichever has fewer candidates;
+* ``flats()`` climbs the lattice of flats from the loops, one cover at
+  a time.
+
+Their docstrings say why the outputs match the definitions; the tests
+keep the all-subset definitions as references and compare.
 
 Subsets of the ground set travel as plain ``frozenset`` objects of
 labels; emitted lists are sorted by the ground-set order fixed at
 construction (first by size, then lexicographically by position).
+Inside this module a subset may also be a bitmask over positions.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator
 
 from .errors import GroundSetTooLarge, UnknownLabel
@@ -47,6 +59,42 @@ def _insert(basis: dict[int, int], word: int) -> bool:
         return False
     basis[word & -word] = word
     return True
+
+
+def _residue(word: int, basis: dict[int, int]) -> int:
+    """Canonical representative of ``word`` modulo the span of ``basis``.
+
+    ``_reduce`` stops at the first bit that is not a pivot; here that bit
+    is set aside and the rest reduced again, so the result has no pivot
+    bit at all.  Two words get the same residue exactly when their sum
+    lies in the span, because a nonzero vector of the span always has a
+    pivot bit as its lowest bit.
+    """
+    out = 0
+    word = _reduce(word, basis)
+    while word:
+        low = word & -word
+        out |= low
+        word = _reduce(word ^ low, basis)
+    return out
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _cycle_walk_is_cheaper(n: int, rank: int) -> bool:
+    """Circuit strategy rule for n elements of the given rank.
+
+    True when the 2^(n - rank) vectors of the cycle space are fewer than
+    the subsets of size at most rank + 1 that the size-ordered sweep may
+    test.
+    """
+    return 1 << (n - rank) < sum(comb(n, k) for k in range(rank + 2))
 
 
 class BinaryMatroid:
@@ -98,13 +146,27 @@ class BinaryMatroid:
         positions = self._positions(labels)
         return (len(positions), tuple(positions))
 
-    def all_subsets(self) -> Iterator[frozenset[str]]:
-        """Every subset of the ground set, smallest first, then lexicographic."""
+    def _mask_key(self, mask: int) -> tuple:
+        """``subset_key`` of the subset with this position mask."""
+        return (mask.bit_count(), tuple(_bits(mask)))
+
+    def _sorted_sets(self, masks: Iterable[int]) -> tuple[frozenset[str], ...]:
+        """Label sets of ``masks``, in canonical order."""
+        return tuple(
+            frozenset(self.ground[pos] for pos in _bits(mask))
+            for mask in sorted(masks, key=self._mask_key)
+        )
+
+    def _check_subset_cap(self) -> None:
         if len(self.ground) > self.SUBSET_CAP:
             raise GroundSetTooLarge(
                 f"{len(self.ground)} elements exceed the all-subset cap "
                 f"of {self.SUBSET_CAP}"
             )
+
+    def all_subsets(self) -> Iterator[frozenset[str]]:
+        """Every subset of the ground set, smallest first, then lexicographic."""
+        self._check_subset_cap()
         for size in range(len(self.ground) + 1):
             for combo in combinations(self.ground, size):
                 yield frozenset(combo)
@@ -137,16 +199,37 @@ class BinaryMatroid:
 
     def flats(self) -> tuple[frozenset[str], ...]:
         """Every closed subset, canonically ordered; includes the empty
-        flat whenever the matroid has no loops."""
-        seen: set[frozenset[str]] = set()
-        out: list[frozenset[str]] = []
-        for subset in self.all_subsets():
-            closed = self.closure_of(subset)
-            if closed not in seen:
-                seen.add(closed)
-                out.append(closed)
-        out.sort(key=self.subset_key)
-        return tuple(out)
+        flat whenever the matroid has no loops.
+
+        The flats are found by a walk up the lattice of flats.  It starts
+        at cl(empty set), the loops.  The flats covering a flat F are the
+        closures cl(F + x) for x outside F, and over GF(2) the span of
+        F + x is span(F) together with column(x) + span(F).  So y outside
+        F lies in cl(F + x) exactly when columns x and y have the same
+        residue modulo span(F), and one residue per element outside F
+        yields every cover of F at once.  Every flat other than the
+        bottom one covers some flat, so the walk reaches them all, and it
+        never takes the closure of an arbitrary subset.  The all-subset
+        cap still applies, with the same error.
+        """
+        self._check_subset_cap()
+        bottom = sum(1 << pos for pos, word in enumerate(self._cols) if not word)
+        seen = {bottom}
+        todo = [bottom]
+        while todo:
+            flat = todo.pop()
+            basis = self._span_basis(_bits(flat))
+            classes: dict[int, int] = {}
+            for pos, word in enumerate(self._cols):
+                if not flat >> pos & 1:
+                    key = _residue(word, basis)
+                    classes[key] = classes.get(key, 0) | 1 << pos
+            for cls in classes.values():
+                cover = flat | cls
+                if cover not in seen:
+                    seen.add(cover)
+                    todo.append(cover)
+        return self._sorted_sets(seen)
 
     # -- circuits ----------------------------------------------------------
 
@@ -157,7 +240,15 @@ class BinaryMatroid:
                 return True
         return False
 
-    def _enumerate_circuits(self) -> tuple[frozenset[str], ...]:
+    def _circuits_by_sweep(self) -> tuple[frozenset[str], ...]:
+        """Size-ordered subset sweep; tests at most the subsets of size
+        up to rank(E) + 1, since a circuit has rank one below its size.
+
+        A subset reached by the sweep is a circuit exactly when it is
+        dependent and contains no previously found circuit, because any
+        dependent proper subset would contain a smaller circuit already
+        recorded.
+        """
         n = len(self.ground)
         max_size = self.rank_of(self.ground) + 1
         found_masks: list[int] = []
@@ -174,13 +265,67 @@ class BinaryMatroid:
                     found.append(frozenset(self.ground[pos] for pos in combo))
         return tuple(found)
 
-    def circuits(self) -> tuple[frozenset[str], ...]:
-        """All minimal dependent subsets, smallest first.
+    def _cycle_basis(self) -> list[int]:
+        """Position masks of n - rank cycles that span the cycle space.
 
-        A subset reached by the size-ordered sweep is a circuit exactly
-        when it is dependent and contains no previously found circuit,
-        because any dependent proper subset would contain a smaller
-        circuit already recorded.
+        Each column carries a tag bit for its own position above the row
+        bits, and all tagged columns go into one XOR basis.  An entry
+        whose lowest bit is a tag bit has no row bits left, so its tags
+        name columns that sum to zero: a cycle.  The tag of the column
+        being inserted is above every tag already in the basis, so no
+        insertion reduces to zero and each column adds one entry; the r
+        independent columns add entries keyed by a row bit, and the
+        other n - r entries are cycles with distinct lowest bits, hence
+        independent.
+        """
+        shift = self.matrix.n_rows
+        basis: dict[int, int] = {}
+        for pos, word in enumerate(self._cols):
+            _insert(basis, word | 1 << (shift + pos))
+        return [word >> shift for low, word in basis.items() if low >> shift]
+
+    def _is_circuit_support(self, mask: int) -> bool:
+        """For the support S of a nonzero cycle: True iff rank(S) = |S| - 1.
+
+        Then the cycle is the only one inside S, so no proper subset of S
+        is dependent.  Inserting S column by column fails |S| - rank(S)
+        times, at least once as S is dependent.
+        """
+        basis: dict[int, int] = {}
+        dependent = False
+        for pos in _bits(mask):
+            if not _insert(basis, self._cols[pos]):
+                if dependent:
+                    return False
+                dependent = True
+        return True
+
+    def _circuits_by_cycle_space(self) -> tuple[frozenset[str], ...]:
+        """Walk all 2^(n - rank) vectors of the cycle space and keep the
+        supports that are circuits.
+
+        The circuits of a binary matroid are exactly the minimal nonempty
+        supports of its cycle space (Oxley, Matroid Theory, ch. 9), and
+        each is the support of exactly one cycle.  A Gray-code order
+        reaches every vector by one XOR of a basis cycle each.
+        """
+        cycles = self._cycle_basis()
+        found: list[int] = []
+        support = 0
+        for i in range(1, 1 << len(cycles)):
+            support ^= cycles[(i & -i).bit_length() - 1]
+            if self._is_circuit_support(support):
+                found.append(support)
+        return self._sorted_sets(found)
+
+    def circuits(self) -> tuple[frozenset[str], ...]:
+        """All minimal dependent subsets, smallest first, then
+        lexicographic by position.
+
+        Two strategies give the same tuple: the size-ordered subset sweep
+        and the cycle-space walk.  The one with fewer candidates runs,
+        sum of C(n, k) for k <= rank + 1 against 2^(n - rank).  The
+        enumeration cap still applies, with the same error.
         """
         if self._circuits is None:
             if len(self.ground) > self.enumeration_cap:
@@ -188,5 +333,8 @@ class BinaryMatroid:
                     f"{len(self.ground)} elements exceed the enumeration cap "
                     f"of {self.enumeration_cap}"
                 )
-            self._circuits = self._enumerate_circuits()
+            if _cycle_walk_is_cheaper(len(self.ground), self.rank_of(self.ground)):
+                self._circuits = self._circuits_by_cycle_space()
+            else:
+                self._circuits = self._circuits_by_sweep()
         return self._circuits

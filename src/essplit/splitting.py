@@ -28,11 +28,12 @@ from .errors import (
     BaseNotFlat,
     ElementNotInX,
     FormulaDisagreement,
+    GroundSetTooLarge,
     LabelCollision,
     PreconditionViolated,
     UnknownLabel,
 )
-from .gf2 import GF2Matrix, GF2Vector
+from .gf2 import MAX_COLUMNS, GF2Matrix, GF2Vector
 from .matroid import EX, OX, BinaryMatroid, classify_circuit
 
 #: Identifiers of the closure case table, in evaluation order.  The ids
@@ -69,6 +70,12 @@ class SplitContext:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_set", frozenset(self.x_set))
+        n = len(self.base.ground)
+        if n + 2 > MAX_COLUMNS:
+            raise GroundSetTooLarge(
+                f"the split of {n} elements needs {n + 2} columns; "
+                f"at most {MAX_COLUMNS} are supported"
+            )
         ground = set(self.base.ground)
         unknown = self.x_set - ground
         if unknown:
@@ -395,8 +402,9 @@ def predict_circuits(ctx: SplitContext) -> CircuitFamily:
             if not any(other < cand for other in everything)
         ]
 
+    order = {lab: i for i, lab in enumerate(ctx.split_ground)}
+
     def split_key(s: frozenset[str]) -> tuple:
-        order = {lab: i for i, lab in enumerate(ctx.split_ground)}
         return (len(s), tuple(sorted(order[lab] for lab in s)))
 
     return CircuitFamily(

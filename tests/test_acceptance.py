@@ -17,6 +17,8 @@ import random
 import time
 from collections import Counter
 
+import pytest
+
 from essplit import (
     SplitQuery,
     closure_rule,
@@ -31,6 +33,7 @@ from essplit import (
     split_matroid,
     verify_equivalence,
 )
+from essplit.errors import FormulaDisagreement
 from essplit.matroid import OX, classify_circuit
 from essplit.showcase import (
     BASE_FLATS_LISTED,
@@ -165,8 +168,7 @@ def _dispatcher_sweep(sweeps):
     or a result other than the oracle's), the rule's shape misses, and
     for the paper table its disagreements counted by matched case ids,
     its shape misses and its no-case count.  A multiply matched table
-    query raising FormulaDisagreement propagates out of predict_closure
-    and fails the calling test, which is exactly the part (c) contract.
+    query raises FormulaDisagreement out of predict_closure.
     """
     rule_bad, rule_miss = [], []
     table_bad, table_miss, no_case = Counter(), 0, 0
@@ -193,10 +195,29 @@ def _dispatcher_sweep(sweeps):
     return rule_bad, rule_miss, table_bad, table_miss, no_case
 
 
-def test_criterion_6a_closure_formula_soundness(wheel_ctx, wheel_split):
-    mismatches, _, table_bad, _, no_case = _dispatcher_sweep(
-        _sweep_instances(wheel_ctx, wheel_split)
-    )
+@pytest.fixture(scope="module")
+def dispatcher_sweep(wheel_ctx, wheel_split):
+    """One ``_dispatcher_sweep`` shared by criteria 6a, 6b and 6c.
+
+    A FormulaDisagreement is kept, not raised here, and ``_swept``
+    raises it again in each test that reads the sweep, so each of them
+    fails on a conflict between matched table cases: the part (c)
+    contract.
+    """
+    try:
+        return _dispatcher_sweep(_sweep_instances(wheel_ctx, wheel_split))
+    except FormulaDisagreement as exc:
+        return exc
+
+
+def _swept(result):
+    if isinstance(result, FormulaDisagreement):
+        raise result
+    return result
+
+
+def test_criterion_6a_closure_formula_soundness(dispatcher_sweep):
+    mismatches, _, table_bad, _, no_case = _swept(dispatcher_sweep)
     by_case = ", ".join(f"{case} {n}" for case, n in sorted(table_bad.items()))
     print(f"criterion 6 paper table no-case-applies count: {no_case} (reported, not failed)")
     report(
@@ -212,10 +233,8 @@ def test_criterion_6a_closure_formula_soundness(wheel_ctx, wheel_split):
     )
 
 
-def test_criterion_6b_shape_coverage(wheel_ctx, wheel_split):
-    _, misses, _, table_misses, _ = _dispatcher_sweep(
-        _sweep_instances(wheel_ctx, wheel_split)
-    )
+def test_criterion_6b_shape_coverage(dispatcher_sweep):
+    _, misses, _, table_misses, _ = _swept(dispatcher_sweep)
     report(
         6,
         "(b) oracle closure is one of the five rule shapes",
@@ -229,11 +248,11 @@ def test_criterion_6b_shape_coverage(wheel_ctx, wheel_split):
     )
 
 
-def test_criterion_6c_matched_cases_never_disagree(wheel_ctx, wheel_split):
+def test_criterion_6c_matched_cases_never_disagree(dispatcher_sweep):
     # predict_closure raises FormulaDisagreement on any conflict, so a
     # clean sweep is the assertion.
     failures = []
-    _dispatcher_sweep(_sweep_instances(wheel_ctx, wheel_split))
+    _swept(dispatcher_sweep)
     report(6, "(c) multiply-matched cases agree", failures)
     assert not failures
 

@@ -111,6 +111,31 @@ class TestSplit:
         assert code == 1
         assert "bad.txt:2" in err
 
+    def test_non_utf8_input(self, capsys, tmp_path):
+        bad = tmp_path / "latin.txt"
+        bad.write_bytes(b"a b\xff\n1 0\n")
+        code, _, err = run(capsys, "split", "--input", str(bad), "--X", "a", "--e", "a")
+        assert code == 1
+        assert err.startswith("error: ") and "UTF-8" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_split_wider_than_64_columns_rejected(self, capsys, tmp_path, n):
+        path = tmp_path / "wide.txt"
+        path.write_text(" ".join(f"c{j}" for j in range(n)) + "\n" + "1 " * n + "\n")
+        code, out, err = run(capsys, "split", "--input", str(path), "--X", "c0", "--e", "c0")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the split of {n} elements needs {n + 2} columns; at most 64 are supported\n"
+
+    def test_negative_cap_rejected(self, capsys, wheel_matrix_file):
+        code, _, err = run(
+            capsys, "circuits", "--input", wheel_matrix_file, "--X", "x,y", "--e", "y",
+            "--cap", "-3",
+        )
+        assert code == 1
+        assert err == "usage error: argument --cap: must be at least 0, got -3\n"
+
 
 class TestClosure:
     def test_json_payload(self, capsys, wheel_matrix_file):
@@ -366,6 +391,25 @@ class TestCheck:
             "json",
         )
         assert run(capsys, *args) == run(capsys, *args)
+
+    @pytest.mark.parametrize("sample", ["-5", "0"])
+    def test_sample_must_be_positive(self, capsys, wheel_matrix_file, sample):
+        code, out, err = run(
+            capsys, "check", "--input", wheel_matrix_file, "--X", "x,y", "--e", "y",
+            "--sample", sample,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: argument --sample: must be at least 1, got {sample}\n"
+
+    @pytest.mark.parametrize("sample, subsets", [(200, 200), (1023, 1023), (5000, 1024)])
+    def test_sample_counts_distinct_subsets(self, capsys, wheel_matrix_file, sample, subsets):
+        # The wheel's split has 10 elements, so 2^10 = 1,024 subsets.
+        _, out, _ = run(
+            capsys, "check", "--input", wheel_matrix_file, "--X", "x,y", "--e", "y",
+            "--sample", str(sample), "--seed", "3", "--format", "json",
+        )
+        assert json.loads(out)["subsets"] == subsets == min(sample, 2**10)
 
     def test_large_ground_needs_sample(self, capsys, tmp_path):
         n = 19
