@@ -8,7 +8,6 @@ and flats, and a graph-level vertex split with an equivalence check.
 from . import errors
 from .gf2 import (
     GF2Matrix,
-    GF2Vector,
     column_sum,
     columns_dependent,
     format_matrix,
@@ -58,7 +57,6 @@ __all__ = [
     "ClosureCaseReport",
     "EX",
     "GF2Matrix",
-    "GF2Vector",
     "LabeledGraph",
     "LineSplitSpec",
     "OX",

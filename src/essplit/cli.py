@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -87,9 +88,8 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _fmt_set(order: Sequence[str], labels: Iterable[str]) -> str:
-    position = {lab: i for i, lab in enumerate(order)}
-    return "{" + ",".join(sorted(labels, key=position.__getitem__)) + "}"
+def _fmt_set(ctx: SplitContext, labels: Iterable[str]) -> str:
+    return "{" + ",".join(ctx.sort_set(labels)) + "}"
 
 
 def _emit_json(payload: dict) -> None:
@@ -133,7 +133,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         _emit_json(
             {
                 "col_labels": list(matrix.col_labels),
-                "rows": [row.to_list() for row in matrix.rows],
+                "rows": matrix.entries(),
             }
         )
     else:
@@ -144,7 +144,6 @@ def cmd_split(args: argparse.Namespace) -> int:
 def cmd_closure(args: argparse.Namespace) -> int:
     ctx = _load_context(args)
     q = SplitQuery.of(ctx, _require_subset(args))
-    order = ctx.split_ground
 
     if args.mode == "oracle":
         oracle = split_matroid(ctx).closure_of(q.a_prime)
@@ -161,12 +160,12 @@ def cmd_closure(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json(payload)
     else:
-        print(f"A' = {_fmt_set(order, q.a_prime)}")
+        print(f"A' = {_fmt_set(ctx, q.a_prime)}")
         print(f"matched: {', '.join(payload['matched']) or '(none)'}")
         if payload["formula"] is not None:
-            print(f"formula: {_fmt_set(order, payload['formula'])}")
+            print(f"formula: {_fmt_set(ctx, payload['formula'])}")
         if payload["oracle"] is not None:
-            print(f"oracle:  {_fmt_set(order, payload['oracle'])}")
+            print(f"oracle:  {_fmt_set(ctx, payload['oracle'])}")
         if payload["agree"] is not None:
             print(f"agree:   {payload['agree']}")
     return DISAGREEMENT if payload["agree"] is False else OK
@@ -185,7 +184,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json({"formula": formula, "oracle": oracle, "agree": agree})
     else:
-        print(f"A' = {_fmt_set(ctx.split_ground, q.a_prime)}")
+        print(f"A' = {_fmt_set(ctx, q.a_prime)}")
         if formula is not None:
             print(f"formula: {formula}")
         if oracle is not None:
@@ -197,7 +196,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def cmd_circuits(args: argparse.Namespace) -> int:
     ctx = _load_context(args)
-    order = ctx.split_ground
     payload: dict = {}
     if args.mode in ("formula", "both"):
         family = predict_circuits(ctx)
@@ -221,11 +219,11 @@ def cmd_circuits(args: argparse.Namespace) -> int:
         if "family" in payload:
             for name in ("c0", "c1", "c2", "c3"):
                 for c in payload["family"][name]:
-                    print(f"{name}: {_fmt_set(order, c)}")
-            print(f"delta: {_fmt_set(order, payload['family']['delta'])}")
+                    print(f"{name}: {_fmt_set(ctx, c)}")
+            print(f"delta: {_fmt_set(ctx, payload['family']['delta'])}")
         if "oracle" in payload:
             for c in payload["oracle"]:
-                print(f"oracle: {_fmt_set(order, c)}")
+                print(f"oracle: {_fmt_set(ctx, c)}")
         if payload["equal"] is not None:
             print(f"equal: {payload['equal']}")
     return DISAGREEMENT if payload["equal"] is False else OK
@@ -234,7 +232,6 @@ def cmd_circuits(args: argparse.Namespace) -> int:
 def cmd_flats(args: argparse.Namespace) -> int:
     ctx = _load_context(args)
     oracle = split_matroid(ctx)
-    order = ctx.split_ground
     violations = 0
 
     def condition_of(q: SplitQuery) -> int | None:
@@ -259,7 +256,7 @@ def cmd_flats(args: argparse.Namespace) -> int:
             )
         else:
             print(
-                f"{_fmt_set(order, q.a_prime)} flat={is_flat} "
+                f"{_fmt_set(ctx, q.a_prime)} flat={is_flat} "
                 f"condition={condition}"
             )
     else:
@@ -274,7 +271,7 @@ def cmd_flats(args: argparse.Namespace) -> int:
             _emit_json({"flats": rows})
         else:
             for row in rows:
-                print(f"{_fmt_set(order, row['flat'])} condition={row['condition']}")
+                print(f"{_fmt_set(ctx, row['flat'])} condition={row['condition']}")
     return DISAGREEMENT if violations else OK
 
 
@@ -310,7 +307,6 @@ def _iter_check_subsets(
 def cmd_check(args: argparse.Namespace) -> int:
     ctx = _load_context(args)
     oracle = split_matroid(ctx)
-    order = ctx.split_ground
 
     case_hits: dict[str, int] = {}
     no_case = 0
@@ -389,16 +385,16 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"rank disagreements: {len(rank_witnesses)}")
         for witness in rank_witnesses:
             print(
-                f"  rank mismatch at {_fmt_set(order, witness['subset'])}: "
+                f"  rank mismatch at {_fmt_set(ctx, witness['subset'])}: "
                 f"formula {witness['formula']} vs oracle {witness['oracle']}"
             )
         print(f"closure disagreements: {len(closure_witnesses)}")
         for witness in closure_witnesses:
             print(
-                f"  closure mismatch at {_fmt_set(order, witness['subset'])} "
+                f"  closure mismatch at {_fmt_set(ctx, witness['subset'])} "
                 f"(matched {', '.join(witness['matched'])}): formula "
-                f"{_fmt_set(order, witness['formula'])} vs oracle "
-                f"{_fmt_set(order, witness['oracle'])}"
+                f"{_fmt_set(ctx, witness['formula'])} vs oracle "
+                f"{_fmt_set(ctx, witness['oracle'])}"
             )
         print(f"circuit family equal: {family_equal}")
         print(f"full-rank increment ok: {corollary_ok}")
@@ -406,7 +402,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         for witness in flat_violations:
             print(
                 f"  condition {witness['condition']} accepted non-flat "
-                f"{_fmt_set(order, witness['subset'])}"
+                f"{_fmt_set(ctx, witness['subset'])}"
             )
     return DISAGREEMENT if disagreements else OK
 
@@ -423,7 +419,6 @@ def cmd_demo_fig2(args: argparse.Namespace) -> int:
 
     ctx = showcase_context()
     oracle = split_matroid(ctx)
-    order = ctx.split_ground
 
     print("showcase: wheel graph, X={x,y}, e=y")
     print(f"base rank: {ctx.base.rank_of(ctx.base.ground)}")
@@ -435,15 +430,15 @@ def cmd_demo_fig2(args: argparse.Namespace) -> int:
         report = predict_closure(ctx, q, with_oracle=True)
         computed = report.oracle_result
         assert computed is not None
-        line = f"cl'({_fmt_set(order, query)}) = {_fmt_set(order, computed)}"
+        line = f"cl'({_fmt_set(ctx, query)}) = {_fmt_set(ctx, computed)}"
         notes = []
         if frozenset(listed) != computed:
-            notes.append(f"listed value {_fmt_set(order, listed)} rejected by oracle")
+            notes.append(f"listed value {_fmt_set(ctx, listed)} rejected by oracle")
         if report.agreement is False:
             assert report.formula_result is not None
             notes.append(
                 f"formula ({', '.join(report.matched_cases)}) gives "
-                f"{_fmt_set(order, report.formula_result)}"
+                f"{_fmt_set(ctx, report.formula_result)}"
             )
         if notes:
             line += "  [" + "; ".join(notes) + "]"
@@ -459,8 +454,8 @@ def cmd_demo_fig2(args: argparse.Namespace) -> int:
         for entry in rejected:
             closure = matroid.closure_of(entry)
             print(
-                f"rejected: {_fmt_set(order, entry)} "
-                f"(closure is {_fmt_set(order, closure)})"
+                f"rejected: {_fmt_set(ctx, entry)} "
+                f"(closure is {_fmt_set(ctx, closure)})"
             )
         listed_sets = {frozenset(entry) for entry in listed}
         flats = [flat for flat in matroid.flats() if flat]
@@ -471,7 +466,7 @@ def cmd_demo_fig2(args: argparse.Namespace) -> int:
         )
         for flat in flats:
             marker = "" if flat in listed_sets else "  [unlisted]"
-            print(f"  {_fmt_set(order, flat)}{marker}")
+            print(f"  {_fmt_set(ctx, flat)}{marker}")
 
     flat_report("base matroid", ctx.base, BASE_FLATS_LISTED)
     flat_report("split matroid", oracle, SPLIT_FLATS_LISTED)
@@ -527,9 +522,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE
+    except BrokenPipeError:
+        # The reader of stdout has gone, which is not worth a message.
+        # Later writes, the flush at exit among them, go to the null
+        # device, so the pipe cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return USAGE
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

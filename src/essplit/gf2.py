@@ -1,11 +1,16 @@
 """Exact linear algebra over GF(2) with bit-packed rows.
 
-Vectors are stored as Python ints: bit ``j`` of a row word holds the
-entry in column ``j``.  Matrices carry a label per column; the label
-order fixes the canonical ordering used for every emitted set.  All
-values are immutable and all operations are pure, so they can be shared
-freely.  Gaussian elimination always pivots on the first nonzero entry,
-which keeps every result deterministic.
+A vector is a plain Python int: bit ``j`` of a row holds the entry in
+column ``j``, and addition is XOR.  Ints have no width limit, so neither
+has a matrix.  Matrices carry a label per column; the label order fixes
+the canonical ordering used for every emitted set.  All values are
+immutable and all operations are pure, so they can be shared freely.
+
+Every elimination in the package runs on one kernel: an XOR basis held
+as a dict from the lowest set bit of each entry to the entry
+(``_insert``, ``_reduce``, ``_residue``).  The result of a query does
+not depend on the order in which vectors reach the basis, so every
+result is deterministic.
 """
 
 from __future__ import annotations
@@ -16,114 +21,90 @@ from typing import Iterable, Iterator
 
 from .errors import ParseError, UnknownLabel
 
-MAX_COLUMNS = 64
 
-
-def _rank_of_words(words: list[int], width: int) -> int:
-    """Rank of bit-packed vectors via plain Gaussian elimination."""
-    work = [w for w in words if w]
-    rank = 0
-    for bit in range(width):
-        pivot = None
-        for i in range(rank, len(work)):
-            if (work[i] >> bit) & 1:
-                pivot = i
-                break
+def _reduce(word: int, basis: dict[int, int]) -> int:
+    """Reduce ``word`` against an XOR basis keyed by lowest set bit."""
+    while word:
+        low = word & -word
+        pivot = basis.get(low)
         if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for i in range(len(work)):
-            if i != rank and (work[i] >> bit) & 1:
-                work[i] ^= work[rank]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+            return word
+        word ^= pivot
+    return 0
 
 
-@dataclass(frozen=True)
-class GF2Vector:
-    """Fixed-length vector over GF(2); addition is entrywise XOR."""
+def _insert(basis: dict[int, int], word: int) -> bool:
+    """Add ``word`` to the basis; False if it was already in the span."""
+    word = _reduce(word, basis)
+    if word == 0:
+        return False
+    basis[word & -word] = word
+    return True
 
-    bits: int
-    length: int
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError("vector length must be nonnegative")
-        if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("bits do not fit the declared length")
+def _residue(word: int, basis: dict[int, int]) -> int:
+    """Canonical representative of ``word`` modulo the span of ``basis``.
 
-    @classmethod
-    def from_entries(cls, entries: Iterable[int]) -> "GF2Vector":
-        bits = 0
-        length = 0
-        for entry in entries:
-            if entry not in (0, 1):
-                raise ValueError(f"{entry!r} is not a GF(2) entry")
-            bits |= entry << length
-            length += 1
-        return cls(bits, length)
+    ``_reduce`` stops at the first bit that is not a pivot; here that bit
+    is set aside and the rest reduced again, so the result has no pivot
+    bit at all.  Two words get the same residue exactly when their sum
+    lies in the span, because a nonzero vector of the span always has a
+    pivot bit as its lowest bit.
+    """
+    out = 0
+    word = _reduce(word, basis)
+    while word:
+        low = word & -word
+        out |= low
+        word = _reduce(word ^ low, basis)
+    return out
 
-    @classmethod
-    def zero(cls, length: int) -> "GF2Vector":
-        return cls(0, length)
 
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        return (self[i] for i in range(self.length))
-
-    def __xor__(self, other: "GF2Vector") -> "GF2Vector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return GF2Vector(self.bits ^ other.bits, self.length)
-
-    # Over GF(2) addition and subtraction are both XOR.
-    __add__ = __xor__
-    __sub__ = __xor__
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def to_list(self) -> list[int]:
-        return [self[i] for i in range(self.length)]
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
 class GF2Matrix:
     """Matrix over GF(2) whose columns are labeled.
 
-    The column labels are opaque strings; their order at construction is
+    Each row is an int whose bit ``j`` is the entry in column ``j``.  The
+    column labels are opaque strings; their order at construction is
     the canonical ground-set order for everything derived from the
     matrix.
     """
 
-    rows: tuple[GF2Vector, ...]
+    rows: tuple[int, ...]
     col_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(self.col_labels) > MAX_COLUMNS:
-            raise ValueError(f"at most {MAX_COLUMNS} columns are supported")
         if len(set(self.col_labels)) != len(self.col_labels):
             raise ValueError("column labels must be distinct")
         for row in self.rows:
-            if row.length != len(self.col_labels):
-                raise ValueError("all rows must match the number of columns")
+            if row < 0 or row >> len(self.col_labels):
+                raise ValueError("a row has entries outside the columns")
 
     @classmethod
     def from_rows(
         cls, rows: Iterable[Iterable[int]], col_labels: Iterable[str]
     ) -> "GF2Matrix":
         labels = tuple(str(lab) for lab in col_labels)
-        packed = tuple(GF2Vector.from_entries(row) for row in rows)
-        return cls(packed, labels)
+        packed = []
+        for entries in rows:
+            entries = list(entries)
+            if len(entries) != len(labels):
+                raise ValueError("all rows must match the number of columns")
+            row = 0
+            for j, entry in enumerate(entries):
+                if entry not in (0, 1):
+                    raise ValueError(f"{entry!r} is not a GF(2) entry")
+                row |= entry << j
+            packed.append(row)
+        return cls(tuple(packed), labels)
 
     @property
     def n_rows(self) -> int:
@@ -143,38 +124,46 @@ class GF2Matrix:
         except KeyError:
             raise UnknownLabel(f"unknown column label {label!r}") from None
 
-    def column(self, label: str) -> GF2Vector:
+    def column(self, label: str) -> int:
+        """The column as an int whose bit ``i`` is the entry in row ``i``."""
         j = self.column_index(label)
         bits = 0
         for i, row in enumerate(self.rows):
-            bits |= ((row.bits >> j) & 1) << i
-        return GF2Vector(bits, self.n_rows)
+            bits |= ((row >> j) & 1) << i
+        return bits
+
+    def entries(self) -> list[list[int]]:
+        """The rows as lists of 0/1 entries."""
+        return [[row >> j & 1 for j in range(self.n_cols)] for row in self.rows]
 
     def transpose(self) -> "GF2Matrix":
         labels = tuple(f"r{i}" for i in range(self.n_rows))
-        rows = tuple(
-            GF2Vector.from_entries(row.bits >> j & 1 for row in self.rows)
-            for j in range(self.n_cols)
-        )
-        return GF2Matrix(rows, labels)
+        return GF2Matrix(tuple(self.column(lab) for lab in self.col_labels), labels)
+
+
+def _rank(words: Iterable[int]) -> int:
+    basis: dict[int, int] = {}
+    for word in words:
+        _insert(basis, word)
+    return len(basis)
 
 
 def rank(m: GF2Matrix) -> int:
     """Dimension of the row space of ``m`` over GF(2)."""
-    return _rank_of_words([row.bits for row in m.rows], m.n_cols)
+    return _rank(m.rows)
 
 
 def _column_words(m: GF2Matrix, cols: Iterable[str]) -> list[int]:
-    return [m.column(lab).bits for lab in sorted(set(cols), key=m.column_index)]
+    return [m.column(lab) for lab in sorted(set(cols), key=m.column_index)]
 
 
 def columns_dependent(m: GF2Matrix, cols: Iterable[str]) -> bool:
     """True iff the selected columns are linearly dependent over GF(2)."""
     words = _column_words(m, cols)
-    return _rank_of_words(words, m.n_rows) < len(words)
+    return _rank(words) < len(words)
 
 
-def column_sum(m: GF2Matrix, cols: Iterable[str]) -> GF2Vector:
+def column_sum(m: GF2Matrix, cols: Iterable[str]) -> int:
     """Entrywise XOR of the selected columns (at least one required)."""
     words = _column_words(m, cols)
     if not words:
@@ -182,7 +171,7 @@ def column_sum(m: GF2Matrix, cols: Iterable[str]) -> GF2Vector:
     bits = 0
     for w in words:
         bits ^= w
-    return GF2Vector(bits, m.n_rows)
+    return bits
 
 
 def format_matrix(m: GF2Matrix) -> str:
@@ -192,15 +181,15 @@ def format_matrix(m: GF2Matrix) -> str:
     line holds one row of space-separated 0/1 entries.
     """
     lines = [" ".join(m.col_labels)]
-    for row in m.rows:
-        lines.append(" ".join(str(b) for b in row))
+    for entries in m.entries():
+        lines.append(" ".join(map(str, entries)))
     return "\n".join(lines) + "\n"
 
 
 def parse_matrix(text: str, source: str = "<string>") -> GF2Matrix:
     """Parse the matrix text format; blank lines are ignored."""
     labels: tuple[str, ...] | None = None
-    rows: list[GF2Vector] = []
+    rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -215,15 +204,13 @@ def parse_matrix(text: str, source: str = "<string>") -> GF2Matrix:
             raise ParseError(
                 f"{source}:{lineno}: expected {len(labels)} entries, got {len(fields)}"
             )
-        entries = []
-        for field in fields:
+        row = 0
+        for j, field in enumerate(fields):
             if field not in ("0", "1"):
                 raise ParseError(f"{source}:{lineno}: entry {field!r} is not 0 or 1")
-            entries.append(int(field))
-        rows.append(GF2Vector.from_entries(entries))
+            if field == "1":
+                row |= 1 << j
+        rows.append(row)
     if labels is None:
         raise ParseError(f"{source}: empty matrix file")
-    try:
-        return GF2Matrix(tuple(rows), labels)
-    except ValueError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
+    return GF2Matrix(tuple(rows), labels)

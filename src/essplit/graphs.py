@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidPartition, LabelCollision, ParseError, UnknownLabel
-from .gf2 import GF2Matrix, GF2Vector
+from .gf2 import GF2Matrix
 from .matroid import BinaryMatroid
 from .splitting import SplitContext, split_matroid
 
@@ -100,8 +100,7 @@ def incidence_matrix(g: LabeledGraph) -> GF2Matrix:
         if u != v:
             words[position[u]] |= 1 << j
             words[position[v]] |= 1 << j
-    rows = tuple(GF2Vector(w, len(g.edges)) for w in words)
-    return GF2Matrix(rows, g.edge_labels)
+    return GF2Matrix(tuple(words), g.edge_labels)
 
 
 def _check_spec(g: LabeledGraph, spec: LineSplitSpec) -> tuple[str, str]:

@@ -4,9 +4,10 @@
 the column space of its matrix.  It is the ground truth that every
 closed-form prediction elsewhere in the package is checked against, so
 each answer is computed from linear algebra alone, never from the
-predictions.  Rank and closure are one elimination each.  The two
-enumerations follow the size of their answer rather than walking every
-subset:
+predictions.  Columns are ints of any width, and every elimination runs
+on the XOR-basis kernel of ``gf2``: rank and closure are one each.  The
+two enumerations follow the size of their answer rather than walking
+every subset:
 
 * ``circuits()`` either sweeps subsets by size or walks the cycle space
   (the kernel of the matrix), whichever has fewer candidates;
@@ -29,7 +30,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .errors import GroundSetTooLarge, UnknownLabel
-from .gf2 import GF2Matrix
+from .gf2 import GF2Matrix, _bits, _insert, _reduce, _residue
 
 OX = "OX"
 EX = "EX"
@@ -39,52 +40,6 @@ def classify_circuit(circuit: Iterable[str], x_set: Iterable[str]) -> str:
     """``OX`` if the overlap with ``x_set`` has odd size, else ``EX``."""
     overlap = frozenset(circuit) & frozenset(x_set)
     return OX if len(overlap) % 2 else EX
-
-
-def _reduce(word: int, basis: dict[int, int]) -> int:
-    """Reduce ``word`` against an XOR basis keyed by lowest set bit."""
-    while word:
-        low = word & -word
-        pivot = basis.get(low)
-        if pivot is None:
-            return word
-        word ^= pivot
-    return 0
-
-
-def _insert(basis: dict[int, int], word: int) -> bool:
-    """Add ``word`` to the basis; False if it was already in the span."""
-    word = _reduce(word, basis)
-    if word == 0:
-        return False
-    basis[word & -word] = word
-    return True
-
-
-def _residue(word: int, basis: dict[int, int]) -> int:
-    """Canonical representative of ``word`` modulo the span of ``basis``.
-
-    ``_reduce`` stops at the first bit that is not a pivot; here that bit
-    is set aside and the rest reduced again, so the result has no pivot
-    bit at all.  Two words get the same residue exactly when their sum
-    lies in the span, because a nonzero vector of the span always has a
-    pivot bit as its lowest bit.
-    """
-    out = 0
-    word = _reduce(word, basis)
-    while word:
-        low = word & -word
-        out |= low
-        word = _reduce(word ^ low, basis)
-    return out
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _cycle_walk_is_cheaper(n: int, rank: int) -> bool:
@@ -114,7 +69,7 @@ class BinaryMatroid:
         self.ground: tuple[str, ...] = matrix.col_labels
         self.enumeration_cap = enumeration_cap
         self._index = {lab: i for i, lab in enumerate(self.ground)}
-        self._cols = tuple(matrix.column(lab).bits for lab in self.ground)
+        self._cols = tuple(matrix.column(lab) for lab in self.ground)
         self._circuits: tuple[frozenset[str], ...] | None = None
 
     @classmethod

@@ -16,6 +16,11 @@ agrees with the oracle.  Predictions never consult the split matroid
 themselves; the oracle comparison is always a separate route, so
 disagreements between a predictor and the ground truth surface instead
 of being hidden.
+
+Each base quantity the predictors read (cl(A), cl(A + e), F, F*, T, and
+whether A, A + e or cl(A) holds an odd-overlap circuit) is one lazy
+field of ``_BaseFacts``; ``set_F`` and its siblings are views of it.
+Emitted sets follow the split-ground order, held by ``SplitContext``.
 """
 
 from __future__ import annotations
@@ -28,12 +33,11 @@ from .errors import (
     BaseNotFlat,
     ElementNotInX,
     FormulaDisagreement,
-    GroundSetTooLarge,
     LabelCollision,
     PreconditionViolated,
     UnknownLabel,
 )
-from .gf2 import MAX_COLUMNS, GF2Matrix, GF2Vector
+from .gf2 import GF2Matrix
 from .matroid import EX, OX, BinaryMatroid, classify_circuit
 
 #: Identifiers of the closure case table, in evaluation order.  The ids
@@ -70,12 +74,6 @@ class SplitContext:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_set", frozenset(self.x_set))
-        n = len(self.base.ground)
-        if n + 2 > MAX_COLUMNS:
-            raise GroundSetTooLarge(
-                f"the split of {n} elements needs {n + 2} columns; "
-                f"at most {MAX_COLUMNS} are supported"
-            )
         ground = set(self.base.ground)
         unknown = self.x_set - ground
         if unknown:
@@ -92,12 +90,21 @@ class SplitContext:
     def split_ground(self) -> tuple[str, ...]:
         return self.base.ground + (self.label_a, self.label_gamma)
 
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.split_ground)}
+
     def sort_set(self, labels: Iterable[str]) -> tuple[str, ...]:
-        order = {lab: i for i, lab in enumerate(self.split_ground)}
+        """Labels sorted into the canonical split-ground order."""
         try:
-            return tuple(sorted(set(labels), key=order.__getitem__))
+            return tuple(sorted(set(labels), key=self._position.__getitem__))
         except KeyError as exc:
             raise UnknownLabel(f"{exc.args[0]!r} is not a split-ground element") from None
+
+    def subset_key(self, labels: Iterable[str]) -> tuple:
+        """Canonical sort key of a subset: its size, then its positions."""
+        positions = sorted(map(self._position.__getitem__, labels))
+        return (len(positions), tuple(positions))
 
     @cached_property
     def ox_circuits(self) -> tuple[frozenset[str], ...]:
@@ -122,7 +129,7 @@ def _base_subset(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
 
 def _split_subset(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
     subset = frozenset(labels)
-    unknown = subset - set(ctx.split_ground)
+    unknown = subset - ctx._position.keys()
     if unknown:
         raise UnknownLabel(f"labels {sorted(unknown)!r} are not split elements")
     return subset
@@ -146,6 +153,26 @@ class SplitQuery:
             has_a=ctx.label_a in a_prime,
             has_gamma=ctx.label_gamma in a_prime,
         )
+
+    @property
+    def plain(self) -> bool:
+        """A' holds neither new element."""
+        return not self.has_a and not self.has_gamma
+
+    @property
+    def with_a(self) -> bool:
+        """A' holds a but not gamma."""
+        return self.has_a and not self.has_gamma
+
+    @property
+    def with_g(self) -> bool:
+        """A' holds gamma but not a."""
+        return self.has_gamma and not self.has_a
+
+    @property
+    def with_ag(self) -> bool:
+        """A' holds both new elements."""
+        return self.has_a and self.has_gamma
 
 
 @dataclass(frozen=True)
@@ -219,18 +246,14 @@ def build_split_matrix(ctx: SplitContext) -> GF2Matrix:
     """
     base = ctx.base.matrix
     n_cols = base.n_cols
-    e_word = base.column(ctx.e).bits
-    rows = []
-    for i, row in enumerate(base.rows):
-        # gamma repeats e's old entries; the a-column is zero up here.
-        bits = row.bits | (((e_word >> i) & 1) << (n_cols + 1))
-        rows.append(GF2Vector(bits, n_cols + 2))
-    parity = 0
-    for j, lab in enumerate(base.col_labels):
-        if lab in ctx.x_set:
-            parity |= 1 << j
+    e_word = base.column(ctx.e)
+    # gamma repeats e's old entries; the a-column is zero up here.
+    rows = [
+        row | ((e_word >> i) & 1) << (n_cols + 1) for i, row in enumerate(base.rows)
+    ]
+    parity = sum(1 << j for j, lab in enumerate(base.col_labels) if lab in ctx.x_set)
     # In the new row: 1 on X, 1 at a, and 0 at gamma (e's 1 cancels a's).
-    rows.append(GF2Vector(parity | (1 << n_cols), n_cols + 2))
+    rows.append(parity | (1 << n_cols))
     return GF2Matrix(tuple(rows), base.col_labels + (ctx.label_a, ctx.label_gamma))
 
 
@@ -239,41 +262,126 @@ def split_matroid(ctx: SplitContext) -> BinaryMatroid:
     return BinaryMatroid(build_split_matrix(ctx), ctx.base.enumeration_cap)
 
 
-# -- base-side helpers ------------------------------------------------------
+# -- base-side facts ---------------------------------------------------------
+
+
+class _BaseFacts:
+    """The base quantities of one base part A that the predictors read:
+    cl = cl(A), cl_e = cl(A + e), e_in_cl, F, F* and T, and ox_a, ox_ae
+    and ox_cl, which say whether A, A + e and cl(A) hold an odd-overlap
+    circuit.  Each is computed on first use and then kept.
+    """
+
+    def __init__(self, ctx: SplitContext, labels: Iterable[str]):
+        self.ctx = ctx
+        self.a = _base_subset(ctx, labels)
+
+    def _holds_ox_circuit(self, subset: frozenset[str]) -> bool:
+        return any(c <= subset for c in self.ctx.ox_circuits)
+
+    @cached_property
+    def cl(self) -> frozenset[str]:
+        return self.ctx.base.closure_of(self.a)
+
+    @cached_property
+    def cl_e(self) -> frozenset[str]:
+        return self.ctx.base.closure_of(self.a | {self.ctx.e})
+
+    @cached_property
+    def e_in_cl(self) -> bool:
+        return self.ctx.e in self.cl
+
+    @cached_property
+    def ox_a(self) -> bool:
+        return self._holds_ox_circuit(self.a)
+
+    @cached_property
+    def ox_ae(self) -> bool:
+        return self._holds_ox_circuit(self.a | {self.ctx.e})
+
+    @cached_property
+    def ox_cl(self) -> bool:
+        return self._holds_ox_circuit(self.cl)
+
+    @cached_property
+    def f(self) -> frozenset[str]:
+        """F(A); see ``set_F``."""
+        covered: set[str] = set()
+        for c in self.ctx.ox_circuits:
+            if c <= self.cl:
+                covered |= c
+        return frozenset(covered & (self.cl - self.a))
+
+    @cached_property
+    def f_star(self) -> frozenset[str]:
+        """F*(A); see ``set_F_star``."""
+        out: set[str] = set()
+        for c in self.ctx.ox_circuits:
+            extra = c - self.a
+            if len(extra) == 1:
+                out |= extra
+        return frozenset(out)
+
+    @cached_property
+    def t(self) -> frozenset[str]:
+        """T(A); see ``set_T``."""
+        e = self.ctx.e
+        allowed = self.a | {e}
+        out: set[str] = set()
+        for c in self.ctx.ox_circuits:
+            if e not in c:
+                continue
+            extra = c - allowed
+            if len(extra) == 1:
+                (z,) = extra
+                if z != e and z not in self.a:
+                    out.add(z)
+        return frozenset(out)
+
+    def table_shapes(self) -> tuple[frozenset[str], ...]:
+        """The seven shapes of the twelve-case table; see ``closure_shapes``."""
+        ctx = self.ctx
+        cl = self.cl
+        cl_f = cl - self.f
+        g = frozenset({ctx.label_gamma})
+        return (
+            cl_f,
+            cl,
+            cl | {ctx.label_a},
+            cl_f | g,
+            cl_f | g | self.t,
+            cl | g | self.t,
+            cl | {ctx.label_a, ctx.e, ctx.label_gamma},
+        )
+
+    def rule_shapes(self) -> tuple[frozenset[str], ...]:
+        """The five shapes of ``closure_rule``; see ``closure_rule_shapes``."""
+        ctx = self.ctx
+        kept = self.cl - self.f_star
+        g = frozenset({ctx.label_gamma})
+        return (
+            kept,
+            kept | g,
+            kept | g | self.t,
+            self.cl | {ctx.label_a},
+            self.cl_e | {ctx.label_a, ctx.label_gamma},
+        )
 
 
 def contains_ox_circuit(ctx: SplitContext, labels: Iterable[str]) -> bool:
     """True iff some odd-overlap circuit of the base lies inside ``labels``."""
-    subset = _base_subset(ctx, labels)
-    return any(c <= subset for c in ctx.ox_circuits)
+    return _BaseFacts(ctx, labels).ox_a
 
 
 def set_T(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
     """Elements z outside A, z != e, on an odd-overlap circuit through e
     that lies inside (A + e) + z."""
-    a = _base_subset(ctx, labels)
-    allowed = a | {ctx.e}
-    out: set[str] = set()
-    for c in ctx.ox_circuits:
-        if ctx.e not in c:
-            continue
-        extra = c - allowed
-        if len(extra) == 1:
-            (z,) = extra
-            if z != ctx.e and z not in a:
-                out.add(z)
-    return frozenset(out)
+    return _BaseFacts(ctx, labels).t
 
 
 def set_F(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
     """Elements of cl(A) - A lying on an odd-overlap circuit inside cl(A)."""
-    a = _base_subset(ctx, labels)
-    closure = ctx.base.closure_of(a)
-    covered: set[str] = set()
-    for c in ctx.ox_circuits:
-        if c <= closure:
-            covered |= c
-    return frozenset(covered & (closure - a))
+    return _BaseFacts(ctx, labels).f
 
 
 def set_F_star(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
@@ -284,13 +392,7 @@ def set_F_star(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
     needed: F* is the one element outside A of every odd-overlap circuit
     that has exactly one.
     """
-    a = _base_subset(ctx, labels)
-    out: set[str] = set()
-    for c in ctx.ox_circuits:
-        extra = c - a
-        if len(extra) == 1:
-            out |= extra
-    return frozenset(out)
+    return _BaseFacts(ctx, labels).f_star
 
 
 def find_ox_subcircuit(
@@ -348,7 +450,7 @@ def predict_circuits(ctx: SplitContext) -> CircuitFamily:
     so the minimal candidates are exactly the circuit set; the split
     matroid itself is never consulted.
     """
-    key = ctx.base.subset_key
+    key = ctx.subset_key
     ox = ctx.ox_circuits
     c0 = ctx.ex_circuits
 
@@ -402,16 +504,11 @@ def predict_circuits(ctx: SplitContext) -> CircuitFamily:
             if not any(other < cand for other in everything)
         ]
 
-    order = {lab: i for i, lab in enumerate(ctx.split_ground)}
-
-    def split_key(s: frozenset[str]) -> tuple:
-        return (len(s), tuple(sorted(order[lab] for lab in s)))
-
     return CircuitFamily(
         c0=tuple(sorted(c0, key=key)),
         c1=c1_class,
-        c2=tuple(sorted(c2_class, key=split_key)),
-        c3=tuple(sorted(minimal_within(c3_candidates), key=split_key)),
+        c2=tuple(sorted(c2_class, key=key)),
+        c3=tuple(sorted(minimal_within(c3_candidates), key=key)),
         delta=delta,
     )
 
@@ -422,39 +519,24 @@ def predict_rank(ctx: SplitContext, q: SplitQuery) -> int:
     Dispatches on which of the new elements A' carries; the gamma-only
     case evaluates its three branches in the fixed order below.
     """
-    base = ctx.base
-    r = base.rank_of(q.a)
-    if not q.has_a and not q.has_gamma:
-        return r + 1 if contains_ox_circuit(ctx, q.a) else r
-    if q.has_a and not q.has_gamma:
+    facts = _BaseFacts(ctx, q.a)
+    r = ctx.base.rank_of(q.a)
+    if q.plain:
+        return r + 1 if facts.ox_a else r
+    if q.with_a:
         return r + 1
-    if q.has_gamma and not q.has_a:
-        ox_in_a = contains_ox_circuit(ctx, q.a)
-        if not ox_in_a and contains_ox_circuit(ctx, q.a | {ctx.e}):
+    if q.with_g:
+        if not facts.ox_a and facts.ox_ae:
             return r
-        if ox_in_a and ctx.e not in base.closure_of(q.a):
+        if facts.ox_a and not facts.e_in_cl:
             return r + 2
         return r + 1
-    return r + 1 if ctx.e in base.closure_of(q.a) else r + 2
+    return r + 1 if facts.e_in_cl else r + 2
 
 
 def closure_shapes(ctx: SplitContext, labels: Iterable[str]) -> tuple[frozenset[str], ...]:
     """The seven candidate closure shapes instantiated at a base set A."""
-    a = _base_subset(ctx, labels)
-    cl = ctx.base.closure_of(a)
-    f = set_F(ctx, a)
-    t = set_T(ctx, a)
-    g = frozenset({ctx.label_gamma})
-    aeg = frozenset({ctx.label_a, ctx.e, ctx.label_gamma})
-    return (
-        cl - f,
-        cl,
-        cl | {ctx.label_a},
-        (cl - f) | g,
-        (cl - f) | g | t,
-        cl | g | t,
-        cl | aeg,
-    )
+    return _BaseFacts(ctx, labels).table_shapes()
 
 
 def predict_closure(
@@ -469,37 +551,23 @@ def predict_closure(
     ``with_oracle`` the split matroid's own closure is computed on the
     side and compared.
     """
-    base = ctx.base
-    a = q.a
-    cl = base.closure_of(a)
-    f = set_F(ctx, a)
-    t = set_T(ctx, a)
-    ox_a = contains_ox_circuit(ctx, a)
-    ox_ae = contains_ox_circuit(ctx, a | {ctx.e})
-    ox_cl = contains_ox_circuit(ctx, cl)
-    e_in_cl = ctx.e in cl
-
-    plain = not q.has_a and not q.has_gamma
-    with_a = q.has_a and not q.has_gamma
-    with_g = q.has_gamma and not q.has_a
-    with_ag = q.has_a and q.has_gamma
-
-    g = frozenset({ctx.label_gamma})
-    aeg = frozenset({ctx.label_a, ctx.e, ctx.label_gamma})
-
+    facts = _BaseFacts(ctx, q.a)
+    cl_f, cl, cl_a, cl_f_g, cl_f_g_t, cl_g_t, cl_aeg = facts.table_shapes()
+    ox_a, ox_ae, ox_cl, e_in_cl = facts.ox_a, facts.ox_ae, facts.ox_cl, facts.e_in_cl
+    plain, with_a, with_g, with_ag = q.plain, q.with_a, q.with_g, q.with_ag
     table = (
-        ("L3.2", plain and not ox_ae, cl - f),
+        ("L3.2", plain and not ox_ae, cl_f),
         ("L3.3", plain and not ox_cl, cl),
-        ("L3.4.1", plain and ox_a and not e_in_cl, cl | {ctx.label_a}),
-        ("L3.4.2", with_a and not e_in_cl, cl | {ctx.label_a}),
-        ("L3.5", plain and ox_ae and not ox_a, (cl - f) | g),
-        ("L3.6", with_g and not e_in_cl and ox_cl and not ox_a, (cl - f) | g | t),
-        ("L3.7", with_g and not ox_cl and not e_in_cl, cl | g | t),
-        ("L3.8.1", with_ag, cl | aeg),
-        ("L3.8.2", with_a and e_in_cl, cl | aeg),
-        ("L3.8.3", with_g and ox_a, cl | aeg),
-        ("L3.8.4", with_g and e_in_cl, cl | aeg),
-        ("L3.8.5", plain and ox_a and e_in_cl, cl | aeg),
+        ("L3.4.1", plain and ox_a and not e_in_cl, cl_a),
+        ("L3.4.2", with_a and not e_in_cl, cl_a),
+        ("L3.5", plain and ox_ae and not ox_a, cl_f_g),
+        ("L3.6", with_g and not e_in_cl and ox_cl and not ox_a, cl_f_g_t),
+        ("L3.7", with_g and not ox_cl and not e_in_cl, cl_g_t),
+        ("L3.8.1", with_ag, cl_aeg),
+        ("L3.8.2", with_a and e_in_cl, cl_aeg),
+        ("L3.8.3", with_g and ox_a, cl_aeg),
+        ("L3.8.4", with_g and e_in_cl, cl_aeg),
+        ("L3.8.5", plain and ox_a and e_in_cl, cl_aeg),
     )
     return _dispatch(ctx, q, table, with_oracle)
 
@@ -511,17 +579,7 @@ def closure_rule_shapes(
     set A: cl - F*, (cl - F*) + gamma, (cl - F*) + gamma + T, cl + a and
     cl(A + e) + {a, gamma}, where cl is cl(A), F* is ``set_F_star`` and T
     is ``set_T``."""
-    a = _base_subset(ctx, labels)
-    cl = ctx.base.closure_of(a)
-    kept = cl - set_F_star(ctx, a)
-    g = frozenset({ctx.label_gamma})
-    return (
-        kept,
-        kept | g,
-        kept | g | set_T(ctx, a),
-        cl | {ctx.label_a},
-        ctx.base.closure_of(a | {ctx.e}) | {ctx.label_a, ctx.label_gamma},
-    )
+    return _BaseFacts(ctx, labels).rule_shapes()
 
 
 def closure_rule(
@@ -575,19 +633,19 @@ def closure_rule(
     PAPER.md holds only the paper's abstract, so whether these faults
     come from the paper or from its transcription is not settled here.
     """
-    kept, kept_g, kept_g_t, cl_a, cl_e_ag = closure_rule_shapes(ctx, q.a)
-    cl = cl_a - {ctx.label_a}
-    f_star = cl - kept
-    free = q.has_a or contains_ox_circuit(ctx, q.a)
+    facts = _BaseFacts(ctx, q.a)
+    kept, kept_g, kept_g_t, cl_a, cl_e_ag = facts.rule_shapes()
+    e_in_f_star = ctx.e in facts.f_star
+    free = q.has_a or facts.ox_a
     bound_g = q.has_gamma and not free
     # With e in cl(A), cl(A + e) + {a, gamma} is cl(A) + {a, gamma}.
     table = (
-        ("R1.1", free and not q.has_gamma, cl_e_ag if ctx.e in cl else cl_a),
+        ("R1.1", free and not q.has_gamma, cl_e_ag if facts.e_in_cl else cl_a),
         ("R1.2", free and q.has_gamma, cl_e_ag),
-        ("R2", not free and not q.has_gamma, kept_g if ctx.e in f_star else kept),
-        ("R3.1", bound_g and ctx.e in f_star, kept_g),
+        ("R2", not free and not q.has_gamma, kept_g if e_in_f_star else kept),
+        ("R3.1", bound_g and e_in_f_star, kept_g),
         ("R3.2", bound_g and ctx.e in kept, cl_e_ag),
-        ("R3.3", bound_g and ctx.e not in cl, kept_g_t),
+        ("R3.3", bound_g and not facts.e_in_cl, kept_g_t),
     )
     return _dispatch(ctx, q, table, with_oracle)
 
@@ -634,31 +692,19 @@ def predict_is_flat(ctx: SplitContext, q: SplitQuery) -> int | None:
     matroid.  A None return says nothing either way; callers needing a
     complete answer fall back to the oracle's ``is_flat``.
     """
-    base = ctx.base
-    a = q.a
-    cl = base.closure_of(a)
-    if cl != a:
-        raise BaseNotFlat(f"{sorted(a)} is not a flat of the base matroid")
-
-    ox_a = contains_ox_circuit(ctx, a)
-    ox_ae = contains_ox_circuit(ctx, a | {ctx.e})
-    ox_cl = contains_ox_circuit(ctx, cl)
-    e_in_cl = ctx.e in cl
-    f = set_F(ctx, a)
-    t = set_T(ctx, a)
-
-    plain = not q.has_a and not q.has_gamma
-    with_a = q.has_a and not q.has_gamma
-    with_g = q.has_gamma and not q.has_a
-    with_ag = q.has_a and q.has_gamma
-
+    facts = _BaseFacts(ctx, q.a)
+    if facts.cl != q.a:
+        raise BaseNotFlat(f"{sorted(q.a)} is not a flat of the base matroid")
+    ox_a, ox_ae, ox_cl, e_in_cl = facts.ox_a, facts.ox_ae, facts.ox_cl, facts.e_in_cl
+    f, t = facts.f, facts.t
+    plain, with_a, with_g, with_ag = q.plain, q.with_a, q.with_g, q.with_ag
     conditions = (
         plain and not ox_ae and not f,
         plain and not ox_cl,
         with_a and not e_in_cl,
         with_g and not e_in_cl and ox_cl and not ox_a and not f and not t,
         with_g and not ox_cl and not e_in_cl and not t,
-        with_ag and ctx.e in a,
+        with_ag and ctx.e in q.a,
     )
     for number, satisfied in enumerate(conditions, start=1):
         if satisfied:

@@ -41,7 +41,7 @@ def random_context(
     and the {e, a, gamma} triangle stops being a circuit), so loops are
     not eligible; None when every column is zero.
     """
-    non_loops = [lab for lab in matroid.ground if matroid.matrix.column(lab).bits]
+    non_loops = [lab for lab in matroid.ground if matroid.matrix.column(lab)]
     if not non_loops:
         return None
     e = rng.choice(non_loops)

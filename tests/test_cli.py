@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import essplit
 from essplit.cli import main
 from essplit.gf2 import format_matrix
 from essplit.graphs import format_graph
@@ -119,14 +124,27 @@ class TestSplit:
         assert err.startswith("error: ") and "UTF-8" in err
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("n", [63, 64])
-    def test_split_wider_than_64_columns_rejected(self, capsys, tmp_path, n):
+    @pytest.mark.parametrize("n", [63, 64, 70])
+    def test_split_wider_than_64_columns(self, capsys, tmp_path, n):
         path = tmp_path / "wide.txt"
         path.write_text(" ".join(f"c{j}" for j in range(n)) + "\n" + "1 " * n + "\n")
         code, out, err = run(capsys, "split", "--input", str(path), "--X", "c0", "--e", "c0")
-        assert code == 2
-        assert out == ""
-        assert err == f"error: the split of {n} elements needs {n + 2} columns; at most 64 are supported\n"
+        assert code == 0
+        assert err == ""
+        labels, row, parity = out.splitlines()
+        assert labels.split() == [f"c{j}" for j in range(n)] + ["a", "gamma"]
+        assert row.split() == ["1"] * n + ["0", "1"]
+        assert parity.split() == ["1"] + ["0"] * (n - 1) + ["1", "0"]
+
+    def test_graph_with_65_edges(self, capsys, tmp_path):
+        path = tmp_path / "star.graph"
+        path.write_text("".join(f"s{j} hub v{j}\n" for j in range(65)))
+        code, out, err = run(
+            capsys, "split", "--input", str(path), "--kind", "graph", "--X", "s0", "--e", "s0"
+        )
+        assert code == 0
+        assert err == ""
+        assert len(out.splitlines()[0].split()) == 67
 
     def test_negative_cap_rejected(self, capsys, wheel_matrix_file):
         code, _, err = run(
@@ -424,6 +442,32 @@ class TestCheck:
         )
         assert code == 2
         assert "--sample" in err
+
+
+def test_closed_pipe_ends_silently(wheel_matrix_file):
+    """A reader that stops early ends the run with exit 1 and no message."""
+    src = str(Path(essplit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    read_end, write_end = os.pipe()
+    if sys.platform == "linux":
+        import fcntl
+
+        # One page: the 66 kB report cannot fit before the reader closes.
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    argv = ["check", "--input", wheel_matrix_file, "--X", "x,y", "--e", "y", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "essplit.cli", *argv],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    os.close(write_end)
+    head = os.read(read_end, 10)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert head == b'{\n  "subse'
+    assert err == b""
+    assert proc.returncode == 1
 
 
 class TestDemo:

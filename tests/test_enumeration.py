@@ -59,7 +59,7 @@ def test_instances_cover_both_strategies_and_corner_cases():
     assert any(m.rank_of(m.ground) == 0 and m.ground for m in INSTANCES)
     assert any(m.rank_of(m.ground) == len(m.ground) > 6 for m in INSTANCES)
     assert max(len(m.ground) for m in INSTANCES) == 11
-    columns = [[m.matrix.column(lab).bits for lab in m.ground] for m in INSTANCES]
+    columns = [[m.matrix.column(lab) for lab in m.ground] for m in INSTANCES]
     assert sum(0 in cols for cols in columns) > 20  # loops
     parallel = [len(set(cols) - {0}) < len(cols) - cols.count(0) for cols in columns]
     assert sum(parallel) > 20  # parallel classes

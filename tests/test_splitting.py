@@ -65,12 +65,8 @@ class TestBuildSplitMatrix:
         assert m.col_labels == wheel_ctx.base.ground + ("a", "gamma")
 
     def test_parity_row(self, wheel_ctx):
-        row = build_split_matrix(wheel_ctx).rows[-1]
-        ones = {
-            lab
-            for lab, bit in zip(build_split_matrix(wheel_ctx).col_labels, row)
-            if bit
-        }
+        m = build_split_matrix(wheel_ctx)
+        ones = {lab for lab, bit in zip(m.col_labels, m.entries()[-1]) if bit}
         assert ones == {"x", "y", "a"}
 
     def test_gamma_column(self, wheel_ctx):
