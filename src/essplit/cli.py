@@ -5,6 +5,13 @@ Set-valued flags take comma-separated labels (e.g. ``--subset 2,6,gamma``);
 the names ``a`` and ``gamma`` refer to the two new split elements unless
 overridden with --label-a / --label-gamma.
 
+``check`` compares the closure and rank predictions with the oracle on
+every subset A' of the split ground, or on --sample N distinct ones.  It
+visits each base part A once: one set of base facts and one oracle basis
+of A answer all four queries A, A+a, A+gamma and A+a+gamma.  The report
+lists disagreements by subset size, then position; with --sample, in
+draw order, or in mask order when N covers every subset.
+
 Exit codes: 0 ok, 1 usage or parse failure, 2 precondition violation,
 3 a formula/oracle disagreement was found.
 """
@@ -17,7 +24,7 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     BaseNotFlat,
@@ -31,12 +38,13 @@ from .errors import (
     PreconditionViolated,
     UnknownLabel,
 )
-from .gf2 import format_matrix, parse_matrix
+from .gf2 import _bits, format_matrix, parse_matrix
 from .graphs import incidence_matrix, parse_graph
 from .matroid import BinaryMatroid
 from .splitting import (
     SplitContext,
     SplitQuery,
+    _BaseFacts,
     build_split_matrix,
     predict_circuits,
     predict_closure,
@@ -275,81 +283,108 @@ def cmd_flats(args: argparse.Namespace) -> int:
     return DISAGREEMENT if violations else OK
 
 
-def _iter_check_subsets(
-    ctx: SplitContext, sample: int | None, seed: int
-) -> Iterable[frozenset[str]]:
-    ground = ctx.split_ground
-    n = len(ground)
-    if sample is None:
-        if n > BinaryMatroid.SUBSET_CAP:
-            raise GroundSetTooLarge(
-                f"{n} split elements exceed the exhaustive cap of "
-                f"{BinaryMatroid.SUBSET_CAP}; rerun with --sample N"
-            )
-        oracle = split_matroid(ctx)
-        yield from oracle.all_subsets()
-        return
-    total = 1 << n
-    if sample >= total:
-        masks: Iterable[int] = range(total)
-    else:
-        # Repeated draws are redrawn, so exactly ``sample`` distinct
-        # subsets come out, in the order of their first draw.
-        rng = random.Random(seed)
-        drawn: dict[int, None] = {}
-        while len(drawn) < sample:
-            drawn[rng.randrange(total)] = None
-        masks = drawn
-    for mask in masks:
-        yield frozenset(ground[i] for i in range(n) if (mask >> i) & 1)
+def _check_plan(
+    ctx: SplitContext, oracle: BinaryMatroid, sample: int | None, seed: int
+) -> tuple[Iterable[tuple[int, Iterable[int]]], Callable[[int], object]]:
+    """The subsets ``check`` visits, grouped by base part, and their
+    order in the report.
+
+    A subset is a mask over the split ground: its low n bits are the
+    base part A, bit n is a and bit n + 1 is gamma.  Each group is a
+    base mask and the values of the two top bits to visit with it.  The
+    key sorts masks into report order: by the oracle's subset order
+    (size, then positions) when exhaustive, by mask when ``sample``
+    covers all 2^(n+2) subsets, and else by first draw, repeated draws
+    being redrawn.
+    """
+    n = len(ctx.base.ground)
+    total = 1 << n + 2
+    if sample is None and n + 2 > BinaryMatroid.SUBSET_CAP:
+        raise GroundSetTooLarge(
+            f"{n + 2} split elements exceed the exhaustive cap of "
+            f"{BinaryMatroid.SUBSET_CAP}; rerun with --sample N"
+        )
+    if sample is None or sample >= total:
+        every = ((base, range(4)) for base in range(1 << n))
+        return every, oracle._mask_key if sample is None else int
+    rng = random.Random(seed)
+    drawn: dict[int, int] = {}
+    while len(drawn) < sample:
+        drawn.setdefault(rng.randrange(total), len(drawn))
+    groups: dict[int, list[int]] = {}
+    for mask in drawn:
+        groups.setdefault(mask & (1 << n) - 1, []).append(mask >> n)
+    return groups.items(), drawn.__getitem__
+
+
+def _in_order(witnesses: list[tuple[object, dict]]) -> list[dict]:
+    return [w for _, w in sorted(witnesses, key=lambda pair: pair[0])]
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     ctx = _load_context(args)
     oracle = split_matroid(ctx)
+    ground = ctx.base.ground
+    n = len(ground)
+    new = (ctx.label_a, ctx.label_gamma)
+    # Indexed by the two top bits of a mask: nothing, a, gamma, both.
+    added = (frozenset(), frozenset(new[:1]), frozenset(new[1:]), frozenset(new))
 
     case_hits: dict[str, int] = {}
     no_case = 0
-    closure_witnesses: list[dict] = []
-    rank_witnesses: list[dict] = []
+    closure_witnesses: list[tuple[object, dict]] = []
+    rank_witnesses: list[tuple[object, dict]] = []
     subsets = 0
 
-    for a_prime in _iter_check_subsets(ctx, args.sample, args.seed):
-        subsets += 1
-        q = SplitQuery.of(ctx, a_prime)
-        report = predict_closure(ctx, q, with_oracle=False)
-        oracle_closure = oracle.closure_of(a_prime)
-        if report.no_case_applies:
-            no_case += 1
-        for case_id in report.matched_cases:
-            case_hits[case_id] = case_hits.get(case_id, 0) + 1
-        if report.formula_result is not None and report.formula_result != oracle_closure:
-            closure_witnesses.append(
-                {
-                    "subset": list(ctx.sort_set(a_prime)),
-                    "matched": list(report.matched_cases),
-                    "formula": list(ctx.sort_set(report.formula_result)),
-                    "oracle": list(ctx.sort_set(oracle_closure)),
-                }
-            )
-        formula_rank = predict_rank(ctx, q)
-        oracle_rank = oracle.rank_of(a_prime)
-        if formula_rank != oracle_rank:
-            rank_witnesses.append(
-                {
-                    "subset": list(ctx.sort_set(a_prime)),
-                    "formula": formula_rank,
-                    "oracle": oracle_rank,
-                }
-            )
+    # One set of base facts and one oracle basis per base part A serve
+    # its four queries; witnesses are sorted into report order at the end.
+    groups, order = _check_plan(ctx, oracle, args.sample, args.seed)
+    for base, tops in groups:
+        a = frozenset(ground[pos] for pos in _bits(base))
+        facts = _BaseFacts(ctx, a)
+        spans = oracle.closures_with(a, new)
+        for top in tops:
+            subsets += 1
+            a_prime = a | added[top]
+            q = SplitQuery(a_prime, a, has_a=bool(top & 1), has_gamma=bool(top & 2))
+            report = predict_closure(ctx, q, facts=facts)
+            oracle_rank, oracle_closure = spans[top]
+            if report.no_case_applies:
+                no_case += 1
+            for case_id in report.matched_cases:
+                case_hits[case_id] = case_hits.get(case_id, 0) + 1
+            if report.formula_result is not None and report.formula_result != oracle_closure:
+                closure_witnesses.append(
+                    (
+                        order(base | top << n),
+                        {
+                            "subset": list(ctx.sort_set(a_prime)),
+                            "matched": list(report.matched_cases),
+                            "formula": list(ctx.sort_set(report.formula_result)),
+                            "oracle": list(ctx.sort_set(oracle_closure)),
+                        },
+                    )
+                )
+            formula_rank = predict_rank(ctx, q, facts=facts)
+            if formula_rank != oracle_rank:
+                rank_witnesses.append(
+                    (
+                        order(base | top << n),
+                        {
+                            "subset": list(ctx.sort_set(a_prime)),
+                            "formula": formula_rank,
+                            "oracle": oracle_rank,
+                        },
+                    )
+                )
 
     family_equal = set(predict_circuits(ctx).all_circuits()) == set(oracle.circuits())
     corollary_ok = oracle.rank_of(oracle.ground) == ctx.base.rank_of(ctx.base.ground) + 1
 
     flat_violations: list[dict] = []
     for flat in ctx.base.flats():
-        for extras in ((), (ctx.label_a,), (ctx.label_gamma,), (ctx.label_a, ctx.label_gamma)):
-            a_prime = frozenset(flat) | set(extras)
+        for extra in added:
+            a_prime = flat | extra
             q = SplitQuery.of(ctx, a_prime)
             condition = predict_is_flat(ctx, q)
             if condition is not None and not oracle.is_flat(a_prime):
@@ -357,6 +392,8 @@ def cmd_check(args: argparse.Namespace) -> int:
                     {"subset": list(ctx.sort_set(a_prime)), "condition": condition}
                 )
 
+    closure_witnesses = _in_order(closure_witnesses)
+    rank_witnesses = _in_order(rank_witnesses)
     disagreements = (
         len(closure_witnesses)
         + len(rank_witnesses)

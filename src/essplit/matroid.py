@@ -5,9 +5,10 @@ the column space of its matrix.  It is the ground truth that every
 closed-form prediction elsewhere in the package is checked against, so
 each answer is computed from linear algebra alone, never from the
 predictions.  Columns are ints of any width, and every elimination runs
-on the XOR-basis kernel of ``gf2``: rank and closure are one each.  The
-two enumerations follow the size of their answer rather than walking
-every subset:
+on the XOR-basis kernel of ``gf2``.  ``closures_with`` gives the rank
+and the closure of A + S for every S inside a few extra elements from
+one basis of A; ``closure_of`` is its case S = {}.  The two enumerations
+follow the size of their answer rather than walking every subset:
 
 * ``circuits()`` either sweeps subsets by size or walks the cycle space
   (the kernel of the matrix), whichever has fewer candidates;
@@ -30,7 +31,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .errors import GroundSetTooLarge, UnknownLabel
-from .gf2 import GF2Matrix, _bits, _insert, _reduce, _residue
+from .gf2 import GF2Matrix, _bits, _insert, _residue
 
 OX = "OX"
 EX = "EX"
@@ -68,7 +69,7 @@ class BinaryMatroid:
         self.matrix = matrix
         self.ground: tuple[str, ...] = matrix.col_labels
         self.enumeration_cap = enumeration_cap
-        self._index = {lab: i for i, lab in enumerate(self.ground)}
+        self._index = matrix._col_index
         self._cols = tuple(matrix.column(lab) for lab in self.ground)
         self._circuits: tuple[frozenset[str], ...] | None = None
 
@@ -140,12 +141,34 @@ class BinaryMatroid:
 
     def closure_of(self, labels: Iterable[str]) -> frozenset[str]:
         """All elements whose addition leaves the rank unchanged."""
+        return self.closures_with(labels, ())[0][1]
+
+    def closures_with(
+        self, labels: Iterable[str], extra: Iterable[str]
+    ) -> tuple[tuple[int, frozenset[str]], ...]:
+        """Rank and closure of A + S for every subset S of ``extra``.
+
+        A is ``labels``.  Entry ``i`` is for the S that holds the j-th
+        label of ``extra`` exactly when bit j of ``i`` is set, so the
+        first entry is A itself.  One basis of A serves every S: span(A + S)
+        is span(A) plus the span of the columns of S, so a column lies in
+        it exactly when its residue modulo span(A) (``_residue``, which is
+        linear) lies in the span of the residues of S, and the rank grows
+        by the dimension of that span.
+        """
         basis = self._span_basis(self._positions(labels))
-        return frozenset(
-            lab
-            for lab, word in zip(self.ground, self._cols)
-            if _reduce(word, basis) == 0
-        )
+        residues = [_residue(word, basis) for word in self._cols]
+        spans = [{0}]
+        for lab in extra:
+            (pos,) = self._positions((lab,))
+            spans += [span | {r ^ residues[pos] for r in span} for span in spans]
+        out = []
+        for span in spans:
+            closed = frozenset(
+                lab for lab, r in zip(self.ground, residues) if r in span
+            )
+            out.append((len(basis) + len(span).bit_length() - 1, closed))
+        return tuple(out)
 
     def is_flat(self, labels: Iterable[str]) -> bool:
         """True iff the set equals its own closure."""

@@ -17,10 +17,15 @@ themselves; the oracle comparison is always a separate route, so
 disagreements between a predictor and the ground truth surface instead
 of being hidden.
 
-Each base quantity the predictors read (cl(A), cl(A + e), F, F*, T, and
-whether A, A + e or cl(A) holds an odd-overlap circuit) is one lazy
-field of ``_BaseFacts``; ``set_F`` and its siblings are views of it.
-Emitted sets follow the split-ground order, held by ``SplitContext``.
+Each base quantity the predictors read (rank(A), cl(A), cl(A + e), F,
+F*, T, whether A, A + e or cl(A) holds an odd-overlap circuit, and the
+closure shapes) is one lazy field of ``_BaseFacts``; ``set_F`` and its
+siblings are views of it.  ``facts.rank``, ``facts.cl`` and ``facts.cl_e``
+come from one basis of A (``BinaryMatroid.closures_with``).  The four
+split queries A, A + a, A + gamma and A + a + gamma share one base part,
+so ``predict_closure`` and ``predict_rank`` accept its record: ``essplit
+check`` builds one per base part and passes it to all four.  Emitted sets
+follow the split-ground order, held by ``SplitContext``.
 """
 
 from __future__ import annotations
@@ -267,9 +272,11 @@ def split_matroid(ctx: SplitContext) -> BinaryMatroid:
 
 class _BaseFacts:
     """The base quantities of one base part A that the predictors read:
-    cl = cl(A), cl_e = cl(A + e), e_in_cl, F, F* and T, and ox_a, ox_ae
-    and ox_cl, which say whether A, A + e and cl(A) hold an odd-overlap
-    circuit.  Each is computed on first use and then kept.
+    rank = rank(A), cl = cl(A), cl_e = cl(A + e), e_in_cl, F, F* and T,
+    ox_a, ox_ae and ox_cl, which say whether A, A + e and cl(A) hold an
+    odd-overlap circuit, and the shapes of both closure predictors.
+    Each is computed on first use and then kept, so one record serves
+    all four split queries A, A + a, A + gamma and A + a + gamma.
     """
 
     def __init__(self, ctx: SplitContext, labels: Iterable[str]):
@@ -280,12 +287,21 @@ class _BaseFacts:
         return any(c <= subset for c in self.ctx.ox_circuits)
 
     @cached_property
-    def cl(self) -> frozenset[str]:
-        return self.ctx.base.closure_of(self.a)
+    def _spans(self) -> tuple[tuple[int, frozenset[str]], ...]:
+        """(rank, closure) of A and of A + e, from one basis of A."""
+        return self.ctx.base.closures_with(self.a, (self.ctx.e,))
 
-    @cached_property
+    @property
+    def rank(self) -> int:
+        return self._spans[0][0]
+
+    @property
+    def cl(self) -> frozenset[str]:
+        return self._spans[0][1]
+
+    @property
     def cl_e(self) -> frozenset[str]:
-        return self.ctx.base.closure_of(self.a | {self.ctx.e})
+        return self._spans[1][1]
 
     @cached_property
     def e_in_cl(self) -> bool:
@@ -338,6 +354,7 @@ class _BaseFacts:
                     out.add(z)
         return frozenset(out)
 
+    @cached_property
     def table_shapes(self) -> tuple[frozenset[str], ...]:
         """The seven shapes of the twelve-case table; see ``closure_shapes``."""
         ctx = self.ctx
@@ -354,6 +371,7 @@ class _BaseFacts:
             cl | {ctx.label_a, ctx.e, ctx.label_gamma},
         )
 
+    @cached_property
     def rule_shapes(self) -> tuple[frozenset[str], ...]:
         """The five shapes of ``closure_rule``; see ``closure_rule_shapes``."""
         ctx = self.ctx
@@ -366,6 +384,18 @@ class _BaseFacts:
             self.cl | {ctx.label_a},
             self.cl_e | {ctx.label_a, ctx.label_gamma},
         )
+
+
+def _facts_for(
+    ctx: SplitContext, q: SplitQuery, facts: _BaseFacts | None
+) -> _BaseFacts:
+    """``facts`` if given, checked against the base part of ``q``; else
+    a new record."""
+    if facts is None:
+        return _BaseFacts(ctx, q.a)
+    if facts.ctx is not ctx or facts.a != q.a:
+        raise ValueError("the base facts are not those of this query")
+    return facts
 
 
 def contains_ox_circuit(ctx: SplitContext, labels: Iterable[str]) -> bool:
@@ -513,14 +543,19 @@ def predict_circuits(ctx: SplitContext) -> CircuitFamily:
     )
 
 
-def predict_rank(ctx: SplitContext, q: SplitQuery) -> int:
+def predict_rank(
+    ctx: SplitContext, q: SplitQuery, facts: _BaseFacts | None = None
+) -> int:
     """Rank of A' in the split matroid, from base-side quantities.
 
     Dispatches on which of the new elements A' carries; the gamma-only
     case evaluates its three branches in the fixed order below.
+    ``facts``, when given, must be the ``_BaseFacts`` of the base part
+    of ``q``; a caller asking all four queries of one A passes one
+    record to all of them.
     """
-    facts = _BaseFacts(ctx, q.a)
-    r = ctx.base.rank_of(q.a)
+    facts = _facts_for(ctx, q, facts)
+    r = facts.rank
     if q.plain:
         return r + 1 if facts.ox_a else r
     if q.with_a:
@@ -536,11 +571,14 @@ def predict_rank(ctx: SplitContext, q: SplitQuery) -> int:
 
 def closure_shapes(ctx: SplitContext, labels: Iterable[str]) -> tuple[frozenset[str], ...]:
     """The seven candidate closure shapes instantiated at a base set A."""
-    return _BaseFacts(ctx, labels).table_shapes()
+    return _BaseFacts(ctx, labels).table_shapes
 
 
 def predict_closure(
-    ctx: SplitContext, q: SplitQuery, with_oracle: bool = False
+    ctx: SplitContext,
+    q: SplitQuery,
+    with_oracle: bool = False,
+    facts: _BaseFacts | None = None,
 ) -> ClosureCaseReport:
     """Evaluate the full closure case table for one query.
 
@@ -549,10 +587,10 @@ def predict_closure(
     the resulting set the call aborts with FormulaDisagreement.  When no
     case matches, the report carries no formula and flags it.  With
     ``with_oracle`` the split matroid's own closure is computed on the
-    side and compared.
+    side and compared.  ``facts`` is as for ``predict_rank``.
     """
-    facts = _BaseFacts(ctx, q.a)
-    cl_f, cl, cl_a, cl_f_g, cl_f_g_t, cl_g_t, cl_aeg = facts.table_shapes()
+    facts = _facts_for(ctx, q, facts)
+    cl_f, cl, cl_a, cl_f_g, cl_f_g_t, cl_g_t, cl_aeg = facts.table_shapes
     ox_a, ox_ae, ox_cl, e_in_cl = facts.ox_a, facts.ox_ae, facts.ox_cl, facts.e_in_cl
     plain, with_a, with_g, with_ag = q.plain, q.with_a, q.with_g, q.with_ag
     table = (
@@ -579,7 +617,7 @@ def closure_rule_shapes(
     set A: cl - F*, (cl - F*) + gamma, (cl - F*) + gamma + T, cl + a and
     cl(A + e) + {a, gamma}, where cl is cl(A), F* is ``set_F_star`` and T
     is ``set_T``."""
-    return _BaseFacts(ctx, labels).rule_shapes()
+    return _BaseFacts(ctx, labels).rule_shapes
 
 
 def closure_rule(
@@ -634,7 +672,7 @@ def closure_rule(
     come from the paper or from its transcription is not settled here.
     """
     facts = _BaseFacts(ctx, q.a)
-    kept, kept_g, kept_g_t, cl_a, cl_e_ag = facts.rule_shapes()
+    kept, kept_g, kept_g_t, cl_a, cl_e_ag = facts.rule_shapes
     e_in_f_star = ctx.e in facts.f_star
     free = q.has_a or facts.ox_a
     bound_g = q.has_gamma and not free

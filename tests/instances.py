@@ -29,6 +29,29 @@ def random_matroid(
             return matroid
 
 
+def matroid_from_columns(columns: list[int], n_rows: int) -> BinaryMatroid:
+    """Binary matroid on "0", "1", ... whose column j has the bits of
+    ``columns[j]`` as rows."""
+    rows = [[word >> i & 1 for word in columns] for i in range(n_rows)]
+    return BinaryMatroid(
+        GF2Matrix.from_rows(rows, [str(j) for j in range(len(columns))])
+    )
+
+
+def random_columns(rng: random.Random, n: int, n_rows: int) -> list[int]:
+    """Random columns with frequent loops and parallel classes."""
+    columns: list[int] = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.1:
+            columns.append(0)
+        elif roll < 0.25 and columns:
+            columns.append(rng.choice(columns))
+        else:
+            columns.append(rng.getrandbits(n_rows) if n_rows else 0)
+    return columns
+
+
 def random_context(
     rng: random.Random,
     matroid: BinaryMatroid,

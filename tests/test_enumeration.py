@@ -7,31 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from essplit import BinaryMatroid, GF2Matrix
+from essplit import BinaryMatroid
 from essplit.matroid import _cycle_walk_is_cheaper
 
+from instances import matroid_from_columns, random_columns
 from reference import reference_circuits, reference_flats
-
-
-def matroid_from_columns(columns, n_rows):
-    rows = [[word >> i & 1 for word in columns] for i in range(n_rows)]
-    return BinaryMatroid(
-        GF2Matrix.from_rows(rows, [str(j) for j in range(len(columns))])
-    )
-
-
-def random_columns(rng, n, n_rows):
-    """Random columns with frequent loops and parallel classes."""
-    columns = []
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.1:
-            columns.append(0)
-        elif roll < 0.25 and columns:
-            columns.append(rng.choice(columns))
-        else:
-            columns.append(rng.getrandbits(n_rows) if n_rows else 0)
-    return columns
 
 
 def differential_instances():

@@ -7,7 +7,7 @@ from essplit import BinaryMatroid, GF2Matrix, classify_circuit
 from essplit.errors import GroundSetTooLarge, UnknownLabel
 from essplit.matroid import EX, OX
 
-from instances import random_matroid
+from instances import matroid_from_columns, random_columns, random_matroid
 
 #: Full cycle census of the wheel graph, derived by hand from the graph:
 #: four hub triangles, the rim square, four hub 4-cycles (opposite rim
@@ -66,6 +66,43 @@ class TestClosure:
     def test_loops_belong_to_every_closure(self):
         m = BinaryMatroid(GF2Matrix.from_rows([[1, 0]], ["p", "z"]))
         assert m.closure_of(frozenset()) == {"z"}
+
+
+class TestClosuresWith:
+    """One basis of A answers rank and closure for every A + S, S inside
+    the extra labels; checked against ``rank_of`` and ``closure_of``."""
+
+    def test_matches_rank_and_closure_on_random_matrices(self):
+        rng = random.Random(8080)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            m = matroid_from_columns(random_columns(rng, n, rng.randint(0, 5)), 5)
+            extra = rng.sample(m.ground, rng.randint(0, min(3, n)))
+            subset = frozenset(lab for lab in m.ground if rng.random() < 0.4)
+            answers = m.closures_with(subset, extra)
+            assert len(answers) == 2 ** len(extra)
+            for i, (rank, closure) in enumerate(answers):
+                part = subset | {lab for j, lab in enumerate(extra) if i >> j & 1}
+                assert rank == m.rank_of(part)
+                assert closure == m.closure_of(part)
+
+    def test_loops_and_repeated_extras(self):
+        # Columns: 0 and 3 are loops, 1 and 2 are parallel.
+        m = matroid_from_columns([0, 1, 1, 0, 2], 2)
+        assert m.closures_with({"1"}, ("3", "2", "4")) == (
+            (1, frozenset("0123")),
+            (1, frozenset("0123")),
+            (1, frozenset("0123")),
+            (1, frozenset("0123")),
+            (2, frozenset("01234")),
+            (2, frozenset("01234")),
+            (2, frozenset("01234")),
+            (2, frozenset("01234")),
+        )
+
+    def test_unknown_label(self, wheel_ctx):
+        with pytest.raises(UnknownLabel):
+            wheel_ctx.base.closures_with({"1"}, ("zz",))
 
 
 class TestCircuits:

@@ -33,7 +33,12 @@ from essplit.errors import (
 )
 from essplit.matroid import OX, classify_circuit
 
-from instances import random_matroid, random_split_instance
+from instances import (
+    matroid_from_columns,
+    random_columns,
+    random_matroid,
+    random_split_instance,
+)
 
 
 def q_of(ctx, labels):
@@ -162,6 +167,53 @@ class TestPredictRank:
         for a_prime in wheel_split.all_subsets():
             q = q_of(wheel_ctx, a_prime)
             assert predict_rank(wheel_ctx, q) == wheel_split.rank_of(a_prime)
+
+
+class TestBaseFacts:
+    """``_BaseFacts`` reads rank(A), cl(A) and cl(A + e) off one basis of
+    A; checked against ``rank_of`` and ``closure_of``, also when e is a
+    loop, and one record serves all four queries of its A."""
+
+    @staticmethod
+    def random_contexts():
+        rng = random.Random(6161)
+        for _ in range(80):
+            n = rng.randint(1, 8)
+            m = matroid_from_columns(random_columns(rng, n, rng.randint(0, 5)), 5)
+            loops = [lab for lab in m.ground if m.rank_of({lab}) == 0]
+            e = rng.choice(loops if loops and rng.random() < 0.5 else m.ground)
+            x = {e} | {lab for lab in m.ground if rng.random() < 0.5}
+            yield SplitContext(m, x, e, "a", "g"), rng
+
+    def test_rank_and_closures_match_the_oracle(self):
+        e_loops = 0
+        for ctx, rng in self.random_contexts():
+            base = ctx.base
+            e_loops += base.rank_of({ctx.e}) == 0
+            for _ in range(8):
+                a = frozenset(lab for lab in base.ground if rng.random() < 0.4)
+                facts = splitting._BaseFacts(ctx, a)
+                assert facts.rank == base.rank_of(a)
+                assert facts.cl == base.closure_of(a)
+                assert facts.cl_e == base.closure_of(a | {ctx.e})
+                assert facts.e_in_cl == (ctx.e in base.closure_of(a))
+        assert e_loops > 10
+
+    def test_shared_record_answers_like_fresh_ones(self):
+        for ctx, rng in self.random_contexts():
+            a = frozenset(lab for lab in ctx.base.ground if rng.random() < 0.5)
+            facts = splitting._BaseFacts(ctx, a)
+            for added in ((), ("a",), ("g",), ("a", "g")):
+                q = q_of(ctx, a | set(added))
+                assert predict_closure(ctx, q, facts=facts) == predict_closure(ctx, q)
+                assert predict_rank(ctx, q, facts=facts) == predict_rank(ctx, q)
+
+    def test_record_of_another_base_part_is_refused(self, wheel_ctx):
+        facts = splitting._BaseFacts(wheel_ctx, {"1", "2"})
+        with pytest.raises(ValueError):
+            predict_rank(wheel_ctx, q_of(wheel_ctx, {"1", "a"}), facts=facts)
+        with pytest.raises(ValueError):
+            predict_closure(wheel_ctx, q_of(wheel_ctx, {"1", "3"}), facts=facts)
 
 
 class TestOxHelpers:
