@@ -38,7 +38,7 @@ from .errors import (
     PreconditionViolated,
     UnknownLabel,
 )
-from .gf2 import _bits, format_matrix, parse_matrix
+from .gf2 import format_matrix, parse_matrix
 from .graphs import incidence_matrix, parse_graph
 from .matroid import BinaryMatroid
 from .splitting import (
@@ -285,17 +285,17 @@ def cmd_flats(args: argparse.Namespace) -> int:
 
 def _check_plan(
     ctx: SplitContext, oracle: BinaryMatroid, sample: int | None, seed: int
-) -> tuple[Iterable[tuple[int, Iterable[int]]], Callable[[int], object]]:
+) -> tuple[dict[int, list[int]] | None, Callable[[int], object]]:
     """The subsets ``check`` visits, grouped by base part, and their
     order in the report.
 
     A subset is a mask over the split ground: its low n bits are the
-    base part A, bit n is a and bit n + 1 is gamma.  Each group is a
-    base mask and the values of the two top bits to visit with it.  The
-    key sorts masks into report order: by the oracle's subset order
-    (size, then positions) when exhaustive, by mask when ``sample``
-    covers all 2^(n+2) subsets, and else by first draw, repeated draws
-    being redrawn.
+    base part A, bit n is a and bit n + 1 is gamma.  The groups map a
+    base mask to the values of the two top bits to visit with it; None
+    stands for every base part with all four.  The key sorts masks into
+    report order: by the oracle's subset order (size, then positions)
+    when exhaustive, by mask when ``sample`` covers all 2^(n+2) subsets,
+    and else by first draw, repeated draws being redrawn.
     """
     n = len(ctx.base.ground)
     total = 1 << n + 2
@@ -305,8 +305,7 @@ def _check_plan(
             f"{BinaryMatroid.SUBSET_CAP}; rerun with --sample N"
         )
     if sample is None or sample >= total:
-        every = ((base, range(4)) for base in range(1 << n))
-        return every, oracle._mask_key if sample is None else int
+        return None, oracle._mask_key if sample is None else int
     rng = random.Random(seed)
     drawn: dict[int, int] = {}
     while len(drawn) < sample:
@@ -314,69 +313,47 @@ def _check_plan(
     groups: dict[int, list[int]] = {}
     for mask in drawn:
         groups.setdefault(mask & (1 << n) - 1, []).append(mask >> n)
-    return groups.items(), drawn.__getitem__
-
-
-def _in_order(witnesses: list[tuple[object, dict]]) -> list[dict]:
-    return [w for _, w in sorted(witnesses, key=lambda pair: pair[0])]
+    return groups, drawn.__getitem__
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     ctx = _load_context(args)
     oracle = split_matroid(ctx)
-    ground = ctx.base.ground
-    n = len(ground)
+    n = len(ctx.base.ground)
     new = (ctx.label_a, ctx.label_gamma)
     # Indexed by the two top bits of a mask: nothing, a, gamma, both.
     added = (frozenset(), frozenset(new[:1]), frozenset(new[1:]), frozenset(new))
 
     case_hits: dict[str, int] = {}
     no_case = 0
-    closure_witnesses: list[tuple[object, dict]] = []
-    rank_witnesses: list[tuple[object, dict]] = []
+    closure_found: list[tuple[int, tuple[str, ...], int, int]] = []
+    rank_found: list[tuple[int, int, int]] = []
     subsets = 0
 
-    # One set of base facts and one oracle basis per base part A serve
-    # its four queries; witnesses are sorted into report order at the end.
+    # The base and the split matrix are walked in step over the same base
+    # parts A.  Per A, one facts record and one set of oracle spans answer
+    # the four queries A, A+a, A+gamma and A+a+gamma, all on position
+    # masks; witnesses become labels once sorted into report order.
     groups, order = _check_plan(ctx, oracle, args.sample, args.seed)
-    for base, tops in groups:
-        a = frozenset(ground[pos] for pos in _bits(base))
-        facts = _BaseFacts(ctx, a)
-        spans = oracle.closures_with(a, new)
-        for top in tops:
+    parts = None if groups is None else groups.keys()
+    walk = zip(_BaseFacts.walk(ctx, parts), oracle.walk_closures(new, n, parts))
+    for facts, (base, spans) in walk:
+        for top in range(4) if groups is None else groups[base]:
             subsets += 1
-            a_prime = a | added[top]
-            q = SplitQuery(a_prime, a, has_a=bool(top & 1), has_gamma=bool(top & 2))
-            report = predict_closure(ctx, q, facts=facts)
+            has_a, has_gamma = top & 1, top & 2
+            matched, formula = facts.table_closure(has_a, has_gamma)
             oracle_rank, oracle_closure = spans[top]
-            if report.no_case_applies:
+            if not matched:
                 no_case += 1
-            for case_id in report.matched_cases:
+            for case_id in matched:
                 case_hits[case_id] = case_hits.get(case_id, 0) + 1
-            if report.formula_result is not None and report.formula_result != oracle_closure:
-                closure_witnesses.append(
-                    (
-                        order(base | top << n),
-                        {
-                            "subset": list(ctx.sort_set(a_prime)),
-                            "matched": list(report.matched_cases),
-                            "formula": list(ctx.sort_set(report.formula_result)),
-                            "oracle": list(ctx.sort_set(oracle_closure)),
-                        },
-                    )
+            if formula is not None and formula != oracle_closure:
+                closure_found.append(
+                    (base | top << n, matched, formula, oracle_closure)
                 )
-            formula_rank = predict_rank(ctx, q, facts=facts)
+            formula_rank = facts.split_rank(has_a, has_gamma)
             if formula_rank != oracle_rank:
-                rank_witnesses.append(
-                    (
-                        order(base | top << n),
-                        {
-                            "subset": list(ctx.sort_set(a_prime)),
-                            "formula": formula_rank,
-                            "oracle": oracle_rank,
-                        },
-                    )
-                )
+                rank_found.append((base | top << n, formula_rank, oracle_rank))
 
     family_equal = set(predict_circuits(ctx).all_circuits()) == set(oracle.circuits())
     corollary_ok = oracle.rank_of(oracle.ground) == ctx.base.rank_of(ctx.base.ground) + 1
@@ -392,8 +369,24 @@ def cmd_check(args: argparse.Namespace) -> int:
                     {"subset": list(ctx.sort_set(a_prime)), "condition": condition}
                 )
 
-    closure_witnesses = _in_order(closure_witnesses)
-    rank_witnesses = _in_order(rank_witnesses)
+    labels = ctx.sorted_labels
+    closure_witnesses = [
+        {
+            "subset": labels(mask),
+            "matched": list(matched),
+            "formula": labels(formula),
+            "oracle": labels(oracle_closure),
+        }
+        for mask, matched, formula, oracle_closure in sorted(
+            closure_found, key=lambda w: order(w[0])
+        )
+    ]
+    rank_witnesses = [
+        {"subset": labels(mask), "formula": formula, "oracle": oracle_rank}
+        for mask, formula, oracle_rank in sorted(
+            rank_found, key=lambda w: order(w[0])
+        )
+    ]
     disagreements = (
         len(closure_witnesses)
         + len(rank_witnesses)

@@ -8,9 +8,12 @@ immutable and all operations are pure, so they can be shared freely.
 
 Every elimination in the package runs on one kernel: an XOR basis held
 as a dict from the lowest set bit of each entry to the entry
-(``_insert``, ``_reduce``, ``_residue``).  The result of a query does
-not depend on the order in which vectors reach the basis, so every
-result is deterministic.
+(``_insert``, ``_reduce``).  Residues modulo a span are kept as a list
+with one word per column and updated one new vector at a time
+(``_project_out``), so a walk that grows a subset column by column pays
+one XOR per column per step.  The result of a query does not depend on
+the order in which vectors reach the basis, so every result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -42,22 +45,19 @@ def _insert(basis: dict[int, int], word: int) -> bool:
     return True
 
 
-def _residue(word: int, basis: dict[int, int]) -> int:
-    """Canonical representative of ``word`` modulo the span of ``basis``.
+def _project_out(residues: list[int], pivot: int) -> list[int]:
+    """Residues modulo span + v, given ``residues`` modulo a span and the
+    nonzero residue ``pivot`` of v.
 
-    ``_reduce`` stops at the first bit that is not a pivot; here that bit
-    is set aside and the rest reduced again, so the result has no pivot
-    bit at all.  Two words get the same residue exactly when their sum
-    lies in the span, because a nonzero vector of the span always has a
-    pivot bit as its lowest bit.
+    A residue here is the one member of its coset with no pivot bit, the
+    pivots being the lowest set bits of the vectors projected out so far.
+    ``pivot`` has no pivot bit, so its lowest bit l is a new pivot: every
+    residue holding l gets ``pivot`` added, which clears l and sets no
+    old pivot bit.  The map stays linear, and two words get the same
+    residue exactly when their sum lies in the grown span.
     """
-    out = 0
-    word = _reduce(word, basis)
-    while word:
-        low = word & -word
-        out |= low
-        word = _reduce(word ^ low, basis)
-    return out
+    low = pivot & -pivot
+    return [w ^ pivot if w & low else w for w in residues]
 
 
 def _bits(mask: int) -> Iterator[int]:

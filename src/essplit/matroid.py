@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GroundSetTooLarge, UnknownLabel
-from .gf2 import GF2Matrix, _bits, _insert, _residue
+from .gf2 import GF2Matrix, _bits, _insert, _project_out
 
 OX = "OX"
 EX = "EX"
@@ -51,6 +51,35 @@ def _cycle_walk_is_cheaper(n: int, rank: int) -> bool:
     test.
     """
     return 1 << (n - rank) < sum(comb(n, k) for k in range(rank + 2))
+
+
+def _spans(
+    residues: Sequence[int], rank: int, extra: Sequence[int]
+) -> tuple[tuple[int, int], ...]:
+    """Rank and closure mask of A + S for every S inside the positions
+    ``extra``, from rank(A) and the residues of all columns modulo
+    span(A).
+
+    Entry ``i`` is for the S that holds ``extra[j]`` exactly when bit j
+    of ``i`` is set.  span(A + S) is span(A) plus the span of the columns
+    of S, so a column lies in it exactly when its residue (which is
+    linear) lies in the span of the residues of S, and the rank grows by
+    the dimension of that span.  One pass groups the columns by residue.
+    """
+    classes: dict[int, int] = {}
+    for pos, word in enumerate(residues):
+        classes[word] = classes.get(word, 0) | 1 << pos
+    spans = [{0}]
+    for pos in extra:
+        word = residues[pos]
+        spans += [span | {s ^ word for s in span} for span in spans]
+    out = []
+    for span in spans:
+        closed = 0
+        for word in span:
+            closed |= classes.get(word, 0)
+        out.append((rank + len(span).bit_length() - 1, closed))
+    return tuple(out)
 
 
 class BinaryMatroid:
@@ -129,15 +158,33 @@ class BinaryMatroid:
 
     # -- rank and closure ------------------------------------------------
 
-    def _span_basis(self, positions: Iterable[int]) -> dict[int, int]:
-        basis: dict[int, int] = {}
-        for pos in positions:
-            _insert(basis, self._cols[pos])
-        return basis
+    def _mask(self, labels: Iterable[str]) -> int:
+        mask = 0
+        for pos in self._positions(labels):
+            mask |= 1 << pos
+        return mask
+
+    def _labels(self, mask: int) -> frozenset[str]:
+        return frozenset(self.ground[pos] for pos in _bits(mask))
+
+    def _residues(self, mask: int) -> tuple[int, list[int]]:
+        """rank(A) and the residue of every column modulo span(A), for the
+        subset A with this position mask."""
+        rank = 0
+        residues = list(self._cols)
+        for pos in _bits(mask):
+            pivot = residues[pos]
+            if pivot:
+                residues = _project_out(residues, pivot)
+                rank += 1
+        return rank, residues
 
     def rank_of(self, labels: Iterable[str]) -> int:
         """Rank of the columns indexed by ``labels``."""
-        return len(self._span_basis(self._positions(labels)))
+        basis: dict[int, int] = {}
+        for pos in self._positions(labels):
+            _insert(basis, self._cols[pos])
+        return len(basis)
 
     def closure_of(self, labels: Iterable[str]) -> frozenset[str]:
         """All elements whose addition leaves the rank unchanged."""
@@ -150,25 +197,71 @@ class BinaryMatroid:
 
         A is ``labels``.  Entry ``i`` is for the S that holds the j-th
         label of ``extra`` exactly when bit j of ``i`` is set, so the
-        first entry is A itself.  One basis of A serves every S: span(A + S)
-        is span(A) plus the span of the columns of S, so a column lies in
-        it exactly when its residue modulo span(A) (``_residue``, which is
-        linear) lies in the span of the residues of S, and the rank grows
-        by the dimension of that span.
+        first entry is A itself.  See ``_spans``.
         """
-        basis = self._span_basis(self._positions(labels))
-        residues = [_residue(word, basis) for word in self._cols]
-        spans = [{0}]
-        for lab in extra:
-            (pos,) = self._positions((lab,))
-            spans += [span | {r ^ residues[pos] for r in span} for span in spans]
-        out = []
-        for span in spans:
-            closed = frozenset(
-                lab for lab, r in zip(self.ground, residues) if r in span
-            )
-            out.append((len(basis) + len(span).bit_length() - 1, closed))
-        return tuple(out)
+        extra_pos = [self._positions((lab,))[0] for lab in extra]
+        spans = self._closures_at(self._mask(labels), extra_pos)
+        return tuple((rank, self._labels(closed)) for rank, closed in spans)
+
+    def _closures_at(
+        self, mask: int, extra: Sequence[int]
+    ) -> tuple[tuple[int, int], ...]:
+        """``closures_with`` on position masks."""
+        rank, residues = self._residues(mask)
+        return _spans(residues, rank, extra)
+
+    def walk_closures(
+        self, extra: Iterable[str], width: int, parts: Iterable[int] | None = None
+    ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+        """``closures_with`` for many subsets A, as position masks.
+
+        The subsets A are those of the first ``width`` positions, or,
+        with ``parts``, the masks listed there.  Each is yielded once, as
+        (mask of A, answers), where the answers are (rank, closure mask)
+        of A + S for every S inside ``extra``, indexed as in
+        ``closures_with``.
+
+        The walk is depth first.  A child adds one position above every
+        position of its parent, so it gets its residues from the
+        parent's by one ``_project_out``, and when the new column already
+        lies in the parent's span nothing changes: the child's answers
+        are the parent's.  With ``parts`` the walk keeps to the prefixes
+        (lowest positions first) of the listed masks.  Parents come
+        before their children; otherwise callers must not rely on the
+        order.
+        """
+        extra_pos = [self._positions((lab,))[0] for lab in extra]
+        wanted: set[int] | None = None
+        if parts is not None:
+            wanted = set(parts)
+            if any(part >> width for part in wanted):
+                raise ValueError(f"a part has positions at or above {width}")
+            tree: dict[int, set[int]] = {}
+            for part in wanted:
+                prefix = 0
+                for pos in _bits(part):
+                    tree.setdefault(prefix, set()).add(pos)
+                    prefix |= 1 << pos
+        stack = [(0, 0, list(self._cols), None)]
+        while stack:
+            mask, rank, residues, answers = stack.pop()
+            if answers is None:
+                answers = _spans(residues, rank, extra_pos)
+            if wanted is None:
+                yield mask, answers
+                children: Iterable[int] = range(width - 1, mask.bit_length() - 1, -1)
+            else:
+                if mask in wanted:
+                    yield mask, answers
+                children = sorted(tree.get(mask, ()), reverse=True)
+            for pos in children:  # highest first, so the lowest is popped next
+                pivot = residues[pos]
+                if pivot:
+                    stack.append(
+                        (mask | 1 << pos, rank + 1, _project_out(residues, pivot), None)
+                    )
+                else:
+                    stack.append((mask | 1 << pos, rank, residues, answers))
 
     def is_flat(self, labels: Iterable[str]) -> bool:
         """True iff the set equals its own closure."""
@@ -196,11 +289,10 @@ class BinaryMatroid:
         todo = [bottom]
         while todo:
             flat = todo.pop()
-            basis = self._span_basis(_bits(flat))
+            _, residues = self._residues(flat)
             classes: dict[int, int] = {}
-            for pos, word in enumerate(self._cols):
+            for pos, key in enumerate(residues):
                 if not flat >> pos & 1:
-                    key = _residue(word, basis)
                     classes[key] = classes.get(key, 0) | 1 << pos
             for cls in classes.values():
                 cover = flat | cls

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     BaseNotFlat,
@@ -42,7 +42,7 @@ from .errors import (
     PreconditionViolated,
     UnknownLabel,
 )
-from .gf2 import GF2Matrix
+from .gf2 import GF2Matrix, _bits
 from .matroid import EX, OX, BinaryMatroid, classify_circuit
 
 #: Identifiers of the closure case table, in evaluation order.  The ids
@@ -111,11 +111,47 @@ class SplitContext:
         positions = sorted(map(self._position.__getitem__, labels))
         return (len(positions), tuple(positions))
 
+    # A subset may also travel as a mask over split-ground positions.  A
+    # base element keeps its base position, so a base mask is a split
+    # mask too; a is bit n and gamma bit n + 1.
+
+    def mask_of(self, labels: Iterable[str]) -> int:
+        """Position mask of a subset of the split ground."""
+        mask = 0
+        for lab in _split_subset(self, labels):
+            mask |= 1 << self._position[lab]
+        return mask
+
+    def labels_of(self, mask: int) -> frozenset[str]:
+        return frozenset(self.sorted_labels(mask))
+
+    def sorted_labels(self, mask: int) -> list[str]:
+        """Labels of the subset with this mask, in split-ground order."""
+        ground = self.split_ground
+        return [ground[pos] for pos in _bits(mask)]
+
+    @cached_property
+    def e_bit(self) -> int:
+        return 1 << self._position[self.e]
+
+    @cached_property
+    def a_bit(self) -> int:
+        return 1 << len(self.base.ground)
+
+    @cached_property
+    def gamma_bit(self) -> int:
+        return 2 << len(self.base.ground)
+
     @cached_property
     def ox_circuits(self) -> tuple[frozenset[str], ...]:
         return tuple(
             c for c in self.base.circuits() if classify_circuit(c, self.x_set) == OX
         )
+
+    @cached_property
+    def ox_masks(self) -> tuple[int, ...]:
+        """The odd-overlap circuits as position masks."""
+        return tuple(map(self.mask_of, self.ox_circuits))
 
     @cached_property
     def ex_circuits(self) -> tuple[frozenset[str], ...]:
@@ -138,6 +174,10 @@ def _split_subset(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
     if unknown:
         raise UnknownLabel(f"labels {sorted(unknown)!r} are not split elements")
     return subset
+
+
+def _base_mask(ctx: SplitContext, labels: Iterable[str]) -> int:
+    return ctx.mask_of(_base_subset(ctx, labels))
 
 
 @dataclass(frozen=True)
@@ -271,119 +311,190 @@ def split_matroid(ctx: SplitContext) -> BinaryMatroid:
 
 
 class _BaseFacts:
-    """The base quantities of one base part A that the predictors read:
-    rank = rank(A), cl = cl(A), cl_e = cl(A + e), e_in_cl, F, F* and T,
-    ox_a, ox_ae and ox_cl, which say whether A, A + e and cl(A) hold an
-    odd-overlap circuit, and the shapes of both closure predictors.
-    Each is computed on first use and then kept, so one record serves
-    all four split queries A, A + a, A + gamma and A + a + gamma.
+    """The base quantities of one base part A that the predictors read.
+
+    Every set is a position mask (see ``SplitContext.mask_of``): a = A,
+    cl = cl(A), cl_e = cl(A + e), f, f_star and t = F, F* and T, and the
+    shapes of both closure predictors.  rank = rank(A); e_in_cl, ox_a,
+    ox_ae and ox_cl say whether e is in cl(A) and whether A, A + e and
+    cl(A) hold an odd-overlap circuit.  All of them are computed when the
+    record is made, the circuit facts in one pass over
+    ``SplitContext.ox_masks``, so one record serves all four split
+    queries A, A + a, A + gamma and A + a + gamma.  The methods evaluate
+    the rank formula and the two closure predictors on masks; the public
+    functions below turn labels into a record and masks back into labels.
     """
 
-    def __init__(self, ctx: SplitContext, labels: Iterable[str]):
-        self.ctx = ctx
-        self.a = _base_subset(ctx, labels)
+    __slots__ = (
+        "ctx", "a", "rank", "cl", "cl_e", "e_in_cl", "ox_a", "ox_ae", "ox_cl",
+        "f", "f_star", "t", "table_shapes", "rule_shapes",
+    )
 
-    def _holds_ox_circuit(self, subset: frozenset[str]) -> bool:
-        return any(c <= subset for c in self.ctx.ox_circuits)
-
-    @cached_property
-    def _spans(self) -> tuple[tuple[int, frozenset[str]], ...]:
-        """(rank, closure) of A and of A + e, from one basis of A."""
-        return self.ctx.base.closures_with(self.a, (self.ctx.e,))
-
-    @property
-    def rank(self) -> int:
-        return self._spans[0][0]
-
-    @property
-    def cl(self) -> frozenset[str]:
-        return self._spans[0][1]
-
-    @property
-    def cl_e(self) -> frozenset[str]:
-        return self._spans[1][1]
-
-    @cached_property
-    def e_in_cl(self) -> bool:
-        return self.ctx.e in self.cl
-
-    @cached_property
-    def ox_a(self) -> bool:
-        return self._holds_ox_circuit(self.a)
-
-    @cached_property
-    def ox_ae(self) -> bool:
-        return self._holds_ox_circuit(self.a | {self.ctx.e})
-
-    @cached_property
-    def ox_cl(self) -> bool:
-        return self._holds_ox_circuit(self.cl)
-
-    @cached_property
-    def f(self) -> frozenset[str]:
-        """F(A); see ``set_F``."""
-        covered: set[str] = set()
-        for c in self.ctx.ox_circuits:
-            if c <= self.cl:
+    def __init__(
+        self, ctx: SplitContext, a: int, spans: tuple[tuple[int, int], ...]
+    ):
+        """``a`` is the mask of A; ``spans`` holds (rank, closure mask) of
+        A and of A + e, as ``BinaryMatroid.walk_closures`` yields them on
+        the base with extra (e,)."""
+        (rank, cl), (_, cl_e) = spans
+        e = ctx.e_bit
+        ae = a | e
+        ox_a = ox_ae = ox_cl = False
+        covered = f_star = t = 0
+        for c in ctx.ox_masks:
+            # A circuit with at most one element outside A lies in cl(A).
+            if not c & ~cl:
+                ox_cl = True
                 covered |= c
-        return frozenset(covered & (self.cl - self.a))
-
-    @cached_property
-    def f_star(self) -> frozenset[str]:
-        """F*(A); see ``set_F_star``."""
-        out: set[str] = set()
-        for c in self.ctx.ox_circuits:
-            extra = c - self.a
-            if len(extra) == 1:
-                out |= extra
-        return frozenset(out)
-
-    @cached_property
-    def t(self) -> frozenset[str]:
-        """T(A); see ``set_T``."""
-        e = self.ctx.e
-        allowed = self.a | {e}
-        out: set[str] = set()
-        for c in self.ctx.ox_circuits:
-            if e not in c:
-                continue
-            extra = c - allowed
-            if len(extra) == 1:
-                (z,) = extra
-                if z != e and z not in self.a:
-                    out.add(z)
-        return frozenset(out)
-
-    @cached_property
-    def table_shapes(self) -> tuple[frozenset[str], ...]:
-        """The seven shapes of the twelve-case table; see ``closure_shapes``."""
-        ctx = self.ctx
-        cl = self.cl
-        cl_f = cl - self.f
-        g = frozenset({ctx.label_gamma})
-        return (
+                out = c & ~a
+                if not out:
+                    ox_a = ox_ae = True
+                elif not out & (out - 1):
+                    f_star |= out
+                    if out == e:
+                        ox_ae = True
+            if c & e:
+                out = c & ~ae
+                if out and not out & (out - 1):
+                    t |= out
+        self.ctx = ctx
+        self.a = a
+        self.rank = rank
+        self.cl = cl
+        self.cl_e = cl_e
+        self.e_in_cl = bool(cl & e)
+        self.ox_a = ox_a
+        self.ox_ae = ox_ae
+        self.ox_cl = ox_cl
+        self.f = covered & ~a
+        self.f_star = f_star
+        self.t = t
+        a_bit, g = ctx.a_bit, ctx.gamma_bit
+        cl_f = cl & ~self.f
+        self.table_shapes = (
             cl_f,
             cl,
-            cl | {ctx.label_a},
+            cl | a_bit,
             cl_f | g,
-            cl_f | g | self.t,
-            cl | g | self.t,
-            cl | {ctx.label_a, ctx.e, ctx.label_gamma},
+            cl_f | g | t,
+            cl | g | t,
+            cl | a_bit | e | g,
         )
-
-    @cached_property
-    def rule_shapes(self) -> tuple[frozenset[str], ...]:
-        """The five shapes of ``closure_rule``; see ``closure_rule_shapes``."""
-        ctx = self.ctx
-        kept = self.cl - self.f_star
-        g = frozenset({ctx.label_gamma})
-        return (
+        kept = cl & ~f_star
+        self.rule_shapes = (
             kept,
             kept | g,
-            kept | g | self.t,
-            self.cl | {ctx.label_a},
-            self.cl_e | {ctx.label_a, ctx.label_gamma},
+            kept | g | t,
+            cl | a_bit,
+            cl_e | a_bit | g,
         )
+
+    @classmethod
+    def of(cls, ctx: SplitContext, labels: Iterable[str]) -> "_BaseFacts":
+        """The record of the base part with these labels."""
+        a = _base_mask(ctx, labels)
+        (e_pos,) = ctx.base._positions((ctx.e,))
+        return cls(ctx, a, ctx.base._closures_at(a, (e_pos,)))
+
+    @classmethod
+    def walk(
+        cls, ctx: SplitContext, parts: Iterable[int] | None = None
+    ) -> Iterator["_BaseFacts"]:
+        """The records of every base part, or of the masks in ``parts``,
+        in the order of ``BinaryMatroid.walk_closures``."""
+        base = ctx.base
+        for a, spans in base.walk_closures((ctx.e,), len(base.ground), parts):
+            yield cls(ctx, a, spans)
+
+    def split_rank(self, has_a: bool, has_gamma: bool) -> int:
+        """``predict_rank`` of A plus the new elements named."""
+        r = self.rank
+        if not has_gamma:
+            if has_a:
+                return r + 1
+            return r + 1 if self.ox_a else r
+        if not has_a:
+            if not self.ox_a and self.ox_ae:
+                return r
+            if self.ox_a and not self.e_in_cl:
+                return r + 2
+            return r + 1
+        return r + 1 if self.e_in_cl else r + 2
+
+    def table_closure(
+        self, has_a: bool, has_gamma: bool
+    ) -> tuple[tuple[str, ...], int | None]:
+        """Matched case ids and closure mask of ``predict_closure``."""
+        cl_f, cl, cl_a, cl_f_g, cl_f_g_t, cl_g_t, cl_aeg = self.table_shapes
+        ox_a, ox_ae, ox_cl, e_in_cl = self.ox_a, self.ox_ae, self.ox_cl, self.e_in_cl
+        plain = not has_a and not has_gamma
+        with_a = has_a and not has_gamma
+        with_g = has_gamma and not has_a
+        with_ag = has_a and has_gamma
+        table = (
+            ("L3.2", plain and not ox_ae, cl_f),
+            ("L3.3", plain and not ox_cl, cl),
+            ("L3.4.1", plain and ox_a and not e_in_cl, cl_a),
+            ("L3.4.2", with_a and not e_in_cl, cl_a),
+            ("L3.5", plain and ox_ae and not ox_a, cl_f_g),
+            ("L3.6", with_g and not e_in_cl and ox_cl and not ox_a, cl_f_g_t),
+            ("L3.7", with_g and not ox_cl and not e_in_cl, cl_g_t),
+            ("L3.8.1", with_ag, cl_aeg),
+            ("L3.8.2", with_a and e_in_cl, cl_aeg),
+            ("L3.8.3", with_g and ox_a, cl_aeg),
+            ("L3.8.4", with_g and e_in_cl, cl_aeg),
+            ("L3.8.5", plain and ox_a and e_in_cl, cl_aeg),
+        )
+        return self._match(has_a, has_gamma, table)
+
+    def rule_closure(
+        self, has_a: bool, has_gamma: bool
+    ) -> tuple[tuple[str, ...], int | None]:
+        """Matched case id and closure mask of ``closure_rule``."""
+        kept, kept_g, kept_g_t, cl_a, cl_e_ag = self.rule_shapes
+        e = self.ctx.e_bit
+        e_in_f_star = bool(self.f_star & e)
+        free = has_a or self.ox_a
+        bound_g = has_gamma and not free
+        # With e in cl(A), cl(A + e) + {a, gamma} is cl(A) + {a, gamma}.
+        table = (
+            ("R1.1", free and not has_gamma, cl_e_ag if self.e_in_cl else cl_a),
+            ("R1.2", free and has_gamma, cl_e_ag),
+            ("R2", not free and not has_gamma, kept_g if e_in_f_star else kept),
+            ("R3.1", bound_g and e_in_f_star, kept_g),
+            ("R3.2", bound_g and kept & e, cl_e_ag),
+            ("R3.3", bound_g and not self.e_in_cl, kept_g_t),
+        )
+        return self._match(has_a, has_gamma, table)
+
+    def _match(
+        self,
+        has_a: bool,
+        has_gamma: bool,
+        table: tuple[tuple[str, object, int], ...],
+    ) -> tuple[tuple[str, ...], int | None]:
+        """Ids of the cases of ``table`` (id, condition, result) whose
+        condition holds, and their common result; matched cases that
+        disagree on the result raise FormulaDisagreement."""
+        matched: list[str] = []
+        formula: int | None = None
+        for case_id, hit, result in table:
+            if not hit:
+                continue
+            matched.append(case_id)
+            if formula is None:
+                formula = result
+            elif result != formula:
+                ctx = self.ctx
+                a_prime = self.a | (ctx.a_bit if has_a else 0)
+                a_prime |= ctx.gamma_bit if has_gamma else 0
+                raise FormulaDisagreement(
+                    f"cases {matched[0]} and {case_id} disagree on "
+                    f"A'={sorted(ctx.labels_of(a_prime))}: "
+                    f"{sorted(ctx.labels_of(formula))} vs "
+                    f"{sorted(ctx.labels_of(result))}"
+                )
+        return tuple(matched), formula
 
 
 def _facts_for(
@@ -392,26 +503,26 @@ def _facts_for(
     """``facts`` if given, checked against the base part of ``q``; else
     a new record."""
     if facts is None:
-        return _BaseFacts(ctx, q.a)
-    if facts.ctx is not ctx or facts.a != q.a:
+        return _BaseFacts.of(ctx, q.a)
+    if facts.ctx is not ctx or facts.a != _base_mask(ctx, q.a):
         raise ValueError("the base facts are not those of this query")
     return facts
 
 
 def contains_ox_circuit(ctx: SplitContext, labels: Iterable[str]) -> bool:
     """True iff some odd-overlap circuit of the base lies inside ``labels``."""
-    return _BaseFacts(ctx, labels).ox_a
+    return _BaseFacts.of(ctx, labels).ox_a
 
 
 def set_T(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
     """Elements z outside A, z != e, on an odd-overlap circuit through e
     that lies inside (A + e) + z."""
-    return _BaseFacts(ctx, labels).t
+    return ctx.labels_of(_BaseFacts.of(ctx, labels).t)
 
 
 def set_F(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
     """Elements of cl(A) - A lying on an odd-overlap circuit inside cl(A)."""
-    return _BaseFacts(ctx, labels).f
+    return ctx.labels_of(_BaseFacts.of(ctx, labels).f)
 
 
 def set_F_star(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
@@ -422,7 +533,7 @@ def set_F_star(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
     needed: F* is the one element outside A of every odd-overlap circuit
     that has exactly one.
     """
-    return _BaseFacts(ctx, labels).f_star
+    return ctx.labels_of(_BaseFacts.of(ctx, labels).f_star)
 
 
 def find_ox_subcircuit(
@@ -554,24 +665,12 @@ def predict_rank(
     of ``q``; a caller asking all four queries of one A passes one
     record to all of them.
     """
-    facts = _facts_for(ctx, q, facts)
-    r = facts.rank
-    if q.plain:
-        return r + 1 if facts.ox_a else r
-    if q.with_a:
-        return r + 1
-    if q.with_g:
-        if not facts.ox_a and facts.ox_ae:
-            return r
-        if facts.ox_a and not facts.e_in_cl:
-            return r + 2
-        return r + 1
-    return r + 1 if facts.e_in_cl else r + 2
+    return _facts_for(ctx, q, facts).split_rank(q.has_a, q.has_gamma)
 
 
 def closure_shapes(ctx: SplitContext, labels: Iterable[str]) -> tuple[frozenset[str], ...]:
     """The seven candidate closure shapes instantiated at a base set A."""
-    return _BaseFacts(ctx, labels).table_shapes
+    return tuple(map(ctx.labels_of, _BaseFacts.of(ctx, labels).table_shapes))
 
 
 def predict_closure(
@@ -590,24 +689,7 @@ def predict_closure(
     side and compared.  ``facts`` is as for ``predict_rank``.
     """
     facts = _facts_for(ctx, q, facts)
-    cl_f, cl, cl_a, cl_f_g, cl_f_g_t, cl_g_t, cl_aeg = facts.table_shapes
-    ox_a, ox_ae, ox_cl, e_in_cl = facts.ox_a, facts.ox_ae, facts.ox_cl, facts.e_in_cl
-    plain, with_a, with_g, with_ag = q.plain, q.with_a, q.with_g, q.with_ag
-    table = (
-        ("L3.2", plain and not ox_ae, cl_f),
-        ("L3.3", plain and not ox_cl, cl),
-        ("L3.4.1", plain and ox_a and not e_in_cl, cl_a),
-        ("L3.4.2", with_a and not e_in_cl, cl_a),
-        ("L3.5", plain and ox_ae and not ox_a, cl_f_g),
-        ("L3.6", with_g and not e_in_cl and ox_cl and not ox_a, cl_f_g_t),
-        ("L3.7", with_g and not ox_cl and not e_in_cl, cl_g_t),
-        ("L3.8.1", with_ag, cl_aeg),
-        ("L3.8.2", with_a and e_in_cl, cl_aeg),
-        ("L3.8.3", with_g and ox_a, cl_aeg),
-        ("L3.8.4", with_g and e_in_cl, cl_aeg),
-        ("L3.8.5", plain and ox_a and e_in_cl, cl_aeg),
-    )
-    return _dispatch(ctx, q, table, with_oracle)
+    return _report(ctx, q, facts.table_closure(q.has_a, q.has_gamma), with_oracle)
 
 
 def closure_rule_shapes(
@@ -617,11 +699,14 @@ def closure_rule_shapes(
     set A: cl - F*, (cl - F*) + gamma, (cl - F*) + gamma + T, cl + a and
     cl(A + e) + {a, gamma}, where cl is cl(A), F* is ``set_F_star`` and T
     is ``set_T``."""
-    return _BaseFacts(ctx, labels).rule_shapes
+    return tuple(map(ctx.labels_of, _BaseFacts.of(ctx, labels).rule_shapes))
 
 
 def closure_rule(
-    ctx: SplitContext, q: SplitQuery, with_oracle: bool = False
+    ctx: SplitContext,
+    q: SplitQuery,
+    with_oracle: bool = False,
+    facts: _BaseFacts | None = None,
 ) -> ClosureCaseReport:
     """Closure of A' in the split matroid from base data, by the parity row.
 
@@ -661,7 +746,8 @@ def closure_rule(
     The cases are mutually exclusive and cover every query, and each
     result is one of ``closure_rule_shapes``.  Only base data is read:
     cl(A), cl(A + e), the odd-overlap circuits, F* and T; the split
-    matroid is built only for ``with_oracle``.
+    matroid is built only for ``with_oracle``.  ``facts`` is as for
+    ``predict_rank``.
 
     The rule parts from the twelve-case table of ``predict_closure`` in
     three ways: the table uses cl(A) where cl(A + e) is due (L3.8.1,
@@ -671,56 +757,28 @@ def closure_rule(
     PAPER.md holds only the paper's abstract, so whether these faults
     come from the paper or from its transcription is not settled here.
     """
-    facts = _BaseFacts(ctx, q.a)
-    kept, kept_g, kept_g_t, cl_a, cl_e_ag = facts.rule_shapes
-    e_in_f_star = ctx.e in facts.f_star
-    free = q.has_a or facts.ox_a
-    bound_g = q.has_gamma and not free
-    # With e in cl(A), cl(A + e) + {a, gamma} is cl(A) + {a, gamma}.
-    table = (
-        ("R1.1", free and not q.has_gamma, cl_e_ag if facts.e_in_cl else cl_a),
-        ("R1.2", free and q.has_gamma, cl_e_ag),
-        ("R2", not free and not q.has_gamma, kept_g if e_in_f_star else kept),
-        ("R3.1", bound_g and e_in_f_star, kept_g),
-        ("R3.2", bound_g and ctx.e in kept, cl_e_ag),
-        ("R3.3", bound_g and not facts.e_in_cl, kept_g_t),
-    )
-    return _dispatch(ctx, q, table, with_oracle)
+    facts = _facts_for(ctx, q, facts)
+    return _report(ctx, q, facts.rule_closure(q.has_a, q.has_gamma), with_oracle)
 
 
-def _dispatch(
+def _report(
     ctx: SplitContext,
     q: SplitQuery,
-    table: tuple[tuple[str, bool, frozenset[str]], ...],
+    cases: tuple[tuple[str, ...], int | None],
     with_oracle: bool,
 ) -> ClosureCaseReport:
-    """Report every case of ``table`` (id, condition, result) whose
-    condition holds; matched cases that disagree on the result raise
-    FormulaDisagreement.  With ``with_oracle`` the split matroid's own
-    closure is computed on the side and compared."""
-    matched: list[str] = []
-    formula: frozenset[str] | None = None
-    for case_id, hit, result in table:
-        if not hit:
-            continue
-        matched.append(case_id)
-        if formula is None:
-            formula = frozenset(result)
-        elif frozenset(result) != formula:
-            raise FormulaDisagreement(
-                f"cases {matched[0]} and {case_id} disagree on "
-                f"A'={sorted(q.a_prime)}: "
-                f"{sorted(formula)} vs {sorted(result)}"
-            )
-
+    """The report of matched case ids and closure mask ``cases``, in
+    labels.  With ``with_oracle`` the split matroid's own closure is
+    computed on the side and compared."""
+    matched, mask = cases
+    formula = None if mask is None else ctx.labels_of(mask)
     oracle: frozenset[str] | None = None
     agreement: bool | None = None
     if with_oracle:
         oracle = split_matroid(ctx).closure_of(q.a_prime)
         if formula is not None:
             agreement = formula == oracle
-
-    return ClosureCaseReport(tuple(matched), formula, oracle, agreement)
+    return ClosureCaseReport(matched, formula, oracle, agreement)
 
 
 def predict_is_flat(ctx: SplitContext, q: SplitQuery) -> int | None:
@@ -730,8 +788,8 @@ def predict_is_flat(ctx: SplitContext, q: SplitQuery) -> int | None:
     matroid.  A None return says nothing either way; callers needing a
     complete answer fall back to the oracle's ``is_flat``.
     """
-    facts = _BaseFacts(ctx, q.a)
-    if facts.cl != q.a:
+    facts = _BaseFacts.of(ctx, q.a)
+    if facts.cl != facts.a:
         raise BaseNotFlat(f"{sorted(q.a)} is not a flat of the base matroid")
     ox_a, ox_ae, ox_cl, e_in_cl = facts.ox_a, facts.ox_ae, facts.ox_cl, facts.e_in_cl
     f, t = facts.f, facts.t

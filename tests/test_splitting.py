@@ -192,24 +192,25 @@ class TestBaseFacts:
             e_loops += base.rank_of({ctx.e}) == 0
             for _ in range(8):
                 a = frozenset(lab for lab in base.ground if rng.random() < 0.4)
-                facts = splitting._BaseFacts(ctx, a)
+                facts = splitting._BaseFacts.of(ctx, a)
+                assert ctx.labels_of(facts.a) == a
                 assert facts.rank == base.rank_of(a)
-                assert facts.cl == base.closure_of(a)
-                assert facts.cl_e == base.closure_of(a | {ctx.e})
+                assert ctx.labels_of(facts.cl) == base.closure_of(a)
+                assert ctx.labels_of(facts.cl_e) == base.closure_of(a | {ctx.e})
                 assert facts.e_in_cl == (ctx.e in base.closure_of(a))
         assert e_loops > 10
 
     def test_shared_record_answers_like_fresh_ones(self):
         for ctx, rng in self.random_contexts():
             a = frozenset(lab for lab in ctx.base.ground if rng.random() < 0.5)
-            facts = splitting._BaseFacts(ctx, a)
+            facts = splitting._BaseFacts.of(ctx, a)
             for added in ((), ("a",), ("g",), ("a", "g")):
                 q = q_of(ctx, a | set(added))
                 assert predict_closure(ctx, q, facts=facts) == predict_closure(ctx, q)
                 assert predict_rank(ctx, q, facts=facts) == predict_rank(ctx, q)
 
     def test_record_of_another_base_part_is_refused(self, wheel_ctx):
-        facts = splitting._BaseFacts(wheel_ctx, {"1", "2"})
+        facts = splitting._BaseFacts.of(wheel_ctx, {"1", "2"})
         with pytest.raises(ValueError):
             predict_rank(wheel_ctx, q_of(wheel_ctx, {"1", "a"}), facts=facts)
         with pytest.raises(ValueError):
