@@ -23,6 +23,7 @@ import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -100,8 +101,39 @@ def _fmt_set(ctx: SplitContext, labels: Iterable[str]) -> str:
     return "{" + ",".join(ctx.sort_set(labels)) + "}"
 
 
+def _json_text(value: object, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, about twice as fast.
+
+    With an indent the standard library encodes in pure Python, one
+    generator step per token; here each list and dict is one ``join``.
+    Strings take the library's own C escaping, and anything else that is
+    not a container goes to ``json.dumps`` itself, so the bytes are the
+    same.
+    """
+    if type(value) is str:
+        return _encode_str(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            _encode_str(key if type(key) is str else json.dumps(key))
+            + ": "
+            + _json_text(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return json.dumps(value)
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
 
 
 def _load_context(args: argparse.Namespace) -> SplitContext:

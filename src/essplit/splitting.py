@@ -338,15 +338,15 @@ class _BaseFacts:
         the base with extra (e,)."""
         (rank, cl), (_, cl_e) = spans
         e = ctx.e_bit
-        ae = a | e
+        not_cl, not_a, not_ae = ~cl, ~a, ~(a | e)
         ox_a = ox_ae = ox_cl = False
         covered = f_star = t = 0
         for c in ctx.ox_masks:
             # A circuit with at most one element outside A lies in cl(A).
-            if not c & ~cl:
+            if not c & not_cl:
                 ox_cl = True
                 covered |= c
-                out = c & ~a
+                out = c & not_a
                 if not out:
                     ox_a = ox_ae = True
                 elif not out & (out - 1):
@@ -354,7 +354,7 @@ class _BaseFacts:
                     if out == e:
                         ox_ae = True
             if c & e:
-                out = c & ~ae
+                out = c & not_ae
                 if out and not out & (out - 1):
                     t |= out
         self.ctx = ctx
