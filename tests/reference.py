@@ -4,8 +4,11 @@
 ``reference_flats`` and ``reference_circuits`` walk every subset of the
 ground set, so they are exponential in its size and only serve to check
 ``BinaryMatroid.circuits()`` and ``BinaryMatroid.flats()`` on small
-instances.  ``reference_check_report`` answers every subset of a
-``check`` run on its own, with no work shared between subsets.
+instances.  ``reference_base_facts`` computes the odd-overlap circuit
+facts of one base part on label sets, the way ``splitting`` did before
+its record moved to position masks.  ``reference_check_report`` answers
+every subset of a ``check`` run on its own, with no work shared between
+subsets.
 """
 
 from __future__ import annotations
@@ -45,6 +48,46 @@ def reference_circuits(m: BinaryMatroid) -> tuple[frozenset[str], ...]:
         if m.rank_of(subset) < len(subset)
         and all(m.rank_of(subset - {z}) == len(subset) - 1 for z in subset)
     )
+
+
+def reference_base_facts(ctx: SplitContext, labels) -> dict:
+    """The circuit facts of a base part A, from their definitions on
+    label sets: whether A, A + e and cl(A) hold an odd-overlap circuit,
+    and the sets F, F* and T."""
+    a = frozenset(labels)
+    e = ctx.e
+    cl = ctx.base.closure_of(a)
+    ox = ctx.ox_circuits
+
+    def holds_ox_circuit(subset: frozenset[str]) -> bool:
+        return any(c <= subset for c in ox)
+
+    covered: set[str] = set()
+    for c in ox:
+        if c <= cl:
+            covered |= c
+    f_star: set[str] = set()
+    for c in ox:
+        extra = c - a
+        if len(extra) == 1:
+            f_star |= extra
+    t: set[str] = set()
+    for c in ox:
+        if e not in c:
+            continue
+        extra = c - (a | {e})
+        if len(extra) == 1:
+            (z,) = extra
+            if z != e and z not in a:
+                t.add(z)
+    return {
+        "ox_a": holds_ox_circuit(a),
+        "ox_ae": holds_ox_circuit(a | {e}),
+        "ox_cl": holds_ox_circuit(cl),
+        "f": frozenset(covered & (cl - a)),
+        "f_star": frozenset(f_star),
+        "t": frozenset(t),
+    }
 
 
 def _check_subsets(ctx: SplitContext, sample: int | None, seed: int):

@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import essplit
-from essplit.cli import main
+from essplit.cli import _json_text, main
 from essplit.gf2 import format_matrix
 from essplit.graphs import format_graph
 from essplit.showcase import showcase_graph, showcase_matroid
@@ -482,3 +484,31 @@ class TestDemo:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(
+        st.text() | st.integers() | st.booleans() | st.none(), inner, max_size=4
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    """``cli._json_text`` must give the bytes of ``json.dumps(indent=2)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_same_bytes_as_the_standard_library(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    def test_empty_containers_and_non_ascii(self):
+        value = {"a": [], "b": {}, "c": ["é", "\n", " "], "d": [[], {}]}
+        assert _json_text(value) == json.dumps(value, indent=2)

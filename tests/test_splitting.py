@@ -209,6 +209,17 @@ class TestBaseFacts:
                 assert predict_closure(ctx, q, facts=facts) == predict_closure(ctx, q)
                 assert predict_rank(ctx, q, facts=facts) == predict_rank(ctx, q)
 
+    def test_closure_rule_reads_the_shared_record(self, wheel_ctx):
+        for ctx, rng in self.random_contexts():
+            a = frozenset(lab for lab in ctx.base.ground if rng.random() < 0.5)
+            facts = splitting._BaseFacts.of(ctx, a)
+            for added in ((), ("a",), ("g",), ("a", "g")):
+                q = q_of(ctx, a | set(added))
+                assert closure_rule(ctx, q, facts=facts) == closure_rule(ctx, q)
+        facts = splitting._BaseFacts.of(wheel_ctx, {"1", "2"})
+        with pytest.raises(ValueError):
+            closure_rule(wheel_ctx, q_of(wheel_ctx, {"1", "gamma"}), facts=facts)
+
     def test_record_of_another_base_part_is_refused(self, wheel_ctx):
         facts = splitting._BaseFacts.of(wheel_ctx, {"1", "2"})
         with pytest.raises(ValueError):
