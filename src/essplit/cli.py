@@ -7,10 +7,15 @@ overridden with --label-a / --label-gamma.
 
 ``check`` compares the closure and rank predictions with the oracle on
 every subset A' of the split ground, or on --sample N distinct ones.  It
-visits each base part A once: one set of base facts and one oracle basis
-of A answer all four queries A, A+a, A+gamma and A+a+gamma.  The report
-lists disagreements by subset size, then position; with --sample, in
-draw order, or in mask order when N covers every subset.
+walks the base parts A depth first, on the base and on the split matrix
+in step, so each A costs one column projection per matrix.  Per A, one
+record of base facts and one set of oracle spans answer all four
+queries A, A+a, A+gamma and A+a+gamma, on position masks.  A sample
+walks only the prefixes of its drawn base parts.  The report lists
+disagreements by subset size, then position; with --sample, in draw
+order, or in mask order when N covers every subset.  JSON is rendered
+with one join per list or object, byte for byte as json.dumps with
+indent=2.
 
 Exit codes: 0 ok, 1 usage or parse failure, 2 precondition violation,
 3 a formula/oracle disagreement was found.
@@ -102,13 +107,13 @@ def _fmt_set(ctx: SplitContext, labels: Iterable[str]) -> str:
 
 
 def _json_text(value: object, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)``, about twice as fast.
+    """The text of ``json.dumps(value, indent=2)``.
 
     With an indent the standard library encodes in pure Python, one
     generator step per token; here each list and dict is one ``join``.
-    Strings take the library's own C escaping, and anything else that is
-    not a container goes to ``json.dumps`` itself, so the bytes are the
-    same.
+    Strings take the library's own C escaping, and every other value
+    that is not a list, tuple or dict goes to ``json.dumps`` itself, so
+    the bytes are the same.
     """
     if type(value) is str:
         return _encode_str(value)

@@ -5,10 +5,15 @@ the column space of its matrix.  It is the ground truth that every
 closed-form prediction elsewhere in the package is checked against, so
 each answer is computed from linear algebra alone, never from the
 predictions.  Columns are ints of any width, and every elimination runs
-on the XOR-basis kernel of ``gf2``.  ``closures_with`` gives the rank
-and the closure of A + S for every S inside a few extra elements from
-one basis of A; ``closure_of`` is its case S = {}.  The two enumerations
-follow the size of their answer rather than walking every subset:
+on the kernel of ``gf2``.  From the residues of all columns modulo
+span(A), one pass (``_spans``) gives the rank and the closure of A + S
+for every S inside a few extra elements; ``closures_with`` runs it for
+one A, and ``closure_of`` is its case S = {}.  ``walk_closures`` runs it
+for many A in one depth-first walk: each child adds one column above
+its parent's, so its residues follow from the parent's by one
+projection, and it yields position masks rather than label sets.  The
+two enumerations follow the size of their answer rather than walking
+every subset:
 
 * ``circuits()`` either sweeps subsets by size or walks the cycle space
   (the kernel of the matrix), whichever has fewer candidates;
@@ -21,7 +26,8 @@ keep the all-subset definitions as references and compare.
 Subsets of the ground set travel as plain ``frozenset`` objects of
 labels; emitted lists are sorted by the ground-set order fixed at
 construction (first by size, then lexicographically by position).
-Inside this module a subset may also be a bitmask over positions.
+Inside this module, and out of ``walk_closures``, a subset may also be
+a bitmask over positions.
 """
 
 from __future__ import annotations
@@ -227,8 +233,9 @@ class BinaryMatroid:
         lies in the parent's span nothing changes: the child's answers
         are the parent's.  With ``parts`` the walk keeps to the prefixes
         (lowest positions first) of the listed masks.  Parents come
-        before their children; otherwise callers must not rely on the
-        order.
+        before their children, and two walks with the same ``width`` and
+        ``parts`` visit the same masks in the same order, so they can be
+        zipped; callers must not rely on the order otherwise.
         """
         extra_pos = [self._positions((lab,))[0] for lab in extra]
         wanted: set[int] | None = None

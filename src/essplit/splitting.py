@@ -19,13 +19,21 @@ of being hidden.
 
 Each base quantity the predictors read (rank(A), cl(A), cl(A + e), F,
 F*, T, whether A, A + e or cl(A) holds an odd-overlap circuit, and the
-closure shapes) is one lazy field of ``_BaseFacts``; ``set_F`` and its
-siblings are views of it.  ``facts.rank``, ``facts.cl`` and ``facts.cl_e``
-come from one basis of A (``BinaryMatroid.closures_with``).  The four
-split queries A, A + a, A + gamma and A + a + gamma share one base part,
-so ``predict_closure`` and ``predict_rank`` accept its record: ``essplit
-check`` builds one per base part and passes it to all four.  Emitted sets
-follow the split-ground order, held by ``SplitContext``.
+closure shapes) is computed in one place: the record ``_BaseFacts`` of
+the base part A.  It holds every set as a position mask (a base element
+keeps its base position in the split ground, a is bit n and gamma bit
+n + 1), takes rank(A), cl(A) and cl(A + e) from the base matrix, and
+finds the circuit facts in one pass over the odd-overlap circuits, held
+as masks by ``SplitContext``.  Its methods evaluate the rank formula and
+both closure tables on masks.  The public functions take and return
+labels: ``predict_rank``, ``predict_closure`` and ``closure_rule``
+build a record from the labels of A, or accept the caller's, and
+``set_F`` and its siblings are views of it.  The four split queries A,
+A + a, A + gamma and A + a + gamma share one base part, so one record
+serves them all.  ``essplit check`` gets the records of all base parts
+from ``_BaseFacts.walk``, which follows ``BinaryMatroid.walk_closures``
+on the base with extra (e,).  Emitted sets follow the split-ground
+order, held by ``SplitContext``.
 """
 
 from __future__ import annotations
@@ -123,6 +131,7 @@ class SplitContext:
         return mask
 
     def labels_of(self, mask: int) -> frozenset[str]:
+        """Labels of the subset with this mask."""
         return frozenset(self.sorted_labels(mask))
 
     def sorted_labels(self, mask: int) -> list[str]:
