@@ -19,10 +19,6 @@ from instances import matroid_from_columns, random_columns
 from reference import reference_base_facts
 
 
-def labels_of(m, mask):
-    return frozenset(lab for pos, lab in enumerate(m.ground) if mask >> pos & 1)
-
-
 def random_contexts(seed, count=160, max_n=7):
     """Split contexts on random matrices; the top rows of a matrix are
     zero whenever ``n_rows`` exceeds the rows its columns use."""
@@ -57,7 +53,7 @@ class TestWalkClosures:
             seen = []
             for mask, answers in m.walk_closures(extra, n):
                 seen.append(mask)
-                a = labels_of(m, mask)
+                a = m._labels(mask)
                 assert len(answers) == 2 ** len(extra)
                 for i, (rank, closure) in enumerate(answers):
                     part = a | {lab for j, lab in enumerate(extra) if i >> j & 1}
@@ -74,7 +70,7 @@ class TestWalkClosures:
             walked = dict(oracle.walk_closures(("a", "g"), n))
             assert len(walked) == 2**n
             for mask, answers in walked.items():
-                a = labels_of(oracle, mask)
+                a = oracle._labels(mask)
                 for i, extra in enumerate(((), ("a",), ("g",), ("a", "g"))):
                     assert answers[i] == (
                         oracle.rank_of(a | set(extra)),
@@ -111,7 +107,7 @@ class TestMaskRecord:
         for ctx, _ in random_contexts(34):
             base = ctx.base
             for facts in _BaseFacts.walk(ctx):
-                a = labels_of(base, facts.a)
+                a = base._labels(facts.a)
                 expected = reference_base_facts(ctx, a)
                 assert facts.rank == base.rank_of(a)
                 assert ctx.labels_of(facts.cl) == base.closure_of(a)
