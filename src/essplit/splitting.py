@@ -402,8 +402,7 @@ class _BaseFacts:
     def of(cls, ctx: SplitContext, labels: Iterable[str]) -> "_BaseFacts":
         """The record of the base part with these labels."""
         a = _base_mask(ctx, labels)
-        (e_pos,) = ctx.base._positions((ctx.e,))
-        return cls(ctx, a, ctx.base._closures_at(a, (e_pos,)))
+        return cls(ctx, a, _base_spans(ctx, a))
 
     @classmethod
     def walk(
@@ -504,6 +503,11 @@ class _BaseFacts:
                     f"{sorted(ctx.labels_of(result))}"
                 )
         return tuple(matched), formula
+
+
+def _base_spans(ctx: SplitContext, a: int) -> tuple[tuple[int, int], ...]:
+    """(rank, closure mask) of A and of A + e in the base, A by its mask."""
+    return ctx.base._closures_at(a, (ctx.e_bit.bit_length() - 1,))
 
 
 def _facts_for(
@@ -797,9 +801,11 @@ def predict_is_flat(ctx: SplitContext, q: SplitQuery) -> int | None:
     matroid.  A None return says nothing either way; callers needing a
     complete answer fall back to the oracle's ``is_flat``.
     """
-    facts = _BaseFacts.of(ctx, q.a)
-    if facts.cl != facts.a:
+    a = _base_mask(ctx, q.a)
+    spans = _base_spans(ctx, a)
+    if spans[0][1] != a:
         raise BaseNotFlat(f"{sorted(q.a)} is not a flat of the base matroid")
+    facts = _BaseFacts(ctx, a, spans)
     ox_a, ox_ae, ox_cl, e_in_cl = facts.ox_a, facts.ox_ae, facts.ox_cl, facts.e_in_cl
     f, t = facts.f, facts.t
     plain, with_a, with_g, with_ag = q.plain, q.with_a, q.with_g, q.with_ag
