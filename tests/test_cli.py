@@ -14,6 +14,10 @@ from essplit.gf2 import format_matrix
 from essplit.graphs import format_graph
 from essplit.showcase import showcase_graph, showcase_matroid
 
+from cli_golden import render
+
+GOLDEN = Path(__file__).parent / "golden" / "cli-wheel.txt"
+
 
 @pytest.fixture()
 def wheel_matrix_file(tmp_path):
@@ -43,6 +47,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_every_command_matches_the_wheel_golden():
+    assert render() == GOLDEN.read_text()
 
 
 class TestSplit:
