@@ -8,8 +8,6 @@ and flats, and a graph-level vertex split with an equivalence check.
 from . import errors
 from .gf2 import (
     GF2Matrix,
-    column_sum,
-    columns_dependent,
     format_matrix,
     parse_matrix,
     rank,
@@ -33,17 +31,11 @@ from .splitting import (
     SplitQuery,
     build_split_matrix,
     closure_rule,
-    closure_rule_shapes,
-    closure_shapes,
-    contains_ox_circuit,
     find_ox_subcircuit,
     predict_circuits,
     predict_closure,
     predict_is_flat,
     predict_rank,
-    set_F,
-    set_F_star,
-    set_T,
     split_matroid,
 )
 
@@ -65,11 +57,6 @@ __all__ = [
     "build_split_matrix",
     "classify_circuit",
     "closure_rule",
-    "closure_rule_shapes",
-    "closure_shapes",
-    "column_sum",
-    "columns_dependent",
-    "contains_ox_circuit",
     "errors",
     "find_ox_subcircuit",
     "format_graph",
@@ -83,9 +70,6 @@ __all__ = [
     "predict_is_flat",
     "predict_rank",
     "rank",
-    "set_F",
-    "set_F_star",
-    "set_T",
     "split_matroid",
     "verify_equivalence",
 ]

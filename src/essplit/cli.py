@@ -3,7 +3,13 @@
 Subcommands: split, closure, rank, circuits, flats, check, demo-fig2.
 Set-valued flags take comma-separated labels (e.g. ``--subset 2,6,gamma``);
 the names ``a`` and ``gamma`` refer to the two new split elements unless
-overridden with --label-a / --label-gamma.
+overridden with --label-a / --label-gamma.  Input files are UTF-8, with
+or without a byte-order mark.
+
+Output has one path.  Each ``cmd_*`` returns its exit code, its JSON
+payload and a lazy iterator over its text lines, and prints nothing;
+``main`` alone reads --format and writes the one form asked for.  Text
+lines show the payload's label lists, which are in split-ground order.
 
 ``check`` compares the closure and rank predictions with the oracle on
 every subset A' of the split ground, or on --sample N distinct ones.  It
@@ -28,21 +34,17 @@ import json
 import os
 import random
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BaseNotFlat,
-    ElementNotInX,
     EsSplitError,
     FormulaDisagreement,
     GroundSetTooLarge,
-    InvalidPartition,
-    LabelCollision,
     ParseError,
-    PreconditionViolated,
-    UnknownLabel,
 )
 from .gf2 import format_matrix, parse_matrix
 from .graphs import incidence_matrix, parse_graph
@@ -60,16 +62,6 @@ from .splitting import (
 )
 
 OK, USAGE, PRECONDITION, DISAGREEMENT = 0, 1, 2, 3
-
-_PRECONDITION_ERRORS = (
-    UnknownLabel,
-    LabelCollision,
-    ElementNotInX,
-    GroundSetTooLarge,
-    PreconditionViolated,
-    BaseNotFlat,
-    InvalidPartition,
-)
 
 
 class _UsageError(Exception):
@@ -102,8 +94,17 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _fmt_set(ctx: SplitContext, labels: Iterable[str]) -> str:
-    return "{" + ",".join(ctx.sort_set(labels)) + "}"
+def _braces(labels: Iterable[str]) -> str:
+    """A label list, already in split-ground order, as ``{a,b}``."""
+    return "{" + ",".join(labels) + "}"
+
+
+def _aligned(payload: dict) -> Iterator[str]:
+    """The formula, oracle and agree lines of ``closure`` and ``rank``."""
+    for key in ("formula", "oracle", "agree"):
+        value = payload[key]
+        if value is not None:
+            yield f"{key + ':':9}{_braces(value) if type(value) is list else value}"
 
 
 def _json_text(value: object, indent: str = "\n") -> str:
@@ -143,7 +144,7 @@ def _emit_json(payload: dict) -> None:
 
 def _load_context(args: argparse.Namespace) -> SplitContext:
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = Path(args.input).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"{args.input}: not valid UTF-8 (byte {exc.start}: {exc.reason})"
@@ -170,26 +171,19 @@ def _require_subset(args: argparse.Namespace) -> tuple[str, ...]:
 
 # -- commands ----------------------------------------------------------------
 
-
-def cmd_split(args: argparse.Namespace) -> int:
-    ctx = _load_context(args)
-    matrix = build_split_matrix(ctx)
-    if args.format == "json":
-        _emit_json(
-            {
-                "col_labels": list(matrix.col_labels),
-                "rows": matrix.entries(),
-            }
-        )
-    else:
-        sys.stdout.write(format_matrix(matrix))
-    return OK
+# (exit code, JSON payload, text lines); see the module docstring.
+Result = tuple[int, object, Iterable[str]]
 
 
-def cmd_closure(args: argparse.Namespace) -> int:
+def cmd_split(args: argparse.Namespace) -> Result:
+    matrix = build_split_matrix(_load_context(args))
+    payload = {"col_labels": list(matrix.col_labels), "rows": matrix.entries()}
+    return OK, payload, format_matrix(matrix).splitlines()
+
+
+def cmd_closure(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
     q = SplitQuery.of(ctx, _require_subset(args))
-
     if args.mode == "oracle":
         oracle = split_matroid(ctx).closure_of(q.a_prime)
         payload = {
@@ -201,22 +195,15 @@ def cmd_closure(args: argparse.Namespace) -> int:
     else:
         report = predict_closure(ctx, q, with_oracle=args.mode == "both")
         payload = report.as_dict(ctx)
-
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"A' = {_fmt_set(ctx, q.a_prime)}")
-        print(f"matched: {', '.join(payload['matched']) or '(none)'}")
-        if payload["formula"] is not None:
-            print(f"formula: {_fmt_set(ctx, payload['formula'])}")
-        if payload["oracle"] is not None:
-            print(f"oracle:  {_fmt_set(ctx, payload['oracle'])}")
-        if payload["agree"] is not None:
-            print(f"agree:   {payload['agree']}")
-    return DISAGREEMENT if payload["agree"] is False else OK
+    head = (
+        f"A' = {_braces(ctx.sort_set(q.a_prime))}",
+        f"matched: {', '.join(payload['matched']) or '(none)'}",
+    )
+    code = DISAGREEMENT if payload["agree"] is False else OK
+    return code, payload, chain(head, _aligned(payload))
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
+def cmd_rank(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
     q = SplitQuery.of(ctx, _require_subset(args))
     formula = predict_rank(ctx, q) if args.mode in ("formula", "both") else None
@@ -226,31 +213,25 @@ def cmd_rank(args: argparse.Namespace) -> int:
         else None
     )
     agree = None if formula is None or oracle is None else formula == oracle
-    if args.format == "json":
-        _emit_json({"formula": formula, "oracle": oracle, "agree": agree})
-    else:
-        print(f"A' = {_fmt_set(ctx, q.a_prime)}")
-        if formula is not None:
-            print(f"formula: {formula}")
-        if oracle is not None:
-            print(f"oracle:  {oracle}")
-        if agree is not None:
-            print(f"agree:   {agree}")
-    return DISAGREEMENT if agree is False else OK
+    payload = {"formula": formula, "oracle": oracle, "agree": agree}
+    head = (f"A' = {_braces(ctx.sort_set(q.a_prime))}",)
+    code = DISAGREEMENT if agree is False else OK
+    return code, payload, chain(head, _aligned(payload))
 
 
-def cmd_circuits(args: argparse.Namespace) -> int:
+_FAMILY_CLASSES = ("c0", "c1", "c2", "c3")
+
+
+def cmd_circuits(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
     payload: dict = {}
     if args.mode in ("formula", "both"):
         family = predict_circuits(ctx)
         payload["family"] = {
-            "c0": [list(ctx.sort_set(c)) for c in family.c0],
-            "c1": [list(ctx.sort_set(c)) for c in family.c1],
-            "c2": [list(ctx.sort_set(c)) for c in family.c2],
-            "c3": [list(ctx.sort_set(c)) for c in family.c3],
-            "delta": list(ctx.sort_set(family.delta)),
+            name: [list(ctx.sort_set(c)) for c in getattr(family, name)]
+            for name in _FAMILY_CLASSES
         }
+        payload["family"]["delta"] = list(ctx.sort_set(family.delta))
         predicted = set(family.all_circuits())
     if args.mode in ("oracle", "both"):
         oracle = split_matroid(ctx).circuits()
@@ -258,28 +239,30 @@ def cmd_circuits(args: argparse.Namespace) -> int:
     payload["equal"] = (
         predicted == set(oracle) if args.mode == "both" else None
     )
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        if "family" in payload:
-            for name in ("c0", "c1", "c2", "c3"):
-                for c in payload["family"][name]:
-                    print(f"{name}: {_fmt_set(ctx, c)}")
-            print(f"delta: {_fmt_set(ctx, payload['family']['delta'])}")
-        if "oracle" in payload:
-            for c in payload["oracle"]:
-                print(f"oracle: {_fmt_set(ctx, c)}")
-        if payload["equal"] is not None:
-            print(f"equal: {payload['equal']}")
-    return DISAGREEMENT if payload["equal"] is False else OK
+    code = DISAGREEMENT if payload["equal"] is False else OK
+    return code, payload, _circuit_lines(payload)
 
 
-def cmd_flats(args: argparse.Namespace) -> int:
+def _circuit_lines(payload: dict) -> Iterator[str]:
+    family = payload.get("family")
+    if family is not None:
+        for name in _FAMILY_CLASSES:
+            for c in family[name]:
+                yield f"{name}: {_braces(c)}"
+        yield f"delta: {_braces(family['delta'])}"
+    for c in payload.get("oracle", ()):
+        yield f"oracle: {_braces(c)}"
+    if payload["equal"] is not None:
+        yield f"equal: {payload['equal']}"
+
+
+def cmd_flats(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
     oracle = split_matroid(ctx)
-    violations = 0
 
     def condition_of(q: SplitQuery) -> int | None:
+        if args.mode == "oracle":
+            return None
         try:
             return predict_is_flat(ctx, q)
         except BaseNotFlat:
@@ -288,36 +271,24 @@ def cmd_flats(args: argparse.Namespace) -> int:
     if args.subset is not None:
         q = SplitQuery.of(ctx, _parse_labels(args.subset))
         is_flat = oracle.is_flat(q.a_prime)
-        condition = condition_of(q) if args.mode in ("formula", "both") else None
-        if condition is not None and not is_flat:
-            violations += 1
-        if args.format == "json":
-            _emit_json(
-                {
-                    "subset": list(ctx.sort_set(q.a_prime)),
-                    "is_flat": is_flat,
-                    "condition": condition,
-                }
-            )
-        else:
-            print(
-                f"{_fmt_set(ctx, q.a_prime)} flat={is_flat} "
-                f"condition={condition}"
-            )
-    else:
-        rows = []
-        for flat in oracle.flats():
-            q = SplitQuery.of(ctx, flat)
-            condition = condition_of(q) if args.mode in ("formula", "both") else None
-            rows.append(
-                {"flat": list(ctx.sort_set(flat)), "condition": condition}
-            )
-        if args.format == "json":
-            _emit_json({"flats": rows})
-        else:
-            for row in rows:
-                print(f"{_fmt_set(ctx, row['flat'])} condition={row['condition']}")
-    return DISAGREEMENT if violations else OK
+        condition = condition_of(q)
+        payload = {
+            "subset": list(ctx.sort_set(q.a_prime)),
+            "is_flat": is_flat,
+            "condition": condition,
+        }
+        line = f"{_braces(payload['subset'])} flat={is_flat} condition={condition}"
+        code = DISAGREEMENT if condition is not None and not is_flat else OK
+        return code, payload, (line,)
+    rows = [
+        {
+            "flat": list(ctx.sort_set(flat)),
+            "condition": condition_of(SplitQuery.of(ctx, flat)),
+        }
+        for flat in oracle.flats()
+    ]
+    lines = (f"{_braces(row['flat'])} condition={row['condition']}" for row in rows)
+    return OK, {"flats": rows}, lines
 
 
 def _check_plan(
@@ -353,7 +324,7 @@ def _check_plan(
     return groups, drawn.__getitem__
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
     oracle = split_matroid(ctx)
     n = len(ctx.base.ground)
@@ -442,39 +413,46 @@ def cmd_check(args: argparse.Namespace) -> int:
         "flat_condition_violations": flat_violations,
         "disagreements": disagreements,
     }
-    if args.format == "json":
-        _emit_json(summary)
-    else:
-        print(f"subsets checked: {subsets}")
-        for cid, hits in summary["case_hits"].items():
-            print(f"  case {cid}: {hits}")
-        print(f"no case applies: {no_case}")
-        print(f"rank disagreements: {len(rank_witnesses)}")
-        for witness in rank_witnesses:
-            print(
-                f"  rank mismatch at {_fmt_set(ctx, witness['subset'])}: "
-                f"formula {witness['formula']} vs oracle {witness['oracle']}"
-            )
-        print(f"closure disagreements: {len(closure_witnesses)}")
-        for witness in closure_witnesses:
-            print(
-                f"  closure mismatch at {_fmt_set(ctx, witness['subset'])} "
-                f"(matched {', '.join(witness['matched'])}): formula "
-                f"{_fmt_set(ctx, witness['formula'])} vs oracle "
-                f"{_fmt_set(ctx, witness['oracle'])}"
-            )
-        print(f"circuit family equal: {family_equal}")
-        print(f"full-rank increment ok: {corollary_ok}")
-        print(f"flat condition violations: {len(flat_violations)}")
-        for witness in flat_violations:
-            print(
-                f"  condition {witness['condition']} accepted non-flat "
-                f"{_fmt_set(ctx, witness['subset'])}"
-            )
-    return DISAGREEMENT if disagreements else OK
+    return DISAGREEMENT if disagreements else OK, summary, _check_lines(summary)
 
 
-def cmd_demo_fig2(args: argparse.Namespace) -> int:
+def _check_lines(summary: dict) -> Iterator[str]:
+    yield f"subsets checked: {summary['subsets']}"
+    for cid, hits in summary["case_hits"].items():
+        yield f"  case {cid}: {hits}"
+    yield f"no case applies: {summary['no_case']}"
+    rank_witnesses = summary["rank_disagreements"]
+    yield f"rank disagreements: {len(rank_witnesses)}"
+    for witness in rank_witnesses:
+        yield (
+            f"  rank mismatch at {_braces(witness['subset'])}: "
+            f"formula {witness['formula']} vs oracle {witness['oracle']}"
+        )
+    closure_witnesses = summary["closure_disagreements"]
+    yield f"closure disagreements: {len(closure_witnesses)}"
+    for witness in closure_witnesses:
+        yield (
+            f"  closure mismatch at {_braces(witness['subset'])} "
+            f"(matched {', '.join(witness['matched'])}): formula "
+            f"{_braces(witness['formula'])} vs oracle "
+            f"{_braces(witness['oracle'])}"
+        )
+    yield f"circuit family equal: {summary['circuit_family_equal']}"
+    yield f"full-rank increment ok: {summary['full_rank_increment_ok']}"
+    flat_violations = summary["flat_condition_violations"]
+    yield f"flat condition violations: {len(flat_violations)}"
+    for witness in flat_violations:
+        yield (
+            f"  condition {witness['condition']} accepted non-flat "
+            f"{_braces(witness['subset'])}"
+        )
+
+
+def cmd_demo_fig2(args: argparse.Namespace) -> Result:
+    return OK, None, _demo_lines()
+
+
+def _demo_lines() -> Iterator[str]:
     # Only this command reads the bundled example, so the other commands
     # do not load it at start-up.
     from .showcase import (
@@ -487,57 +465,53 @@ def cmd_demo_fig2(args: argparse.Namespace) -> int:
     ctx = showcase_context()
     oracle = split_matroid(ctx)
 
-    print("showcase: wheel graph, X={x,y}, e=y")
-    print(f"base rank: {ctx.base.rank_of(ctx.base.ground)}")
-    print(f"split rank: {oracle.rank_of(oracle.ground)}")
-    print()
-    print("closure queries:")
+    def fmt(labels: Iterable[str]) -> str:
+        return _braces(ctx.sort_set(labels))
+
+    yield "showcase: wheel graph, X={x,y}, e=y"
+    yield f"base rank: {ctx.base.rank_of(ctx.base.ground)}"
+    yield f"split rank: {oracle.rank_of(oracle.ground)}"
+    yield ""
+    yield "closure queries:"
     for query, listed in CLOSURE_GOLDENS:
         q = SplitQuery.of(ctx, query)
         report = predict_closure(ctx, q, with_oracle=True)
         computed = report.oracle_result
         assert computed is not None
-        line = f"cl'({_fmt_set(ctx, query)}) = {_fmt_set(ctx, computed)}"
+        line = f"cl'({fmt(query)}) = {fmt(computed)}"
         notes = []
         if frozenset(listed) != computed:
-            notes.append(f"listed value {_fmt_set(ctx, listed)} rejected by oracle")
+            notes.append(f"listed value {fmt(listed)} rejected by oracle")
         if report.agreement is False:
             assert report.formula_result is not None
             notes.append(
                 f"formula ({', '.join(report.matched_cases)}) gives "
-                f"{_fmt_set(ctx, report.formula_result)}"
+                f"{fmt(report.formula_result)}"
             )
         if notes:
             line += "  [" + "; ".join(notes) + "]"
-        print(line)
+        yield line
 
-    def flat_report(
-        name: str, matroid: BinaryMatroid, listed: tuple[tuple[str, ...], ...]
-    ) -> None:
-        print()
-        print(f"{name}: {len(listed)} listed flats")
+    for name, matroid, listed in (
+        ("base matroid", ctx.base, BASE_FLATS_LISTED),
+        ("split matroid", oracle, SPLIT_FLATS_LISTED),
+    ):
+        yield ""
+        yield f"{name}: {len(listed)} listed flats"
         rejected = [entry for entry in listed if not matroid.is_flat(entry)]
-        print(f"confirmed: {len(listed) - len(rejected)}")
+        yield f"confirmed: {len(listed) - len(rejected)}"
         for entry in rejected:
-            closure = matroid.closure_of(entry)
-            print(
-                f"rejected: {_fmt_set(ctx, entry)} "
-                f"(closure is {_fmt_set(ctx, closure)})"
-            )
+            yield f"rejected: {fmt(entry)} (closure is {fmt(matroid.closure_of(entry))})"
         listed_sets = {frozenset(entry) for entry in listed}
         flats = [flat for flat in matroid.flats() if flat]
         extras = [flat for flat in flats if flat not in listed_sets]
-        print(
+        yield (
             f"full oracle flat list ({len(flats)}, empty flat omitted; "
             f"{len(extras)} absent from the listed data):"
         )
         for flat in flats:
             marker = "" if flat in listed_sets else "  [unlisted]"
-            print(f"  {_fmt_set(ctx, flat)}{marker}")
-
-    flat_report("base matroid", ctx.base, BASE_FLATS_LISTED)
-    flat_report("split matroid", oracle, SPLIT_FLATS_LISTED)
-    return OK
+            yield f"  {fmt(flat)}{marker}"
 
 
 # -- wiring -------------------------------------------------------------------
@@ -580,7 +554,7 @@ def build_parser() -> _Parser:
     check.set_defaults(func=cmd_check)
 
     demo = subparsers.add_parser("demo-fig2")
-    demo.set_defaults(func=cmd_demo_fig2)
+    demo.set_defaults(func=cmd_demo_fig2, format="text")
 
     return parser
 
@@ -589,7 +563,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        code, payload, lines = args.func(args)
+        if args.format == "json":
+            _emit_json(payload)
+        else:
+            for line in lines:
+                print(line)
         sys.stdout.flush()
         return code
     except _UsageError as exc:
@@ -604,13 +583,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PRECONDITION
     except FormulaDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DISAGREEMENT
     except EsSplitError as exc:
+        # A bad label, a cap exceeded or another broken precondition.
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION
 

@@ -5,6 +5,9 @@ column ``j``, and addition is XOR.  Ints have no width limit, so neither
 has a matrix.  Matrices carry a label per column; the label order fixes
 the canonical ordering used for every emitted set.  All values are
 immutable and all operations are pure, so they can be shared freely.
+The public surface is ``GF2Matrix``, ``rank`` and the text format
+(``parse_matrix``, ``format_matrix``); column dependence and closures
+are ``BinaryMatroid``'s.
 
 Every elimination in the package runs on one kernel: an XOR basis held
 as a dict from the lowest set bit of each entry to the entry
@@ -136,42 +139,13 @@ class GF2Matrix:
         """The rows as lists of 0/1 entries."""
         return [[row >> j & 1 for j in range(self.n_cols)] for row in self.rows]
 
-    def transpose(self) -> "GF2Matrix":
-        labels = tuple(f"r{i}" for i in range(self.n_rows))
-        return GF2Matrix(tuple(self.column(lab) for lab in self.col_labels), labels)
-
-
-def _rank(words: Iterable[int]) -> int:
-    basis: dict[int, int] = {}
-    for word in words:
-        _insert(basis, word)
-    return len(basis)
-
 
 def rank(m: GF2Matrix) -> int:
     """Dimension of the row space of ``m`` over GF(2)."""
-    return _rank(m.rows)
-
-
-def _column_words(m: GF2Matrix, cols: Iterable[str]) -> list[int]:
-    return [m.column(lab) for lab in sorted(set(cols), key=m.column_index)]
-
-
-def columns_dependent(m: GF2Matrix, cols: Iterable[str]) -> bool:
-    """True iff the selected columns are linearly dependent over GF(2)."""
-    words = _column_words(m, cols)
-    return _rank(words) < len(words)
-
-
-def column_sum(m: GF2Matrix, cols: Iterable[str]) -> int:
-    """Entrywise XOR of the selected columns (at least one required)."""
-    words = _column_words(m, cols)
-    if not words:
-        raise ValueError("column_sum needs at least one column")
-    bits = 0
-    for w in words:
-        bits ^= w
-    return bits
+    basis: dict[int, int] = {}
+    for row in m.rows:
+        _insert(basis, row)
+    return len(basis)
 
 
 def format_matrix(m: GF2Matrix) -> str:

@@ -108,12 +108,6 @@ class BinaryMatroid:
         self._cols = tuple(matrix.column(lab) for lab in self.ground)
         self._circuits: tuple[frozenset[str], ...] | None = None
 
-    @classmethod
-    def from_text(cls, text: str, source: str = "<string>", **kwargs) -> "BinaryMatroid":
-        from .gf2 import parse_matrix
-
-        return cls(parse_matrix(text, source), **kwargs)
-
     def __repr__(self) -> str:
         return f"BinaryMatroid(ground={list(self.ground)!r})"
 

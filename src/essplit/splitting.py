@@ -26,11 +26,11 @@ n + 1), takes rank(A), cl(A) and cl(A + e) from the base matrix, and
 finds the circuit facts in one pass over the odd-overlap circuits, held
 as masks by ``SplitContext``.  Its methods evaluate the rank formula and
 both closure tables on masks.  The public functions take and return
-labels: ``predict_rank``, ``predict_closure`` and ``closure_rule``
-build a record from the labels of A, or accept the caller's, and
-``set_F`` and its siblings are views of it.  The four split queries A,
-A + a, A + gamma and A + a + gamma share one base part, so one record
-serves them all.  ``essplit check`` gets the records of all base parts
+labels: ``predict_rank``, ``predict_closure``, ``closure_rule`` and
+``predict_is_flat`` build a record from the labels of A, and the first
+three also accept the caller's.  The four split queries A, A + a,
+A + gamma and A + a + gamma share one base part, so one record serves
+them all.  ``essplit check`` gets the records of all base parts
 from ``_BaseFacts.walk``, which follows ``BinaryMatroid.walk_closures``
 on the base with extra (e,).  Emitted sets follow the split-ground
 order, held by ``SplitContext``.
@@ -208,26 +208,6 @@ class SplitQuery:
             has_gamma=ctx.label_gamma in a_prime,
         )
 
-    @property
-    def plain(self) -> bool:
-        """A' holds neither new element."""
-        return not self.has_a and not self.has_gamma
-
-    @property
-    def with_a(self) -> bool:
-        """A' holds a but not gamma."""
-        return self.has_a and not self.has_gamma
-
-    @property
-    def with_g(self) -> bool:
-        """A' holds gamma but not a."""
-        return self.has_gamma and not self.has_a
-
-    @property
-    def with_ag(self) -> bool:
-        """A' holds both new elements."""
-        return self.has_a and self.has_gamma
-
 
 @dataclass(frozen=True)
 class CircuitFamily:
@@ -269,10 +249,6 @@ class ClosureCaseReport:
     formula_result: frozenset[str] | None
     oracle_result: frozenset[str] | None
     agreement: bool | None
-
-    @property
-    def no_case_applies(self) -> bool:
-        return not self.matched_cases
 
     def as_dict(self, ctx: SplitContext) -> dict:
         """Stable JSON-ready form: matched ids plus sorted label arrays."""
@@ -324,12 +300,22 @@ class _BaseFacts:
 
     Every set is a position mask (see ``SplitContext.mask_of``): a = A,
     cl = cl(A), cl_e = cl(A + e), f, f_star and t = F, F* and T, and the
-    shapes of both closure predictors.  rank = rank(A); e_in_cl, ox_a,
-    ox_ae and ox_cl say whether e is in cl(A) and whether A, A + e and
-    cl(A) hold an odd-overlap circuit.  All of them are computed when the
-    record is made, the circuit facts in one pass over
-    ``SplitContext.ox_masks``, so one record serves all four split
-    queries A, A + a, A + gamma and A + a + gamma.  The methods evaluate
+    shapes of both closure predictors.  Here
+
+    * F(A) holds the elements of cl(A) - A on an odd-overlap circuit
+      inside cl(A);
+    * F*(A) holds the elements z of cl(A) - A on an odd-overlap circuit
+      C with z in C inside A + z.  Such a C has C - z inside A, so z is
+      spanned by A and no closure is needed: F* is the one element
+      outside A of every odd-overlap circuit that has exactly one;
+    * T(A) holds the elements z outside A, z != e, on an odd-overlap
+      circuit through e that lies inside (A + e) + z.
+
+    rank = rank(A); e_in_cl, ox_a, ox_ae and ox_cl say whether e is in
+    cl(A) and whether A, A + e and cl(A) hold an odd-overlap circuit.
+    All of them are computed when the record is made, the circuit facts
+    in one pass over ``SplitContext.ox_masks``, so one record serves all
+    four split queries A, A + a, A + gamma and A + a + gamma.  The methods evaluate
     the rank formula and the two closure predictors on masks; the public
     functions below turn labels into a record and masks back into labels.
     """
@@ -522,33 +508,6 @@ def _facts_for(
     return facts
 
 
-def contains_ox_circuit(ctx: SplitContext, labels: Iterable[str]) -> bool:
-    """True iff some odd-overlap circuit of the base lies inside ``labels``."""
-    return _BaseFacts.of(ctx, labels).ox_a
-
-
-def set_T(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
-    """Elements z outside A, z != e, on an odd-overlap circuit through e
-    that lies inside (A + e) + z."""
-    return ctx.labels_of(_BaseFacts.of(ctx, labels).t)
-
-
-def set_F(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
-    """Elements of cl(A) - A lying on an odd-overlap circuit inside cl(A)."""
-    return ctx.labels_of(_BaseFacts.of(ctx, labels).f)
-
-
-def set_F_star(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
-    """Elements z of cl(A) - A lying on an odd-overlap circuit C with
-    z in C inside A + z.
-
-    Such a C has C - z inside A, so z is spanned by A and no closure is
-    needed: F* is the one element outside A of every odd-overlap circuit
-    that has exactly one.
-    """
-    return ctx.labels_of(_BaseFacts.of(ctx, labels).f_star)
-
-
 def find_ox_subcircuit(
     ctx: SplitContext,
     c_ox: Iterable[str],
@@ -681,11 +640,6 @@ def predict_rank(
     return _facts_for(ctx, q, facts).split_rank(q.has_a, q.has_gamma)
 
 
-def closure_shapes(ctx: SplitContext, labels: Iterable[str]) -> tuple[frozenset[str], ...]:
-    """The seven candidate closure shapes instantiated at a base set A."""
-    return tuple(map(ctx.labels_of, _BaseFacts.of(ctx, labels).table_shapes))
-
-
 def predict_closure(
     ctx: SplitContext,
     q: SplitQuery,
@@ -703,16 +657,6 @@ def predict_closure(
     """
     facts = _facts_for(ctx, q, facts)
     return _report(ctx, q, facts.table_closure(q.has_a, q.has_gamma), with_oracle)
-
-
-def closure_rule_shapes(
-    ctx: SplitContext, labels: Iterable[str]
-) -> tuple[frozenset[str], ...]:
-    """The five closure shapes of ``closure_rule`` instantiated at a base
-    set A: cl - F*, (cl - F*) + gamma, (cl - F*) + gamma + T, cl + a and
-    cl(A + e) + {a, gamma}, where cl is cl(A), F* is ``set_F_star`` and T
-    is ``set_T``."""
-    return tuple(map(ctx.labels_of, _BaseFacts.of(ctx, labels).rule_shapes))
 
 
 def closure_rule(
@@ -741,7 +685,7 @@ def closure_rule(
     A + z; v_z is the sum of C - z, so phi(v_z) = |(C - z) & X| mod 2,
     and z joins iff that equals [z in X], that is iff C has even overlap
     with X.  phi is well defined, so every such C has the same parity:
-    z drops out exactly when it is in F*(A) (``set_F_star``).  gamma
+    z drops out exactly when it is in F*(A) (see ``_BaseFacts``).  gamma
     joins iff phi(v_e) = 0 with v_e in span(A), which (e being in X) is
     again iff e is in F*(A); a never joins.  R2 (no gamma): cl(A) - F*,
     plus gamma when e is in F*.  With gamma the span gains (v_e, 0):
@@ -753,11 +697,13 @@ def closure_rule(
     * R3.3, e not in cl(A): phi extends to span(A + e) by phi(v_e) = 0.
       An element z != e of cl(A + e) - cl(A) lies on a circuit C through
       e inside A + e + z, and phi(v_z) = |(C - z - e) & X| mod 2, so z
-      joins iff C has odd overlap with X: exactly when z is in T(A)
-      (``set_T``).  The closure is (cl(A) - F*) + gamma + T(A).
+      joins iff C has odd overlap with X: exactly when z is in T(A).
+      The closure is (cl(A) - F*) + gamma + T(A).
 
     The cases are mutually exclusive and cover every query, and each
-    result is one of ``closure_rule_shapes``.  Only base data is read:
+    result is one of five shapes: cl - F*, (cl - F*) + gamma,
+    (cl - F*) + gamma + T, cl + a and cl(A + e) + {a, gamma}, with cl
+    = cl(A) (``_BaseFacts.rule_shapes``).  Only base data is read:
     cl(A), cl(A + e), the odd-overlap circuits, F* and T; the split
     matroid is built only for ``with_oracle``.  ``facts`` is as for
     ``predict_rank``.
@@ -808,7 +754,11 @@ def predict_is_flat(ctx: SplitContext, q: SplitQuery) -> int | None:
     facts = _BaseFacts(ctx, a, spans)
     ox_a, ox_ae, ox_cl, e_in_cl = facts.ox_a, facts.ox_ae, facts.ox_cl, facts.e_in_cl
     f, t = facts.f, facts.t
-    plain, with_a, with_g, with_ag = q.plain, q.with_a, q.with_g, q.with_ag
+    has_a, has_gamma = q.has_a, q.has_gamma
+    plain = not has_a and not has_gamma
+    with_a = has_a and not has_gamma
+    with_g = has_gamma and not has_a
+    with_ag = has_a and has_gamma
     conditions = (
         plain and not ox_ae and not f,
         plain and not ox_cl,

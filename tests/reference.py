@@ -8,7 +8,7 @@ instances.  ``reference_base_facts`` computes the odd-overlap circuit
 facts of one base part on label sets, the way ``splitting`` did before
 its record moved to position masks.  ``reference_check_report`` answers
 every subset of a ``check`` run on its own, with no work shared between
-subsets.
+subsets, and ``assert_same_output`` compares two outputs line by line.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def reference_check_report(
         q = SplitQuery.of(ctx, a_prime)
         report = predict_closure(ctx, q)
         oracle_closure = oracle.closure_of(a_prime)
-        if report.no_case_applies:
+        if not report.matched_cases:
             no_case += 1
         for case_id in report.matched_cases:
             case_hits[case_id] = case_hits.get(case_id, 0) + 1
@@ -219,3 +219,20 @@ def reference_check_report(
         for w in flat_violations
     ]
     return code, "\n".join(lines) + "\n"
+
+
+def assert_same_output(out: str, expected: str) -> None:
+    """Fail at the first line where ``out`` and ``expected`` differ.
+
+    One ``assert out == expected`` on two reports of about 100 KB makes
+    pytest's assertion rewriting spend minutes on its explanation when
+    they nearly match; here only the first differing pair of lines is
+    shown.  The last check keeps the comparison byte for byte, trailing
+    newlines included.
+    """
+    got, want = out.splitlines(), expected.splitlines()
+    for number, (line, wanted) in enumerate(zip(got, want), start=1):
+        assert line == wanted, f"line {number}: {line!r} != {wanted!r}"
+    assert len(got) == len(want), "one output stops where the other goes on"
+    same_bytes = out == expected
+    assert same_bytes, "the lines agree but the line endings differ"

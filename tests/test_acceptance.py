@@ -22,18 +22,16 @@ import pytest
 from essplit import (
     SplitQuery,
     closure_rule,
-    closure_rule_shapes,
-    closure_shapes,
     find_ox_subcircuit,
     predict_circuits,
     predict_closure,
     predict_is_flat,
     predict_rank,
-    set_T,
     split_matroid,
     verify_equivalence,
 )
 from essplit.errors import FormulaDisagreement
+from essplit.splitting import _BaseFacts
 from essplit.matroid import OX, classify_circuit
 from essplit.showcase import (
     BASE_FLATS_LISTED,
@@ -183,14 +181,17 @@ def _dispatcher_sweep(sweeps):
                     f"rule {sorted(rule.formula_result or ())} vs oracle "
                     f"{sorted(oracle_closure)}"
                 )
-            if oracle_closure not in closure_rule_shapes(ctx, q.a):
+            # The closure shapes of both predictors at A, as masks.
+            facts = _BaseFacts.of(ctx, q.a)
+            oracle_mask = ctx.mask_of(oracle_closure)
+            if oracle_mask not in facts.rule_shapes:
                 rule_miss.append(f"A'={sorted(a_prime)}")
             table = predict_closure(ctx, q)
-            if table.no_case_applies:
+            if not table.matched_cases:
                 no_case += 1
             elif table.formula_result != oracle_closure:
                 table_bad["+".join(table.matched_cases)] += 1
-            if oracle_closure not in closure_shapes(ctx, q.a):
+            if oracle_mask not in facts.table_shapes:
                 table_miss += 1
     return rule_bad, rule_miss, table_bad, table_miss, no_case
 
@@ -366,7 +367,9 @@ def test_criterion_9_property_suites(wheel_ctx):
         base = ctx.base
         for subset in base.all_subsets():
             closed = base.closure_of(subset)
-            if ctx.e in closed and not set_T(ctx, subset) <= closed:
+            if ctx.e not in closed:
+                continue
+            if not ctx.labels_of(_BaseFacts.of(ctx, subset).t) <= closed:
                 failures.append(f"T escapes closure at {sorted(subset)}")
 
     report(9, "property suites", failures)

@@ -15,6 +15,7 @@ from essplit.graphs import format_graph
 from essplit.showcase import showcase_graph, showcase_matroid
 
 from cli_golden import render
+from reference import assert_same_output
 
 GOLDEN = Path(__file__).parent / "golden" / "cli-wheel.txt"
 
@@ -50,7 +51,7 @@ def run(capsys, *argv):
 
 
 def test_every_command_matches_the_wheel_golden():
-    assert render() == GOLDEN.read_text()
+    assert_same_output(render(), GOLDEN.read_text())
 
 
 class TestSplit:
@@ -133,6 +134,21 @@ class TestSplit:
         assert code == 1
         assert err.startswith("error: ") and "UTF-8" in err
         assert len(err.splitlines()) == 1
+
+    def test_byte_order_mark_in_matrix_file(self, capsys, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_text("\ufeffp q\n1 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "split", "--input", str(path), "--X", "p", "--e", "p")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0].split() == ["p", "q", "a", "gamma"]
+
+    def test_byte_order_mark_in_graph_file(self, capsys, wheel_graph_file, tmp_path):
+        path = tmp_path / "bom.graph"
+        path.write_text("\ufeff" + Path(wheel_graph_file).read_text(), encoding="utf-8")
+        argv = ["split", "--kind", "graph", "--X", "x,y", "--e", "y"]
+        with_bom = run(capsys, *argv, "--input", str(path))
+        assert with_bom == run(capsys, *argv, "--input", wheel_graph_file)
+        assert with_bom[0] == 0
 
     @pytest.mark.parametrize("n", [63, 64, 70])
     def test_split_wider_than_64_columns(self, capsys, tmp_path, n):

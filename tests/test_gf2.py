@@ -3,10 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from essplit import (
+    BinaryMatroid,
     GF2Matrix,
-    build_split_matrix,
-    column_sum,
-    columns_dependent,
     format_matrix,
     parse_matrix,
     rank,
@@ -21,6 +19,15 @@ def identity(n):
         [[1 if i == j else 0 for j in range(n)] for i in range(n)],
         [str(j) for j in range(n)],
     )
+
+
+def column_rank(m):
+    return BinaryMatroid(m).rank_of(m.col_labels)
+
+
+def columns_dependent(m, cols):
+    """True iff the columns ``cols`` of ``m`` are linearly dependent."""
+    return BinaryMatroid(m).rank_of(cols) < len(set(cols))
 
 
 def span_size(rows):
@@ -91,7 +98,7 @@ class TestRank:
     )
     def test_rank_equals_transpose_rank(self, rows):
         m = GF2Matrix.from_rows(rows, [str(i) for i in range(6)])
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == column_rank(m)
 
     @settings(max_examples=60)
     @given(
@@ -119,7 +126,7 @@ class TestRank:
             )
         )
         m = GF2Matrix.from_rows(rows, labels)
-        assert rank(m) == brute_rank(list(m.rows)) == rank(m.transpose())
+        assert rank(m) == brute_rank(list(m.rows)) == column_rank(m)
         cols = data.draw(st.sets(st.sampled_from(labels[60:]), max_size=6))
         words = [m.column(lab) for lab in cols]
         assert columns_dependent(m, cols) == (span_size(words) < 2 ** len(words))
@@ -157,24 +164,6 @@ class TestColumnsDependent:
         extra = data.draw(st.sets(st.sampled_from(m.col_labels)))
         if columns_dependent(m, small):
             assert columns_dependent(m, small | extra)
-
-
-class TestColumnSum:
-    def test_singleton(self):
-        m = GF2Matrix.from_rows([[1, 0], [1, 1]], ["c", "d"])
-        assert column_sum(m, {"c"}) == m.column("c")
-
-    def test_equal_columns_cancel(self):
-        m = GF2Matrix.from_rows([[1, 1], [0, 0]], ["c", "d"])
-        assert column_sum(m, {"c", "d"}) == 0
-
-    def test_split_matrix_gamma_is_e_plus_a(self, wheel_ctx):
-        m = build_split_matrix(wheel_ctx)
-        assert column_sum(m, {"y", "a"}) == m.column("gamma")
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            column_sum(identity(2), frozenset())
 
 
 class TestTextFormat:

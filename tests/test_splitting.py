@@ -10,17 +10,11 @@ from essplit import (
     SplitQuery,
     build_split_matrix,
     closure_rule,
-    closure_rule_shapes,
-    closure_shapes,
-    contains_ox_circuit,
     find_ox_subcircuit,
     predict_circuits,
     predict_closure,
     predict_is_flat,
     predict_rank,
-    set_F,
-    set_F_star,
-    set_T,
     split_matroid,
 )
 from essplit import splitting
@@ -43,6 +37,21 @@ from instances import (
 
 def q_of(ctx, labels):
     return SplitQuery.of(ctx, labels)
+
+
+def base_facts(ctx, labels):
+    """The ``_BaseFacts`` record of the base part with these labels."""
+    return splitting._BaseFacts.of(ctx, labels)
+
+
+def base_set(ctx, labels, field):
+    """The set ``field`` (f, f_star or t) of the record of A, in labels."""
+    return ctx.labels_of(getattr(base_facts(ctx, labels), field))
+
+
+def shapes(ctx, masks):
+    """Closure shapes of a record, as label sets."""
+    return tuple(map(ctx.labels_of, masks))
 
 
 class TestSplitContext:
@@ -229,20 +238,23 @@ class TestBaseFacts:
 
 
 class TestOxHelpers:
+    """The odd-overlap facts of ``_BaseFacts``: whether A holds an OX
+    circuit, T and F, on wheel examples."""
+
     def test_contains_ox_circuit(self, wheel_ctx):
-        assert not contains_ox_circuit(wheel_ctx, frozenset())
-        assert contains_ox_circuit(wheel_ctx, {"2", "6", "y"})
-        assert not contains_ox_circuit(wheel_ctx, {"1", "5", "6"})
+        assert not base_facts(wheel_ctx, frozenset()).ox_a
+        assert base_facts(wheel_ctx, {"2", "6", "y"}).ox_a
+        assert not base_facts(wheel_ctx, {"1", "5", "6"}).ox_a
 
     def test_set_T_examples(self, wheel_ctx):
-        assert set_T(wheel_ctx, {"4", "5"}) == {"3"}
-        assert set_T(wheel_ctx, {"1", "6"}) == {"2"}
-        assert set_T(wheel_ctx, frozenset(wheel_ctx.base.ground)) == frozenset()
+        assert base_set(wheel_ctx, {"4", "5"}, "t") == {"3"}
+        assert base_set(wheel_ctx, {"1", "6"}, "t") == {"2"}
+        assert base_set(wheel_ctx, wheel_ctx.base.ground, "t") == frozenset()
 
     def test_set_F_examples(self, wheel_ctx):
-        assert set_F(wheel_ctx, {"4", "5"}) == {"x"}
-        assert set_F(wheel_ctx, {"2", "6"}) == {"y"}
-        assert set_F(wheel_ctx, {"1", "5"}) == frozenset()
+        assert base_set(wheel_ctx, {"4", "5"}, "f") == {"x"}
+        assert base_set(wheel_ctx, {"2", "6"}, "f") == {"y"}
+        assert base_set(wheel_ctx, {"1", "5"}, "f") == frozenset()
 
     def test_strict_containment_reading_is_untenable(self, wheel_ctx):
         # Reading the containment strictly (circuit a proper subset of
@@ -258,7 +270,7 @@ class TestOxHelpers:
             for z in c & (closure - a)
         )
         assert strict == frozenset()
-        assert set_F(wheel_ctx, a) == {"x"}
+        assert base_set(wheel_ctx, a, "f") == {"x"}
 
 
 class TestFindOxSubcircuit:
@@ -363,7 +375,7 @@ class TestPredictClosure:
     def test_every_wheel_query_hits_some_case(self, wheel_ctx, wheel_split):
         for a_prime in wheel_split.all_subsets():
             report = predict_closure(wheel_ctx, q_of(wheel_ctx, a_prime))
-            assert not report.no_case_applies
+            assert report.matched_cases
 
     def test_report_dict_schema(self, wheel_ctx):
         report = predict_closure(
@@ -418,11 +430,11 @@ class TestClosureViaPredictedFamily:
 
 class TestClosureShapes:
     def test_shapes_at_spoke_pair(self, wheel_ctx):
-        shapes = closure_shapes(wheel_ctx, {"4", "5"})
-        assert frozenset({"4", "5"}) in shapes  # closure minus F
-        assert frozenset({"3", "4", "5", "gamma"}) in shapes
-        assert frozenset({"4", "5", "x", "y", "a", "gamma"}) in shapes
-        assert len(shapes) == 7
+        found = shapes(wheel_ctx, base_facts(wheel_ctx, {"4", "5"}).table_shapes)
+        assert frozenset({"4", "5"}) in found  # closure minus F
+        assert frozenset({"3", "4", "5", "gamma"}) in found
+        assert frozenset({"4", "5", "x", "y", "a", "gamma"}) in found
+        assert len(found) == 7
 
 
 class TestClosureRule:
@@ -454,7 +466,8 @@ class TestClosureRule:
             report = closure_rule(wheel_ctx, q)
             assert len(report.matched_cases) == 1
             assert report.formula_result == wheel_split.closure_of(a_prime)
-            assert report.formula_result in closure_rule_shapes(wheel_ctx, q.a)
+            rule_shapes = base_facts(wheel_ctx, q.a).rule_shapes
+            assert report.formula_result in shapes(wheel_ctx, rule_shapes)
             hits.update(report.matched_cases)
         assert hits == set(CLOSURE_RULE_CASE_IDS)
 
@@ -484,10 +497,11 @@ class TestClosureRule:
         for a_prime in wheel_split.all_subsets():
             q = q_of(wheel_ctx, a_prime)
             assert closure_rule(wheel_ctx, q).oracle_result is None
-            closure_rule_shapes(wheel_ctx, q.a)
+            base_facts(wheel_ctx, q.a)
 
     def test_shapes_at_spoke_pair(self, wheel_ctx):
-        assert closure_rule_shapes(wheel_ctx, {"4", "5"}) == (
+        rule_shapes = base_facts(wheel_ctx, {"4", "5"}).rule_shapes
+        assert shapes(wheel_ctx, rule_shapes) == (
             frozenset({"4", "5"}),
             frozenset({"4", "5", "gamma"}),
             frozenset({"3", "4", "5", "gamma"}),
@@ -496,13 +510,13 @@ class TestClosureRule:
         )
 
     def test_set_F_star_keeps_even_reachable_elements(self, wheel_ctx):
-        # 6 lies on an odd-overlap circuit inside cl({1,4,5}), so set_F
-        # drops it, but no odd-overlap circuit through 6 lies inside
-        # {1,4,5,6}: the even circuit {1,5,6} keeps it.
-        assert set_F(wheel_ctx, {"1", "4", "5"}) == {"6", "x"}
-        assert set_F_star(wheel_ctx, {"1", "4", "5"}) == {"x"}
-        assert set_F_star(wheel_ctx, {"2", "6"}) == {"y"}
-        assert set_F_star(wheel_ctx, {"1", "5"}) == frozenset()
+        # 6 lies on an odd-overlap circuit inside cl({1,4,5}), so F drops
+        # it, but no odd-overlap circuit through 6 lies inside {1,4,5,6}:
+        # the even circuit {1,5,6} keeps it out of F*.
+        assert base_set(wheel_ctx, {"1", "4", "5"}, "f") == {"6", "x"}
+        assert base_set(wheel_ctx, {"1", "4", "5"}, "f_star") == {"x"}
+        assert base_set(wheel_ctx, {"2", "6"}, "f_star") == {"y"}
+        assert base_set(wheel_ctx, {"1", "5"}, "f_star") == frozenset()
 
 
 class TestPredictIsFlat:
