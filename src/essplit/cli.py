@@ -7,9 +7,11 @@ overridden with --label-a / --label-gamma.  Input files are UTF-8, with
 or without a byte-order mark.
 
 Output has one path.  Each ``cmd_*`` returns its exit code, its JSON
-payload and a lazy iterator over its text lines, and prints nothing;
-``main`` alone reads --format and writes the one form asked for.  Text
-lines show the payload's label lists, which are in split-ground order.
+payload and its text lines, and prints nothing; ``main`` alone reads
+--format and writes the one form asked for.  Text lines show the
+payload's label lists, which are in split-ground order, and are
+generated lazily wherever there can be many, so a JSON run does not
+build them.
 
 ``check`` compares the closure and rank predictions with the oracle on
 every subset A' of the split ground, or on --sample N distinct ones.  It
@@ -34,7 +36,6 @@ import json
 import os
 import random
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -99,8 +100,13 @@ def _braces(labels: Iterable[str]) -> str:
     return "{" + ",".join(labels) + "}"
 
 
-def _aligned(payload: dict) -> Iterator[str]:
-    """The formula, oracle and agree lines of ``closure`` and ``rank``."""
+def _query_lines(ctx: SplitContext, q: SplitQuery, payload: dict) -> Iterator[str]:
+    """Text of ``closure`` and ``rank``: A', the matched cases if the
+    payload has them, then the formula, oracle and agree values that
+    were computed, aligned."""
+    yield f"A' = {_braces(ctx.sort_set(q.a_prime))}"
+    if "matched" in payload:
+        yield f"matched: {', '.join(payload['matched']) or '(none)'}"
     for key in ("formula", "oracle", "agree"):
         value = payload[key]
         if value is not None:
@@ -195,12 +201,8 @@ def cmd_closure(args: argparse.Namespace) -> Result:
     else:
         report = predict_closure(ctx, q, with_oracle=args.mode == "both")
         payload = report.as_dict(ctx)
-    head = (
-        f"A' = {_braces(ctx.sort_set(q.a_prime))}",
-        f"matched: {', '.join(payload['matched']) or '(none)'}",
-    )
     code = DISAGREEMENT if payload["agree"] is False else OK
-    return code, payload, chain(head, _aligned(payload))
+    return code, payload, _query_lines(ctx, q, payload)
 
 
 def cmd_rank(args: argparse.Namespace) -> Result:
@@ -214,9 +216,8 @@ def cmd_rank(args: argparse.Namespace) -> Result:
     )
     agree = None if formula is None or oracle is None else formula == oracle
     payload = {"formula": formula, "oracle": oracle, "agree": agree}
-    head = (f"A' = {_braces(ctx.sort_set(q.a_prime))}",)
     code = DISAGREEMENT if agree is False else OK
-    return code, payload, chain(head, _aligned(payload))
+    return code, payload, _query_lines(ctx, q, payload)
 
 
 _FAMILY_CLASSES = ("c0", "c1", "c2", "c3")
