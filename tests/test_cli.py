@@ -54,6 +54,25 @@ def test_every_command_matches_the_wheel_golden():
     assert_same_output(render(), GOLDEN.read_text())
 
 
+# A 12-element base of rank 5 with a loop (p11, in X) and a parallel pair
+# (p9, p12, one of them in X), drawn once from a seeded generator.  Its
+# split has 89 circuits and 434 flats, enough for an ordering slip in the
+# circuit trims or the flat listing to show.
+MID_INSTANCE = ["--X", "p1,p2,p4,p8,p11,p12", "--e", "p2", "--mode", "both"]
+
+
+@pytest.mark.parametrize("command", ["circuits", "flats"])
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_mid_instance_matches_its_golden(capsys, command, fmt, suffix):
+    golden = GOLDEN.parent
+    code, out, err = run(
+        capsys, command, "--input", str(golden / "mid12.txt"),
+        *MID_INSTANCE, "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    assert_same_output(out, (golden / f"mid12-{command}.{suffix}").read_text())
+
+
 class TestSplit:
     def test_text_output(self, capsys, wheel_matrix_file):
         code, out, _ = run(
