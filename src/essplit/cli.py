@@ -49,7 +49,7 @@ from .errors import (
 )
 from .gf2 import format_matrix, parse_matrix
 from .graphs import incidence_matrix, parse_graph
-from .matroid import BinaryMatroid
+from .matroid import BinaryMatroid, _mask_key
 from .splitting import (
     SplitContext,
     SplitQuery,
@@ -93,6 +93,18 @@ def _int_at_least(minimum: int):
         return value
 
     return parse
+
+
+def _new_label(text: str) -> str:
+    """argparse type for the label of a new element: the matrix header
+    separates labels by whitespace and set flags by commas, so a label
+    holding either, or an empty one, could not be read back."""
+    if not text or "," in text or any(ch.isspace() for ch in text):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a label: it must be non-empty, with no "
+            "whitespace or comma"
+        )
+    return text
 
 
 def _braces(labels: Iterable[str]) -> str:
@@ -224,21 +236,23 @@ _FAMILY_CLASSES = ("c0", "c1", "c2", "c3")
 
 
 def cmd_circuits(args: argparse.Namespace) -> Result:
+    # The family and the oracle's circuits stay position masks over the
+    # split ground, the split matrix's column order, until rendered.
     ctx = _load_context(args)
+    labels = ctx.sorted_labels
     payload: dict = {}
     if args.mode in ("formula", "both"):
         family = predict_circuits(ctx)
         payload["family"] = {
-            name: [list(ctx.sort_set(c)) for c in getattr(family, name)]
-            for name in _FAMILY_CLASSES
+            name: [labels(c) for c in masks]
+            for name, masks in zip(_FAMILY_CLASSES, family.classes)
         }
-        payload["family"]["delta"] = list(ctx.sort_set(family.delta))
-        predicted = set(family.all_circuits())
+        payload["family"]["delta"] = labels(family.delta_mask)
     if args.mode in ("oracle", "both"):
-        oracle = split_matroid(ctx).circuits()
-        payload["oracle"] = [list(ctx.sort_set(c)) for c in oracle]
+        oracle = split_matroid(ctx).circuits(masks=True)
+        payload["oracle"] = [labels(c) for c in oracle]
     payload["equal"] = (
-        predicted == set(oracle) if args.mode == "both" else None
+        set(family.minimal) == set(oracle) if args.mode == "both" else None
     )
     code = DISAGREEMENT if payload["equal"] is False else OK
     return code, payload, _circuit_lines(payload)
@@ -314,7 +328,7 @@ def _check_plan(
             f"{BinaryMatroid.SUBSET_CAP}; rerun with --sample N"
         )
     if sample is None or sample >= total:
-        return None, oracle._mask_key if sample is None else int
+        return None, _mask_key if sample is None else int
     rng = random.Random(seed)
     drawn: dict[int, int] = {}
     while len(drawn) < sample:
@@ -330,8 +344,6 @@ def cmd_check(args: argparse.Namespace) -> Result:
     oracle = split_matroid(ctx)
     n = len(ctx.base.ground)
     new = (ctx.label_a, ctx.label_gamma)
-    # Indexed by the two top bits of a mask: nothing, a, gamma, both.
-    added = (frozenset(), frozenset(new[:1]), frozenset(new[1:]), frozenset(new))
 
     case_hits: dict[str, int] = {}
     no_case = 0
@@ -364,21 +376,22 @@ def cmd_check(args: argparse.Namespace) -> Result:
             if formula_rank != oracle_rank:
                 rank_found.append((base | top << n, formula_rank, oracle_rank))
 
-    family_equal = set(predict_circuits(ctx).all_circuits()) == set(oracle.circuits())
+    family_equal = set(predict_circuits(ctx).minimal) == set(oracle.circuits(masks=True))
     corollary_ok = oracle.rank_of(oracle.ground) == ctx.base.rank_of(ctx.base.ground) + 1
 
-    flat_violations: list[dict] = []
-    for flat in ctx.base.flats():
-        for extra in added:
-            a_prime = flat | extra
-            q = SplitQuery.of(ctx, a_prime)
-            condition = predict_is_flat(ctx, q)
-            if condition is not None and not oracle.is_flat(a_prime):
-                flat_violations.append(
-                    {"subset": list(ctx.sort_set(a_prime)), "condition": condition}
-                )
-
+    # One facts record and one set of oracle spans per base flat F answer
+    # the four subsets F, F+a, F+gamma and F+a+gamma.
     labels = ctx.sorted_labels
+    flat_violations: list[dict] = []
+    for flat in ctx.base.flats(masks=True):
+        facts = _BaseFacts.at(ctx, flat)
+        spans = oracle._closures_at(flat, (n, n + 1))
+        for top in range(4):
+            condition = facts.flat_condition(top & 1, top & 2)
+            a_prime = flat | top << n
+            if condition is not None and spans[top][1] != a_prime:
+                flat_violations.append({"subset": labels(a_prime), "condition": condition})
+
     closure_witnesses = [
         {
             "subset": labels(mask),
@@ -523,8 +536,10 @@ def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kind", choices=("matrix", "graph"), default="matrix")
     sub.add_argument("--X", required=True, help="comma-separated labels of X")
     sub.add_argument("--e", required=True, help="marked element of X")
-    sub.add_argument("--label-a", default="a", dest="label_a")
-    sub.add_argument("--label-gamma", default="gamma", dest="label_gamma")
+    sub.add_argument("--label-a", type=_new_label, default="a", dest="label_a")
+    sub.add_argument(
+        "--label-gamma", type=_new_label, default="gamma", dest="label_gamma"
+    )
     sub.add_argument("--cap", type=_int_at_least(0), default=BinaryMatroid.DEFAULT_CAP)
     sub.add_argument("--format", choices=("text", "json"), default="text")
 

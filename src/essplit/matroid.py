@@ -23,11 +23,14 @@ every subset:
 Their docstrings say why the outputs match the definitions; the tests
 keep the all-subset definitions as references and compare.
 
-Subsets of the ground set travel as plain ``frozenset`` objects of
-labels; emitted lists are sorted by the ground-set order fixed at
-construction (first by size, then lexicographically by position).
-Inside this module, and out of ``walk_closures``, a subset may also be
-a bitmask over positions.
+Inside the module a subset is a position mask: bit i stands for the
+i-th ground element.  Both circuit strategies find masks, and the one
+circuit cache holds masks in canonical order (first by size, then
+lexicographically by position, ``_mask_key``).  Labels appear only at
+the boundary: the public methods take label sets, and ``circuits()``
+and ``flats()`` return ``frozenset`` objects of labels in that order,
+or with ``masks=True`` the position masks themselves, for callers that
+stay on masks.  ``walk_closures`` yields masks too.
 """
 
 from __future__ import annotations
@@ -47,6 +50,12 @@ def classify_circuit(circuit: Iterable[str], x_set: Iterable[str]) -> str:
     """``OX`` if the overlap with ``x_set`` has odd size, else ``EX``."""
     overlap = frozenset(circuit) & frozenset(x_set)
     return OX if len(overlap) % 2 else EX
+
+
+def _mask_key(mask: int) -> tuple:
+    """Canonical sort key of the subset with this position mask: its size,
+    then its positions."""
+    return (mask.bit_count(), tuple(_bits(mask)))
 
 
 def _cycle_walk_is_cheaper(n: int, rank: int) -> bool:
@@ -92,9 +101,10 @@ class BinaryMatroid:
     """Binary matroid given by a labeled GF(2) matrix.
 
     The ground set is the tuple of column labels, in matrix order.  The
-    circuit list is computed on first request and cached; the cache
-    write is a single attribute assignment, so concurrent callers may
-    duplicate work but always observe the same tuple.
+    circuit masks are computed on first request and cached, and so is
+    their label view; each cache write is a single attribute assignment,
+    so concurrent callers may duplicate work but always observe equal
+    tuples.
     """
 
     DEFAULT_CAP = 24
@@ -106,7 +116,8 @@ class BinaryMatroid:
         self.enumeration_cap = enumeration_cap
         self._index = matrix._col_index
         self._cols = tuple(matrix.column(lab) for lab in self.ground)
-        self._circuits: tuple[frozenset[str], ...] | None = None
+        self._circuits: tuple[int, ...] | None = None
+        self._circuit_sets: tuple[frozenset[str], ...] | None = None
 
     def __repr__(self) -> str:
         return f"BinaryMatroid(ground={list(self.ground)!r})"
@@ -130,17 +141,6 @@ class BinaryMatroid:
     def subset_key(self, labels: Iterable[str]) -> tuple:
         positions = self._positions(labels)
         return (len(positions), tuple(positions))
-
-    def _mask_key(self, mask: int) -> tuple:
-        """``subset_key`` of the subset with this position mask."""
-        return (mask.bit_count(), tuple(_bits(mask)))
-
-    def _sorted_sets(self, masks: Iterable[int]) -> tuple[frozenset[str], ...]:
-        """Label sets of ``masks``, in canonical order."""
-        return tuple(
-            frozenset(self.ground[pos] for pos in _bits(mask))
-            for mask in sorted(masks, key=self._mask_key)
-        )
 
     def _check_subset_cap(self) -> None:
         if len(self.ground) > self.SUBSET_CAP:
@@ -269,9 +269,10 @@ class BinaryMatroid:
         subset = frozenset(labels)
         return self.closure_of(subset) == subset
 
-    def flats(self) -> tuple[frozenset[str], ...]:
+    def flats(self, masks: bool = False) -> tuple:
         """Every closed subset, canonically ordered; includes the empty
-        flat whenever the matroid has no loops.
+        flat whenever the matroid has no loops.  Label sets, or position
+        masks with ``masks``.
 
         The flats are found by a walk up the lattice of flats.  It starts
         at cl(empty set), the loops.  The flats covering a flat F are the
@@ -300,7 +301,8 @@ class BinaryMatroid:
                 if cover not in seen:
                     seen.add(cover)
                     todo.append(cover)
-        return self._sorted_sets(seen)
+        ordered = sorted(seen, key=_mask_key)
+        return tuple(ordered) if masks else tuple(map(self._labels, ordered))
 
     # -- circuits ----------------------------------------------------------
 
@@ -311,7 +313,7 @@ class BinaryMatroid:
                 return True
         return False
 
-    def _circuits_by_sweep(self) -> tuple[frozenset[str], ...]:
+    def _circuits_by_sweep(self) -> tuple[int, ...]:
         """Size-ordered subset sweep; tests at most the subsets of size
         up to rank(E) + 1, since a circuit has rank one below its size.
 
@@ -322,18 +324,16 @@ class BinaryMatroid:
         """
         n = len(self.ground)
         max_size = self.rank_of(self.ground) + 1
-        found_masks: list[int] = []
-        found: list[frozenset[str]] = []
+        found: list[int] = []
         for size in range(1, max_size + 1):
             for combo in combinations(range(n), size):
                 mask = 0
                 for pos in combo:
                     mask |= 1 << pos
-                if any(cm & mask == cm for cm in found_masks):
+                if any(cm & mask == cm for cm in found):
                     continue  # contains a smaller circuit
                 if self._dependent(combo):
-                    found_masks.append(mask)
-                    found.append(frozenset(self.ground[pos] for pos in combo))
+                    found.append(mask)
         return tuple(found)
 
     def _cycle_basis(self) -> list[int]:
@@ -371,7 +371,7 @@ class BinaryMatroid:
                 dependent = True
         return True
 
-    def _circuits_by_cycle_space(self) -> tuple[frozenset[str], ...]:
+    def _circuits_by_cycle_space(self) -> tuple[int, ...]:
         """Walk all 2^(n - rank) vectors of the cycle space and keep the
         supports that are circuits.
 
@@ -387,16 +387,18 @@ class BinaryMatroid:
             support ^= cycles[(i & -i).bit_length() - 1]
             if self._is_circuit_support(support):
                 found.append(support)
-        return self._sorted_sets(found)
+        return tuple(sorted(found, key=_mask_key))
 
-    def circuits(self) -> tuple[frozenset[str], ...]:
+    def circuits(self, masks: bool = False) -> tuple:
         """All minimal dependent subsets, smallest first, then
-        lexicographic by position.
+        lexicographic by position: label sets, or position masks with
+        ``masks``.
 
-        Two strategies give the same tuple: the size-ordered subset sweep
+        Two strategies give the same masks: the size-ordered subset sweep
         and the cycle-space walk.  The one with fewer candidates runs,
         sum of C(n, k) for k <= rank + 1 against 2^(n - rank).  The
-        enumeration cap still applies, with the same error.
+        enumeration cap still applies, with the same error.  The label
+        view is built from the masks on its first request.
         """
         if self._circuits is None:
             if len(self.ground) > self.enumeration_cap:
@@ -408,4 +410,8 @@ class BinaryMatroid:
                 self._circuits = self._circuits_by_cycle_space()
             else:
                 self._circuits = self._circuits_by_sweep()
-        return self._circuits
+        if masks:
+            return self._circuits
+        if self._circuit_sets is None:
+            self._circuit_sets = tuple(map(self._labels, self._circuits))
+        return self._circuit_sets

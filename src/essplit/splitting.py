@@ -34,13 +34,24 @@ them all.  ``essplit check`` gets the records of all base parts
 from ``_BaseFacts.walk``, which follows ``BinaryMatroid.walk_closures``
 on the base with extra (e,).  Emitted sets follow the split-ground
 order, held by ``SplitContext``.
+
+Circuits travel as position masks too.  ``SplitContext`` splits the
+base's cached circuit masks by the parity of their overlap with X into
+``ox_masks`` and ``ex_masks``; ``predict_circuits`` builds the four
+classes and trims them to minimal members on masks, and each trim
+compares a candidate only with the smaller members of its family.  The
+split matrix's columns are the split-ground positions, so the family
+compares with the oracle's circuit masks as they are.  Labels appear
+only at the boundary: the label sets of ``CircuitFamily`` and of
+``BinaryMatroid.circuits()``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BaseNotFlat,
@@ -51,7 +62,7 @@ from .errors import (
     UnknownLabel,
 )
 from .gf2 import GF2Matrix, _bits
-from .matroid import EX, OX, BinaryMatroid, classify_circuit
+from .matroid import EX, OX, BinaryMatroid, _mask_key, classify_circuit
 
 #: Identifiers of the closure case table, in evaluation order.  The ids
 #: are opaque strings fixed by the JSON report schema.
@@ -99,7 +110,7 @@ class SplitContext:
         if self.label_a == self.label_gamma:
             raise LabelCollision("labels for the two new elements must differ")
 
-    @property
+    @cached_property
     def split_ground(self) -> tuple[str, ...]:
         return self.base.ground + (self.label_a, self.label_gamma)
 
@@ -113,11 +124,6 @@ class SplitContext:
             return tuple(sorted(set(labels), key=self._position.__getitem__))
         except KeyError as exc:
             raise UnknownLabel(f"{exc.args[0]!r} is not a split-ground element") from None
-
-    def subset_key(self, labels: Iterable[str]) -> tuple:
-        """Canonical sort key of a subset: its size, then its positions."""
-        positions = sorted(map(self._position.__getitem__, labels))
-        return (len(positions), tuple(positions))
 
     # A subset may also travel as a mask over split-ground positions.  A
     # base element keeps its base position, so a base mask is a split
@@ -152,21 +158,17 @@ class SplitContext:
         return 2 << len(self.base.ground)
 
     @cached_property
-    def ox_circuits(self) -> tuple[frozenset[str], ...]:
-        return tuple(
-            c for c in self.base.circuits() if classify_circuit(c, self.x_set) == OX
-        )
-
-    @cached_property
     def ox_masks(self) -> tuple[int, ...]:
-        """The odd-overlap circuits as position masks."""
-        return tuple(map(self.mask_of, self.ox_circuits))
+        """The base circuits of odd overlap with X, as position masks in
+        canonical order."""
+        x = self.mask_of(self.x_set)
+        return tuple(c for c in self.base.circuits(masks=True) if (c & x).bit_count() & 1)
 
     @cached_property
-    def ex_circuits(self) -> tuple[frozenset[str], ...]:
-        return tuple(
-            c for c in self.base.circuits() if classify_circuit(c, self.x_set) == EX
-        )
+    def ex_masks(self) -> tuple[int, ...]:
+        """The other base circuits, of even overlap with X, likewise."""
+        ox = set(self.ox_masks)
+        return tuple(c for c in self.base.circuits(masks=True) if c not in ox)
 
 
 def _base_subset(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
@@ -217,28 +219,51 @@ class CircuitFamily:
     minimal unions of two disjoint odd-overlap circuits, ``c2`` the
     odd-overlap circuits extended by ``a``, ``c3`` the gamma-carrying
     circuits, and ``delta`` is always {e, a, gamma}.
+
+    The family is held as position masks over the split ground (see
+    ``SplitContext.mask_of``): ``classes`` holds c0, c1, c2 and c3, each
+    in canonical order, ``delta_mask`` the triangle, and ``minimal`` the
+    tuple of ``all_circuits()``.  The label sets of the fields above are
+    built from the masks on each request.
     """
 
-    c0: tuple[frozenset[str], ...]
-    c1: tuple[frozenset[str], ...]
-    c2: tuple[frozenset[str], ...]
-    c3: tuple[frozenset[str], ...]
-    delta: frozenset[str]
+    ctx: SplitContext
+    classes: tuple[tuple[int, ...], ...]
+    delta_mask: int
+    minimal: tuple[int, ...]
+
+    def _sets(self, masks: tuple[int, ...]) -> tuple[frozenset[str], ...]:
+        return tuple(map(self.ctx.labels_of, masks))
+
+    @property
+    def c0(self) -> tuple[frozenset[str], ...]:
+        return self._sets(self.classes[0])
+
+    @property
+    def c1(self) -> tuple[frozenset[str], ...]:
+        return self._sets(self.classes[1])
+
+    @property
+    def c2(self) -> tuple[frozenset[str], ...]:
+        return self._sets(self.classes[2])
+
+    @property
+    def c3(self) -> tuple[frozenset[str], ...]:
+        return self._sets(self.classes[3])
+
+    @property
+    def delta(self) -> frozenset[str]:
+        return self.ctx.labels_of(self.delta_mask)
 
     def all_circuits(self) -> tuple[frozenset[str], ...]:
-        """Deduplicated flattened family, trimmed to minimal members.
+        """Deduplicated flattened family c0, c1, c2, c3, delta, in that
+        order, trimmed to minimal members.
 
         The trim only ever drops the triangle {e, a, gamma}, and only in
         the degenerate case where e is a loop of the base (gamma then
         duplicates a zero column and {gamma} is itself a circuit).
         """
-        seen: set[frozenset[str]] = set()
-        out: list[frozenset[str]] = []
-        for c in (*self.c0, *self.c1, *self.c2, *self.c3, self.delta):
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-        return tuple(c for c in out if not any(other < c for other in seen))
+        return self._sets(self.minimal)
 
 
 @dataclass(frozen=True)
@@ -387,7 +412,11 @@ class _BaseFacts:
     @classmethod
     def of(cls, ctx: SplitContext, labels: Iterable[str]) -> "_BaseFacts":
         """The record of the base part with these labels."""
-        a = _base_mask(ctx, labels)
+        return cls.at(ctx, _base_mask(ctx, labels))
+
+    @classmethod
+    def at(cls, ctx: SplitContext, a: int) -> "_BaseFacts":
+        """The record of the base part with the mask ``a``."""
         return cls(ctx, a, _base_spans(ctx, a))
 
     @classmethod
@@ -460,6 +489,29 @@ class _BaseFacts:
             ("R3.3", bound_g and not self.e_in_cl, kept_g_t),
         )
         return self._match(has_a, has_gamma, table)
+
+    def flat_condition(self, has_a: bool, has_gamma: bool) -> int | None:
+        """``predict_is_flat`` of A plus the new elements named: the first
+        of the six sufficient conditions that holds, or None.  A must be
+        a flat of the base."""
+        ox_a, ox_ae, ox_cl, e_in_cl = self.ox_a, self.ox_ae, self.ox_cl, self.e_in_cl
+        f, t = self.f, self.t
+        plain = not has_a and not has_gamma
+        with_a = has_a and not has_gamma
+        with_g = has_gamma and not has_a
+        with_ag = has_a and has_gamma
+        conditions = (
+            plain and not ox_ae and not f,
+            plain and not ox_cl,
+            with_a and not e_in_cl,
+            with_g and not e_in_cl and ox_cl and not ox_a and not f and not t,
+            with_g and not ox_cl and not e_in_cl and not t,
+            with_ag and self.a & self.ctx.e_bit,
+        )
+        for number, satisfied in enumerate(conditions, start=1):
+            if satisfied:
+                return number
+        return None
 
     def _match(
         self,
@@ -562,68 +614,99 @@ def predict_circuits(ctx: SplitContext) -> CircuitFamily:
     the appended row) and the candidate set covers every true circuit,
     so the minimal candidates are exactly the circuit set; the split
     matroid itself is never consulted.
-    """
-    key = ctx.subset_key
-    ox = ctx.ox_circuits
-    c0 = ctx.ex_circuits
 
-    unions: list[frozenset[str]] = []
-    seen_unions: set[frozenset[str]] = set()
-    for i, first in enumerate(ox):
-        for second in ox[i + 1 :]:
-            if first & second:
-                continue
-            union = first | second
-            if union in seen_unions:
-                continue
-            if any(ex <= union for ex in c0):
-                continue
-            seen_unions.add(union)
-            unions.append(union)
-    c1_class = tuple(
-        sorted((u for u in unions if not any(v < u for v in unions)), key=key)
+    Everything runs on position masks, from ``SplitContext.ox_masks``
+    and ``ex_masks``: p and q are disjoint when ``p & q`` is 0, and o
+    lies inside c when ``o & c == o``.  Labels are built only by the
+    label views of the family.
+    """
+    ox, c0 = ctx.ox_masks, ctx.ex_masks
+    e, a, gamma = ctx.e_bit, ctx.a_bit, ctx.gamma_bit
+
+    holds_ex = _inside(c0)
+    unions = {
+        first | second
+        for i, first in enumerate(ox)
+        for second in ox[i + 1 :]
+        if not first & second
+    }
+    c1 = tuple(
+        sorted(_minimal(u for u in unions if not holds_ex(u)), key=_mask_key)
     )
 
-    c2_class = tuple(c | {ctx.label_a} for c in ox)
+    # a is above every base position, so adding it keeps the order.
+    c2 = tuple(c | a for c in ox)
 
-    gamma = ctx.label_gamma
-    delta = frozenset({ctx.e, ctx.label_a, gamma})
-    c3_candidates: set[frozenset[str]] = set()
-    for c in ox:
-        if ctx.e not in c:
-            c3_candidates.add(c | {ctx.e, gamma})
-        else:
-            c3_candidates.add((c - {ctx.e}) | {gamma})
-    for c in ctx.base.circuits():
-        if ctx.e in c and len((c - {ctx.e}) & ctx.x_set) % 2 == 1:
-            c3_candidates.add((c - {ctx.e}) | {ctx.label_a, gamma})
+    delta = e | a | gamma
+    # C + {e, gamma} when e is not in C, C - e + gamma when it is.
+    c3_candidates = {(c ^ e) | gamma for c in ox}
+    # e is in X, so a circuit through e has odd overlap with X outside e
+    # exactly when it has even overlap with X.
+    ex_through_e = [c for c in c0 if c & e]
+    c3_candidates.update((c ^ e) | a | gamma for c in ex_through_e)
     # An even-overlap circuit through e plus a disjoint odd-overlap
     # circuit also yields a gamma circuit; single circuits miss these.
-    ex_through_e = [c for c in ctx.ex_circuits if ctx.e in c]
-    for c_even in ex_through_e:
-        for c_odd in ox:
-            if c_even & c_odd:
-                continue
-            c3_candidates.add((c_even - {ctx.e}) | c_odd | {gamma})
-
-    everything = (
-        set(c0) | set(c1_class) | set(c2_class) | c3_candidates | {delta}
+    c3_candidates.update(
+        (c_even ^ e) | c_odd | gamma
+        for c_even in ex_through_e
+        for c_odd in ox
+        if not c_even & c_odd
     )
 
-    def minimal_within(candidates: set[frozenset[str]]) -> list[frozenset[str]]:
-        return [
-            cand
-            for cand in candidates
-            if not any(other < cand for other in everything)
-        ]
-
+    minimal = _minimal({*c0, *c1, *c2, *c3_candidates, delta})
+    c3 = tuple(sorted(c3_candidates & minimal, key=_mask_key))
+    # A member of the family with a proper subset among all candidates
+    # has a minimal one among them too, and every minimal candidate is
+    # in the family; so trimming against the candidates is trimming
+    # within the family.
+    family = dict.fromkeys((*c0, *c1, *c2, *c3, delta))
     return CircuitFamily(
-        c0=tuple(sorted(c0, key=key)),
-        c1=c1_class,
-        c2=tuple(sorted(c2_class, key=key)),
-        c3=tuple(sorted(minimal_within(c3_candidates), key=key)),
-        delta=delta,
+        ctx=ctx,
+        classes=(c0, c1, c2, c3),
+        delta_mask=delta,
+        minimal=tuple(c for c in family if c in minimal),
     )
+
+
+def _inside(family: Sequence[int]) -> Callable[[int], int]:
+    """A function from a mask to the bitmap of the members of ``family``
+    inside it, bit i standing for ``family[i]``.
+
+    ``holders[p]`` marks the members that hold position p.  A member
+    lies inside a mask exactly when no position outside the mask holds
+    it, so one OR per position outside answers for all members at once.
+    """
+    holders = [0] * max(family, default=0).bit_length()
+    for i, member in enumerate(family):
+        for pos in _bits(member):
+            holders[pos] |= 1 << i
+    everyone = (1 << len(family)) - 1
+
+    def inside(mask: int) -> int:
+        outside = 0
+        for pos, held in enumerate(holders):
+            if not mask >> pos & 1:
+                outside |= held
+        return everyone & ~outside
+
+    return inside
+
+
+def _minimal(family: Iterable[int]) -> set[int]:
+    """The members of ``family`` with no proper subset in it.
+
+    A proper subset has fewer elements, so each member is compared only
+    with the members of strictly smaller size: sorted by size, those
+    come before the first member of its own size.
+    """
+    members = sorted(set(family), key=int.bit_count)
+    sizes = [member.bit_count() for member in members]
+    inside = _inside(members)
+    return {
+        member
+        for member in members
+        if not inside(member) & ((1 << bisect_left(sizes, member.bit_count())) - 1)
+    }
 
 
 def predict_rank(
@@ -751,23 +834,4 @@ def predict_is_flat(ctx: SplitContext, q: SplitQuery) -> int | None:
     spans = _base_spans(ctx, a)
     if spans[0][1] != a:
         raise BaseNotFlat(f"{sorted(q.a)} is not a flat of the base matroid")
-    facts = _BaseFacts(ctx, a, spans)
-    ox_a, ox_ae, ox_cl, e_in_cl = facts.ox_a, facts.ox_ae, facts.ox_cl, facts.e_in_cl
-    f, t = facts.f, facts.t
-    has_a, has_gamma = q.has_a, q.has_gamma
-    plain = not has_a and not has_gamma
-    with_a = has_a and not has_gamma
-    with_g = has_gamma and not has_a
-    with_ag = has_a and has_gamma
-    conditions = (
-        plain and not ox_ae and not f,
-        plain and not ox_cl,
-        with_a and not e_in_cl,
-        with_g and not e_in_cl and ox_cl and not ox_a and not f and not t,
-        with_g and not ox_cl and not e_in_cl and not t,
-        with_ag and ctx.e in q.a,
-    )
-    for number, satisfied in enumerate(conditions, start=1):
-        if satisfied:
-            return number
-    return None
+    return _BaseFacts(ctx, a, spans).flat_condition(q.has_a, q.has_gamma)

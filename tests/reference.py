@@ -4,7 +4,9 @@
 ``reference_flats`` and ``reference_circuits`` walk every subset of the
 ground set, so they are exponential in its size and only serve to check
 ``BinaryMatroid.circuits()`` and ``BinaryMatroid.flats()`` on small
-instances.  ``reference_base_facts`` computes the odd-overlap circuit
+instances.  ``reference_circuit_family`` is ``predict_circuits`` as it
+was on label sets, before the family moved to position masks.
+``reference_base_facts`` computes the odd-overlap circuit
 facts of one base part on label sets, the way ``splitting`` did before
 its record moved to position masks.  ``reference_check_report`` answers
 every subset of a ``check`` run on its own, with no work shared between
@@ -15,9 +17,11 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import dataclass
 
 from essplit import BinaryMatroid, SplitContext, SplitQuery, split_matroid
 from essplit.errors import GroundSetTooLarge
+from essplit.matroid import EX, OX, classify_circuit
 from essplit.splitting import (
     predict_circuits,
     predict_closure,
@@ -50,6 +54,108 @@ def reference_circuits(m: BinaryMatroid) -> tuple[frozenset[str], ...]:
     )
 
 
+def circuits_by_overlap(
+    ctx: SplitContext,
+) -> tuple[tuple[frozenset[str], ...], tuple[frozenset[str], ...]]:
+    """The base circuits of odd and of even overlap with X, as label
+    sets in canonical order, by ``classify_circuit``."""
+    circuits = ctx.base.circuits()
+    return (
+        tuple(c for c in circuits if classify_circuit(c, ctx.x_set) == OX),
+        tuple(c for c in circuits if classify_circuit(c, ctx.x_set) == EX),
+    )
+
+
+@dataclass(frozen=True)
+class ReferenceFamily:
+    """The circuit family of ``reference_circuit_family``, on label sets."""
+
+    c0: tuple[frozenset[str], ...]
+    c1: tuple[frozenset[str], ...]
+    c2: tuple[frozenset[str], ...]
+    c3: tuple[frozenset[str], ...]
+    delta: frozenset[str]
+
+    def all_circuits(self) -> tuple[frozenset[str], ...]:
+        """Deduplicated flattened family, trimmed to minimal members."""
+        seen: set[frozenset[str]] = set()
+        out: list[frozenset[str]] = []
+        for c in (*self.c0, *self.c1, *self.c2, *self.c3, self.delta):
+            if c not in seen:
+                seen.add(c)
+                out.append(c)
+        return tuple(c for c in out if not any(other < c for other in seen))
+
+
+def reference_circuit_family(ctx: SplitContext) -> ReferenceFamily:
+    """The predicted split circuits, computed on label sets with
+    quadratic subset tests: the classes c0-c3 and delta of
+    ``predict_circuits``, in the same order."""
+    position = {lab: i for i, lab in enumerate(ctx.split_ground)}
+
+    def key(labels) -> tuple:
+        positions = sorted(map(position.__getitem__, labels))
+        return (len(positions), tuple(positions))
+
+    ox, c0 = circuits_by_overlap(ctx)
+
+    unions: list[frozenset[str]] = []
+    seen_unions: set[frozenset[str]] = set()
+    for i, first in enumerate(ox):
+        for second in ox[i + 1 :]:
+            if first & second:
+                continue
+            union = first | second
+            if union in seen_unions:
+                continue
+            if any(ex <= union for ex in c0):
+                continue
+            seen_unions.add(union)
+            unions.append(union)
+    c1_class = tuple(
+        sorted((u for u in unions if not any(v < u for v in unions)), key=key)
+    )
+
+    c2_class = tuple(c | {ctx.label_a} for c in ox)
+
+    gamma = ctx.label_gamma
+    delta = frozenset({ctx.e, ctx.label_a, gamma})
+    c3_candidates: set[frozenset[str]] = set()
+    for c in ox:
+        if ctx.e not in c:
+            c3_candidates.add(c | {ctx.e, gamma})
+        else:
+            c3_candidates.add((c - {ctx.e}) | {gamma})
+    for c in ctx.base.circuits():
+        if ctx.e in c and len((c - {ctx.e}) & ctx.x_set) % 2 == 1:
+            c3_candidates.add((c - {ctx.e}) | {ctx.label_a, gamma})
+    ex_through_e = [c for c in c0 if ctx.e in c]
+    for c_even in ex_through_e:
+        for c_odd in ox:
+            if c_even & c_odd:
+                continue
+            c3_candidates.add((c_even - {ctx.e}) | c_odd | {gamma})
+
+    everything = (
+        set(c0) | set(c1_class) | set(c2_class) | c3_candidates | {delta}
+    )
+
+    def minimal_within(candidates: set[frozenset[str]]) -> list[frozenset[str]]:
+        return [
+            cand
+            for cand in candidates
+            if not any(other < cand for other in everything)
+        ]
+
+    return ReferenceFamily(
+        c0=tuple(sorted(c0, key=key)),
+        c1=c1_class,
+        c2=tuple(sorted(c2_class, key=key)),
+        c3=tuple(sorted(minimal_within(c3_candidates), key=key)),
+        delta=delta,
+    )
+
+
 def reference_base_facts(ctx: SplitContext, labels) -> dict:
     """The circuit facts of a base part A, from their definitions on
     label sets: whether A, A + e and cl(A) hold an odd-overlap circuit,
@@ -57,7 +163,7 @@ def reference_base_facts(ctx: SplitContext, labels) -> dict:
     a = frozenset(labels)
     e = ctx.e
     cl = ctx.base.closure_of(a)
-    ox = ctx.ox_circuits
+    ox, _ = circuits_by_overlap(ctx)
 
     def holds_ox_circuit(subset: frozenset[str]) -> bool:
         return any(c <= subset for c in ox)

@@ -47,6 +47,7 @@ from instances import (
     random_split_instance,
     random_split_spec,
 )
+from reference import circuits_by_overlap
 
 
 def report(number: int, name: str, failures: list, extra: str = "") -> None:
@@ -349,8 +350,9 @@ def test_criterion_9_property_suites(wheel_ctx):
 
     # Odd-overlap subcircuit extraction on every qualifying triple.
     for ctx in instances:
-        ox_e = [c for c in ctx.ox_circuits if ctx.e in c]
-        ex_e = [c for c in ctx.ex_circuits if ctx.e in c]
+        ox, ex = circuits_by_overlap(ctx)
+        ox_e = [c for c in ox if ctx.e in c]
+        ex_e = [c for c in ex if ctx.e in c]
         for c_ox in ox_e:
             for c_ex in ex_e:
                 a = (c_ox | c_ex) - {ctx.e}

@@ -199,6 +199,36 @@ class TestSplit:
         assert code == 1
         assert err == "usage error: argument --cap: must be at least 0, got -3\n"
 
+    @pytest.mark.parametrize("flag", ["--label-a", "--label-gamma"])
+    @pytest.mark.parametrize("label", ["x y", "", "g,h", "g\th", " a"])
+    def test_unreadable_new_label_rejected(self, capsys, wheel_matrix_file, flag, label):
+        # The header would carry one label too many, or a label --subset
+        # cannot name.
+        code, out, err = run(
+            capsys, "split", "--input", wheel_matrix_file, "--X", "x,y", "--e", "y",
+            flag, label,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"usage error: argument {flag}: {label!r} is not a label: it must be "
+            "non-empty, with no whitespace or comma\n"
+        )
+
+    def test_new_labels_read_back(self, capsys, wheel_matrix_file, tmp_path):
+        code, out, _ = run(
+            capsys, "split", "--input", wheel_matrix_file, "--X", "x,y", "--e", "y",
+            "--label-a", "α", "--label-gamma", "g-1",
+        )
+        assert code == 0
+        path = tmp_path / "split.txt"
+        path.write_text(out)
+        code, out, _ = run(
+            capsys, "rank", "--input", str(path), "--X", "x", "--e", "x",
+            "--subset", "α,g-1",
+        )
+        assert code == 0
+        assert "oracle:  2" in out
+
 
 class TestClosure:
     def test_json_payload(self, capsys, wheel_matrix_file):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from essplit import BinaryMatroid
+from essplit.gf2 import _bits
 from essplit.matroid import _cycle_walk_is_cheaper
 
 from instances import matroid_from_columns, random_columns
@@ -45,12 +46,18 @@ def test_instances_cover_both_strategies_and_corner_cases():
     assert sum(parallel) > 20  # parallel classes
 
 
+def labeled(m, masks):
+    """The label sets of position masks of ``m``, in the same order."""
+    return tuple(frozenset(m.ground[pos] for pos in _bits(mask)) for mask in masks)
+
+
 def test_circuit_strategies_equal_reference():
     for m in INSTANCES:
         expected = reference_circuits(m)
-        assert m._circuits_by_sweep() == expected, m
-        assert m._circuits_by_cycle_space() == expected, m
+        assert labeled(m, m._circuits_by_sweep()) == expected, m
+        assert labeled(m, m._circuits_by_cycle_space()) == expected, m
         assert m.circuits() == expected, m
+        assert labeled(m, m.circuits(masks=True)) == expected, m
 
 
 def test_flats_equal_reference():
@@ -61,10 +68,11 @@ def test_flats_equal_reference():
 def test_wheel_and_its_split(wheel_ctx, wheel_split):
     for m in (wheel_ctx.base, wheel_split):
         expected = reference_circuits(m)
-        assert m._circuits_by_sweep() == expected
-        assert m._circuits_by_cycle_space() == expected
+        assert labeled(m, m._circuits_by_sweep()) == expected
+        assert labeled(m, m._circuits_by_cycle_space()) == expected
         assert m.circuits() == expected
         assert m.flats() == reference_flats(m)
+        assert labeled(m, m.flats(masks=True)) == reference_flats(m)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,9 @@
 ``predict_rank``, ``closure_rule`` and ``predict_circuits`` read base
 data only; ``split_matroid`` is the brute-force GF(2) oracle.  The
 drawn bases have loops, parallel classes and zero rows, e is often a
-loop, and X is often {e} or the whole ground set.
+loop, and X is often {e} or the whole ground set.  Over the same space,
+``predict_circuits`` must also give the very tuples of
+``reference_circuit_family``, its earlier form on label sets.
 """
 
 from hypothesis import given, settings
@@ -20,12 +22,13 @@ from essplit import (
 from essplit.splitting import _BaseFacts
 
 from instances import matroid_from_columns
+from reference import reference_circuit_family
 
 
 @st.composite
-def split_contexts(draw):
-    n_rows = draw(st.integers(0, 3))
-    n = draw(st.integers(1, 6))
+def split_contexts(draw, max_rows: int = 3, max_n: int = 6):
+    n_rows = draw(st.integers(0, max_rows))
+    n = draw(st.integers(1, max_n))
     columns: list[int] = []
     for _ in range(n):
         kind = draw(st.sampled_from(["loop", "parallel", "random"]))
@@ -66,3 +69,14 @@ def test_rank_and_closure_rule_match_the_oracle(ctx):
 def test_predicted_circuits_match_the_oracle(ctx):
     family = predict_circuits(ctx)
     assert set(family.all_circuits()) == set(split_matroid(ctx).circuits())
+
+
+# The space of ``test_circuit_family.py``: up to 10 elements and 5 rows.
+@settings(max_examples=150, deadline=None)
+@given(split_contexts(max_rows=5, max_n=10))
+def test_predicted_circuits_match_the_label_set_reference(ctx):
+    family = predict_circuits(ctx)
+    expected = reference_circuit_family(ctx)
+    for name in ("c0", "c1", "c2", "c3", "delta"):
+        assert getattr(family, name) == getattr(expected, name), name
+    assert family.all_circuits() == expected.all_circuits()

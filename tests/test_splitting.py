@@ -33,6 +33,7 @@ from instances import (
     random_matroid,
     random_split_instance,
 )
+from reference import circuits_by_overlap
 
 
 def q_of(ctx, labels):
@@ -265,7 +266,7 @@ class TestOxHelpers:
         closure = wheel_ctx.base.closure_of(a)
         strict = frozenset(
             z
-            for c in wheel_ctx.ox_circuits
+            for c in circuits_by_overlap(wheel_ctx)[0]
             if c < closure
             for z in c & (closure - a)
         )
@@ -300,8 +301,9 @@ class TestFindOxSubcircuit:
         found = 0
         while found < 25:
             ctx = random_split_instance(rng, rng.randint(4, 7))
-            ox_e = [c for c in ctx.ox_circuits if ctx.e in c]
-            ex_e = [c for c in ctx.ex_circuits if ctx.e in c]
+            ox, ex = circuits_by_overlap(ctx)
+            ox_e = [c for c in ox if ctx.e in c]
+            ex_e = [c for c in ex if ctx.e in c]
             for c_ox in ox_e[:3]:
                 for c_ex in ex_e[:3]:
                     a = (c_ox | c_ex) - {ctx.e}
@@ -538,6 +540,16 @@ class TestPredictIsFlat:
     def test_base_must_be_flat(self, wheel_ctx):
         with pytest.raises(BaseNotFlat):
             predict_is_flat(wheel_ctx, q_of(wheel_ctx, ("4", "5")))
+
+    def test_flatness_is_checked_before_the_circuits(self, wheel_ctx):
+        # A base part that is not a flat is refused without enumerating
+        # the base circuits, so a base above the enumeration cap still
+        # gives BaseNotFlat.
+        base = BinaryMatroid(wheel_ctx.base.matrix, enumeration_cap=2)
+        ctx = SplitContext(base, wheel_ctx.x_set, wheel_ctx.e)
+        with pytest.raises(BaseNotFlat):
+            predict_is_flat(ctx, q_of(ctx, ("4", "5")))
+        assert base._circuits is None
 
 
 class TestLoopMarkedElementDegeneracy:
