@@ -1,4 +1,13 @@
-"""Each script in ``demos/`` runs to completion and prints something."""
+"""Each script in ``demos/`` runs to completion and prints, byte for byte,
+its golden output in ``tests/golden/demos/``.
+
+The demos are deterministic, so the goldens pin what they show of the
+public API.  Without pytest the same check is::
+
+    for f in demos/*.py; do
+        PYTHONPATH=src python "$f" | diff -u "tests/golden/demos/$(basename "$f" .py).txt" -
+    done
+"""
 
 import os
 import subprocess
@@ -9,10 +18,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 def test_demos_are_found():
     assert DEMOS
+
+
+def test_every_golden_has_its_demo():
+    assert sorted(path.stem for path in GOLDEN.glob("*.txt")) == [
+        path.stem for path in DEMOS
+    ]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
@@ -23,7 +39,10 @@ def test_demo_runs(script):
         capture_output=True,
         text=True,
         env=env,
+        cwd=ROOT,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    expected = (GOLDEN / f"{script.stem}.txt").read_text()
+    assert proc.stdout == expected
