@@ -5,7 +5,7 @@
 # docstring); the walkthrough makes the mismatch visible instead of
 # hiding it.
 
-from essplit import SplitQuery, predict_closure, split_matroid
+from essplit import predict_closure, split_matroid
 from essplit.showcase import CLOSURE_GOLDENS, showcase_context
 
 ctx = showcase_context()
@@ -19,20 +19,20 @@ def fmt(labels):
 print("query -> matched case(s): formula / oracle")
 print("-" * 60)
 for query, listed in CLOSURE_GOLDENS:
-    q = SplitQuery.of(ctx, query)
-    rep = predict_closure(ctx, q, with_oracle=True)
-    mark = "ok" if rep.agreement else "FORMULA DISAGREES"
+    rep = predict_closure(ctx, query)
+    computed = oracle.closure_of(query)
+    mark = "ok" if rep.formula_result == computed else "FORMULA DISAGREES"
     print(f"{fmt(query):>18} -> {','.join(rep.matched_cases):8}")
     print(f"{'':>18}    formula {fmt(rep.formula_result)}")
-    print(f"{'':>18}    oracle  {fmt(rep.oracle_result)}   [{mark}]")
-    if frozenset(listed) != rep.oracle_result:
+    print(f"{'':>18}    oracle  {fmt(computed)}   [{mark}]")
+    if frozenset(listed) != computed:
         print(f"{'':>18}    listed  {fmt(listed)}   [rejected by the matrix]")
 
 # Exhaustive tally over all 1024 subsets of the split ground set.
 hits: dict[str, int] = {}
 disagreements = 0
 for a_prime in oracle.all_subsets():
-    rep = predict_closure(ctx, SplitQuery.of(ctx, a_prime))
+    rep = predict_closure(ctx, a_prime)
     for case_id in rep.matched_cases:
         hits[case_id] = hits.get(case_id, 0) + 1
     if rep.formula_result is not None and rep.formula_result != oracle.closure_of(a_prime):

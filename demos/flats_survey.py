@@ -4,7 +4,7 @@
 # measure how much of the split's flat lattice the six sufficient
 # conditions certify.
 
-from essplit import SplitQuery, predict_is_flat, split_matroid
+from essplit import predict_is_flat, split_matroid
 from essplit.errors import BaseNotFlat
 from essplit.showcase import (
     BASE_FLATS_LISTED,
@@ -41,9 +41,8 @@ for name, matroid, listed in (
 certified = 0
 uncovered = []
 for flat in oracle.flats():
-    q = SplitQuery.of(ctx, flat)
     try:
-        condition = predict_is_flat(ctx, q)
+        condition = predict_is_flat(ctx, flat)
     except BaseNotFlat:
         condition = None
     if condition is None:

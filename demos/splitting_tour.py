@@ -21,7 +21,7 @@ print(format_matrix(build_split_matrix(ctx)))
 base_circuits = ctx.base.circuits()
 print(f"the base matroid has {len(base_circuits)} circuits:")
 for c in base_circuits:
-    print("  ", ctx.base.sort_set(c))
+    print("  ", ctx.sort_set(c))
 
 family = predict_circuits(ctx)
 print()

@@ -21,14 +21,13 @@ from .graphs import (
     parse_graph,
     verify_equivalence,
 )
-from .matroid import EX, OX, BinaryMatroid, classify_circuit
+from .matroid import BinaryMatroid
 from .splitting import (
     CLOSURE_CASE_IDS,
     CLOSURE_RULE_CASE_IDS,
     CircuitFamily,
     ClosureCaseReport,
     SplitContext,
-    SplitQuery,
     build_split_matrix,
     closure_rule,
     find_ox_subcircuit,
@@ -47,15 +46,11 @@ __all__ = [
     "CLOSURE_RULE_CASE_IDS",
     "CircuitFamily",
     "ClosureCaseReport",
-    "EX",
     "GF2Matrix",
     "LabeledGraph",
     "LineSplitSpec",
-    "OX",
     "SplitContext",
-    "SplitQuery",
     "build_split_matrix",
-    "classify_circuit",
     "closure_rule",
     "errors",
     "find_ox_subcircuit",

@@ -52,7 +52,6 @@ from .graphs import incidence_matrix, parse_graph
 from .matroid import BinaryMatroid, _mask_key
 from .splitting import (
     SplitContext,
-    SplitQuery,
     _BaseFacts,
     build_split_matrix,
     predict_circuits,
@@ -112,11 +111,11 @@ def _braces(labels: Iterable[str]) -> str:
     return "{" + ",".join(labels) + "}"
 
 
-def _query_lines(ctx: SplitContext, q: SplitQuery, payload: dict) -> Iterator[str]:
-    """Text of ``closure`` and ``rank``: A', the matched cases if the
-    payload has them, then the formula, oracle and agree values that
-    were computed, aligned."""
-    yield f"A' = {_braces(ctx.sort_set(q.a_prime))}"
+def _query_lines(ctx: SplitContext, a_prime: int, payload: dict) -> Iterator[str]:
+    """Text of ``closure`` and ``rank``: A', given by its mask, the
+    matched cases if the payload has them, then the formula, oracle and
+    agree values that were computed, aligned."""
+    yield f"A' = {_braces(ctx.sorted_labels(a_prime))}"
     if "matched" in payload:
         yield f"matched: {', '.join(payload['matched']) or '(none)'}"
     for key in ("formula", "oracle", "agree"):
@@ -190,6 +189,11 @@ def _require_subset(args: argparse.Namespace) -> tuple[str, ...]:
 # -- commands ----------------------------------------------------------------
 
 # (exit code, JSON payload, text lines); see the module docstring.
+#
+# ``closure``, ``rank`` and ``flats`` check the parsed labels once with
+# ``SplitContext.mask_of``, so a bad label gets the same message in every
+# mode, then pass them as they are to the predictors and to the oracle,
+# ``split_matroid``.
 Result = tuple[int, object, Iterable[str]]
 
 
@@ -201,35 +205,36 @@ def cmd_split(args: argparse.Namespace) -> Result:
 
 def cmd_closure(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
-    q = SplitQuery.of(ctx, _require_subset(args))
-    if args.mode == "oracle":
-        oracle = split_matroid(ctx).closure_of(q.a_prime)
-        payload = {
-            "matched": [],
-            "formula": None,
-            "oracle": list(ctx.sort_set(oracle)),
-            "agree": None,
-        }
-    else:
-        report = predict_closure(ctx, q, with_oracle=args.mode == "both")
-        payload = report.as_dict(ctx)
-    code = DISAGREEMENT if payload["agree"] is False else OK
-    return code, payload, _query_lines(ctx, q, payload)
+    labels = _require_subset(args)
+    a_prime = ctx.mask_of(labels)
+    report = predict_closure(ctx, labels) if args.mode in ("formula", "both") else None
+    formula = None if report is None else report.formula_result
+    oracle = (
+        split_matroid(ctx).closure_of(labels) if args.mode in ("oracle", "both") else None
+    )
+    agree = None if formula is None or oracle is None else formula == oracle
+    payload = {
+        "matched": [] if report is None else list(report.matched_cases),
+        "formula": None if formula is None else list(ctx.sort_set(formula)),
+        "oracle": None if oracle is None else list(ctx.sort_set(oracle)),
+        "agree": agree,
+    }
+    code = DISAGREEMENT if agree is False else OK
+    return code, payload, _query_lines(ctx, a_prime, payload)
 
 
 def cmd_rank(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
-    q = SplitQuery.of(ctx, _require_subset(args))
-    formula = predict_rank(ctx, q) if args.mode in ("formula", "both") else None
+    labels = _require_subset(args)
+    a_prime = ctx.mask_of(labels)
+    formula = predict_rank(ctx, labels) if args.mode in ("formula", "both") else None
     oracle = (
-        split_matroid(ctx).rank_of(q.a_prime)
-        if args.mode in ("oracle", "both")
-        else None
+        split_matroid(ctx).rank_of(labels) if args.mode in ("oracle", "both") else None
     )
     agree = None if formula is None or oracle is None else formula == oracle
     payload = {"formula": formula, "oracle": oracle, "agree": agree}
     code = DISAGREEMENT if agree is False else OK
-    return code, payload, _query_lines(ctx, q, payload)
+    return code, payload, _query_lines(ctx, a_prime, payload)
 
 
 _FAMILY_CLASSES = ("c0", "c1", "c2", "c3")
@@ -275,32 +280,27 @@ def cmd_flats(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
     oracle = split_matroid(ctx)
 
-    def condition_of(q: SplitQuery) -> int | None:
+    def condition_of(labels: Iterable[str]) -> int | None:
         if args.mode == "oracle":
             return None
         try:
-            return predict_is_flat(ctx, q)
+            return predict_is_flat(ctx, labels)
         except BaseNotFlat:
             return None
 
     if args.subset is not None:
-        q = SplitQuery.of(ctx, _parse_labels(args.subset))
-        is_flat = oracle.is_flat(q.a_prime)
-        condition = condition_of(q)
-        payload = {
-            "subset": list(ctx.sort_set(q.a_prime)),
-            "is_flat": is_flat,
-            "condition": condition,
-        }
-        line = f"{_braces(payload['subset'])} flat={is_flat} condition={condition}"
+        labels = _parse_labels(args.subset)
+        subset = ctx.sorted_labels(ctx.mask_of(labels))
+        is_flat = oracle.is_flat(labels)
+        condition = condition_of(labels)
+        payload = {"subset": subset, "is_flat": is_flat, "condition": condition}
+        line = f"{_braces(subset)} flat={is_flat} condition={condition}"
         code = DISAGREEMENT if condition is not None and not is_flat else OK
         return code, payload, (line,)
+    # The split matrix's columns are the split-ground positions.
     rows = [
-        {
-            "flat": list(ctx.sort_set(flat)),
-            "condition": condition_of(SplitQuery.of(ctx, flat)),
-        }
-        for flat in oracle.flats()
+        {"flat": flat, "condition": condition_of(flat)}
+        for flat in map(ctx.sorted_labels, oracle.flats(masks=True))
     ]
     lines = (f"{_braces(row['flat'])} condition={row['condition']}" for row in rows)
     return OK, {"flats": rows}, lines
@@ -319,14 +319,29 @@ def _check_plan(
     report order: by the oracle's subset order (size, then positions)
     when exhaustive, by mask when ``sample`` covers all 2^(n+2) subsets,
     and else by first draw, repeated draws being redrawn.
+
+    Every cap the run will hit is tested here, before any work: the
+    exhaustive cap on the split ground, then the enumeration caps of the
+    base and the split circuits and the all-subset cap of the base
+    flats.  The exhaustive error suggests --sample N only when a sampled
+    run passes the other caps.
     """
     n = len(ctx.base.ground)
     total = 1 << n + 2
+    later: GroundSetTooLarge | None = None
+    try:
+        ctx.base._check_enumeration_cap()
+        oracle._check_enumeration_cap()
+        ctx.base._check_subset_cap()
+    except GroundSetTooLarge as exc:
+        later = exc
     if sample is None and n + 2 > BinaryMatroid.SUBSET_CAP:
         raise GroundSetTooLarge(
             f"{n + 2} split elements exceed the exhaustive cap of "
-            f"{BinaryMatroid.SUBSET_CAP}; rerun with --sample N"
+            f"{BinaryMatroid.SUBSET_CAP}" + ("" if later else "; rerun with --sample N")
         )
+    if later:
+        raise later
     if sample is None or sample >= total:
         return None, _mask_key if sample is None else int
     rng = random.Random(seed)
@@ -385,7 +400,7 @@ def cmd_check(args: argparse.Namespace) -> Result:
     flat_violations: list[dict] = []
     for flat in ctx.base.flats(masks=True):
         facts = _BaseFacts.at(ctx, flat)
-        spans = oracle._closures_at(flat, (n, n + 1))
+        spans = oracle.closures_at(flat, (n, n + 1))
         for top in range(4):
             condition = facts.flat_condition(top & 1, top & 2)
             a_prime = flat | top << n
@@ -488,19 +503,16 @@ def _demo_lines() -> Iterator[str]:
     yield ""
     yield "closure queries:"
     for query, listed in CLOSURE_GOLDENS:
-        q = SplitQuery.of(ctx, query)
-        report = predict_closure(ctx, q, with_oracle=True)
-        computed = report.oracle_result
-        assert computed is not None
+        report = predict_closure(ctx, query)
+        computed = oracle.closure_of(query)
+        formula = report.formula_result
         line = f"cl'({fmt(query)}) = {fmt(computed)}"
         notes = []
         if frozenset(listed) != computed:
             notes.append(f"listed value {fmt(listed)} rejected by oracle")
-        if report.agreement is False:
-            assert report.formula_result is not None
+        if formula is not None and formula != computed:
             notes.append(
-                f"formula ({', '.join(report.matched_cases)}) gives "
-                f"{fmt(report.formula_result)}"
+                f"formula ({', '.join(report.matched_cases)}) gives {fmt(formula)}"
             )
         if notes:
             line += "  [" + "; ".join(notes) + "]"

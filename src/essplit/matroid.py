@@ -7,13 +7,12 @@ each answer is computed from linear algebra alone, never from the
 predictions.  Columns are ints of any width, and every elimination runs
 on the kernel of ``gf2``.  From the residues of all columns modulo
 span(A), one pass (``_spans``) gives the rank and the closure of A + S
-for every S inside a few extra elements; ``closures_with`` runs it for
-one A, and ``closure_of`` is its case S = {}.  ``walk_closures`` runs it
-for many A in one depth-first walk: each child adds one column above
-its parent's, so its residues follow from the parent's by one
-projection, and it yields position masks rather than label sets.  The
-two enumerations follow the size of their answer rather than walking
-every subset:
+for every S inside a few extra elements; ``closures_at`` runs it for
+one A, and ``closure_of`` is the label view of its case S = {}.
+``walk_closures`` runs it for many A in one depth-first walk: each child
+adds one column above its parent's, so its residues follow from the
+parent's by one projection.  The two enumerations follow the size of
+their answer rather than walking every subset:
 
 * ``circuits()`` either sweeps subsets by size or walks the cycle space
   (the kernel of the matrix), whichever has fewer candidates;
@@ -27,10 +26,11 @@ Inside the module a subset is a position mask: bit i stands for the
 i-th ground element.  Both circuit strategies find masks, and the one
 circuit cache holds masks in canonical order (first by size, then
 lexicographically by position, ``_mask_key``).  Labels appear only at
-the boundary: the public methods take label sets, and ``circuits()``
-and ``flats()`` return ``frozenset`` objects of labels in that order,
-or with ``masks=True`` the position masks themselves, for callers that
-stay on masks.  ``walk_closures`` yields masks too.
+the boundary: ``rank_of``, ``closure_of`` and ``is_flat`` take label
+sets, and ``circuits()`` and ``flats()`` return ``frozenset`` objects
+of labels in that order, or with ``masks=True`` the position masks
+themselves, for callers that stay on masks.  ``closures_at`` takes and
+``walk_closures`` yields masks.
 """
 
 from __future__ import annotations
@@ -41,16 +41,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import GroundSetTooLarge, UnknownLabel
 from .gf2 import GF2Matrix, _bits, _insert, _project_out
-
-OX = "OX"
-EX = "EX"
-
-
-def classify_circuit(circuit: Iterable[str], x_set: Iterable[str]) -> str:
-    """``OX`` if the overlap with ``x_set`` has odd size, else ``EX``."""
-    overlap = frozenset(circuit) & frozenset(x_set)
-    return OX if len(overlap) % 2 else EX
-
 
 def _mask_key(mask: int) -> tuple:
     """Canonical sort key of the subset with this position mask: its size,
@@ -134,19 +124,18 @@ class BinaryMatroid:
         out.sort()
         return out
 
-    def sort_set(self, labels: Iterable[str]) -> tuple[str, ...]:
-        """Labels sorted into the canonical ground-set order."""
-        return tuple(self.ground[i] for i in self._positions(labels))
-
-    def subset_key(self, labels: Iterable[str]) -> tuple:
-        positions = self._positions(labels)
-        return (len(positions), tuple(positions))
-
     def _check_subset_cap(self) -> None:
         if len(self.ground) > self.SUBSET_CAP:
             raise GroundSetTooLarge(
                 f"{len(self.ground)} elements exceed the all-subset cap "
                 f"of {self.SUBSET_CAP}"
+            )
+
+    def _check_enumeration_cap(self) -> None:
+        if len(self.ground) > self.enumeration_cap:
+            raise GroundSetTooLarge(
+                f"{len(self.ground)} elements exceed the enumeration cap "
+                f"of {self.enumeration_cap}"
             )
 
     def all_subsets(self) -> Iterator[frozenset[str]]:
@@ -188,38 +177,32 @@ class BinaryMatroid:
 
     def closure_of(self, labels: Iterable[str]) -> frozenset[str]:
         """All elements whose addition leaves the rank unchanged."""
-        return self.closures_with(labels, ())[0][1]
+        return self._labels(self.closures_at(self._mask(labels), ())[0][1])
 
-    def closures_with(
-        self, labels: Iterable[str], extra: Iterable[str]
-    ) -> tuple[tuple[int, frozenset[str]], ...]:
-        """Rank and closure of A + S for every subset S of ``extra``.
-
-        A is ``labels``.  Entry ``i`` is for the S that holds the j-th
-        label of ``extra`` exactly when bit j of ``i`` is set, so the
-        first entry is A itself.  See ``_spans``.
-        """
-        extra_pos = [self._positions((lab,))[0] for lab in extra]
-        spans = self._closures_at(self._mask(labels), extra_pos)
-        return tuple((rank, self._labels(closed)) for rank, closed in spans)
-
-    def _closures_at(
-        self, mask: int, extra: Sequence[int]
+    def closures_at(
+        self, mask: int, extra_positions: Sequence[int]
     ) -> tuple[tuple[int, int], ...]:
-        """``closures_with`` on position masks."""
+        """Rank and closure mask of A + S for every S inside the
+        positions ``extra_positions``, A given by its position mask.
+
+        Entry ``i`` is for the S that holds the j-th extra position
+        exactly when bit j of ``i`` is set, so the first entry is A
+        itself.  See ``_spans``.
+        """
         rank, residues = self._residues(mask)
-        return _spans(residues, rank, extra)
+        return _spans(residues, rank, extra_positions)
 
     def walk_closures(
         self, extra: Iterable[str], width: int, parts: Iterable[int] | None = None
     ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-        """``closures_with`` for many subsets A, as position masks.
+        """``closures_at`` for many subsets A, with the extra elements
+        given by their labels.
 
         The subsets A are those of the first ``width`` positions, or,
         with ``parts``, the masks listed there.  Each is yielded once, as
         (mask of A, answers), where the answers are (rank, closure mask)
         of A + S for every S inside ``extra``, indexed as in
-        ``closures_with``.
+        ``closures_at``.
 
         The walk is depth first.  A child adds one position above every
         position of its parent, so it gets its residues from the
@@ -401,11 +384,7 @@ class BinaryMatroid:
         view is built from the masks on its first request.
         """
         if self._circuits is None:
-            if len(self.ground) > self.enumeration_cap:
-                raise GroundSetTooLarge(
-                    f"{len(self.ground)} elements exceed the enumeration cap "
-                    f"of {self.enumeration_cap}"
-                )
+            self._check_enumeration_cap()
             if _cycle_walk_is_cheaper(len(self.ground), self.rank_of(self.ground)):
                 self._circuits = self._circuits_by_cycle_space()
             else:

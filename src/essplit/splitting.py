@@ -25,15 +25,18 @@ keeps its base position in the split ground, a is bit n and gamma bit
 n + 1), takes rank(A), cl(A) and cl(A + e) from the base matrix, and
 finds the circuit facts in one pass over the odd-overlap circuits, held
 as masks by ``SplitContext``.  Its methods evaluate the rank formula and
-both closure tables on masks.  The public functions take and return
-labels: ``predict_rank``, ``predict_closure``, ``closure_rule`` and
-``predict_is_flat`` build a record from the labels of A, and the first
-three also accept the caller's.  The four split queries A, A + a,
+both closure tables on masks.  The four split queries A, A + a,
 A + gamma and A + a + gamma share one base part, so one record serves
-them all.  ``essplit check`` gets the records of all base parts
-from ``_BaseFacts.walk``, which follows ``BinaryMatroid.walk_closures``
-on the base with extra (e,).  Emitted sets follow the split-ground
-order, held by ``SplitContext``.
+them all.  ``essplit check`` gets the records of all base parts from
+``_BaseFacts.walk``, which follows ``BinaryMatroid.walk_closures`` on
+the base with extra (e,).
+
+Labels cross into masks at one place, ``SplitContext.mask_of``, and
+come back at one place, ``SplitContext.sorted_labels``, in split-ground
+order.  ``predict_rank``, ``predict_closure``, ``closure_rule`` and
+``predict_is_flat`` take the labels of A' and return their prediction
+only: each validates A' through ``mask_of``, splits off the bits of a
+and gamma, and reads the record of the base part that is left.
 
 Circuits travel as position masks too.  ``SplitContext`` splits the
 base's cached circuit masks by the parity of their overlap with X into
@@ -62,7 +65,7 @@ from .errors import (
     UnknownLabel,
 )
 from .gf2 import GF2Matrix, _bits
-from .matroid import EX, OX, BinaryMatroid, _mask_key, classify_circuit
+from .matroid import BinaryMatroid, _mask_key
 
 #: Identifiers of the closure case table, in evaluation order.  The ids
 #: are opaque strings fixed by the JSON report schema.
@@ -120,20 +123,26 @@ class SplitContext:
 
     def sort_set(self, labels: Iterable[str]) -> tuple[str, ...]:
         """Labels sorted into the canonical split-ground order."""
-        try:
-            return tuple(sorted(set(labels), key=self._position.__getitem__))
-        except KeyError as exc:
-            raise UnknownLabel(f"{exc.args[0]!r} is not a split-ground element") from None
+        return tuple(self.sorted_labels(self.mask_of(labels)))
 
-    # A subset may also travel as a mask over split-ground positions.  A
-    # base element keeps its base position, so a base mask is a split
-    # mask too; a is bit n and gamma bit n + 1.
+    # A subset travels as a mask over split-ground positions.  A base
+    # element keeps its base position, so a base mask is a split mask
+    # too; a is bit n and gamma bit n + 1.
 
     def mask_of(self, labels: Iterable[str]) -> int:
-        """Position mask of a subset of the split ground."""
+        """Position mask of a subset of the split ground; the one place
+        where labels are read and checked."""
+        position = self._position
         mask = 0
-        for lab in _split_subset(self, labels):
-            mask |= 1 << self._position[lab]
+        unknown = set()
+        for lab in labels:
+            pos = position.get(lab)
+            if pos is None:
+                unknown.add(lab)
+            else:
+                mask |= 1 << pos
+        if unknown:
+            raise UnknownLabel(f"labels {sorted(unknown)!r} are not split elements")
         return mask
 
     def labels_of(self, mask: int) -> frozenset[str]:
@@ -169,46 +178,6 @@ class SplitContext:
         """The other base circuits, of even overlap with X, likewise."""
         ox = set(self.ox_masks)
         return tuple(c for c in self.base.circuits(masks=True) if c not in ox)
-
-
-def _base_subset(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
-    subset = frozenset(labels)
-    unknown = subset - set(ctx.base.ground)
-    if unknown:
-        raise UnknownLabel(f"labels {sorted(unknown)!r} are not base elements")
-    return subset
-
-
-def _split_subset(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
-    subset = frozenset(labels)
-    unknown = subset - ctx._position.keys()
-    if unknown:
-        raise UnknownLabel(f"labels {sorted(unknown)!r} are not split elements")
-    return subset
-
-
-def _base_mask(ctx: SplitContext, labels: Iterable[str]) -> int:
-    return ctx.mask_of(_base_subset(ctx, labels))
-
-
-@dataclass(frozen=True)
-class SplitQuery:
-    """A subset A' of the split ground set, with its base part A split out."""
-
-    a_prime: frozenset[str]
-    a: frozenset[str]
-    has_a: bool
-    has_gamma: bool
-
-    @classmethod
-    def of(cls, ctx: SplitContext, labels: Iterable[str]) -> "SplitQuery":
-        a_prime = _split_subset(ctx, labels)
-        return cls(
-            a_prime=a_prime,
-            a=a_prime - {ctx.label_a, ctx.label_gamma},
-            has_a=ctx.label_a in a_prime,
-            has_gamma=ctx.label_gamma in a_prime,
-        )
 
 
 @dataclass(frozen=True)
@@ -268,25 +237,11 @@ class CircuitFamily:
 
 @dataclass(frozen=True)
 class ClosureCaseReport:
-    """Which closure cases matched a query, and what they produced."""
+    """Which closure cases matched a query, and the closure they give
+    (None when no case matched)."""
 
     matched_cases: tuple[str, ...]
     formula_result: frozenset[str] | None
-    oracle_result: frozenset[str] | None
-    agreement: bool | None
-
-    def as_dict(self, ctx: SplitContext) -> dict:
-        """Stable JSON-ready form: matched ids plus sorted label arrays."""
-        return {
-            "matched": list(self.matched_cases),
-            "formula": None
-            if self.formula_result is None
-            else list(ctx.sort_set(self.formula_result)),
-            "oracle": None
-            if self.oracle_result is None
-            else list(ctx.sort_set(self.oracle_result)),
-            "agree": self.agreement,
-        }
 
 
 # -- construction ---------------------------------------------------------
@@ -342,7 +297,8 @@ class _BaseFacts:
     in one pass over ``SplitContext.ox_masks``, so one record serves all
     four split queries A, A + a, A + gamma and A + a + gamma.  The methods evaluate
     the rank formula and the two closure predictors on masks; the public
-    functions below turn labels into a record and masks back into labels.
+    predictors below make one from the base part that ``_query`` splits
+    off their labels.
     """
 
     __slots__ = (
@@ -408,11 +364,6 @@ class _BaseFacts:
             cl | a_bit,
             cl_e | a_bit | g,
         )
-
-    @classmethod
-    def of(cls, ctx: SplitContext, labels: Iterable[str]) -> "_BaseFacts":
-        """The record of the base part with these labels."""
-        return cls.at(ctx, _base_mask(ctx, labels))
 
     @classmethod
     def at(cls, ctx: SplitContext, a: int) -> "_BaseFacts":
@@ -545,19 +496,23 @@ class _BaseFacts:
 
 def _base_spans(ctx: SplitContext, a: int) -> tuple[tuple[int, int], ...]:
     """(rank, closure mask) of A and of A + e in the base, A by its mask."""
-    return ctx.base._closures_at(a, (ctx.e_bit.bit_length() - 1,))
+    return ctx.base.closures_at(a, (ctx.e_bit.bit_length() - 1,))
 
 
-def _facts_for(
-    ctx: SplitContext, q: SplitQuery, facts: _BaseFacts | None
-) -> _BaseFacts:
-    """``facts`` if given, checked against the base part of ``q``; else
-    a new record."""
-    if facts is None:
-        return _BaseFacts.of(ctx, q.a)
-    if facts.ctx is not ctx or facts.a != _base_mask(ctx, q.a):
-        raise ValueError("the base facts are not those of this query")
-    return facts
+def _query(ctx: SplitContext, labels: Iterable[str]) -> tuple[int, bool, bool]:
+    """The mask of the base part A of the query A' with these labels,
+    and whether A' holds a and whether it holds gamma."""
+    mask = ctx.mask_of(labels)
+    return mask & (ctx.a_bit - 1), bool(mask & ctx.a_bit), bool(mask & ctx.gamma_bit)
+
+
+def _circuit_mask(ctx: SplitContext, labels: Iterable[str]) -> int:
+    """``ctx.mask_of(labels)``, or -1, which is no subset, when a label
+    lies outside the split ground."""
+    try:
+        return ctx.mask_of(labels)
+    except UnknownLabel:
+        return -1
 
 
 def find_ox_subcircuit(
@@ -572,30 +527,37 @@ def find_ox_subcircuit(
     Both input circuits must pass through e and lie inside A + e.  The
     symmetric difference never contains e, has odd overlap with X, and
     therefore carries an odd-overlap circuit; its absence would mean the
-    inputs were not what the contract demands, so it is asserted.
+    inputs were not what the contract demands, so it is asserted.  The
+    checks and the search run on ``SplitContext.ox_masks`` and
+    ``ex_masks``; a set with a label outside the base ground is no
+    circuit.
     """
-    c_ox = frozenset(c_ox)
-    c_ex = frozenset(c_ex)
-    a_set = _base_subset(ctx, a)
-    allowed = a_set | {ctx.e}
-    circuits = set(ctx.base.circuits())
+    p, q = _circuit_mask(ctx, c_ox), _circuit_mask(ctx, c_ex)
+    a = frozenset(a)
+    a_mask = _circuit_mask(ctx, a)
+    if not 0 <= a_mask < ctx.a_bit:
+        outside = sorted(a - set(ctx.base.ground))
+        raise UnknownLabel(f"labels {outside!r} are not base elements")
+    e = ctx.e_bit
+    outside_ae = ~(a_mask | e)
+    ox, ex = set(ctx.ox_masks), set(ctx.ex_masks)
     checks = (
-        (c_ox in circuits, "c_ox is not a circuit"),
-        (c_ex in circuits, "c_ex is not a circuit"),
-        (classify_circuit(c_ox, ctx.x_set) == OX, "c_ox has even overlap with X"),
-        (classify_circuit(c_ex, ctx.x_set) == EX, "c_ex has odd overlap with X"),
-        (ctx.e in c_ox, "e is missing from c_ox"),
-        (ctx.e in c_ex, "e is missing from c_ex"),
-        (c_ox <= allowed, "c_ox is not inside A + e"),
-        (c_ex <= allowed, "c_ex is not inside A + e"),
+        (p in ox or p in ex, "c_ox is not a circuit"),
+        (q in ox or q in ex, "c_ex is not a circuit"),
+        (p in ox, "c_ox has even overlap with X"),
+        (q in ex, "c_ex has odd overlap with X"),
+        (p & e, "e is missing from c_ox"),
+        (q & e, "e is missing from c_ex"),
+        (not p & outside_ae, "c_ox is not inside A + e"),
+        (not q & outside_ae, "c_ex is not inside A + e"),
     )
     for ok, reason in checks:
         if not ok:
             raise PreconditionViolated(reason)
-    diff = c_ox ^ c_ex
-    for c in ctx.base.circuits():
-        if c <= diff and classify_circuit(c, ctx.x_set) == OX:
-            return c
+    diff = p ^ q
+    for c in ctx.ox_masks:
+        if c & diff == c:
+            return ctx.labels_of(c)
     raise AssertionError(
         "no odd-overlap circuit inside the symmetric difference; "
         "this contradicts the construction and signals a bug"
@@ -709,45 +671,30 @@ def _minimal(family: Iterable[int]) -> set[int]:
     }
 
 
-def predict_rank(
-    ctx: SplitContext, q: SplitQuery, facts: _BaseFacts | None = None
-) -> int:
-    """Rank of A' in the split matroid, from base-side quantities.
+def predict_rank(ctx: SplitContext, labels: Iterable[str]) -> int:
+    """Rank of the subset A' with these labels in the split matroid,
+    from base-side quantities.
 
     Dispatches on which of the new elements A' carries; the gamma-only
     case evaluates its three branches in the fixed order below.
-    ``facts``, when given, must be the ``_BaseFacts`` of the base part
-    of ``q``; a caller asking all four queries of one A passes one
-    record to all of them.
     """
-    return _facts_for(ctx, q, facts).split_rank(q.has_a, q.has_gamma)
+    a, has_a, has_gamma = _query(ctx, labels)
+    return _BaseFacts.at(ctx, a).split_rank(has_a, has_gamma)
 
 
-def predict_closure(
-    ctx: SplitContext,
-    q: SplitQuery,
-    with_oracle: bool = False,
-    facts: _BaseFacts | None = None,
-) -> ClosureCaseReport:
-    """Evaluate the full closure case table for one query.
+def predict_closure(ctx: SplitContext, labels: Iterable[str]) -> ClosureCaseReport:
+    """Evaluate the full closure case table for the subset A' with these
+    labels.
 
     Every case precondition is tested (not just the first hit) so that
     overlaps between cases are visible; if two matched cases disagree on
     the resulting set the call aborts with FormulaDisagreement.  When no
-    case matches, the report carries no formula and flags it.  With
-    ``with_oracle`` the split matroid's own closure is computed on the
-    side and compared.  ``facts`` is as for ``predict_rank``.
+    case matches, the report carries no formula.
     """
-    facts = _facts_for(ctx, q, facts)
-    return _report(ctx, q, facts.table_closure(q.has_a, q.has_gamma), with_oracle)
+    return _report(ctx, labels, _BaseFacts.table_closure)
 
 
-def closure_rule(
-    ctx: SplitContext,
-    q: SplitQuery,
-    with_oracle: bool = False,
-    facts: _BaseFacts | None = None,
-) -> ClosureCaseReport:
+def closure_rule(ctx: SplitContext, labels: Iterable[str]) -> ClosureCaseReport:
     """Closure of A' in the split matroid from base data, by the parity row.
 
     In the split representation a base element z has the column
@@ -787,9 +734,7 @@ def closure_rule(
     result is one of five shapes: cl - F*, (cl - F*) + gamma,
     (cl - F*) + gamma + T, cl + a and cl(A + e) + {a, gamma}, with cl
     = cl(A) (``_BaseFacts.rule_shapes``).  Only base data is read:
-    cl(A), cl(A + e), the odd-overlap circuits, F* and T; the split
-    matroid is built only for ``with_oracle``.  ``facts`` is as for
-    ``predict_rank``.
+    cl(A), cl(A + e), the odd-overlap circuits, F* and T.
 
     The rule parts from the twelve-case table of ``predict_closure`` in
     three ways: the table uses cl(A) where cl(A + e) is due (L3.8.1,
@@ -799,39 +744,34 @@ def closure_rule(
     PAPER.md holds only the paper's abstract, so whether these faults
     come from the paper or from its transcription is not settled here.
     """
-    facts = _facts_for(ctx, q, facts)
-    return _report(ctx, q, facts.rule_closure(q.has_a, q.has_gamma), with_oracle)
+    return _report(ctx, labels, _BaseFacts.rule_closure)
 
 
 def _report(
     ctx: SplitContext,
-    q: SplitQuery,
-    cases: tuple[tuple[str, ...], int | None],
-    with_oracle: bool,
+    labels: Iterable[str],
+    closure: Callable[[_BaseFacts, bool, bool], tuple[tuple[str, ...], int | None]],
 ) -> ClosureCaseReport:
-    """The report of matched case ids and closure mask ``cases``, in
-    labels.  With ``with_oracle`` the split matroid's own closure is
-    computed on the side and compared."""
-    matched, mask = cases
-    formula = None if mask is None else ctx.labels_of(mask)
-    oracle: frozenset[str] | None = None
-    agreement: bool | None = None
-    if with_oracle:
-        oracle = split_matroid(ctx).closure_of(q.a_prime)
-        if formula is not None:
-            agreement = formula == oracle
-    return ClosureCaseReport(matched, formula, oracle, agreement)
+    """The matched case ids and closure of one closure predictor, a
+    method of ``_BaseFacts``, at the query with these labels."""
+    a, has_a, has_gamma = _query(ctx, labels)
+    matched, mask = closure(_BaseFacts.at(ctx, a), has_a, has_gamma)
+    return ClosureCaseReport(matched, None if mask is None else ctx.labels_of(mask))
 
 
-def predict_is_flat(ctx: SplitContext, q: SplitQuery) -> int | None:
-    """First satisfied sufficient flat condition (1..6), or None.
+def predict_is_flat(ctx: SplitContext, labels: Iterable[str]) -> int | None:
+    """First satisfied sufficient flat condition (1..6) for the subset
+    A' with these labels, or None.
 
-    Requires the base part A of the query to be a flat of the base
-    matroid.  A None return says nothing either way; callers needing a
-    complete answer fall back to the oracle's ``is_flat``.
+    Requires the base part A of A' to be a flat of the base matroid,
+    which is checked before the base circuits are read.  A None return
+    says nothing either way; callers needing a complete answer fall back
+    to the oracle's ``is_flat``.
     """
-    a = _base_mask(ctx, q.a)
+    a, has_a, has_gamma = _query(ctx, labels)
     spans = _base_spans(ctx, a)
     if spans[0][1] != a:
-        raise BaseNotFlat(f"{sorted(q.a)} is not a flat of the base matroid")
-    return _BaseFacts(ctx, a, spans).flat_condition(q.has_a, q.has_gamma)
+        raise BaseNotFlat(
+            f"{sorted(ctx.labels_of(a))} is not a flat of the base matroid"
+        )
+    return _BaseFacts(ctx, a, spans).flat_condition(has_a, has_gamma)

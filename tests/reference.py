@@ -8,9 +8,12 @@ instances.  ``reference_circuit_family`` is ``predict_circuits`` as it
 was on label sets, before the family moved to position masks.
 ``reference_base_facts`` computes the odd-overlap circuit
 facts of one base part on label sets, the way ``splitting`` did before
-its record moved to position masks.  ``reference_check_report`` answers
-every subset of a ``check`` run on its own, with no work shared between
-subsets, and ``assert_same_output`` compares two outputs line by line.
+its record moved to position masks.  ``classify_circuit`` and
+``reference_find_ox_subcircuit`` are the label-set forms of the parity
+test and of ``find_ox_subcircuit`` from before those moved to masks.
+``reference_check_report`` answers every subset of a ``check`` run on
+its own, with no work shared between subsets, and
+``assert_same_output`` compares two outputs line by line.
 """
 
 from __future__ import annotations
@@ -19,15 +22,32 @@ import json
 import random
 from dataclasses import dataclass
 
-from essplit import BinaryMatroid, SplitContext, SplitQuery, split_matroid
-from essplit.errors import GroundSetTooLarge
-from essplit.matroid import EX, OX, classify_circuit
+from typing import Iterable
+
+from essplit import BinaryMatroid, SplitContext, split_matroid
+from essplit.errors import GroundSetTooLarge, PreconditionViolated, UnknownLabel
 from essplit.splitting import (
+    _BaseFacts,
     predict_circuits,
     predict_closure,
     predict_is_flat,
     predict_rank,
 )
+
+OX = "OX"
+EX = "EX"
+
+
+def classify_circuit(circuit: Iterable[str], x_set: Iterable[str]) -> str:
+    """``OX`` if the overlap with ``x_set`` has odd size, else ``EX``."""
+    overlap = frozenset(circuit) & frozenset(x_set)
+    return OX if len(overlap) % 2 else EX
+
+
+def base_facts(ctx: SplitContext, labels) -> _BaseFacts:
+    """The ``_BaseFacts`` record of the base part of the subset with
+    these labels: a and gamma are dropped."""
+    return _BaseFacts.at(ctx, ctx.mask_of(labels) & (ctx.a_bit - 1))
 
 
 def reference_flats(m: BinaryMatroid) -> tuple[frozenset[str], ...]:
@@ -39,7 +59,8 @@ def reference_flats(m: BinaryMatroid) -> tuple[frozenset[str], ...]:
         if closed not in seen:
             seen.add(closed)
             out.append(closed)
-    out.sort(key=m.subset_key)
+    position = {lab: i for i, lab in enumerate(m.ground)}
+    out.sort(key=lambda flat: (len(flat), sorted(map(position.__getitem__, flat))))
     return tuple(out)
 
 
@@ -196,6 +217,56 @@ def reference_base_facts(ctx: SplitContext, labels) -> dict:
     }
 
 
+def _base_subset(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:
+    subset = frozenset(labels)
+    unknown = subset - set(ctx.base.ground)
+    if unknown:
+        raise UnknownLabel(f"labels {sorted(unknown)!r} are not base elements")
+    return subset
+
+
+def reference_find_ox_subcircuit(
+    ctx: SplitContext,
+    c_ox: Iterable[str],
+    c_ex: Iterable[str],
+    a: Iterable[str],
+) -> frozenset[str]:
+    """Odd-overlap circuit inside A found in the symmetric difference of
+    an odd-overlap and an even-overlap circuit through e.
+
+    Both input circuits must pass through e and lie inside A + e.  The
+    symmetric difference never contains e, has odd overlap with X, and
+    therefore carries an odd-overlap circuit; its absence would mean the
+    inputs were not what the contract demands, so it is asserted.
+    """
+    c_ox = frozenset(c_ox)
+    c_ex = frozenset(c_ex)
+    a_set = _base_subset(ctx, a)
+    allowed = a_set | {ctx.e}
+    circuits = set(ctx.base.circuits())
+    checks = (
+        (c_ox in circuits, "c_ox is not a circuit"),
+        (c_ex in circuits, "c_ex is not a circuit"),
+        (classify_circuit(c_ox, ctx.x_set) == OX, "c_ox has even overlap with X"),
+        (classify_circuit(c_ex, ctx.x_set) == EX, "c_ex has odd overlap with X"),
+        (ctx.e in c_ox, "e is missing from c_ox"),
+        (ctx.e in c_ex, "e is missing from c_ex"),
+        (c_ox <= allowed, "c_ox is not inside A + e"),
+        (c_ex <= allowed, "c_ex is not inside A + e"),
+    )
+    for ok, reason in checks:
+        if not ok:
+            raise PreconditionViolated(reason)
+    diff = c_ox ^ c_ex
+    for c in ctx.base.circuits():
+        if c <= diff and classify_circuit(c, ctx.x_set) == OX:
+            return c
+    raise AssertionError(
+        "no odd-overlap circuit inside the symmetric difference; "
+        "this contradicts the construction and signals a bug"
+    )
+
+
 def _check_subsets(ctx: SplitContext, sample: int | None, seed: int):
     """The subsets of a ``check`` run, in report order: all of them by
     size and position, or ``sample`` distinct ones in first-draw order,
@@ -237,8 +308,7 @@ def reference_check_report(
     subsets = 0
     for a_prime in _check_subsets(ctx, sample, seed):
         subsets += 1
-        q = SplitQuery.of(ctx, a_prime)
-        report = predict_closure(ctx, q)
+        report = predict_closure(ctx, a_prime)
         oracle_closure = oracle.closure_of(a_prime)
         if not report.matched_cases:
             no_case += 1
@@ -253,7 +323,7 @@ def reference_check_report(
                     "oracle": list(ctx.sort_set(oracle_closure)),
                 }
             )
-        formula_rank = predict_rank(ctx, q)
+        formula_rank = predict_rank(ctx, a_prime)
         oracle_rank = oracle.rank_of(a_prime)
         if formula_rank != oracle_rank:
             rank_witnesses.append(
@@ -270,7 +340,7 @@ def reference_check_report(
     for flat in ctx.base.flats():
         for extras in ((), (ctx.label_a,), (ctx.label_gamma,), (ctx.label_a, ctx.label_gamma)):
             a_prime = frozenset(flat) | set(extras)
-            condition = predict_is_flat(ctx, SplitQuery.of(ctx, a_prime))
+            condition = predict_is_flat(ctx, a_prime)
             if condition is not None and not oracle.is_flat(a_prime):
                 flat_violations.append(
                     {"subset": list(ctx.sort_set(a_prime)), "condition": condition}

@@ -20,7 +20,6 @@ from collections import Counter
 import pytest
 
 from essplit import (
-    SplitQuery,
     closure_rule,
     find_ox_subcircuit,
     predict_circuits,
@@ -31,8 +30,6 @@ from essplit import (
     verify_equivalence,
 )
 from essplit.errors import FormulaDisagreement
-from essplit.splitting import _BaseFacts
-from essplit.matroid import OX, classify_circuit
 from essplit.showcase import (
     BASE_FLATS_LISTED,
     CLOSURE_GOLDENS_CORRECTED,
@@ -47,7 +44,7 @@ from instances import (
     random_split_instance,
     random_split_spec,
 )
-from reference import circuits_by_overlap
+from reference import OX, base_facts, circuits_by_overlap, classify_circuit
 
 
 def report(number: int, name: str, failures: list, extra: str = "") -> None:
@@ -58,14 +55,16 @@ def report(number: int, name: str, failures: list, extra: str = "") -> None:
 def test_criterion_1_closure_goldens(wheel_ctx):
     started = time.perf_counter()
     failures = []
+    oracle = split_matroid(wheel_ctx)
     for query, listed in CLOSURE_GOLDENS_CORRECTED:
         expected = frozenset(listed)
-        rep = closure_rule(wheel_ctx, SplitQuery.of(wheel_ctx, query), with_oracle=True)
-        if rep.formula_result != expected or rep.oracle_result != expected:
+        rep = closure_rule(wheel_ctx, query)
+        computed = oracle.closure_of(query)
+        if rep.formula_result != expected or computed != expected:
             failures.append(
                 f"query {sorted(query)}: listed {sorted(expected)}, "
                 f"formula {sorted(rep.formula_result)}, "
-                f"oracle {sorted(rep.oracle_result)}"
+                f"oracle {sorted(computed)}"
             )
     elapsed = time.perf_counter() - started
     report(1, "closure goldens", failures, f" [{elapsed:.3f}s]")
@@ -117,8 +116,7 @@ def test_criterion_3_circuit_family():
 def test_criterion_4_rank_formula(wheel_ctx, wheel_split):
     failures = []
     for a_prime in wheel_split.all_subsets():
-        q = SplitQuery.of(wheel_ctx, a_prime)
-        if predict_rank(wheel_ctx, q) != wheel_split.rank_of(a_prime):
+        if predict_rank(wheel_ctx, a_prime) != wheel_split.rank_of(a_prime):
             failures.append(f"wheel query {sorted(a_prime)}")
     rng = random.Random(1004)
     for trial in range(50):
@@ -127,8 +125,7 @@ def test_criterion_4_rank_formula(wheel_ctx, wheel_split):
         if oracle.rank_of(oracle.ground) != ctx.base.rank_of(ctx.base.ground) + 1:
             failures.append(f"trial {trial}: rank increment violated")
         for a_prime in oracle.all_subsets():
-            q = SplitQuery.of(ctx, a_prime)
-            if predict_rank(ctx, q) != oracle.rank_of(a_prime):
+            if predict_rank(ctx, a_prime) != oracle.rank_of(a_prime):
                 failures.append(f"trial {trial} query {sorted(a_prime)}")
     report(4, "rank formula equals oracle", failures)
     assert not failures, "\n".join(failures[:20])
@@ -173,9 +170,8 @@ def _dispatcher_sweep(sweeps):
     table_bad, table_miss, no_case = Counter(), 0, 0
     for ctx, oracle in sweeps:
         for a_prime in oracle.all_subsets():
-            q = SplitQuery.of(ctx, a_prime)
             oracle_closure = oracle.closure_of(a_prime)
-            rule = closure_rule(ctx, q)
+            rule = closure_rule(ctx, a_prime)
             if len(rule.matched_cases) != 1 or rule.formula_result != oracle_closure:
                 rule_bad.append(
                     f"A'={sorted(a_prime)} matched {list(rule.matched_cases)}: "
@@ -183,11 +179,11 @@ def _dispatcher_sweep(sweeps):
                     f"{sorted(oracle_closure)}"
                 )
             # The closure shapes of both predictors at A, as masks.
-            facts = _BaseFacts.of(ctx, q.a)
+            facts = base_facts(ctx, a_prime)
             oracle_mask = ctx.mask_of(oracle_closure)
             if oracle_mask not in facts.rule_shapes:
                 rule_miss.append(f"A'={sorted(a_prime)}")
-            table = predict_closure(ctx, q)
+            table = predict_closure(ctx, a_prime)
             if not table.matched_cases:
                 no_case += 1
             elif table.formula_result != oracle_closure:
@@ -275,8 +271,7 @@ def test_criterion_7_flat_conditions_sufficient(wheel_ctx, wheel_split):
                 (ctx.label_a, ctx.label_gamma),
             ):
                 a_prime = frozenset(flat) | set(extras)
-                q = SplitQuery.of(ctx, a_prime)
-                condition = predict_is_flat(ctx, q)
+                condition = predict_is_flat(ctx, a_prime)
                 if condition is not None and not oracle.is_flat(a_prime):
                     failures.append(
                         f"condition {condition} accepted non-flat {sorted(a_prime)}"
@@ -371,7 +366,7 @@ def test_criterion_9_property_suites(wheel_ctx):
             closed = base.closure_of(subset)
             if ctx.e not in closed:
                 continue
-            if not ctx.labels_of(_BaseFacts.of(ctx, subset).t) <= closed:
+            if not ctx.labels_of(base_facts(ctx, subset).t) <= closed:
                 failures.append(f"T escapes closure at {sorted(subset)}")
 
     report(9, "property suites", failures)

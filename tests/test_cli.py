@@ -518,6 +518,55 @@ class TestCheck:
         assert code == 2
         assert "--sample" in err
 
+    @staticmethod
+    def rank_6_base(tmp_path, n):
+        """A base of n elements and rank 6: a unit column per row, the
+        other columns the sums of two neighbouring rows."""
+        columns = [1 << j if j < 6 else 3 << j % 5 for j in range(n)]
+        rows = "\n".join(
+            " ".join(str(word >> i & 1) for word in columns) for i in range(6)
+        )
+        path = tmp_path / "rank6.txt"
+        path.write_text(" ".join(str(j) for j in range(n)) + "\n" + rows + "\n")
+        return str(path)
+
+    def test_no_sample_advice_above_the_all_subset_cap(self, capsys, tmp_path):
+        # The base flats walk every subset of the base, so --sample cannot
+        # get round a base of 21 elements.
+        path = self.rank_6_base(tmp_path, 21)
+        code, out, err = run(capsys, "check", "--input", path, "--X", "0,1", "--e", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: 23 split elements exceed the exhaustive cap of 20\n"
+
+    def test_no_sample_advice_above_the_enumeration_cap(self, capsys, tmp_path):
+        path = self.rank_6_base(tmp_path, 19)
+        code, _, err = run(
+            capsys, "check", "--input", path, "--X", "0,1", "--e", "0", "--cap", "18"
+        )
+        assert code == 2
+        assert err == "error: 21 split elements exceed the exhaustive cap of 20\n"
+        code, _, err = run(
+            capsys, "check", "--input", path, "--X", "0,1", "--e", "0", "--cap", "18",
+            "--sample", "10",
+        )
+        assert code == 2
+        assert err == "error: 19 elements exceed the enumeration cap of 18\n"
+
+    def test_sample_above_the_all_subset_cap_fails_before_any_work(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the check started its work")
+
+        monkeypatch.setattr(essplit.cli, "predict_circuits", forbidden)
+        monkeypatch.setattr(essplit.matroid.BinaryMatroid, "walk_closures", forbidden)
+        path = self.rank_6_base(tmp_path, 21)
+        code, out, err = run(
+            capsys, "check", "--input", path, "--X", "0,1", "--e", "0", "--sample", "10"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: 21 elements exceed the all-subset cap of 20\n"
+
 
 def test_closed_pipe_ends_silently(wheel_matrix_file):
     """A reader that stops early ends the run with exit 1 and no message."""

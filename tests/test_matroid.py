@@ -3,11 +3,11 @@ from itertools import combinations
 
 import pytest
 
-from essplit import BinaryMatroid, GF2Matrix, classify_circuit
+from essplit import BinaryMatroid, GF2Matrix
 from essplit.errors import GroundSetTooLarge, UnknownLabel
-from essplit.matroid import EX, OX
 
 from instances import matroid_from_columns, random_columns, random_matroid
+from reference import EX, OX, classify_circuit
 
 #: Full cycle census of the wheel graph, derived by hand from the graph:
 #: four hub triangles, the rim square, four hub 4-cycles (opposite rim
@@ -69,40 +69,44 @@ class TestClosure:
 
 
 class TestClosuresWith:
-    """One basis of A answers rank and closure for every A + S, S inside
-    the extra labels; checked against ``rank_of`` and ``closure_of``."""
+    """``closures_at``: one basis of A answers rank and closure for every
+    A + S, S inside the extra positions; checked against ``rank_of`` and
+    ``closure_of``, the label view of its first entry."""
 
     def test_matches_rank_and_closure_on_random_matrices(self):
         rng = random.Random(8080)
         for _ in range(150):
             n = rng.randint(1, 8)
             m = matroid_from_columns(random_columns(rng, n, rng.randint(0, 5)), 5)
-            extra = rng.sample(m.ground, rng.randint(0, min(3, n)))
-            subset = frozenset(lab for lab in m.ground if rng.random() < 0.4)
-            answers = m.closures_with(subset, extra)
+            extra = rng.sample(range(n), rng.randint(0, min(3, n)))
+            mask = sum(1 << pos for pos in range(n) if rng.random() < 0.4)
+            answers = m.closures_at(mask, extra)
             assert len(answers) == 2 ** len(extra)
             for i, (rank, closure) in enumerate(answers):
-                part = subset | {lab for j, lab in enumerate(extra) if i >> j & 1}
-                assert rank == m.rank_of(part)
-                assert closure == m.closure_of(part)
+                part = mask | sum(1 << pos for j, pos in enumerate(extra) if i >> j & 1)
+                labels = {m.ground[pos] for pos in range(n) if part >> pos & 1}
+                assert rank == m.rank_of(labels)
+                assert closure == sum(
+                    1 << m.ground.index(lab) for lab in m.closure_of(labels)
+                )
 
     def test_loops_and_repeated_extras(self):
         # Columns: 0 and 3 are loops, 1 and 2 are parallel.
         m = matroid_from_columns([0, 1, 1, 0, 2], 2)
-        assert m.closures_with({"1"}, ("3", "2", "4")) == (
-            (1, frozenset("0123")),
-            (1, frozenset("0123")),
-            (1, frozenset("0123")),
-            (1, frozenset("0123")),
-            (2, frozenset("01234")),
-            (2, frozenset("01234")),
-            (2, frozenset("01234")),
-            (2, frozenset("01234")),
+        assert m.closures_at(0b10, (3, 2, 4)) == (
+            (1, 0b1111),
+            (1, 0b1111),
+            (1, 0b1111),
+            (1, 0b1111),
+            (2, 0b11111),
+            (2, 0b11111),
+            (2, 0b11111),
+            (2, 0b11111),
         )
 
     def test_unknown_label(self, wheel_ctx):
         with pytest.raises(UnknownLabel):
-            wheel_ctx.base.closures_with({"1"}, ("zz",))
+            wheel_ctx.base.closure_of({"1", "zz"})
 
 
 class TestCircuits:
@@ -118,7 +122,8 @@ class TestCircuits:
 
     def test_canonical_order(self, wheel_ctx):
         circuits = wheel_ctx.base.circuits()
-        keys = [wheel_ctx.base.subset_key(c) for c in circuits]
+        position = {lab: i for i, lab in enumerate(wheel_ctx.base.ground)}
+        keys = [(len(c), sorted(map(position.__getitem__, c))) for c in circuits]
         assert keys == sorted(keys)
 
     def test_cache_returns_same_tuple(self, wheel_ctx):

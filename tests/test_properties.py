@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 
 from essplit import (
     SplitContext,
-    SplitQuery,
     closure_rule,
     predict_circuits,
     predict_rank,
     split_matroid,
 )
-from essplit.splitting import _BaseFacts
 
 from instances import matroid_from_columns
 from reference import reference_circuit_family
@@ -56,10 +54,8 @@ def split_contexts(draw, max_rows: int = 3, max_n: int = 6):
 def test_rank_and_closure_rule_match_the_oracle(ctx):
     oracle = split_matroid(ctx)
     for a_prime in oracle.all_subsets():
-        q = SplitQuery.of(ctx, a_prime)
-        facts = _BaseFacts.of(ctx, q.a)
-        assert predict_rank(ctx, q, facts=facts) == oracle.rank_of(a_prime)
-        report = closure_rule(ctx, q, facts=facts)
+        assert predict_rank(ctx, a_prime) == oracle.rank_of(a_prime)
+        report = closure_rule(ctx, a_prime)
         assert len(report.matched_cases) == 1
         assert report.formula_result == oracle.closure_of(a_prime)
 
@@ -80,3 +76,40 @@ def test_predicted_circuits_match_the_label_set_reference(ctx):
     for name in ("c0", "c1", "c2", "c3", "delta"):
         assert getattr(family, name) == getattr(expected, name), name
     assert family.all_circuits() == expected.all_circuits()
+
+
+@st.composite
+def planted_even_unions(draw):
+    """Contexts where two disjoint odd-overlap circuits have a union that
+    holds an even-overlap circuit, which c1 must leave out.
+
+    Columns u, v, u + v and u, w, u + w come first, with only the two u
+    columns in X: {u, v, u + v} and {u, w, u + w} are disjoint circuits
+    of odd overlap, and the two u columns form a parallel pair of even
+    overlap inside their union.  Random columns follow, any of them in
+    X, and e is drawn from X.
+    """
+    n_rows = draw(st.integers(2, 4))
+    top = (1 << n_rows) - 1
+    u = draw(st.integers(1, top))
+    v = draw(st.integers(1, top).filter(lambda word: word != u))
+    w = draw(st.integers(1, top).filter(lambda word: word != u))
+    extra = draw(st.lists(st.integers(0, top), max_size=4))
+    base = matroid_from_columns([u, v, u ^ v, u, w, u ^ w, *extra], n_rows)
+    x = {"0", "3"} | {
+        lab for lab in base.ground[6:] if draw(st.booleans())
+    }
+    e = draw(st.sampled_from(sorted(x)))
+    return SplitContext(base, frozenset(x), e, "a", "g")
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_even_unions())
+def test_c1_leaves_out_unions_that_hold_an_even_circuit(ctx):
+    family = predict_circuits(ctx)
+    for union in family.c1:
+        assert not any(even <= union for even in family.c0)
+    expected = reference_circuit_family(ctx)
+    for name in ("c0", "c1", "c2", "c3", "delta"):
+        assert getattr(family, name) == getattr(expected, name), name
+    assert set(family.all_circuits()) == set(split_matroid(ctx).circuits())

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from essplit import (
     BinaryMatroid,
     GF2Matrix,
     SplitContext,
-    SplitQuery,
     build_split_matrix,
     closure_rule,
     find_ox_subcircuit,
@@ -18,6 +18,8 @@ from essplit import (
     split_matroid,
 )
 from essplit import splitting
+from essplit.cli import main
+from essplit.gf2 import format_matrix
 from essplit.errors import (
     BaseNotFlat,
     ElementNotInX,
@@ -25,7 +27,6 @@ from essplit.errors import (
     PreconditionViolated,
     UnknownLabel,
 )
-from essplit.matroid import OX, classify_circuit
 
 from instances import (
     matroid_from_columns,
@@ -33,16 +34,13 @@ from instances import (
     random_matroid,
     random_split_instance,
 )
-from reference import circuits_by_overlap
-
-
-def q_of(ctx, labels):
-    return SplitQuery.of(ctx, labels)
-
-
-def base_facts(ctx, labels):
-    """The ``_BaseFacts`` record of the base part with these labels."""
-    return splitting._BaseFacts.of(ctx, labels)
+from reference import (
+    OX,
+    base_facts,
+    circuits_by_overlap,
+    classify_circuit,
+    reference_find_ox_subcircuit,
+)
 
 
 def base_set(ctx, labels, field):
@@ -171,12 +169,11 @@ class TestPredictRank:
         [(("a",), 1), (("2", "6", "gamma"), 2), (("4", "5", "x"), 3)],
     )
     def test_wheel_examples(self, wheel_ctx, labels, expected):
-        assert predict_rank(wheel_ctx, q_of(wheel_ctx, labels)) == expected
+        assert predict_rank(wheel_ctx, labels) == expected
 
     def test_matches_oracle_exhaustively_on_wheel(self, wheel_ctx, wheel_split):
         for a_prime in wheel_split.all_subsets():
-            q = q_of(wheel_ctx, a_prime)
-            assert predict_rank(wheel_ctx, q) == wheel_split.rank_of(a_prime)
+            assert predict_rank(wheel_ctx, a_prime) == wheel_split.rank_of(a_prime)
 
 
 class TestBaseFacts:
@@ -202,7 +199,7 @@ class TestBaseFacts:
             e_loops += base.rank_of({ctx.e}) == 0
             for _ in range(8):
                 a = frozenset(lab for lab in base.ground if rng.random() < 0.4)
-                facts = splitting._BaseFacts.of(ctx, a)
+                facts = base_facts(ctx, a)
                 assert ctx.labels_of(facts.a) == a
                 assert facts.rank == base.rank_of(a)
                 assert ctx.labels_of(facts.cl) == base.closure_of(a)
@@ -210,32 +207,33 @@ class TestBaseFacts:
                 assert facts.e_in_cl == (ctx.e in base.closure_of(a))
         assert e_loops > 10
 
+    # ``essplit check`` asks one record all four queries of its A; the
+    # public predictors make a record per query.
+
     def test_shared_record_answers_like_fresh_ones(self):
         for ctx, rng in self.random_contexts():
             a = frozenset(lab for lab in ctx.base.ground if rng.random() < 0.5)
-            facts = splitting._BaseFacts.of(ctx, a)
+            facts = base_facts(ctx, a)
             for added in ((), ("a",), ("g",), ("a", "g")):
-                q = q_of(ctx, a | set(added))
-                assert predict_closure(ctx, q, facts=facts) == predict_closure(ctx, q)
-                assert predict_rank(ctx, q, facts=facts) == predict_rank(ctx, q)
+                has_a, has_gamma = "a" in added, "g" in added
+                labels = a | set(added)
+                matched, mask = facts.table_closure(has_a, has_gamma)
+                report = predict_closure(ctx, labels)
+                assert report.matched_cases == matched
+                assert report.formula_result == (
+                    None if mask is None else ctx.labels_of(mask)
+                )
+                assert facts.split_rank(has_a, has_gamma) == predict_rank(ctx, labels)
 
-    def test_closure_rule_reads_the_shared_record(self, wheel_ctx):
+    def test_closure_rule_reads_the_shared_record(self):
         for ctx, rng in self.random_contexts():
             a = frozenset(lab for lab in ctx.base.ground if rng.random() < 0.5)
-            facts = splitting._BaseFacts.of(ctx, a)
+            facts = base_facts(ctx, a)
             for added in ((), ("a",), ("g",), ("a", "g")):
-                q = q_of(ctx, a | set(added))
-                assert closure_rule(ctx, q, facts=facts) == closure_rule(ctx, q)
-        facts = splitting._BaseFacts.of(wheel_ctx, {"1", "2"})
-        with pytest.raises(ValueError):
-            closure_rule(wheel_ctx, q_of(wheel_ctx, {"1", "gamma"}), facts=facts)
-
-    def test_record_of_another_base_part_is_refused(self, wheel_ctx):
-        facts = splitting._BaseFacts.of(wheel_ctx, {"1", "2"})
-        with pytest.raises(ValueError):
-            predict_rank(wheel_ctx, q_of(wheel_ctx, {"1", "a"}), facts=facts)
-        with pytest.raises(ValueError):
-            predict_closure(wheel_ctx, q_of(wheel_ctx, {"1", "3"}), facts=facts)
+                matched, mask = facts.rule_closure("a" in added, "g" in added)
+                report = closure_rule(ctx, a | set(added))
+                assert report.matched_cases == matched
+                assert report.formula_result == ctx.labels_of(mask)
 
 
 class TestOxHelpers:
@@ -313,6 +311,67 @@ class TestFindOxSubcircuit:
                     assert got in ctx.base.circuits()
                     found += 1
 
+    @staticmethod
+    def outcome(find, ctx, c_ox, c_ex, a):
+        """The circuit found, or the type and message of the refusal."""
+        try:
+            return "found", find(ctx, c_ox, c_ex, a)
+        except (PreconditionViolated, UnknownLabel) as exc:
+            return type(exc).__name__, str(exc)
+
+    def test_matches_the_label_reference(self):
+        # The mask version against its label-set form, on valid triples
+        # and on triples that break each check in turn: circuits of the
+        # wrong parity or missing e, sets that are no circuit (labels
+        # outside the base ground among them), and parts A that are too
+        # small or hold labels outside the base ground.
+        rng = random.Random(4242)
+        seen = set()
+        for _ in range(80):
+            ctx = random_split_instance(rng, rng.randint(4, 8))
+            ground = list(ctx.base.ground)
+            circuits = list(ctx.base.circuits())
+            if not circuits:
+                continue
+            ox, ex = circuits_by_overlap(ctx)
+            ox_e = [c for c in ox if ctx.e in c] or circuits
+            ex_e = [c for c in ex if ctx.e in c] or circuits
+            c = rng.choice(circuits)
+            pool = circuits + [
+                frozenset(rng.sample(ground, rng.randint(1, len(ground)))),
+                c | {"zz"},
+                c | {ctx.label_gamma},
+                c - {rng.choice(sorted(c))},
+            ]
+            for _ in range(30):
+                wanted = rng.random() < 0.6
+                c_ox = rng.choice(ox_e if wanted else pool)
+                c_ex = rng.choice(ex_e if rng.random() < 0.6 else pool)
+                a = (c_ox | c_ex) - {ctx.e}
+                roll = rng.random()
+                if roll < 0.3 and a:
+                    a = a - {rng.choice(sorted(a))}
+                elif roll < 0.4:
+                    a = a | {rng.choice(["zz", ctx.label_a, ctx.label_gamma])}
+                elif roll < 0.6:
+                    a = a | {rng.choice(ground)}
+                got = self.outcome(find_ox_subcircuit, ctx, c_ox, c_ex, a)
+                want = self.outcome(reference_find_ox_subcircuit, ctx, c_ox, c_ex, a)
+                assert got == want, (c_ox, c_ex, a)
+                seen.add(want[1] if want[0] == "PreconditionViolated" else want[0])
+        assert seen == {
+            "found",
+            "UnknownLabel",
+            "c_ox is not a circuit",
+            "c_ex is not a circuit",
+            "c_ox has even overlap with X",
+            "c_ex has odd overlap with X",
+            "e is missing from c_ox",
+            "e is missing from c_ex",
+            "c_ox is not inside A + e",
+            "c_ex is not inside A + e",
+        }
+
 
 class TestPredictClosure:
     @pytest.mark.parametrize(
@@ -329,70 +388,72 @@ class TestPredictClosure:
             (("2", "6", "y"), ("L3.8.5",), ("2", "6", "y", "a", "gamma")),
         ],
     )
-    def test_sound_cases_agree_with_oracle(self, wheel_ctx, labels, cases, expected):
-        report = predict_closure(wheel_ctx, q_of(wheel_ctx, labels), with_oracle=True)
+    def test_sound_cases_agree_with_oracle(
+        self, wheel_ctx, wheel_split, labels, cases, expected
+    ):
+        report = predict_closure(wheel_ctx, labels)
         assert report.matched_cases == cases
         assert report.formula_result == frozenset(expected)
-        assert report.oracle_result == frozenset(expected)
-        assert report.agreement is True
+        assert wheel_split.closure_of(labels) == frozenset(expected)
 
-    def test_known_gamma_only_overshoot(self, wheel_ctx):
+    def test_known_gamma_only_overshoot(self, wheel_ctx, wheel_split):
         # With gamma added to a set that spans y through odd circuits
         # only, the case formula claims a and y enter the closure; the
         # matrix says otherwise.  Pinned as the canonical disagreement.
-        report = predict_closure(
-            wheel_ctx, q_of(wheel_ctx, ("2", "6", "gamma")), with_oracle=True
-        )
+        labels = ("2", "6", "gamma")
+        report = predict_closure(wheel_ctx, labels)
         assert report.matched_cases == ("L3.8.4",)
         assert report.formula_result == frozenset({"2", "6", "y", "a", "gamma"})
-        assert report.oracle_result == frozenset({"2", "6", "gamma"})
-        assert report.agreement is False
+        assert wheel_split.closure_of(labels) == frozenset({"2", "6", "gamma"})
 
-    def test_known_missing_reachable_elements(self, wheel_ctx):
+    def test_known_missing_reachable_elements(self, wheel_ctx, wheel_split):
         # The all-new-elements formula omits elements that enter the
         # closure through gamma-rewritten circuits (here 3, via {3,4,5,y}).
-        report = predict_closure(
-            wheel_ctx, q_of(wheel_ctx, ("4", "5", "x", "gamma")), with_oracle=True
-        )
+        labels = ("4", "5", "x", "gamma")
+        report = predict_closure(wheel_ctx, labels)
         assert report.matched_cases == ("L3.8.3",)
         assert report.formula_result == frozenset(
             {"4", "5", "x", "y", "a", "gamma"}
         )
-        assert report.oracle_result == frozenset(
+        assert wheel_split.closure_of(labels) == frozenset(
             {"3", "4", "5", "x", "y", "a", "gamma"}
         )
-        assert report.agreement is False
 
-    def test_known_oversubtraction(self, wheel_ctx):
+    def test_known_oversubtraction(self, wheel_ctx, wheel_split):
         # 6 sits on an odd-overlap circuit inside cl({1,4,5}) and is
         # subtracted, yet the even circuit {1,5,6} keeps it reachable.
-        report = predict_closure(
-            wheel_ctx, q_of(wheel_ctx, ("1", "4", "5")), with_oracle=True
-        )
+        labels = ("1", "4", "5")
+        report = predict_closure(wheel_ctx, labels)
         assert report.matched_cases == ("L3.2",)
         assert report.formula_result == frozenset({"1", "4", "5"})
-        assert report.oracle_result == frozenset({"1", "4", "5", "6"})
-        assert report.agreement is False
+        assert wheel_split.closure_of(labels) == frozenset({"1", "4", "5", "6"})
 
     def test_every_wheel_query_hits_some_case(self, wheel_ctx, wheel_split):
         for a_prime in wheel_split.all_subsets():
-            report = predict_closure(wheel_ctx, q_of(wheel_ctx, a_prime))
+            report = predict_closure(wheel_ctx, a_prime)
             assert report.matched_cases
 
-    def test_report_dict_schema(self, wheel_ctx):
-        report = predict_closure(
-            wheel_ctx, q_of(wheel_ctx, ("2", "6")), with_oracle=True
-        )
-        assert report.as_dict(wheel_ctx) == {
-            "matched": ["L3.5"],
-            "formula": ["2", "6", "gamma"],
-            "oracle": ["2", "6", "gamma"],
-            "agree": True,
+    def test_report_dict_schema(self, wheel_ctx, tmp_path, capsys):
+        # The report's JSON form is the payload of ``essplit closure``: a
+        # route not taken reads null, and agree needs both routes.
+        path = tmp_path / "wheel.txt"
+        path.write_text(format_matrix(wheel_ctx.base.matrix))
+        argv = ["closure", "--input", str(path), "--X", "x,y", "--e", "y"]
+        closure = ["2", "6", "gamma"]
+        expected = {
+            "formula": {"matched": ["L3.5"], "formula": closure, "oracle": None, "agree": None},
+            "oracle": {"matched": [], "formula": None, "oracle": closure, "agree": None},
+            "both": {"matched": ["L3.5"], "formula": closure, "oracle": closure, "agree": True},
         }
+        for mode, payload in expected.items():
+            assert main([*argv, "--subset", "2,6", "--mode", mode, "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out) == payload
 
     def test_unknown_label(self, wheel_ctx):
-        with pytest.raises(UnknownLabel):
-            q_of(wheel_ctx, ("zz",))
+        message = r"labels \['zz'\] are not split elements"
+        for predictor in (predict_closure, closure_rule, predict_rank, predict_is_flat):
+            with pytest.raises(UnknownLabel, match=message):
+                predictor(wheel_ctx, ("1", "zz"))
 
 
 class TestClosureViaPredictedFamily:
@@ -455,20 +516,19 @@ class TestClosureRule:
             (("1", "6", "gamma"), "R3.3", ("1", "2", "5", "6", "gamma")),
         ],
     )
-    def test_wheel_examples(self, wheel_ctx, labels, case, expected):
-        report = closure_rule(wheel_ctx, q_of(wheel_ctx, labels), with_oracle=True)
+    def test_wheel_examples(self, wheel_ctx, wheel_split, labels, case, expected):
+        report = closure_rule(wheel_ctx, labels)
         assert report.matched_cases == (case,)
         assert report.formula_result == frozenset(expected)
-        assert report.agreement is True
+        assert wheel_split.closure_of(labels) == frozenset(expected)
 
     def test_wheel_exhaustive(self, wheel_ctx, wheel_split):
         hits = set()
         for a_prime in wheel_split.all_subsets():
-            q = q_of(wheel_ctx, a_prime)
-            report = closure_rule(wheel_ctx, q)
+            report = closure_rule(wheel_ctx, a_prime)
             assert len(report.matched_cases) == 1
             assert report.formula_result == wheel_split.closure_of(a_prime)
-            rule_shapes = base_facts(wheel_ctx, q.a).rule_shapes
+            rule_shapes = base_facts(wheel_ctx, a_prime).rule_shapes
             assert report.formula_result in shapes(wheel_ctx, rule_shapes)
             hits.update(report.matched_cases)
         assert hits == set(CLOSURE_RULE_CASE_IDS)
@@ -486,7 +546,7 @@ class TestClosureRule:
             ctx = SplitContext(base, x, e, "a", "g")
             oracle = split_matroid(ctx)
             for a_prime in oracle.all_subsets():
-                report = closure_rule(ctx, q_of(ctx, a_prime))
+                report = closure_rule(ctx, a_prime)
                 assert len(report.matched_cases) == 1
                 assert report.formula_result == oracle.closure_of(a_prime)
 
@@ -497,9 +557,8 @@ class TestClosureRule:
         monkeypatch.setattr(splitting, "split_matroid", forbidden)
         monkeypatch.setattr(splitting, "build_split_matrix", forbidden)
         for a_prime in wheel_split.all_subsets():
-            q = q_of(wheel_ctx, a_prime)
-            assert closure_rule(wheel_ctx, q).oracle_result is None
-            base_facts(wheel_ctx, q.a)
+            closure_rule(wheel_ctx, a_prime)
+            base_facts(wheel_ctx, a_prime)
 
     def test_shapes_at_spoke_pair(self, wheel_ctx):
         rule_shapes = base_facts(wheel_ctx, {"4", "5"}).rule_shapes
@@ -524,22 +583,22 @@ class TestClosureRule:
 class TestPredictIsFlat:
     def test_plain_flat(self, wheel_ctx):
         # Conditions 1 and 2 both hold; the first one wins.
-        assert predict_is_flat(wheel_ctx, q_of(wheel_ctx, ("1", "5", "6"))) == 1
+        assert predict_is_flat(wheel_ctx, ("1", "5", "6")) == 1
 
     def test_a_extension(self, wheel_ctx):
-        assert predict_is_flat(wheel_ctx, q_of(wheel_ctx, ("4", "5", "a", "x"))) == 3
+        assert predict_is_flat(wheel_ctx, ("4", "5", "a", "x")) == 3
 
     def test_both_new_elements(self, wheel_ctx):
-        assert predict_is_flat(wheel_ctx, q_of(wheel_ctx, ("y", "a", "gamma"))) == 6
+        assert predict_is_flat(wheel_ctx, ("y", "a", "gamma")) == 6
 
     def test_none_when_no_condition_holds(self, wheel_ctx, wheel_split):
-        q = q_of(wheel_ctx, ("5", "y", "gamma"))
-        assert predict_is_flat(wheel_ctx, q) is None
-        assert not wheel_split.is_flat(q.a_prime)
+        labels = ("5", "y", "gamma")
+        assert predict_is_flat(wheel_ctx, labels) is None
+        assert not wheel_split.is_flat(labels)
 
     def test_base_must_be_flat(self, wheel_ctx):
         with pytest.raises(BaseNotFlat):
-            predict_is_flat(wheel_ctx, q_of(wheel_ctx, ("4", "5")))
+            predict_is_flat(wheel_ctx, ("4", "5"))
 
     def test_flatness_is_checked_before_the_circuits(self, wheel_ctx):
         # A base part that is not a flat is refused without enumerating
@@ -548,7 +607,7 @@ class TestPredictIsFlat:
         base = BinaryMatroid(wheel_ctx.base.matrix, enumeration_cap=2)
         ctx = SplitContext(base, wheel_ctx.x_set, wheel_ctx.e)
         with pytest.raises(BaseNotFlat):
-            predict_is_flat(ctx, q_of(ctx, ("4", "5")))
+            predict_is_flat(ctx, ("4", "5"))
         assert base._circuits is None
 
 

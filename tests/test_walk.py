@@ -16,7 +16,7 @@ from essplit import SplitContext, split_matroid
 from essplit.splitting import _BaseFacts
 
 from instances import matroid_from_columns, random_columns
-from reference import reference_base_facts
+from reference import base_facts, reference_base_facts
 
 
 def random_contexts(seed, count=160, max_n=7):
@@ -117,7 +117,7 @@ class TestMaskRecord:
                     assert getattr(facts, name) == expected[name], name
                 for name in ("f", "f_star", "t"):
                     assert ctx.labels_of(getattr(facts, name)) == expected[name], name
-                labelled = _BaseFacts.of(ctx, a)
+                labelled = base_facts(ctx, a)
                 assert all(
                     getattr(labelled, slot) == getattr(facts, slot)
                     for slot in _BaseFacts.__slots__
