@@ -5,7 +5,9 @@ data only; ``split_matroid`` is the brute-force GF(2) oracle.  The
 drawn bases have loops, parallel classes and zero rows, e is often a
 loop, and X is often {e} or the whole ground set.  Over the same space,
 ``predict_circuits`` must also give the very tuples of
-``reference_circuit_family``, its earlier form on label sets.
+``reference_circuit_family``, its earlier form on label sets; a second
+strategy plants unions of two disjoint odd-overlap circuits that hold an
+even-overlap circuit, which c1 must leave out.
 """
 
 from hypothesis import given, settings
@@ -96,9 +98,7 @@ def planted_even_unions(draw):
     w = draw(st.integers(1, top).filter(lambda word: word != u))
     extra = draw(st.lists(st.integers(0, top), max_size=4))
     base = matroid_from_columns([u, v, u ^ v, u, w, u ^ w, *extra], n_rows)
-    x = {"0", "3"} | {
-        lab for lab in base.ground[6:] if draw(st.booleans())
-    }
+    x = {"0", "3"} | {lab for lab in base.ground[6:] if draw(st.booleans())}
     e = draw(st.sampled_from(sorted(x)))
     return SplitContext(base, frozenset(x), e, "a", "g")
 
