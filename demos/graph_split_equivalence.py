@@ -5,11 +5,12 @@
 
 import random
 import sys
+from pathlib import Path
 
 from essplit import n_line_split, verify_equivalence
 from essplit.showcase import showcase_graph, showcase_split_spec
 
-sys.path.insert(0, "tests")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from instances import random_connected_multigraph, random_split_spec  # noqa: E402
 
 graph = showcase_graph()

@@ -1,10 +1,5 @@
-"""Command-line front end.
-
-Subcommands: split, closure, rank, circuits, flats, check, demo-fig2.
-Set-valued flags take comma-separated labels (e.g. ``--subset 2,6,gamma``);
-the names ``a`` and ``gamma`` refer to the two new split elements unless
-overridden with --label-a / --label-gamma.  Input files are UTF-8, with
-or without a byte-order mark.
+"""Command-line front end.  ``essplit --help`` prints ``_DESCRIPTION``,
+the user's guide; these notes are on the code.
 
 Output has one path.  Each ``cmd_*`` returns its exit code, its JSON
 payload and its text lines, and prints nothing; ``main`` alone reads
@@ -14,19 +9,16 @@ generated lazily wherever there can be many, so a JSON run does not
 build them.
 
 ``check`` compares the closure and rank predictions with the oracle on
-every subset A' of the split ground, or on --sample N distinct ones.  It
-walks the base parts A depth first, on the base and on the split matrix
-in step, so each A costs one column projection per matrix.  Per A, one
-record of base facts and one set of oracle spans answer all four
-queries A, A+a, A+gamma and A+a+gamma, on position masks.  A sample
-walks only the prefixes of its drawn base parts.  The report lists
-disagreements by subset size, then position; with --sample, in draw
-order, or in mask order when N covers every subset.  JSON is rendered
-with one join per list or object, byte for byte as json.dumps with
-indent=2.
-
-Exit codes: 0 ok, 1 usage or parse failure, 2 precondition violation,
-3 a formula/oracle disagreement was found.
+every subset A' of the split ground, or on --sample N distinct ones.
+Per base part A, one record of base facts and one set of oracle spans
+answer all four queries A, A+a, A+gamma and A+a+gamma, on position
+masks.  An exhaustive run walks the base parts depth first, on the base
+and on the split matrix in step, so each A costs one column projection
+per matrix; a sampled run, like the section on the base flats, queries
+each of its base parts directly.  The report lists disagreements by
+subset size, then position; with --sample, in draw order, or in mask
+order when N covers every subset.  JSON is rendered with one join per
+list or object, byte for byte as json.dumps with indent=2.
 """
 
 from __future__ import annotations
@@ -62,6 +54,34 @@ from .splitting import (
 )
 
 OK, USAGE, PRECONDITION, DISAGREEMENT = 0, 1, 2, 3
+
+_DESCRIPTION = """\
+Split a binary matroid at an element e of a set X, predict the split's
+closures, ranks, circuits and flats from the base matroid alone, and
+compare each prediction with a brute-force GF(2) oracle.
+
+subcommands:
+  split      print the split matrix
+  closure    closure of --subset in the split (--mode formula|oracle|both)
+  rank       rank of --subset in the split
+  circuits   circuit family of the split
+  flats      flats of the split, or whether --subset is one
+  check      every prediction against the oracle, on all subsets or on
+             --sample N of them (--seed S)
+  demo-fig2  the bundled wheel example
+
+labels:
+  Set flags take comma-separated labels, e.g. --subset 2,6,gamma.  The
+  new elements are a and gamma unless --label-a/--label-gamma say else.
+
+input (--input FILE, UTF-8, with or without a byte-order mark):
+  --kind matrix  a header line of column labels, then one line of 0/1
+                 entries per row
+  --kind graph   one edge per line, "label u v"; # starts a comment
+
+Exit codes: 0 ok, 1 usage or parse failure, 2 precondition violation,
+3 a formula/oracle disagreement was found.
+"""
 
 
 class _UsageError(Exception):
@@ -358,7 +378,6 @@ def cmd_check(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
     oracle = split_matroid(ctx)
     n = len(ctx.base.ground)
-    new = (ctx.label_a, ctx.label_gamma)
 
     case_hits: dict[str, int] = {}
     no_case = 0
@@ -366,14 +385,25 @@ def cmd_check(args: argparse.Namespace) -> Result:
     rank_found: list[tuple[int, int, int]] = []
     subsets = 0
 
-    # The base and the split matrix are walked in step over the same base
-    # parts A.  Per A, one facts record and one set of oracle spans answer
-    # the four queries A, A+a, A+gamma and A+a+gamma, all on position
-    # masks; witnesses become labels once sorted into report order.
+    def queried(parts: Iterable[int]) -> Iterator[tuple[_BaseFacts, tuple]]:
+        # One facts record and one set of oracle spans per base part.
+        for part in parts:
+            yield _BaseFacts.at(ctx, part), oracle.closures_at(part, (n, n + 1))
+
+    def walked() -> Iterator[tuple[_BaseFacts, tuple]]:
+        # Every base part, the base and the split matrix walked in step.
+        e = ctx.e_bit.bit_length() - 1
+        for (part, spans), (_, split_spans) in zip(
+            ctx.base.walk_closures((e,), n), oracle.walk_closures((n, n + 1), n)
+        ):
+            yield _BaseFacts(ctx, part, spans), split_spans
+
+    # Per base part A, the facts record and the oracle spans answer the
+    # four queries A, A+a, A+gamma and A+a+gamma, all on position masks;
+    # witnesses become labels once sorted into report order.
     groups, order = _check_plan(ctx, oracle, args.sample, args.seed)
-    parts = None if groups is None else groups.keys()
-    walk = zip(_BaseFacts.walk(ctx, parts), oracle.walk_closures(new, n, parts))
-    for facts, (base, spans) in walk:
+    for facts, spans in walked() if groups is None else queried(groups):
+        base = facts.a
         for top in range(4) if groups is None else groups[base]:
             subsets += 1
             has_a, has_gamma = top & 1, top & 2
@@ -394,16 +424,13 @@ def cmd_check(args: argparse.Namespace) -> Result:
     family_equal = set(predict_circuits(ctx).minimal) == set(oracle.circuits(masks=True))
     corollary_ok = oracle.rank_of(oracle.ground) == ctx.base.rank_of(ctx.base.ground) + 1
 
-    # One facts record and one set of oracle spans per base flat F answer
-    # the four subsets F, F+a, F+gamma and F+a+gamma.
+    # The four subsets F, F+a, F+gamma and F+a+gamma of each base flat F.
     labels = ctx.sorted_labels
     flat_violations: list[dict] = []
-    for flat in ctx.base.flats(masks=True):
-        facts = _BaseFacts.at(ctx, flat)
-        spans = oracle.closures_at(flat, (n, n + 1))
+    for facts, spans in queried(ctx.base.flats(masks=True)):
         for top in range(4):
             condition = facts.flat_condition(top & 1, top & 2)
-            a_prime = flat | top << n
+            a_prime = facts.a | top << n
             if condition is not None and spans[top][1] != a_prime:
                 flat_violations.append({"subset": labels(a_prime), "condition": condition})
 
@@ -557,7 +584,11 @@ def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="essplit", description=__doc__)
+    parser = _Parser(
+        prog="essplit",
+        description=_DESCRIPTION,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     for name, func, needs_subset in (

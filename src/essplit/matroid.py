@@ -9,9 +9,9 @@ on the kernel of ``gf2``.  From the residues of all columns modulo
 span(A), one pass (``_spans``) gives the rank and the closure of A + S
 for every S inside a few extra elements; ``closures_at`` runs it for
 one A, and ``closure_of`` is the label view of its case S = {}.
-``walk_closures`` runs it for many A in one depth-first walk: each child
-adds one column above its parent's, so its residues follow from the
-parent's by one projection.  The two enumerations follow the size of
+``walk_closures`` runs it for every A in one depth-first walk: each
+child adds one column above its parent's, so its residues follow from
+the parent's by one projection.  The two enumerations follow the size of
 their answer rather than walking every subset:
 
 * ``circuits()`` either sweeps subsets by size or walks the cycle space
@@ -29,8 +29,9 @@ lexicographically by position, ``_mask_key``).  Labels appear only at
 the boundary: ``rank_of``, ``closure_of`` and ``is_flat`` take label
 sets, and ``circuits()`` and ``flats()`` return ``frozenset`` objects
 of labels in that order, or with ``masks=True`` the position masks
-themselves, for callers that stay on masks.  ``closures_at`` takes and
-``walk_closures`` yields masks.
+themselves, for callers that stay on masks.  ``closures_at`` and
+``walk_closures`` take the extra elements as positions and answer with
+masks.
 """
 
 from __future__ import annotations
@@ -193,52 +194,28 @@ class BinaryMatroid:
         return _spans(residues, rank, extra_positions)
 
     def walk_closures(
-        self, extra: Iterable[str], width: int, parts: Iterable[int] | None = None
+        self, extra_positions: Sequence[int], width: int
     ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-        """``closures_at`` for many subsets A, with the extra elements
-        given by their labels.
-
-        The subsets A are those of the first ``width`` positions, or,
-        with ``parts``, the masks listed there.  Each is yielded once, as
-        (mask of A, answers), where the answers are (rank, closure mask)
-        of A + S for every S inside ``extra``, indexed as in
-        ``closures_at``.
+        """``closures_at`` for every subset A of the first ``width``
+        positions, each yielded once as (mask of A, answers).
 
         The walk is depth first.  A child adds one position above every
         position of its parent, so it gets its residues from the
         parent's by one ``_project_out``, and when the new column already
         lies in the parent's span nothing changes: the child's answers
-        are the parent's.  With ``parts`` the walk keeps to the prefixes
-        (lowest positions first) of the listed masks.  Parents come
-        before their children, and two walks with the same ``width`` and
-        ``parts`` visit the same masks in the same order, so they can be
-        zipped; callers must not rely on the order otherwise.
+        are the parent's.  Parents come before their children, and two
+        walks with the same ``width`` visit the same masks in the same
+        order, so they can be zipped; callers must not rely on the order
+        otherwise.
         """
-        extra_pos = [self._positions((lab,))[0] for lab in extra]
-        wanted: set[int] | None = None
-        if parts is not None:
-            wanted = set(parts)
-            if any(part >> width for part in wanted):
-                raise ValueError(f"a part has positions at or above {width}")
-            tree: dict[int, set[int]] = {}
-            for part in wanted:
-                prefix = 0
-                for pos in _bits(part):
-                    tree.setdefault(prefix, set()).add(pos)
-                    prefix |= 1 << pos
         stack = [(0, 0, list(self._cols), None)]
         while stack:
             mask, rank, residues, answers = stack.pop()
             if answers is None:
-                answers = _spans(residues, rank, extra_pos)
-            if wanted is None:
-                yield mask, answers
-                children: Iterable[int] = range(width - 1, mask.bit_length() - 1, -1)
-            else:
-                if mask in wanted:
-                    yield mask, answers
-                children = sorted(tree.get(mask, ()), reverse=True)
-            for pos in children:  # highest first, so the lowest is popped next
+                answers = _spans(residues, rank, extra_positions)
+            yield mask, answers
+            # Highest first, so the lowest is popped next.
+            for pos in range(width - 1, mask.bit_length() - 1, -1):
                 pivot = residues[pos]
                 if pivot:
                     stack.append(

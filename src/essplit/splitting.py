@@ -27,9 +27,9 @@ finds the circuit facts in one pass over the odd-overlap circuits, held
 as masks by ``SplitContext``.  Its methods evaluate the rank formula and
 both closure tables on masks.  The four split queries A, A + a,
 A + gamma and A + a + gamma share one base part, so one record serves
-them all.  ``essplit check`` gets the records of all base parts from
-``_BaseFacts.walk``, which follows ``BinaryMatroid.walk_closures`` on
-the base with extra (e,).
+them all.  ``_BaseFacts.at`` makes the record of one base part; an
+exhaustive ``essplit check`` makes the records of all of them from
+``BinaryMatroid.walk_closures`` on the base, with e as the extra.
 
 Labels cross into masks at one place, ``SplitContext.mask_of``, and
 come back at one place, ``SplitContext.sorted_labels``, in split-ground
@@ -54,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     BaseNotFlat,
@@ -310,8 +310,8 @@ class _BaseFacts:
         self, ctx: SplitContext, a: int, spans: tuple[tuple[int, int], ...]
     ):
         """``a`` is the mask of A; ``spans`` holds (rank, closure mask) of
-        A and of A + e, as ``BinaryMatroid.walk_closures`` yields them on
-        the base with extra (e,)."""
+        A and of A + e, as ``BinaryMatroid.closures_at`` gives them on
+        the base with the position of e as the extra."""
         (rank, cl), (_, cl_e) = spans
         e = ctx.e_bit
         not_cl, not_a, not_ae = ~cl, ~a, ~(a | e)
@@ -369,16 +369,6 @@ class _BaseFacts:
     def at(cls, ctx: SplitContext, a: int) -> "_BaseFacts":
         """The record of the base part with the mask ``a``."""
         return cls(ctx, a, _base_spans(ctx, a))
-
-    @classmethod
-    def walk(
-        cls, ctx: SplitContext, parts: Iterable[int] | None = None
-    ) -> Iterator["_BaseFacts"]:
-        """The records of every base part, or of the masks in ``parts``,
-        in the order of ``BinaryMatroid.walk_closures``."""
-        base = ctx.base
-        for a, spans in base.walk_closures((ctx.e,), len(base.ground), parts):
-            yield cls(ctx, a, spans)
 
     def split_rank(self, has_a: bool, has_gamma: bool) -> int:
         """``predict_rank`` of A plus the new elements named."""

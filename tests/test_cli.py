@@ -559,7 +559,8 @@ class TestCheck:
             raise AssertionError("the check started its work")
 
         monkeypatch.setattr(essplit.cli, "predict_circuits", forbidden)
-        monkeypatch.setattr(essplit.matroid.BinaryMatroid, "walk_closures", forbidden)
+        for method in ("walk_closures", "closures_at"):
+            monkeypatch.setattr(essplit.matroid.BinaryMatroid, method, forbidden)
         path = self.rank_6_base(tmp_path, 21)
         code, out, err = run(
             capsys, "check", "--input", path, "--X", "0,1", "--e", "0", "--sample", "10"
@@ -606,6 +607,15 @@ class TestDemo:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+def test_help_is_written_for_users(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exit_info.value.code == 0
+    assert "Exit codes" in out
+    assert "cmd_" not in out
 
 
 json_values = st.recursive(

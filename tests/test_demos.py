@@ -32,14 +32,16 @@ def test_every_golden_has_its_demo():
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(script):
+def test_demo_runs(script, tmp_path):
+    # Run from an empty directory, so a demo that finds its files relative
+    # to the working directory fails here.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         env=env,
-        cwd=ROOT,
+        cwd=tmp_path,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
