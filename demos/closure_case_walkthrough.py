@@ -5,6 +5,8 @@
 # docstring); the walkthrough makes the mismatch visible instead of
 # hiding it.
 
+from itertools import combinations
+
 from essplit import predict_closure, split_matroid
 from essplit.showcase import CLOSURE_GOLDENS, showcase_context
 
@@ -14,6 +16,12 @@ oracle = split_matroid(ctx)
 
 def fmt(labels):
     return "{" + ",".join(ctx.sort_set(labels)) + "}"
+
+
+def all_subsets(ground):
+    for size in range(len(ground) + 1):
+        for combo in combinations(ground, size):
+            yield frozenset(combo)
 
 
 print("query -> matched case(s): formula / oracle")
@@ -31,7 +39,7 @@ for query, listed in CLOSURE_GOLDENS:
 # Exhaustive tally over all 1024 subsets of the split ground set.
 hits: dict[str, int] = {}
 disagreements = 0
-for a_prime in oracle.all_subsets():
+for a_prime in all_subsets(oracle.ground):
     rep = predict_closure(ctx, a_prime)
     for case_id in rep.matched_cases:
         hits[case_id] = hits.get(case_id, 0) + 1
@@ -51,7 +59,7 @@ from essplit import predict_circuits  # noqa: E402
 
 circuits = predict_circuits(ctx).all_circuits()
 exact = 0
-for a_prime in oracle.all_subsets():
+for a_prime in all_subsets(oracle.ground):
     closed = set(a_prime)
     for z in ctx.split_ground:
         if z not in closed and any(z in c and c <= a_prime | {z} for c in circuits):

@@ -12,13 +12,14 @@ build them.
 every subset A' of the split ground, or on --sample N distinct ones.
 Per base part A, one record of base facts and one set of oracle spans
 answer all four queries A, A+a, A+gamma and A+a+gamma, on position
-masks.  An exhaustive run walks the base parts depth first, on the base
-and on the split matrix in step, so each A costs one column projection
-per matrix; a sampled run, like the section on the base flats, queries
-each of its base parts directly.  The report lists disagreements by
-subset size, then position; with --sample, in draw order, or in mask
-order when N covers every subset.  JSON is rendered with one join per
-list or object, byte for byte as json.dumps with indent=2.
+masks.  An exhaustive run walks the base parts depth first, on the base,
+on M' (the base plus the parity row) and on the split matrix in step, so
+each A costs one column projection per matrix; a sampled run, like the
+section on the base flats, queries each of its base parts directly.  The
+report lists disagreements by subset size, then position; with --sample,
+in draw order, or in mask order when N covers every subset.  JSON is
+rendered with one join per list or object, byte for byte as json.dumps
+with indent=2.
 """
 
 from __future__ import annotations
@@ -88,9 +89,21 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """argparse ended the run itself, after printing --help."""
+
+    def __init__(self, status: int):
+        self.status = status
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise _UsageError(message)
+
+    def exit(self, status: int = 0, message: str | None = None):
+        if message:
+            print(message, file=sys.stderr, end="")
+        raise _Exit(status)
 
 
 def _parse_labels(text: str | None) -> tuple[str, ...]:
@@ -391,12 +404,14 @@ def cmd_check(args: argparse.Namespace) -> Result:
             yield _BaseFacts.at(ctx, part), oracle.closures_at(part, (n, n + 1))
 
     def walked() -> Iterator[tuple[_BaseFacts, tuple]]:
-        # Every base part, the base and the split matrix walked in step.
+        # Every base part; the base, M' and the split matrix walked in step.
         e = ctx.e_bit.bit_length() - 1
-        for (part, spans), (_, split_spans) in zip(
-            ctx.base.walk_closures((e,), n), oracle.walk_closures((n, n + 1), n)
+        for (part, spans), (_, parity_spans), (_, split_spans) in zip(
+            ctx.base.walk_closures((e,), n),
+            ctx.parity.walk_closures((e,), n),
+            oracle.walk_closures((n, n + 1), n),
         ):
-            yield _BaseFacts(ctx, part, spans), split_spans
+            yield _BaseFacts(ctx, part, spans, parity_spans), split_spans
 
     # Per base part A, the facts record and the oracle spans answer the
     # four queries A, A+a, A+gamma and A+a+gamma, all on position masks;
@@ -630,6 +645,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(line)
         sys.stdout.flush()
         return code
+    except _Exit as exc:
+        sys.stdout.flush()
+        return exc.status
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE

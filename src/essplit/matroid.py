@@ -11,11 +11,14 @@ for every S inside a few extra elements; ``closures_at`` runs it for
 one A, and ``closure_of`` is the label view of its case S = {}.
 ``walk_closures`` runs it for every A in one depth-first walk: each
 child adds one column above its parent's, so its residues follow from
-the parent's by one projection.  The two enumerations follow the size of
-their answer rather than walking every subset:
+the parent's by one projection.  ``fundamental_circuits`` gives the
+circuits of a basis of A, one elimination with tag bits.  The two
+enumerations follow the size of their answer rather than walking every
+subset:
 
 * ``circuits()`` either sweeps subsets by size or walks the cycle space
-  (the kernel of the matrix), whichever has fewer candidates;
+  (the kernel of the matrix, spanned by the fundamental circuits of a
+  basis), whichever has fewer candidates;
 * ``flats()`` climbs the lattice of flats from the loops, one cover at
   a time.
 
@@ -41,7 +44,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GroundSetTooLarge, UnknownLabel
-from .gf2 import GF2Matrix, _bits, _insert, _project_out
+from .gf2 import GF2Matrix, _bits, _insert, _project_out, _reduce
 
 def _mask_key(mask: int) -> tuple:
     """Canonical sort key of the subset with this position mask: its size,
@@ -138,13 +141,6 @@ class BinaryMatroid:
                 f"{len(self.ground)} elements exceed the enumeration cap "
                 f"of {self.enumeration_cap}"
             )
-
-    def all_subsets(self) -> Iterator[frozenset[str]]:
-        """Every subset of the ground set, smallest first, then lexicographic."""
-        self._check_subset_cap()
-        for size in range(len(self.ground) + 1):
-            for combo in combinations(self.ground, size):
-                yield frozenset(combo)
 
     # -- rank and closure ------------------------------------------------
 
@@ -296,24 +292,29 @@ class BinaryMatroid:
                     found.append(mask)
         return tuple(found)
 
-    def _cycle_basis(self) -> list[int]:
-        """Position masks of n - rank cycles that span the cycle space.
+    def fundamental_circuits(self, mask: int, extra: int = 0) -> dict[int, int]:
+        """The fundamental circuits of a basis B of the subset ``mask``:
+        position to circuit mask, for every position z of ``mask`` or of
+        ``extra`` that lies in cl(B) - B.
 
-        Each column carries a tag bit for its own position above the row
-        bits, and all tagged columns go into one XOR basis.  An entry
-        whose lowest bit is a tag bit has no row bits left, so its tags
-        name columns that sum to zero: a cycle.  The tag of the column
-        being inserted is above every tag already in the basis, so no
-        insertion reduces to zero and each column adds one entry; the r
-        independent columns add entries keyed by a row bit, and the
-        other n - r entries are cycles with distinct lowest bits, hence
-        independent.
+        B is taken greedily, lowest position first.  Each column carries a
+        tag bit for its own position above the row bits, and the columns
+        of B go into one XOR basis keyed by row bits.  A column that
+        reduces to no row bits is spanned by B, and its tags name columns
+        of B + z that sum to zero: a cycle through z.  B is independent,
+        so B + z holds no other cycle, and a unique cycle is a circuit.
         """
         shift = self.matrix.n_rows
         basis: dict[int, int] = {}
-        for pos, word in enumerate(self._cols):
-            _insert(basis, word | 1 << (shift + pos))
-        return [word >> shift for low, word in basis.items() if low >> shift]
+        out: dict[int, int] = {}
+        for pos in (*_bits(mask), *_bits(extra & ~mask)):
+            word = _reduce(self._cols[pos] | 1 << (shift + pos), basis)
+            low = word & -word
+            if low >> shift:
+                out[pos] = word >> shift
+            elif mask >> pos & 1:
+                basis[low] = word
+        return out
 
     def _is_circuit_support(self, mask: int) -> bool:
         """For the support S of a nonzero cycle: True iff rank(S) = |S| - 1.
@@ -340,7 +341,10 @@ class BinaryMatroid:
         each is the support of exactly one cycle.  A Gray-code order
         reaches every vector by one XOR of a basis cycle each.
         """
-        cycles = self._cycle_basis()
+        # A basis leaves n - rank fundamental circuits, each with its own
+        # element outside the basis, so they are independent and span the
+        # (n - rank)-dimensional cycle space.
+        cycles = list(self.fundamental_circuits((1 << len(self.ground)) - 1).values())
         found: list[int] = []
         support = 0
         for i in range(1, 1 << len(cycles)):

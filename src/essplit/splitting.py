@@ -22,14 +22,17 @@ F*, T, whether A, A + e or cl(A) holds an odd-overlap circuit, and the
 closure shapes) is computed in one place: the record ``_BaseFacts`` of
 the base part A.  It holds every set as a position mask (a base element
 keeps its base position in the split ground, a is bit n and gamma bit
-n + 1), takes rank(A), cl(A) and cl(A + e) from the base matrix, and
-finds the circuit facts in one pass over the odd-overlap circuits, held
-as masks by ``SplitContext``.  Its methods evaluate the rank formula and
-both closure tables on masks.  The four split queries A, A + a,
-A + gamma and A + a + gamma share one base part, so one record serves
-them all.  ``_BaseFacts.at`` makes the record of one base part; an
-exhaustive ``essplit check`` makes the records of all of them from
-``BinaryMatroid.walk_closures`` on the base, with e as the extra.
+n + 1).  It enumerates no circuit: it reads the ranks and closures of A
+and A + e in the base and in M', the base matrix plus the parity row
+(``SplitContext.parity``, built from the base matrix and X), and the
+components of M|cl(A) from fundamental circuits; its docstring proves
+each fact.  So a query costs a few eliminations at any size.  Its
+methods evaluate the rank formula and both closure tables on masks.
+The four split queries A, A + a, A + gamma and A + a + gamma share one
+base part, so one record serves them all.  ``_BaseFacts.at`` makes the
+record of one base part; an exhaustive ``essplit check`` makes the
+records of all of them from ``BinaryMatroid.walk_closures`` on the base
+and on M' in step, with e as the extra.
 
 Labels cross into masks at one place, ``SplitContext.mask_of``, and
 come back at one place, ``SplitContext.sorted_labels``, in split-ground
@@ -40,7 +43,8 @@ and gamma, and reads the record of the base part that is left.
 
 Circuits travel as position masks too.  ``SplitContext`` splits the
 base's cached circuit masks by the parity of their overlap with X into
-``ox_masks`` and ``ex_masks``; ``predict_circuits`` builds the four
+``ox_masks`` and ``ex_masks``, which only ``predict_circuits`` and
+``find_ox_subcircuit`` read; ``predict_circuits`` builds the four
 classes and trims them to minimal members on masks, and each trim
 compares a candidate only with the smaller members of its family.  The
 split matrix's columns are the split-ground positions, so the family
@@ -167,10 +171,48 @@ class SplitContext:
         return 2 << len(self.base.ground)
 
     @cached_property
+    def x_mask(self) -> int:
+        """Mask of X, which is also the parity row."""
+        return self.mask_of(self.x_set)
+
+    @cached_property
+    def parity(self) -> BinaryMatroid:
+        """M': the base matrix plus the parity row, on the base ground.
+
+        It is the split matroid without a and gamma, built from the base
+        matrix and X alone.  Column z of M' is (v_z, [z in X]), with v_z
+        the base column of z.
+        """
+        base = self.base.matrix
+        matrix = GF2Matrix(base.rows + (self.x_mask,), base.col_labels)
+        return BinaryMatroid(matrix, self.base.enumeration_cap)
+
+    @cached_property
+    def _odd_parts(self) -> dict[int, int]:
+        return {}
+
+    def odd_part(self, flat: int) -> int:
+        """The union of the components of M|S that hold an odd-overlap
+        circuit, S the base subset with the mask ``flat``; memoised, as a
+        sweep meets each flat of the base many times.
+
+        The components come from the fundamental circuits of a basis of
+        S, merged where they meet, and a component holds an odd-overlap
+        circuit iff one of its fundamental circuits has odd overlap (see
+        ``_BaseFacts``).
+        """
+        part = self._odd_parts.get(flat)
+        if part is None:
+            part = self._odd_parts[flat] = _odd_union(
+                self.base.fundamental_circuits(flat).values(), self.x_mask
+            )
+        return part
+
+    @cached_property
     def ox_masks(self) -> tuple[int, ...]:
         """The base circuits of odd overlap with X, as position masks in
         canonical order."""
-        x = self.mask_of(self.x_set)
+        x = self.x_mask
         return tuple(c for c in self.base.circuits(masks=True) if (c & x).bit_count() & 1)
 
     @cached_property
@@ -261,9 +303,8 @@ def build_split_matrix(ctx: SplitContext) -> GF2Matrix:
     rows = [
         row | ((e_word >> i) & 1) << (n_cols + 1) for i, row in enumerate(base.rows)
     ]
-    parity = sum(1 << j for j, lab in enumerate(base.col_labels) if lab in ctx.x_set)
     # In the new row: 1 on X, 1 at a, and 0 at gamma (e's 1 cancels a's).
-    rows.append(parity | (1 << n_cols))
+    rows.append(ctx.x_mask | (1 << n_cols))
     return GF2Matrix(tuple(rows), base.col_labels + (ctx.label_a, ctx.label_gamma))
 
 
@@ -275,78 +316,148 @@ def split_matroid(ctx: SplitContext) -> BinaryMatroid:
 # -- base-side facts ---------------------------------------------------------
 
 
+def _odd_union(circuits: Iterable[int], x: int) -> int:
+    """The union of the classes of ``circuits``, merged where they meet,
+    that hold a circuit of odd overlap with the mask ``x``."""
+    classes: list[tuple[int, int]] = []
+    for c in circuits:
+        merged, odd = c, (c & x).bit_count() & 1
+        apart = []
+        for members, parity in classes:
+            if members & c:
+                merged |= members
+                odd |= parity
+            else:
+                apart.append((members, parity))
+        apart.append((merged, odd))
+        classes = apart
+    union = 0
+    for members, odd in classes:
+        if odd:
+            union |= members
+    return union
+
+
 class _BaseFacts:
     """The base quantities of one base part A that the predictors read.
 
     Every set is a position mask (see ``SplitContext.mask_of``): a = A,
     cl = cl(A), cl_e = cl(A + e), f, f_star and t = F, F* and T, and the
-    shapes of both closure predictors.  Here
+    shapes of both closure predictors.  Call a base circuit odd when its
+    overlap with X is.  Then
 
-    * F(A) holds the elements of cl(A) - A on an odd-overlap circuit
-      inside cl(A);
-    * F*(A) holds the elements z of cl(A) - A on an odd-overlap circuit
-      C with z in C inside A + z.  Such a C has C - z inside A, so z is
-      spanned by A and no closure is needed: F* is the one element
-      outside A of every odd-overlap circuit that has exactly one;
-    * T(A) holds the elements z outside A, z != e, on an odd-overlap
-      circuit through e that lies inside (A + e) + z.
+    * F(A) holds the elements of cl(A) - A on an odd circuit inside
+      cl(A);
+    * F*(A) holds the elements z of cl(A) - A on an odd circuit C with z
+      in C inside A + z.  Such a C has C - z inside A, so z is spanned
+      by A and no closure is needed;
+    * T(A) holds the elements z outside A, z != e, on an odd circuit
+      through e that lies inside (A + e) + z.
 
     rank = rank(A); e_in_cl, ox_a, ox_ae and ox_cl say whether e is in
-    cl(A) and whether A, A + e and cl(A) hold an odd-overlap circuit.
-    All of them are computed when the record is made, the circuit facts
-    in one pass over ``SplitContext.ox_masks``, so one record serves all
-    four split queries A, A + a, A + gamma and A + a + gamma.  The methods evaluate
-    the rank formula and the two closure predictors on masks; the public
+    cl(A) and whether A, A + e and cl(A) hold an odd circuit.  No circuit
+    is enumerated: every fact comes from the ranks and closures of the
+    base M and of M' (``SplitContext.parity``, the base matrix plus the
+    parity row), written rank' and cl', and from fundamental circuits.
+
+    * Odd cycles.  A cycle is a set whose base columns sum to zero.  In
+      a binary matroid a cycle is a disjoint union of circuits, and
+      overlaps with X add, so an odd cycle holds an odd circuit.  The
+      columns of M' are (v_z, [z in X]), so rank'(S) > rank(S) exactly
+      when the parity row is no linear function of the base columns on
+      S, that is when S holds an odd cycle.  Hence ox_a is
+      rank'(A) > rank(A) and ox_ae is rank'(A + e) > rank(A + e).
+    * Components.  Merging the fundamental circuits of a basis B of S
+      where they meet gives the components of M|S.  Each fundamental
+      circuit lies in one component.  A circuit C is the sum of the
+      fundamental circuits of the elements of C - B, and if these fell
+      into two groups with no element in common, C would be a disjoint
+      union of two nonempty cycles.  The cycles of a component are the
+      sums of its fundamental circuits, so it holds an odd circuit iff
+      one of them is odd (``SplitContext.odd_part``).  ox_cl: some
+      component of M|cl(A) holds an odd circuit.
+    * F, the component rule: z in S is on an odd circuit of M|S iff its
+      component K does hold one.  One way is clear.  For the other, let D
+      in K be odd, z outside D, and N be M' plus the column a = (0, 1).
+      Even circuits of M are circuits of N, D + a is one (D sums to a,
+      and no nonempty proper subset of D sums to 0 or to a), and for a
+      circuit C' of N through a, C' - a is an odd circuit of M: it is an
+      odd cycle, and a smaller cycle Z inside it would make Z or Z + a a
+      cycle of N strictly inside C'.
+      Take y in D and a circuit C of M|S through z and y.  If C is even,
+      z, y share the circuit C and y, a share D + a in N|(S + a), so
+      some circuit C' of it holds z and a (sharing a circuit is
+      transitive, Oxley, Matroid Theory, 4.1.2), and C' - a is odd.  So
+      F = (cl(A) - A) & the odd components of M|cl(A).  They depend on
+      cl(A) only, and ``odd_part`` keeps them per flat.
+    * F*, the fundamental-circuit rule.  Let C_z be the fundamental
+      circuit of z in cl(A) - A in B + z, B a basis of A.  F* asks for
+      an odd circuit of M|(A + z) through z, so by the component rule z
+      is in F* iff z's component in M|(A + z) holds one.  B is a basis
+      of A + z too, with the fundamental circuits of M|A and C_z, so z
+      is in F* iff C_z is odd or meets an odd component of M|A.  Without
+      ox_a no component is odd, and C_z is odd iff z is outside cl'(A):
+      the columns of C_z sum to (0, [C_z odd]) in M', and span'(A) lacks
+      (0, 1).  So then F* = cl(A) - cl'(A), kept as ``_f_star``.  With
+      ox_a, cl'(A) = cl(A) and ``_f_star`` is empty; no predictor reads
+      F* there (free parity), and ``f_star`` applies the rule when read.
+    * T, under its guard: no ox_a and e outside cl(A).  Then A + e holds
+      no odd circuit and no circuit through e.  A z in cl(A + e) - cl(A)
+      other than e lies on circuits inside A + e + z, all through e and
+      z, and all of one parity, as two of them sum to a cycle inside
+      A + e; z is in cl'(A + e) iff they are even.  A z in cl(A) - A
+      lies on none through e, as it would sum with C_z to a cycle through
+      e in A + e.  So T = cl(A + e) - cl(A) - cl'(A + e) - e, kept as ``_t``;
+      it is empty off the guard, where cl'(A + e) = cl(A + e) or cl(A + e)
+      = cl(A).  Every predictor reads T under the guard only (L3.6, L3.7,
+      R3.3, flat conditions 4 and 5), so the shapes use ``_t``; ``t``
+      gives T off the guard from the odd circuits (``ox_masks``), for
+      tests only.
+
+    Everything but ``f_star`` and ``t`` off their cheap cases is computed
+    when the record is made, so one record serves all four split queries
+    A, A + a, A + gamma and A + a + gamma.  The methods evaluate the rank
+    formula and the two closure predictors on masks; the public
     predictors below make one from the base part that ``_query`` splits
     off their labels.
     """
 
     __slots__ = (
         "ctx", "a", "rank", "cl", "cl_e", "e_in_cl", "ox_a", "ox_ae", "ox_cl",
-        "f", "f_star", "t", "table_shapes", "rule_shapes",
+        "f", "_f_star", "_t", "table_shapes", "rule_shapes",
     )
 
     def __init__(
-        self, ctx: SplitContext, a: int, spans: tuple[tuple[int, int], ...]
+        self,
+        ctx: SplitContext,
+        a: int,
+        spans: tuple[tuple[int, int], ...],
+        parity_spans: tuple[tuple[int, int], ...] | None = None,
     ):
-        """``a`` is the mask of A; ``spans`` holds (rank, closure mask) of
-        A and of A + e, as ``BinaryMatroid.closures_at`` gives them on
-        the base with the position of e as the extra."""
-        (rank, cl), (_, cl_e) = spans
+        """``a`` is the mask of A; ``spans`` and ``parity_spans`` hold
+        (rank, closure mask) of A and of A + e in M and in M', as
+        ``BinaryMatroid.closures_at`` gives them with the position of e
+        as the extra.  Without ``parity_spans`` they are computed."""
         e = ctx.e_bit
-        not_cl, not_a, not_ae = ~cl, ~a, ~(a | e)
-        ox_a = ox_ae = ox_cl = False
-        covered = f_star = t = 0
-        for c in ctx.ox_masks:
-            # A circuit with at most one element outside A lies in cl(A).
-            if not c & not_cl:
-                ox_cl = True
-                covered |= c
-                out = c & not_a
-                if not out:
-                    ox_a = ox_ae = True
-                elif not out & (out - 1):
-                    f_star |= out
-                    if out == e:
-                        ox_ae = True
-            if c & e:
-                out = c & not_ae
-                if out and not out & (out - 1):
-                    t |= out
+        if parity_spans is None:
+            parity_spans = ctx.parity.closures_at(a, (e.bit_length() - 1,))
+        (rank, cl), (rank_e, cl_e) = spans
+        (rank_p, cl_p), (rank_pe, cl_pe) = parity_spans
         self.ctx = ctx
         self.a = a
         self.rank = rank
         self.cl = cl
         self.cl_e = cl_e
         self.e_in_cl = bool(cl & e)
-        self.ox_a = ox_a
-        self.ox_ae = ox_ae
-        self.ox_cl = ox_cl
-        self.f = covered & ~a
-        self.f_star = f_star
-        self.t = t
+        self.ox_a = rank_p > rank
+        self.ox_ae = rank_pe > rank_e
+        odd = ctx.odd_part(cl)
+        self.ox_cl = bool(odd)
+        self.f = f = odd & ~a
+        self._f_star = f_star = cl & ~cl_p
+        self._t = t = cl_e & ~cl & ~cl_pe & ~e
         a_bit, g = ctx.a_bit, ctx.gamma_bit
-        cl_f = cl & ~self.f
+        cl_f = cl & ~f
         self.table_shapes = (
             cl_f,
             cl,
@@ -369,6 +480,36 @@ class _BaseFacts:
     def at(cls, ctx: SplitContext, a: int) -> "_BaseFacts":
         """The record of the base part with the mask ``a``."""
         return cls(ctx, a, _base_spans(ctx, a))
+
+    @property
+    def f_star(self) -> int:
+        """F*(A); with ox_a by the fundamental-circuit rule."""
+        if not self.ox_a:
+            return self._f_star
+        ctx, a = self.ctx, self.a
+        x = ctx.x_mask
+        circuits = ctx.base.fundamental_circuits(a, self.cl & ~a)
+        odd = _odd_union((c for z, c in circuits.items() if a >> z & 1), x)
+        f_star = 0
+        for z, c in circuits.items():
+            if not a >> z & 1 and ((c & x).bit_count() & 1 or c & odd):
+                f_star |= 1 << z
+        return f_star
+
+    @property
+    def t(self) -> int:
+        """T(A); off its guard from the odd circuits, by its definition."""
+        if not self.ox_a and not self.e_in_cl:
+            return self._t
+        e = self.ctx.e_bit
+        not_ae = ~(self.a | e)
+        t = 0
+        for c in self.ctx.ox_masks:
+            if c & e:
+                out = c & not_ae
+                if out and not out & (out - 1):
+                    t |= out
+        return t
 
     def split_rank(self, has_a: bool, has_gamma: bool) -> int:
         """``predict_rank`` of A plus the new elements named."""
@@ -417,7 +558,7 @@ class _BaseFacts:
         """Matched case id and closure mask of ``closure_rule``."""
         kept, kept_g, kept_g_t, cl_a, cl_e_ag = self.rule_shapes
         e = self.ctx.e_bit
-        e_in_f_star = bool(self.f_star & e)
+        e_in_f_star = bool(self._f_star & e)
         free = has_a or self.ox_a
         bound_g = has_gamma and not free
         # With e in cl(A), cl(A + e) + {a, gamma} is cl(A) + {a, gamma}.
@@ -436,7 +577,7 @@ class _BaseFacts:
         of the six sufficient conditions that holds, or None.  A must be
         a flat of the base."""
         ox_a, ox_ae, ox_cl, e_in_cl = self.ox_a, self.ox_ae, self.ox_cl, self.e_in_cl
-        f, t = self.f, self.t
+        f, t = self.f, self._t
         plain = not has_a and not has_gamma
         with_a = has_a and not has_gamma
         with_g = has_gamma and not has_a
@@ -724,7 +865,8 @@ def closure_rule(ctx: SplitContext, labels: Iterable[str]) -> ClosureCaseReport:
     result is one of five shapes: cl - F*, (cl - F*) + gamma,
     (cl - F*) + gamma + T, cl + a and cl(A + e) + {a, gamma}, with cl
     = cl(A) (``_BaseFacts.rule_shapes``).  Only base data is read:
-    cl(A), cl(A + e), the odd-overlap circuits, F* and T.
+    cl(A), cl(A + e), whether A holds an odd-overlap circuit, F* and T,
+    each from ranks and closures of the base and of M' (``_BaseFacts``).
 
     The rule parts from the twelve-case table of ``predict_closure`` in
     three ways: the table uses cl(A) where cl(A + e) is due (L3.8.1,
@@ -754,7 +896,7 @@ def predict_is_flat(ctx: SplitContext, labels: Iterable[str]) -> int | None:
     A' with these labels, or None.
 
     Requires the base part A of A' to be a flat of the base matroid,
-    which is checked before the base circuits are read.  A None return
+    which is checked before the rest of the record is built.  A None return
     says nothing either way; callers needing a complete answer fall back
     to the oracle's ``is_flat``.
     """

@@ -1,16 +1,18 @@
 """Definition-level references for the oracle's enumerations and for
 ``essplit check``.
 
-``reference_flats`` and ``reference_circuits`` walk every subset of the
-ground set, so they are exponential in its size and only serve to check
-``BinaryMatroid.circuits()`` and ``BinaryMatroid.flats()`` on small
-instances.  ``reference_circuit_family`` is ``predict_circuits`` as it
-was on label sets, before the family moved to position masks.
-``reference_base_facts`` computes the odd-overlap circuit
-facts of one base part on label sets, the way ``splitting`` did before
-its record moved to position masks.  ``classify_circuit`` and
-``reference_find_ox_subcircuit`` are the label-set forms of the parity
-test and of ``find_ox_subcircuit`` from before those moved to masks.
+``all_subsets`` lists every subset of a ground set, smallest first, then
+lexicographic.  ``reference_flats`` and ``reference_circuits`` walk it,
+so they are exponential in the size of the ground set and only serve to
+check ``BinaryMatroid.circuits()`` and ``BinaryMatroid.flats()`` on
+small instances.  ``reference_circuit_family`` is ``predict_circuits``
+as it was on label sets, before the family moved to position masks.
+``reference_base_facts`` computes the odd-overlap circuit facts of one
+base part on label sets from their circuit definitions, the
+differential for ``splitting._BaseFacts``, which reads ranks instead.
+``classify_circuit`` and ``reference_find_ox_subcircuit`` are the
+label-set forms of the parity test and of ``find_ox_subcircuit`` from
+before those moved to masks.
 ``reference_check_report`` answers every subset of a ``check`` run on
 its own, with no work shared between subsets, and
 ``assert_same_output`` compares two outputs line by line.
@@ -21,8 +23,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-
-from typing import Iterable
+from itertools import combinations
+from typing import Iterable, Iterator
 
 from essplit import BinaryMatroid, SplitContext, split_matroid
 from essplit.errors import GroundSetTooLarge, PreconditionViolated, UnknownLabel
@@ -50,11 +52,20 @@ def base_facts(ctx: SplitContext, labels) -> _BaseFacts:
     return _BaseFacts.at(ctx, ctx.mask_of(labels) & (ctx.a_bit - 1))
 
 
+def all_subsets(m: BinaryMatroid) -> Iterator[frozenset[str]]:
+    """Every subset of the ground set of ``m``, smallest first, then
+    lexicographic; above the all-subset cap, GroundSetTooLarge."""
+    m._check_subset_cap()
+    for size in range(len(m.ground) + 1):
+        for combo in combinations(m.ground, size):
+            yield frozenset(combo)
+
+
 def reference_flats(m: BinaryMatroid) -> tuple[frozenset[str], ...]:
     """The closure of every subset, deduplicated, canonically ordered."""
     seen: set[frozenset[str]] = set()
     out: list[frozenset[str]] = []
-    for subset in m.all_subsets():
+    for subset in all_subsets(m):
         closed = m.closure_of(subset)
         if closed not in seen:
             seen.add(closed)
@@ -69,7 +80,7 @@ def reference_circuits(m: BinaryMatroid) -> tuple[frozenset[str], ...]:
     smaller is independent, in the canonical order of ``all_subsets``."""
     return tuple(
         subset
-        for subset in m.all_subsets()
+        for subset in all_subsets(m)
         if m.rank_of(subset) < len(subset)
         and all(m.rank_of(subset - {z}) == len(subset) - 1 for z in subset)
     )
@@ -279,7 +290,7 @@ def _check_subsets(ctx: SplitContext, sample: int | None, seed: int):
                 f"{n} split elements exceed the exhaustive cap of "
                 f"{BinaryMatroid.SUBSET_CAP}; rerun with --sample N"
             )
-        yield from split_matroid(ctx).all_subsets()
+        yield from all_subsets(split_matroid(ctx))
         return
     total = 1 << n
     if sample >= total:

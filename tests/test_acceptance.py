@@ -44,7 +44,13 @@ from instances import (
     random_split_instance,
     random_split_spec,
 )
-from reference import OX, base_facts, circuits_by_overlap, classify_circuit
+from reference import (
+    OX,
+    all_subsets,
+    base_facts,
+    circuits_by_overlap,
+    classify_circuit,
+)
 
 
 def report(number: int, name: str, failures: list, extra: str = "") -> None:
@@ -115,7 +121,7 @@ def test_criterion_3_circuit_family():
 
 def test_criterion_4_rank_formula(wheel_ctx, wheel_split):
     failures = []
-    for a_prime in wheel_split.all_subsets():
+    for a_prime in all_subsets(wheel_split):
         if predict_rank(wheel_ctx, a_prime) != wheel_split.rank_of(a_prime):
             failures.append(f"wheel query {sorted(a_prime)}")
     rng = random.Random(1004)
@@ -124,7 +130,7 @@ def test_criterion_4_rank_formula(wheel_ctx, wheel_split):
         oracle = split_matroid(ctx)
         if oracle.rank_of(oracle.ground) != ctx.base.rank_of(ctx.base.ground) + 1:
             failures.append(f"trial {trial}: rank increment violated")
-        for a_prime in oracle.all_subsets():
+        for a_prime in all_subsets(oracle):
             if predict_rank(ctx, a_prime) != oracle.rank_of(a_prime):
                 failures.append(f"trial {trial} query {sorted(a_prime)}")
     report(4, "rank formula equals oracle", failures)
@@ -169,7 +175,7 @@ def _dispatcher_sweep(sweeps):
     rule_bad, rule_miss = [], []
     table_bad, table_miss, no_case = Counter(), 0, 0
     for ctx, oracle in sweeps:
-        for a_prime in oracle.all_subsets():
+        for a_prime in all_subsets(oracle):
             oracle_closure = oracle.closure_of(a_prime)
             rule = closure_rule(ctx, a_prime)
             if len(rule.matched_cases) != 1 or rule.formula_result != oracle_closure:
@@ -323,7 +329,7 @@ def test_criterion_9_property_suites(wheel_ctx):
     for ctx in instances:
         base = ctx.base
         circuits = base.circuits()
-        for subset in base.all_subsets():
+        for subset in all_subsets(base):
             expected = set(subset)
             for x in base.ground:
                 if x not in subset and any(
@@ -362,7 +368,7 @@ def test_criterion_9_property_suites(wheel_ctx):
     # Reach containment: e in cl(A) forces T(A) inside cl(A).
     for ctx in instances:
         base = ctx.base
-        for subset in base.all_subsets():
+        for subset in all_subsets(base):
             closed = base.closure_of(subset)
             if ctx.e not in closed:
                 continue

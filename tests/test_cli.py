@@ -73,6 +73,56 @@ def test_mid_instance_matches_its_golden(capsys, command, fmt, suffix):
     assert_same_output(out, (golden / f"mid12-{command}.{suffix}").read_text())
 
 
+# A 40-element base of rank 12 with a loop (v30) and parallel classes,
+# drawn once from a seeded generator: above the 24-element circuit cap,
+# which ``closure``, ``rank`` and ``flats --subset`` no longer reach.
+LARGE_INSTANCE = [
+    "--input", str(GOLDEN.parent / "large40.txt"),
+    "--X", "v02,v04,v06,v08,v10,v11,v14,v15,v16,v17,v19,v20,v21,v22,v24,v27,v29,v31,v35,v37,v38",
+    "--e", "v10",
+]
+LARGE_QUERY = ["--subset", "v06,v07,v09,v21,v25,v28,v37,gamma", "--mode", "both"]
+
+
+@pytest.mark.parametrize("command", ["closure", "rank"])
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_large_instance_matches_its_golden(capsys, command, fmt, suffix):
+    code, out, err = run(
+        capsys, command, *LARGE_INSTANCE, *LARGE_QUERY, "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert_same_output(out, (GOLDEN.parent / f"large40-{command}.{suffix}").read_text())
+
+
+class TestAboveTheCircuitCap:
+    """``closure``, ``rank`` and ``flats --subset`` answer on 40 base
+    elements; before the base facts came from ranks they exited 2."""
+
+    @pytest.mark.parametrize("command", ["closure", "rank"])
+    def test_query_agrees_with_the_oracle(self, capsys, command):
+        code, out, err = run(
+            capsys, command, *LARGE_INSTANCE, *LARGE_QUERY, "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["agree"] is True
+
+    def test_flats_subset_answers(self, capsys):
+        code, out, _ = run(
+            capsys, "closure", *LARGE_INSTANCE, *LARGE_QUERY, "--format", "json"
+        )
+        closed = ",".join(json.loads(out)["oracle"])
+        code, out, err = run(
+            capsys, "flats", *LARGE_INSTANCE, "--subset", closed, "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["is_flat"] is True
+
+    def test_check_keeps_its_caps(self, capsys):
+        code, _, err = run(capsys, "check", *LARGE_INSTANCE, "--sample", "5")
+        assert code == 2
+        assert err == "error: 40 elements exceed the enumeration cap of 24\n"
+
+
 class TestSplit:
     def test_text_output(self, capsys, wheel_matrix_file):
         code, out, _ = run(
@@ -610,12 +660,18 @@ class TestDemo:
 
 
 def test_help_is_written_for_users(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--help"])
+    assert main(["--help"]) == 0
     out = capsys.readouterr().out
-    assert exit_info.value.code == 0
     assert "Exit codes" in out
     assert "cmd_" not in out
+
+
+@pytest.mark.parametrize(
+    "command", ["split", "closure", "rank", "circuits", "flats", "check", "demo-fig2"]
+)
+def test_subcommand_help_returns_zero(capsys, command):
+    assert main([command, "-h"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: essplit {command}")
 
 
 json_values = st.recursive(

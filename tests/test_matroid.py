@@ -7,7 +7,7 @@ from essplit import BinaryMatroid, GF2Matrix
 from essplit.errors import GroundSetTooLarge, UnknownLabel
 
 from instances import matroid_from_columns, random_columns, random_matroid
-from reference import EX, OX, classify_circuit
+from reference import EX, OX, all_subsets, classify_circuit
 
 #: Full cycle census of the wheel graph, derived by hand from the graph:
 #: four hub triangles, the rim square, four hub 4-cycles (opposite rim
@@ -234,7 +234,7 @@ class TestMatroidAxioms:
             if len(m.ground) > 7:
                 continue
             circuits = m.circuits()
-            for subset in m.all_subsets():
+            for subset in all_subsets(m):
                 via_circuits = set(subset)
                 for x in m.ground:
                     if x in subset:

@@ -2,6 +2,8 @@
 
 ``predict_rank``, ``closure_rule`` and ``predict_circuits`` read base
 data only; ``split_matroid`` is the brute-force GF(2) oracle.  The
+record of base facts, built from ranks with the parity row, must equal
+``reference_base_facts``, the circuit definitions, on every base part.  The
 drawn bases have loops, parallel classes and zero rows, e is often a
 loop, and X is often {e} or the whole ground set.  Over the same space,
 ``predict_circuits`` must also give the very tuples of
@@ -22,7 +24,12 @@ from essplit import (
 )
 
 from instances import matroid_from_columns
-from reference import reference_circuit_family
+from reference import (
+    all_subsets,
+    base_facts,
+    reference_base_facts,
+    reference_circuit_family,
+)
 
 
 @st.composite
@@ -55,11 +62,24 @@ def split_contexts(draw, max_rows: int = 3, max_n: int = 6):
 @given(split_contexts())
 def test_rank_and_closure_rule_match_the_oracle(ctx):
     oracle = split_matroid(ctx)
-    for a_prime in oracle.all_subsets():
+    for a_prime in all_subsets(oracle):
         assert predict_rank(ctx, a_prime) == oracle.rank_of(a_prime)
         report = closure_rule(ctx, a_prime)
         assert len(report.matched_cases) == 1
         assert report.formula_result == oracle.closure_of(a_prime)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_contexts(max_rows=4, max_n=8))
+def test_base_facts_match_the_circuit_definitions(ctx):
+    base = ctx.base
+    for a in all_subsets(base):
+        facts = base_facts(ctx, a)
+        expected = reference_base_facts(ctx, a)
+        for name in ("ox_a", "ox_ae", "ox_cl"):
+            assert getattr(facts, name) == expected[name], name
+        for name in ("f", "f_star", "t"):
+            assert ctx.labels_of(getattr(facts, name)) == expected[name], name
 
 
 @settings(max_examples=60, deadline=None)

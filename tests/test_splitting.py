@@ -20,6 +20,7 @@ from essplit import (
 from essplit import splitting
 from essplit.cli import main
 from essplit.gf2 import format_matrix
+from essplit.showcase import showcase_context
 from essplit.errors import (
     BaseNotFlat,
     ElementNotInX,
@@ -36,6 +37,7 @@ from instances import (
 )
 from reference import (
     OX,
+    all_subsets,
     base_facts,
     circuits_by_overlap,
     classify_circuit,
@@ -172,7 +174,7 @@ class TestPredictRank:
         assert predict_rank(wheel_ctx, labels) == expected
 
     def test_matches_oracle_exhaustively_on_wheel(self, wheel_ctx, wheel_split):
-        for a_prime in wheel_split.all_subsets():
+        for a_prime in all_subsets(wheel_split):
             assert predict_rank(wheel_ctx, a_prime) == wheel_split.rank_of(a_prime)
 
 
@@ -429,7 +431,7 @@ class TestPredictClosure:
         assert wheel_split.closure_of(labels) == frozenset({"1", "4", "5", "6"})
 
     def test_every_wheel_query_hits_some_case(self, wheel_ctx, wheel_split):
-        for a_prime in wheel_split.all_subsets():
+        for a_prime in all_subsets(wheel_split):
             report = predict_closure(wheel_ctx, a_prime)
             assert report.matched_cases
 
@@ -474,7 +476,7 @@ class TestClosureViaPredictedFamily:
 
     def test_wheel_exhaustive(self, wheel_ctx, wheel_split):
         circuits = predict_circuits(wheel_ctx).all_circuits()
-        for a_prime in wheel_split.all_subsets():
+        for a_prime in all_subsets(wheel_split):
             assert self.closure_via_family(
                 wheel_ctx, circuits, a_prime
             ) == wheel_split.closure_of(a_prime)
@@ -485,7 +487,7 @@ class TestClosureViaPredictedFamily:
             ctx = random_split_instance(rng, rng.randint(4, 6))
             oracle = split_matroid(ctx)
             circuits = predict_circuits(ctx).all_circuits()
-            for a_prime in oracle.all_subsets():
+            for a_prime in all_subsets(oracle):
                 assert self.closure_via_family(
                     ctx, circuits, a_prime
                 ) == oracle.closure_of(a_prime)
@@ -524,7 +526,7 @@ class TestClosureRule:
 
     def test_wheel_exhaustive(self, wheel_ctx, wheel_split):
         hits = set()
-        for a_prime in wheel_split.all_subsets():
+        for a_prime in all_subsets(wheel_split):
             report = closure_rule(wheel_ctx, a_prime)
             assert len(report.matched_cases) == 1
             assert report.formula_result == wheel_split.closure_of(a_prime)
@@ -545,7 +547,7 @@ class TestClosureRule:
             )
             ctx = SplitContext(base, x, e, "a", "g")
             oracle = split_matroid(ctx)
-            for a_prime in oracle.all_subsets():
+            for a_prime in all_subsets(oracle):
                 report = closure_rule(ctx, a_prime)
                 assert len(report.matched_cases) == 1
                 assert report.formula_result == oracle.closure_of(a_prime)
@@ -556,7 +558,7 @@ class TestClosureRule:
 
         monkeypatch.setattr(splitting, "split_matroid", forbidden)
         monkeypatch.setattr(splitting, "build_split_matrix", forbidden)
-        for a_prime in wheel_split.all_subsets():
+        for a_prime in all_subsets(wheel_split):
             closure_rule(wheel_ctx, a_prime)
             base_facts(wheel_ctx, a_prime)
 
@@ -631,3 +633,63 @@ class TestLoopMarkedElementDegeneracy:
         assert set(predict_circuits(ctx).all_circuits()) == set(
             split_matroid(ctx).circuits()
         )
+
+
+class TestNoCircuitEnumeration:
+    """The query predictors read ranks and closures of the base and of
+    M' only: with ``BinaryMatroid.circuits`` raising, they still answer,
+    and agree with the oracle."""
+
+    def test_predictors_answer_without_circuits(self, monkeypatch):
+        ctx = showcase_context()
+        oracle = split_matroid(ctx)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("circuits were enumerated")
+
+        monkeypatch.setattr(BinaryMatroid, "circuits", forbidden)
+        for a_prime in all_subsets(oracle):
+            assert predict_rank(ctx, a_prime) == oracle.rank_of(a_prime)
+            assert closure_rule(ctx, a_prime).formula_result == oracle.closure_of(a_prime)
+            assert predict_closure(ctx, a_prime).matched_cases
+        conditions = set()
+        for flat in ctx.base.flats():
+            for added in ((), ("a",), ("gamma",), ("a", "gamma")):
+                condition = predict_is_flat(ctx, flat | set(added))
+                if condition is not None:
+                    assert oracle.is_flat(flat | set(added))
+                conditions.add(condition)
+        assert conditions - {None}
+        with pytest.raises(AssertionError, match="enumerated"):
+            predict_circuits(ctx)
+
+
+class TestLargeBases:
+    """``closure_rule`` and ``predict_rank`` at 40 and 60 base elements,
+    far above the circuit cap, against the split oracle's
+    ``closures_at`` on random queries.  The bases have loops and
+    parallel classes, and e is sometimes a loop."""
+
+    @pytest.mark.parametrize("n, n_rows, seed", [(40, 12, 4040), (60, 20, 6060)])
+    def test_rule_and_rank_match_the_oracle(self, n, n_rows, seed):
+        rng = random.Random(seed)
+        e_loops = 0
+        for _ in range(6):
+            base = matroid_from_columns(random_columns(rng, n, n_rows), n_rows)
+            loops = [lab for lab in base.ground if base.rank_of({lab}) == 0]
+            e = rng.choice(loops if loops and rng.random() < 0.3 else base.ground)
+            e_loops += e in loops
+            x = {e} | {lab for lab in base.ground if rng.random() < 0.5}
+            ctx = SplitContext(base, x, e, "a", "g")
+            oracle = split_matroid(ctx)
+            for _ in range(30):
+                density = rng.choice((0.1, 0.25, 0.5))
+                part = sum(1 << i for i in range(n) if rng.random() < density)
+                spans = oracle.closures_at(part, (n, n + 1))
+                for top, added in enumerate(((), ("a",), ("g",), ("a", "g"))):
+                    labels = ctx.labels_of(part) | set(added)
+                    rank, closure = spans[top]
+                    assert predict_rank(ctx, labels) == rank
+                    report = closure_rule(ctx, labels)
+                    assert report.formula_result == ctx.labels_of(closure)
+        assert e_loops >= 1
