@@ -312,28 +312,42 @@ def _circuit_lines(payload: dict) -> Iterator[str]:
 def cmd_flats(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
     oracle = split_matroid(ctx)
-
-    def condition_of(labels: Iterable[str]) -> int | None:
-        if args.mode == "oracle":
-            return None
-        try:
-            return predict_is_flat(ctx, labels)
-        except BaseNotFlat:
-            return None
+    predict = args.mode != "oracle"
 
     if args.subset is not None:
         labels = _parse_labels(args.subset)
         subset = ctx.sorted_labels(ctx.mask_of(labels))
         is_flat = oracle.is_flat(labels)
-        condition = condition_of(labels)
+        condition = None
+        if predict:
+            try:
+                condition = predict_is_flat(ctx, labels)
+            except BaseNotFlat:
+                pass
         payload = {"subset": subset, "is_flat": is_flat, "condition": condition}
         line = f"{_braces(subset)} flat={is_flat} condition={condition}"
         code = DISAGREEMENT if condition is not None and not is_flat else OK
         return code, payload, (line,)
+    # The split's flats first, so an oversized input meets the split's cap.
+    flats = oracle.flats(masks=True)
+    # One record per base flat serves F, F+a, F+gamma and F+a+gamma; a
+    # split flat whose base part is no base flat gets no condition.
+    records = (
+        {part: _BaseFacts.at(ctx, part) for part in ctx.base.flats(masks=True)}
+        if predict
+        else {}
+    )
+
+    def condition_of(flat: int) -> int | None:
+        facts = records.get(flat & (ctx.a_bit - 1))
+        if facts is None:
+            return None
+        return facts.flat_condition(flat & ctx.a_bit, flat & ctx.gamma_bit)
+
     # The split matrix's columns are the split-ground positions.
     rows = [
-        {"flat": flat, "condition": condition_of(flat)}
-        for flat in map(ctx.sorted_labels, oracle.flats(masks=True))
+        {"flat": ctx.sorted_labels(flat), "condition": condition_of(flat)}
+        for flat in flats
     ]
     lines = (f"{_braces(row['flat'])} condition={row['condition']}" for row in rows)
     return OK, {"flats": rows}, lines

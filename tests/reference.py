@@ -16,6 +16,12 @@ before those moved to masks.
 ``reference_check_report`` answers every subset of a ``check`` run on
 its own, with no work shared between subsets, and
 ``assert_same_output`` compares two outputs line by line.
+``reference_equivalence`` is ``verify_equivalence`` as it was before it
+moved to row spaces: it compares the circuit families of the vertex
+split's cycle matroid and of the matroid split, both enumerated, so it
+stops at the enumeration cap.  ``graph_closure`` is the closure of a
+graph's cycle matroid by union-find on its vertices, with no GF(2)
+code at all.
 """
 
 from __future__ import annotations
@@ -26,7 +32,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from essplit import BinaryMatroid, SplitContext, split_matroid
+from essplit import (
+    BinaryMatroid,
+    LabeledGraph,
+    LineSplitSpec,
+    SplitContext,
+    graphs,
+    split_matroid,
+)
 from essplit.errors import GroundSetTooLarge, PreconditionViolated, UnknownLabel
 from essplit.splitting import (
     _BaseFacts,
@@ -423,3 +436,34 @@ def assert_same_output(out: str, expected: str) -> None:
     assert len(got) == len(want), "one output stops where the other goes on"
     same_bytes = out == expected
     assert same_bytes, "the lines agree but the line endings differ"
+
+
+def reference_equivalence(g: LabeledGraph, spec: LineSplitSpec) -> bool:
+    """Whether the vertex split of ``g`` and the matroid split of its
+    cycle matroid have the same circuits.  Both splits come from
+    ``graphs._splits``, which calls ``graphs.n_line_split`` through its
+    module, so a test that replaces that function there reaches this
+    route and ``verify_equivalence`` alike."""
+    ctx, h = graphs._splits(g, spec)
+    matroid_side = split_matroid(ctx)
+    graph_side = BinaryMatroid(graphs.incidence_matrix(h))
+    return set(graph_side.circuits()) == set(matroid_side.circuits())
+
+
+def graph_closure(g: LabeledGraph, labels: Iterable[str]) -> frozenset[str]:
+    """The closure of the edges ``labels`` in the cycle matroid of ``g``:
+    every edge whose endpoints are joined by a path of those edges,
+    found by union-find on the vertices."""
+    parent = {v: v for v in g.vertices}
+
+    def root(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    chosen = frozenset(labels)
+    for label, u, v in g.edges:
+        if label in chosen:
+            parent[root(u)] = root(v)
+    return frozenset(label for label, u, v in g.edges if root(u) == root(v))

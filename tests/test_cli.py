@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import essplit
+from essplit import splitting
 from essplit.cli import _json_text, main
 from essplit.gf2 import format_matrix
 from essplit.graphs import format_graph
@@ -469,6 +470,33 @@ class TestFlats:
         assert code == 0
         flats = [tuple(row["flat"]) for row in json.loads(out)["flats"]]
         assert ("y", "a", "gamma") in flats
+
+    @pytest.mark.parametrize("mode", ["both", "formula", "oracle"])
+    def test_listing_builds_one_record_per_base_flat(
+        self, capsys, monkeypatch, wheel_matrix_file, mode
+    ):
+        built = []
+        init = splitting._BaseFacts.__init__
+
+        def counting(facts, ctx, a, *spans):
+            built.append(a)
+            init(facts, ctx, a, *spans)
+
+        monkeypatch.setattr(splitting._BaseFacts, "__init__", counting)
+        code, out, _ = run(
+            capsys, "flats", "--input", wheel_matrix_file, "--X", "x,y", "--e", "y",
+            "--mode", mode, "--format", "json",
+        )
+        assert code == 0
+        base = showcase_matroid()
+        base_flats = base.flats(masks=True)
+        assert sorted(built) == ([] if mode == "oracle" else sorted(base_flats))
+        # The listing holds split flats whose base part is no base flat.
+        parts = {
+            base._mask(set(row["flat"]) - {"a", "gamma"})
+            for row in json.loads(out)["flats"]
+        }
+        assert parts - set(base_flats)
 
 
 class TestCheck:

@@ -1,21 +1,33 @@
 import random
+from functools import partial
 
 import pytest
 
 from essplit import (
+    BinaryMatroid,
     LabeledGraph,
     LineSplitSpec,
+    SplitContext,
+    closure_rule,
     format_graph,
+    graphs,
     incidence_matrix,
     n_line_split,
     parse_graph,
     rank,
+    split_matroid,
     verify_equivalence,
 )
-from essplit.errors import InvalidPartition, LabelCollision, ParseError
+from essplit.errors import (
+    GroundSetTooLarge,
+    InvalidPartition,
+    LabelCollision,
+    ParseError,
+)
 from essplit.showcase import showcase_graph, showcase_split_spec
 
 from instances import random_connected_multigraph, random_split_spec
+from reference import graph_closure, reference_equivalence
 
 
 def star_graph():
@@ -222,6 +234,155 @@ class TestVerifyEquivalence:
             frozenset(relabel[lab] for lab in spec.right_edges),
         )
         assert verify_equivalence(g, spec) == verify_equivalence(g2, spec2)
+
+
+def seeded_splits(seed: int, count: int) -> list[tuple[LabeledGraph, LineSplitSpec]]:
+    rng = random.Random(seed)
+    splits = []
+    while len(splits) < count:
+        g = random_connected_multigraph(rng)
+        spec = random_split_spec(rng, g)
+        if spec is not None:
+            splits.append((g, spec))
+    return splits
+
+
+def rewired(h: LabeledGraph, labels, old: str, new: str) -> LabeledGraph:
+    """``h`` with the end ``old`` of each edge in ``labels`` moved to
+    ``new``, a vertex added when ``h`` lacks it."""
+    edges = tuple(
+        (lab, new if p == old else p, new if q == old else q) if lab in labels else (lab, p, q)
+        for lab, p, q in h.edges
+    )
+    vertices = h.vertices if new in h.vertices else h.vertices + (new,)
+    return LabeledGraph(vertices, edges)
+
+
+# Mutants of n_line_split; each takes the real one first.
+
+
+def swapped_sides(split, g, spec, labels):
+    swapped = LineSplitSpec(
+        spec.split_vertex, spec.anchor_edge, spec.right_edges, spec.left_edges
+    )
+    return split(g, swapped, labels)
+
+
+def gamma_at_u1(split, g, spec, labels):
+    u1, u2, _, gamma = labels
+    return rewired(split(g, spec, labels), {gamma}, u2, u1)
+
+
+def anchor_at_u2(split, g, spec, labels):
+    u1, u2, _, _ = labels
+    return rewired(split(g, spec, labels), {spec.anchor_edge}, u1, u2)
+
+
+def merged_new_vertices(split, g, spec, labels):
+    # a becomes a loop, so the graph's rows span a proper subspace of
+    # the split matrix's; the ranks tell the two apart.
+    u1, u2, _, _ = labels
+    h = split(g, spec, labels)
+    return rewired(h, set(h.edge_labels), u2, u1)
+
+
+def right_side_apart(split, g, spec, labels):
+    # The right side on a vertex of its own: with that side nonempty,
+    # the graph's rows span a proper superspace of the split matrix's.
+    u2 = labels[1]
+    return rewired(split(g, spec, labels), spec.right_edges, u2, u2 + "b")
+
+
+class TestRowSpaceEquivalence:
+    """``verify_equivalence`` decides by row space; the circuit
+    comparison of ``reference_equivalence`` is the reference."""
+
+    def test_matches_reference_on_seeded_graphs(self):
+        splits = seeded_splits(1204, 400)
+        assert any(u == v for g, _ in splits for _, u, v in g.edges)
+        assert any(
+            len({frozenset((u, v)) for _, u, v in g.edges}) < len(g.edges)
+            for g, _ in splits
+        )
+        for g, spec in splits:
+            assert verify_equivalence(g, spec) is reference_equivalence(g, spec) is True
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [swapped_sides, gamma_at_u1, anchor_at_u2, merged_new_vertices, right_side_apart],
+    )
+    def test_matches_reference_under_mutants(self, monkeypatch, mutant):
+        # Both routes build the split graph through graphs.n_line_split.
+        monkeypatch.setattr(graphs, "n_line_split", partial(mutant, n_line_split))
+        rejected = 0
+        for g, spec in seeded_splits(1204, 400):
+            verdict = reference_equivalence(g, spec)
+            assert verify_equivalence(g, spec) is verdict, (g.edges, spec)
+            rejected += not verdict
+        assert rejected
+
+    def test_star_above_the_circuit_cap(self):
+        spokes = [f"s{i}" for i in range(30)]
+        g = LabeledGraph.from_edges(
+            [("e", "u", "v")] + [(s, "u", f"w{s}") for s in spokes]
+        )
+        spec = LineSplitSpec("u", "e", frozenset(spokes[:15]), frozenset(spokes[15:]))
+        assert len(g.edges) + 2 == 33
+        with pytest.raises(GroundSetTooLarge):
+            reference_equivalence(g, spec)
+        assert verify_equivalence(g, spec) is True
+
+
+def label_mask(labels, ground) -> int:
+    return sum(1 << j for j, lab in enumerate(ground) if lab in labels)
+
+
+class TestUnionFindClosure:
+    """A third route to closures in graphic matroids: edge z is in cl(A)
+    iff its endpoints are joined in (V, A), by union-find."""
+
+    def test_matches_closures_at_and_walk_closures(self):
+        rng = random.Random(1205)
+        for _ in range(40):
+            g = random_connected_multigraph(rng, max_vertices=7, max_edges=11)
+            m = BinaryMatroid(incidence_matrix(g))
+            ground = m.ground
+            last = len(ground) - 1
+            walked = 0
+            for mask, answers in m.walk_closures((last,), last):
+                walked += 1
+                part = [lab for j, lab in enumerate(ground) if mask >> j & 1]
+                for (_, closure), labels in zip(answers, (part, part + [ground[last]])):
+                    expected = label_mask(graph_closure(g, labels), ground)
+                    assert closure == expected
+                    assert m.closures_at(label_mask(labels, ground), ())[0][1] == expected
+            assert walked == 1 << last
+
+    def test_matches_split_oracle_and_closure_rule(self):
+        rng = random.Random(1206)
+        splits = 0
+        while splits < 20:
+            g = random_connected_multigraph(rng, max_vertices=40, max_edges=148)
+            spec = random_split_spec(rng, g)
+            if spec is None:
+                continue
+            splits += 1
+            ctx = SplitContext(
+                BinaryMatroid(incidence_matrix(g)),
+                frozenset({spec.anchor_edge}) | spec.left_edges,
+                spec.anchor_edge,
+                "a",
+                "gamma",
+            )
+            h = n_line_split(g, spec, ("u1", "u2", "a", "gamma"))
+            oracle = split_matroid(ctx)
+            for _ in range(50):
+                size = rng.randint(0, len(g.vertices) + 2)
+                a_prime = set(rng.sample(g.edge_labels, min(size, len(g.edges))))
+                a_prime |= {lab for lab in ("a", "gamma") if rng.random() < 0.5}
+                expected = graph_closure(h, a_prime)
+                assert oracle.closure_of(a_prime) == expected
+                assert closure_rule(ctx, a_prime).formula_result == expected
 
 
 class TestGraphTextFormat:
