@@ -21,12 +21,20 @@ from reference import assert_same_output, reference_check_report
 
 GOLDEN = Path(__file__).parent / "golden" / "check-wheel.json"
 
+# The wheel with labels that need JSON escapes: quotes, backslashes and
+# non-ASCII letters in its columns and in the names of a and gamma.
+ESCAPED_LABELS = {
+    "1": '"1', "2": "\\2", "3": "é3", "4": "☃4",
+    "5": '5"\\', "6": "6", "x": "x☃", "y": 'yé"',
+}
+ESCAPED_NEW_LABELS = ('a\\"', "γ")
+
 
 def run_check(ctx: SplitContext, *extra: str) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of an in-process ``check`` on ``ctx``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "base.txt"
-        path.write_text(format_matrix(ctx.base.matrix))
+        path.write_text(format_matrix(ctx.base.matrix), encoding="utf-8")
         argv = [
             "check",
             "--input", str(path),
@@ -123,6 +131,33 @@ def test_loops_parallel_classes_and_a_marked_loop(data):
     ctx = SplitContext(base, frozenset(x), e, "a", "g")
     sample = data.draw(st.sampled_from(modes(ctx)))
     assert_same_report(ctx, sample, seed=data.draw(st.integers(0, 9)))
+
+
+def escaped_wheel() -> SplitContext:
+    wheel = showcase_context()
+    matrix = GF2Matrix(
+        wheel.base.matrix.rows,
+        tuple(ESCAPED_LABELS[lab] for lab in wheel.base.matrix.col_labels),
+    )
+    return SplitContext(
+        BinaryMatroid(matrix),
+        frozenset(ESCAPED_LABELS[lab] for lab in wheel.x_set),
+        ESCAPED_LABELS[wheel.e],
+        *ESCAPED_NEW_LABELS,
+    )
+
+
+def test_escaped_wheel_input_is_the_relabelled_wheel():
+    text = (GOLDEN.parent / "wheel-escaped.txt").read_text(encoding="utf-8")
+    assert text == format_matrix(escaped_wheel().base.matrix)
+
+
+@pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
+def test_escaped_wheel_matches_golden_report(fmt, suffix):
+    golden = GOLDEN.parent / f"check-wheel-escaped.{suffix}"
+    code, out, err = run_check(escaped_wheel(), "--format", fmt)
+    assert (code, err) == (3, "")
+    assert_same_output(out, golden.read_text(encoding="utf-8"))
 
 
 def test_golden_is_the_json_reference():
