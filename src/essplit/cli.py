@@ -20,6 +20,17 @@ report lists disagreements by subset size, then position; with --sample,
 in draw order, or in mask order when N covers every subset.  JSON is
 rendered with one join per list or object, byte for byte as json.dumps
 with indent=2.
+
+The report's witnesses stay position masks until ``main`` writes them.
+Each witness list is a ``_Witnesses`` of tuples in report order, which
+``_json_text`` hands to its ``json`` method and ``_check_lines`` reads
+directly.  Both render a mask through ``_mask_texts``: a label's text
+(JSON-escaped and indented, or plain) is made once, each byte value of
+a mask is joined once from ``sorted_labels``, and each mask once per
+render, so a witness costs one join.  The bytes are those of the label
+lists the masks stand for: the labels come from ``sorted_labels`` in
+split-ground order, are escaped by the function ``json.dumps`` itself
+uses, and sit at the indent ``json.dumps`` would give them.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ import json
 import os
 import random
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -164,10 +176,14 @@ def _json_text(value: object, indent: str = "\n") -> str:
     generator step per token; here each list and dict is one ``join``.
     Strings take the library's own C escaping, and every other value
     that is not a list, tuple or dict goes to ``json.dumps`` itself, so
-    the bytes are the same.
+    the bytes are the same.  A ``_Witnesses`` list of ``check`` renders
+    itself from its masks, at the indent given, as the list of dicts of
+    label lists that it stands for.
     """
     if type(value) is str:
         return _encode_str(value)
+    if type(value) is _Witnesses:
+        return value.json(indent)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -428,8 +444,9 @@ def cmd_check(args: argparse.Namespace) -> Result:
             yield _BaseFacts(ctx, part, spans, parity_spans), split_spans
 
     # Per base part A, the facts record and the oracle spans answer the
-    # four queries A, A+a, A+gamma and A+a+gamma, all on position masks;
-    # witnesses become labels once sorted into report order.
+    # four queries A, A+a, A+gamma and A+a+gamma, all on position masks.
+    # The witnesses stay masks, sorted into report order; only their
+    # rendering reads labels.
     groups, order = _check_plan(ctx, oracle, args.sample, args.seed)
     for facts, spans in walked() if groups is None else queried(groups):
         base = facts.a
@@ -454,32 +471,20 @@ def cmd_check(args: argparse.Namespace) -> Result:
     corollary_ok = oracle.rank_of(oracle.ground) == ctx.base.rank_of(ctx.base.ground) + 1
 
     # The four subsets F, F+a, F+gamma and F+a+gamma of each base flat F.
-    labels = ctx.sorted_labels
-    flat_violations: list[dict] = []
+    flat_found: list[tuple[int, int]] = []
     for facts, spans in queried(ctx.base.flats(masks=True)):
         for top in range(4):
             condition = facts.flat_condition(top & 1, top & 2)
             a_prime = facts.a | top << n
             if condition is not None and spans[top][1] != a_prime:
-                flat_violations.append({"subset": labels(a_prime), "condition": condition})
+                flat_found.append((a_prime, condition))
 
-    closure_witnesses = [
-        {
-            "subset": labels(mask),
-            "matched": list(matched),
-            "formula": labels(formula),
-            "oracle": labels(oracle_closure),
-        }
-        for mask, matched, formula, oracle_closure in sorted(
-            closure_found, key=lambda w: order(w[0])
-        )
-    ]
-    rank_witnesses = [
-        {"subset": labels(mask), "formula": formula, "oracle": oracle_rank}
-        for mask, formula, oracle_rank in sorted(
-            rank_found, key=lambda w: order(w[0])
-        )
-    ]
+    def in_order(found: list[tuple]) -> list[tuple]:
+        return sorted(found, key=lambda w: order(w[0]))
+
+    closure_witnesses = _Witnesses(ctx, _CLOSURE_FIELDS, in_order(closure_found))
+    rank_witnesses = _Witnesses(ctx, _RANK_FIELDS, in_order(rank_found))
+    flat_violations = _Witnesses(ctx, _FLAT_FIELDS, flat_found)
     disagreements = (
         len(closure_witnesses)
         + len(rank_witnesses)
@@ -498,39 +503,129 @@ def cmd_check(args: argparse.Namespace) -> Result:
         "flat_condition_violations": flat_violations,
         "disagreements": disagreements,
     }
-    return DISAGREEMENT if disagreements else OK, summary, _check_lines(summary)
+    code = DISAGREEMENT if disagreements else OK
+    return code, summary, _check_lines(ctx, summary)
 
 
-def _check_lines(summary: dict) -> Iterator[str]:
+# The fields of each kind of witness, each with whether it holds a
+# position mask; the others hold their JSON values.
+_CLOSURE_FIELDS = (
+    ("subset", True), ("matched", False), ("formula", True), ("oracle", True)
+)
+_RANK_FIELDS = (("subset", True), ("formula", False), ("oracle", False))
+_FLAT_FIELDS = (("subset", True), ("condition", False))
+
+
+class _Witnesses(list):
+    """One witness list of ``check``'s report: tuples in report order,
+    one entry per field of ``fields``.
+
+    It stands for a list of dicts whose masks are label lists in
+    split-ground order, and ``_json_text`` renders it with ``json``,
+    byte for byte as it would render that list.
+    """
+
+    def __init__(self, ctx: SplitContext, fields: tuple, rows: list[tuple]):
+        super().__init__(rows)
+        self.ctx = ctx
+        self.fields = fields
+
+    def json(self, indent: str) -> str:
+        """The text of the list at ``indent``, one join per witness.
+
+        Each label is escaped once, with the indent of a label-list item
+        in front, and each mask's label list and each other value is
+        rendered once per call.
+        """
+        if not self:
+            return "[]"
+        item = indent + "  "
+        field = item + "  "
+        label_list = _mask_texts(
+            self.ctx, lambda lab: field + "  " + _encode_str(lab), "[", field + "]", "[]"
+        )
+
+        @cache
+        def plain(value: object) -> str:
+            return _json_text(value, field)
+
+        # One %s per field; each column of fields is rendered in one pass.
+        template = (
+            "{"
+            + ",".join(field + _encode_str(key) + ": %s" for key, _ in self.fields)
+            + item
+            + "}"
+        )
+        columns = [
+            map(label_list if is_mask else plain, column)
+            for (_, is_mask), column in zip(self.fields, zip(*self))
+        ]
+        rows = map(template.__mod__, zip(*columns))
+        return "[" + item + ("," + item).join(rows) + indent + "]"
+
+
+def _mask_texts(
+    ctx: SplitContext, text: Callable[[str], str], opening: str, closing: str, empty: str
+) -> Callable[[int], str]:
+    """A renderer of position masks, memoised per mask: ``empty`` for
+    the empty set, else ``opening``, the ``text`` of each label in
+    split-ground order joined by commas, and ``closing``.
+
+    ``text`` is called once per label.  Masks become labels through
+    ``SplitContext.sorted_labels`` alone, one byte of the mask at a
+    time: the text of each value of each byte is joined once, so a mask
+    costs one join of a string per byte.
+    """
+    texts = {lab: "," + text(lab) for lab in ctx.split_ground}
+    width = len(ctx.split_ground)
+    tables = [
+        (
+            shift,
+            [
+                "".join([texts[lab] for lab in ctx.sorted_labels(byte << shift)])
+                for byte in range(1 << min(8, width - shift))
+            ],
+        )
+        for shift in range(0, width, 8)
+    ]
+
+    @cache
+    def render(mask: int) -> str:
+        if not mask:
+            return empty
+        joined = "".join([table[mask >> shift & 255] for shift, table in tables])
+        return opening + joined[1:] + closing
+
+    return render
+
+
+def _check_lines(ctx: SplitContext, summary: dict) -> Iterator[str]:
+    braces = _mask_texts(ctx, str, "{", "}", "{}")
     yield f"subsets checked: {summary['subsets']}"
     for cid, hits in summary["case_hits"].items():
         yield f"  case {cid}: {hits}"
     yield f"no case applies: {summary['no_case']}"
     rank_witnesses = summary["rank_disagreements"]
     yield f"rank disagreements: {len(rank_witnesses)}"
-    for witness in rank_witnesses:
+    for mask, formula, oracle_rank in rank_witnesses:
         yield (
-            f"  rank mismatch at {_braces(witness['subset'])}: "
-            f"formula {witness['formula']} vs oracle {witness['oracle']}"
+            f"  rank mismatch at {braces(mask)}: "
+            f"formula {formula} vs oracle {oracle_rank}"
         )
     closure_witnesses = summary["closure_disagreements"]
     yield f"closure disagreements: {len(closure_witnesses)}"
-    for witness in closure_witnesses:
+    for mask, matched, formula, oracle_closure in closure_witnesses:
         yield (
-            f"  closure mismatch at {_braces(witness['subset'])} "
-            f"(matched {', '.join(witness['matched'])}): formula "
-            f"{_braces(witness['formula'])} vs oracle "
-            f"{_braces(witness['oracle'])}"
+            f"  closure mismatch at {braces(mask)} "
+            f"(matched {', '.join(matched)}): formula "
+            f"{braces(formula)} vs oracle {braces(oracle_closure)}"
         )
     yield f"circuit family equal: {summary['circuit_family_equal']}"
     yield f"full-rank increment ok: {summary['full_rank_increment_ok']}"
     flat_violations = summary["flat_condition_violations"]
     yield f"flat condition violations: {len(flat_violations)}"
-    for witness in flat_violations:
-        yield (
-            f"  condition {witness['condition']} accepted non-flat "
-            f"{_braces(witness['subset'])}"
-        )
+    for mask, condition in flat_violations:
+        yield f"  condition {condition} accepted non-flat {braces(mask)}"
 
 
 def cmd_demo_fig2(args: argparse.Namespace) -> Result:

@@ -116,11 +116,11 @@ def _check_spec(g: LabeledGraph, spec: LineSplitSpec) -> tuple[str, str]:
     u = spec.split_vertex
     if u not in g.vertices:
         raise InvalidPartition(f"{u!r} is not a vertex")
-    incident = set(g.incident(u))
-    if spec.anchor_edge not in incident:
+    # The ends of every edge at u, from one pass over the edges.
+    ends = {label: (p, q) for label, p, q in g.edges if u in (p, q)}
+    if spec.anchor_edge not in ends:
         raise InvalidPartition(f"anchor {spec.anchor_edge!r} is not incident to {u!r}")
-    for label in incident:
-        p, q = g.endpoints(label)
+    for label, (p, q) in ends.items():
         if p == q:
             raise InvalidPartition(f"loop {label!r} at the split vertex")
     sides = spec.left_edges | spec.right_edges
@@ -128,11 +128,11 @@ def _check_spec(g: LabeledGraph, spec: LineSplitSpec) -> tuple[str, str]:
         raise InvalidPartition("the anchor edge may not appear in either side")
     if spec.left_edges & spec.right_edges:
         raise InvalidPartition("the two sides overlap")
-    if sides | {spec.anchor_edge} != incident:
+    if sides | {spec.anchor_edge} != set(ends):
         raise InvalidPartition(
             "sides plus anchor must cover the incident edges exactly"
         )
-    p, q = g.endpoints(spec.anchor_edge)
+    p, q = ends[spec.anchor_edge]
     return u, q if p == u else p
 
 

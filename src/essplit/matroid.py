@@ -109,7 +109,13 @@ class BinaryMatroid:
         self.ground: tuple[str, ...] = matrix.col_labels
         self.enumeration_cap = enumeration_cap
         self._index = matrix._col_index
-        self._cols = tuple(matrix.column(lab) for lab in self.ground)
+        # Every column in one pass over the set bits of each row.
+        cols = [0] * len(self.ground)
+        for i, row in enumerate(matrix.rows):
+            bit = 1 << i
+            for pos in _bits(row):
+                cols[pos] |= bit
+        self._cols = tuple(cols)
         self._circuits: tuple[int, ...] | None = None
         self._circuit_sets: tuple[frozenset[str], ...] | None = None
 

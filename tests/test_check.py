@@ -3,6 +3,7 @@ the per-subset loop of ``reference_check_report``, byte for byte."""
 
 import contextlib
 import io
+import json
 import random
 import tempfile
 from pathlib import Path
@@ -12,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from essplit import BinaryMatroid, GF2Matrix, SplitContext
-from essplit.cli import main
+from essplit.cli import (
+    _CLOSURE_FIELDS,
+    _FLAT_FIELDS,
+    _RANK_FIELDS,
+    _json_text,
+    _Witnesses,
+    main,
+)
 from essplit.gf2 import format_matrix
 from essplit.showcase import showcase_context
 
@@ -133,18 +141,30 @@ def test_loops_parallel_classes_and_a_marked_loop(data):
     assert_same_report(ctx, sample, seed=data.draw(st.integers(0, 9)))
 
 
-def escaped_wheel() -> SplitContext:
-    wheel = showcase_context()
-    matrix = GF2Matrix(
-        wheel.base.matrix.rows,
-        tuple(ESCAPED_LABELS[lab] for lab in wheel.base.matrix.col_labels),
-    )
+def relabelled(ctx: SplitContext, rename: dict, label_a: str, label_gamma: str):
+    """The same split with its base labels renamed and new a and gamma."""
+    matrix = ctx.base.matrix
     return SplitContext(
-        BinaryMatroid(matrix),
-        frozenset(ESCAPED_LABELS[lab] for lab in wheel.x_set),
-        ESCAPED_LABELS[wheel.e],
-        *ESCAPED_NEW_LABELS,
+        BinaryMatroid(GF2Matrix(matrix.rows, tuple(map(rename.get, matrix.col_labels)))),
+        frozenset(map(rename.get, ctx.x_set)),
+        rename[ctx.e],
+        label_a,
+        label_gamma,
     )
+
+
+def escaped_wheel() -> SplitContext:
+    return relabelled(showcase_context(), ESCAPED_LABELS, *ESCAPED_NEW_LABELS)
+
+
+def escaped(ctx: SplitContext, seed: int) -> SplitContext:
+    """``ctx`` with every label holding a character that JSON escapes."""
+    marks = ['"', "\\", "é", "☃"]
+    rename = {
+        lab: f"{lab}{marks[(seed + j) % 4]}" if j % 2 else f"{marks[(seed + j) % 4]}{lab}"
+        for j, lab in enumerate(ctx.base.ground)
+    }
+    return relabelled(ctx, rename, f'a{marks[seed % 4]}"', f"γ{marks[(seed + 1) % 4]}")
 
 
 def test_escaped_wheel_input_is_the_relabelled_wheel():
@@ -158,6 +178,57 @@ def test_escaped_wheel_matches_golden_report(fmt, suffix):
     code, out, err = run_check(escaped_wheel(), "--format", fmt)
     assert (code, err) == (3, "")
     assert_same_output(out, golden.read_text(encoding="utf-8"))
+
+
+def test_escaped_wheel_matches_reference():
+    ctx = escaped_wheel()
+    for sample in modes(ctx):
+        assert_same_report(ctx, sample, seed=2)
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_escaped_random_instances_match_reference(index):
+    rng = random.Random(5150 + index)
+    ctx = escaped(random_split_instance(rng, rng.randint(2, 6), max_rank=4), index)
+    for sample in modes(ctx):
+        assert_same_report(ctx, sample, seed=index)
+
+
+@pytest.mark.parametrize("n", [6, 13, 20])
+def test_witness_lists_render_as_json_dumps(n):
+    # Split grounds of 8, 15 and 22 elements: one byte of a mask, a
+    # short last byte and three bytes.
+    rng = random.Random(n)
+    ctx = escaped(random_split_instance(rng, n, max_rank=5), n)
+    width = len(ctx.split_ground)
+
+    def mask() -> int:
+        return 0 if rng.random() < 0.2 else rng.getrandbits(width)
+
+    cases = ["L3.2", "L3.5", "L3.8.1"]
+    rows = {
+        _CLOSURE_FIELDS: [
+            (mask(), tuple(rng.sample(cases, rng.randint(0, 2))), mask(), mask())
+            for _ in range(60)
+        ],
+        _RANK_FIELDS: [(mask(), rng.randint(0, 9), rng.randint(0, 9)) for _ in range(30)],
+        _FLAT_FIELDS: [(mask(), rng.randint(1, 6)) for _ in range(30)],
+    }
+    assert any(row[0] == 0 for kind in rows.values() for row in kind)
+    payload = {"none": _Witnesses(ctx, _FLAT_FIELDS, [])}
+    expected: dict = {"none": []}
+    for fields, kind in rows.items():
+        name = "-".join(key for key, _ in fields)
+        payload[name] = _Witnesses(ctx, fields, kind)
+        expected[name] = [
+            {
+                key: ctx.sorted_labels(value) if is_mask else value
+                for (key, is_mask), value in zip(fields, row)
+            }
+            for row in kind
+        ]
+    assert _json_text(payload) == json.dumps(expected, indent=2)
+    assert _json_text(payload["none"]) == "[]"
 
 
 def test_golden_is_the_json_reference():

@@ -176,6 +176,41 @@ class TestNLineSplit:
                 ("u1", "u2", "a", "g"),
             )
 
+    def test_unknown_vertex_and_foreign_anchor_rejected(self):
+        with pytest.raises(InvalidPartition, match="'Z' is not a vertex"):
+            n_line_split(
+                showcase_graph(),
+                LineSplitSpec("Z", "y", frozenset(), frozenset()),
+                ("u1", "u2", "a2", "g2"),
+            )
+        with pytest.raises(InvalidPartition, match="anchor '1' is not incident"):
+            n_line_split(
+                showcase_graph(),
+                LineSplitSpec("C", "1", frozenset({"x"}), frozenset({"5", "6"})),
+                ("u1", "u2", "a2", "g2"),
+            )
+
+    def test_spec_check_is_one_pass_over_the_edges(self, monkeypatch):
+        # Looking up each edge at the split vertex by label would scan the
+        # edges once per spoke; count the lookups instead of timing them.
+        calls = []
+        endpoints = LabeledGraph.endpoints
+
+        def counted(self, label):
+            calls.append(label)
+            return endpoints(self, label)
+
+        monkeypatch.setattr(LabeledGraph, "endpoints", counted)
+        spokes = [f"s{i}" for i in range(200)]
+        g = LabeledGraph.from_edges(
+            [("e", "u", "v")] + [(s, "u", f"w{s}") for s in spokes]
+        )
+        spec = LineSplitSpec("u", "e", frozenset(spokes[:80]), frozenset(spokes[80:]))
+        h = n_line_split(g, spec, ("u1", "u2", "a", "gamma"))
+        assert len(calls) <= 1
+        assert len(h.incident("u1")) == 80 + 2
+        assert len(h.incident("u2")) == 120 + 2
+
     def test_stale_labels_rejected(self):
         with pytest.raises(LabelCollision):
             n_line_split(

@@ -38,6 +38,25 @@ def free_matroid(labels):
     )
 
 
+def test_columns_built_in_one_pass_match_column_lookups():
+    # Random shapes, with whole zero rows and zero columns mixed in.
+    rng = random.Random(808)
+    zero_rows = zero_cols = 0
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(0, 9), rng.randint(0, 12)
+        cleared = sum(1 << j for j in range(n_cols) if rng.random() < 0.3)
+        rows = [
+            0 if rng.random() < 0.25 else rng.getrandbits(n_cols) & ~cleared
+            for _ in range(n_rows)
+        ]
+        matrix = GF2Matrix(tuple(rows), tuple(f"c{j}" for j in range(n_cols)))
+        columns = tuple(matrix.column(lab) for lab in matrix.col_labels)
+        assert BinaryMatroid(matrix)._cols == columns
+        zero_rows += rows.count(0)
+        zero_cols += columns.count(0)
+    assert zero_rows and zero_cols
+
+
 class TestRankOf:
     def test_empty(self, wheel_ctx):
         assert wheel_ctx.base.rank_of(frozenset()) == 0
