@@ -503,8 +503,7 @@ def cmd_check(args: argparse.Namespace) -> Result:
         "flat_condition_violations": flat_violations,
         "disagreements": disagreements,
     }
-    code = DISAGREEMENT if disagreements else OK
-    return code, summary, _check_lines(ctx, summary)
+    return DISAGREEMENT if disagreements else OK, summary, _check_lines(ctx, summary)
 
 
 # The fields of each kind of witness, each with whether it holds a
