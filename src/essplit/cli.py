@@ -12,14 +12,18 @@ build them.
 every subset A' of the split ground, or on --sample N distinct ones.
 Per base part A, one record of base facts and one set of oracle spans
 answer all four queries A, A+a, A+gamma and A+a+gamma, on position
-masks.  An exhaustive run walks the base parts depth first, on the base,
-on M' (the base plus the parity row) and on the split matrix in step, so
-each A costs one column projection per matrix; a sampled run, like the
-section on the base flats, queries each of its base parts directly.  The
-report lists disagreements by subset size, then position; with --sample,
-in draw order, or in mask order when N covers every subset.  JSON is
-rendered with one join per list or object, byte for byte as json.dumps
-with indent=2.
+masks.  An exhaustive run walks the base parts depth first, on
+``SplitContext.lift`` (the base plus the parity row and the column a)
+and on the split matrix in step, so each A costs one column projection
+per matrix; a sampled run, like the section on the base flats, queries
+each of its base parts directly.  Each query reads its matched cases,
+its closure shape and its rank from the case plan of its key, the
+record's signature plus the query's a and gamma bits; the hits are
+counted per key and become case counts at the end.  The report lists
+disagreements by subset size, then position; with --sample, in draw
+order, or in mask order when N covers every subset.  JSON is rendered
+with one join per list or object, byte for byte as json.dumps with
+indent=2.
 
 The report's witnesses stay position masks until ``main`` writes them.
 Each witness list is a ``_Witnesses`` of tuples in report order, which
@@ -58,6 +62,7 @@ from .matroid import BinaryMatroid, _mask_key
 from .splitting import (
     SplitContext,
     _BaseFacts,
+    _plan,
     build_split_matrix,
     predict_circuits,
     predict_closure,
@@ -406,7 +411,7 @@ def _check_plan(
     if later:
         raise later
     if sample is None or sample >= total:
-        return None, _mask_key if sample is None else int
+        return None, _mask_key(n + 2) if sample is None else int
     rng = random.Random(seed)
     drawn: dict[int, int] = {}
     while len(drawn) < sample:
@@ -422,11 +427,9 @@ def cmd_check(args: argparse.Namespace) -> Result:
     oracle = split_matroid(ctx)
     n = len(ctx.base.ground)
 
-    case_hits: dict[str, int] = {}
-    no_case = 0
+    plan_hits: dict[int, int] = {}
     closure_found: list[tuple[int, tuple[str, ...], int, int]] = []
     rank_found: list[tuple[int, int, int]] = []
-    subsets = 0
 
     def queried(parts: Iterable[int]) -> Iterator[tuple[_BaseFacts, tuple]]:
         # One facts record and one set of oracle spans per base part.
@@ -434,38 +437,45 @@ def cmd_check(args: argparse.Namespace) -> Result:
             yield _BaseFacts.at(ctx, part), oracle.closures_at(part, (n, n + 1))
 
     def walked() -> Iterator[tuple[_BaseFacts, tuple]]:
-        # Every base part; the base, M' and the split matrix walked in step.
-        e = ctx.e_bit.bit_length() - 1
-        for (part, spans), (_, parity_spans), (_, split_spans) in zip(
-            ctx.base.walk_closures((e,), n),
-            ctx.parity.walk_closures((e,), n),
+        # Every base part; N and the split matrix walked in step.
+        for (part, spans), (_, split_spans) in zip(
+            ctx.lift.walk_closures(ctx.lift_extras, n),
             oracle.walk_closures((n, n + 1), n),
         ):
-            yield _BaseFacts(ctx, part, spans, parity_spans), split_spans
+            yield _BaseFacts(ctx, part, spans), split_spans
 
     # Per base part A, the facts record and the oracle spans answer the
     # four queries A, A+a, A+gamma and A+a+gamma, all on position masks.
-    # The witnesses stay masks, sorted into report order; only their
-    # rendering reads labels.
+    # A query's plan key is the record's signature with its two top bits,
+    # a and gamma, below it; the plan gives the matched cases, the shape
+    # of the closure and the rank offset.  Hits are counted per key and
+    # expanded into cases at the end.  The witnesses stay masks, sorted
+    # into report order; only their rendering reads labels.
     groups, order = _check_plan(ctx, oracle, args.sample, args.seed)
     for facts, spans in walked() if groups is None else queried(groups):
-        base = facts.a
+        base, signature, shapes = facts.a, facts.signature, facts.table_shapes
         for top in range(4) if groups is None else groups[base]:
-            subsets += 1
-            has_a, has_gamma = top & 1, top & 2
-            matched, formula = facts.table_closure(has_a, has_gamma)
+            key = signature | top
+            plan_hits[key] = plan_hits.get(key, 0) + 1
+            plan = _plan(key)
+            formula = facts.closure(plan.table, shapes)
             oracle_rank, oracle_closure = spans[top]
-            if not matched:
-                no_case += 1
-            for case_id in matched:
-                case_hits[case_id] = case_hits.get(case_id, 0) + 1
             if formula is not None and formula != oracle_closure:
                 closure_found.append(
-                    (base | top << n, matched, formula, oracle_closure)
+                    (base | top << n, plan.table.ids, formula, oracle_closure)
                 )
-            formula_rank = facts.split_rank(has_a, has_gamma)
+            formula_rank = facts.rank + plan.rank
             if formula_rank != oracle_rank:
                 rank_found.append((base | top << n, formula_rank, oracle_rank))
+
+    case_hits: dict[str, int] = {}
+    no_case = 0
+    for key, hits in plan_hits.items():
+        matched = _plan(key).table.ids
+        if not matched:
+            no_case += hits
+        for case_id in matched:
+            case_hits[case_id] = case_hits.get(case_id, 0) + hits
 
     family_equal = set(predict_circuits(ctx).minimal) == set(oracle.circuits(masks=True))
     corollary_ok = oracle.rank_of(oracle.ground) == ctx.base.rank_of(ctx.base.ground) + 1
@@ -493,7 +503,7 @@ def cmd_check(args: argparse.Namespace) -> Result:
         + (0 if corollary_ok else 1)
     )
     summary = {
-        "subsets": subsets,
+        "subsets": sum(plan_hits.values()),
         "case_hits": {cid: case_hits.get(cid, 0) for cid in sorted(case_hits)},
         "no_case": no_case,
         "closure_disagreements": closure_witnesses,

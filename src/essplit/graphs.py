@@ -54,11 +54,8 @@ class LabeledGraph:
         """Build a graph from edge triples, inferring the vertex set in
         first-appearance order."""
         edges = tuple(edges)
-        seen: list[str] = []
-        for _, u, v in edges:
-            for vertex in (u, v):
-                if vertex not in seen:
-                    seen.append(vertex)
+        # A dict keeps its keys in insertion order.
+        seen = dict.fromkeys(vertex for _, u, v in edges for vertex in (u, v))
         return cls(tuple(seen), edges)
 
     @property

@@ -28,9 +28,9 @@ keep the all-subset definitions as references and compare.
 Inside the module a subset is a position mask: bit i stands for the
 i-th ground element.  Both circuit strategies find masks, and the one
 circuit cache holds masks in canonical order (first by size, then
-lexicographically by position, ``_mask_key``).  Labels appear only at
-the boundary: ``rank_of``, ``closure_of`` and ``is_flat`` take label
-sets, and ``circuits()`` and ``flats()`` return ``frozenset`` objects
+lexicographically by position, the order of the int key
+``_mask_key``).  Labels appear only at the boundary: ``rank_of``,
+``closure_of`` and ``is_flat`` take label sets, and ``circuits()`` and ``flats()`` return ``frozenset`` objects
 of labels in that order, or with ``masks=True`` the position masks
 themselves, for callers that stay on masks.  ``closures_at`` and
 ``walk_closures`` take the extra elements as positions and answer with
@@ -41,15 +41,36 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GroundSetTooLarge, UnknownLabel
 from .gf2 import GF2Matrix, _bits, _insert, _project_out, _reduce
 
-def _mask_key(mask: int) -> tuple:
-    """Canonical sort key of the subset with this position mask: its size,
-    then its positions."""
-    return (mask.bit_count(), tuple(_bits(mask)))
+#: Each byte value with its eight bits in reverse order.
+_REVERSED_BYTES = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
+
+
+def _mask_key(width: int) -> Callable[[int], int]:
+    """Canonical sort key of the subsets of ``width`` positions, by mask:
+    size first, then the positions in lexicographic order.
+
+    Of two subsets of one size, the one that holds the lowest position
+    where they differ comes first.  With its bits reversed that position
+    is the highest differing bit, so it has the larger reversed mask.
+    The key is an int: the size above the complement of the reversed
+    mask, which bytes reverse in C.
+    """
+    length = (width + 7) // 8
+    shift = 8 * length
+    full = (1 << shift) - 1
+
+    def key(mask: int) -> int:
+        reversed_mask = int.from_bytes(
+            mask.to_bytes(length, "little").translate(_REVERSED_BYTES), "big"
+        )
+        return mask.bit_count() << shift | full ^ reversed_mask
+
+    return key
 
 
 def _cycle_walk_is_cheaper(n: int, rank: int) -> bool:
@@ -263,7 +284,7 @@ class BinaryMatroid:
                 if cover not in seen:
                     seen.add(cover)
                     todo.append(cover)
-        ordered = sorted(seen, key=_mask_key)
+        ordered = sorted(seen, key=_mask_key(len(self.ground)))
         return tuple(ordered) if masks else tuple(map(self._labels, ordered))
 
     # -- circuits ----------------------------------------------------------
@@ -357,7 +378,7 @@ class BinaryMatroid:
             support ^= cycles[(i & -i).bit_length() - 1]
             if self._is_circuit_support(support):
                 found.append(support)
-        return tuple(sorted(found, key=_mask_key))
+        return tuple(sorted(found, key=_mask_key(len(self.ground))))
 
     def circuits(self, masks: bool = False) -> tuple:
         """All minimal dependent subsets, smallest first, then

@@ -22,17 +22,22 @@ F*, T, whether A, A + e or cl(A) holds an odd-overlap circuit, and the
 closure shapes) is computed in one place: the record ``_BaseFacts`` of
 the base part A.  It holds every set as a position mask (a base element
 keeps its base position in the split ground, a is bit n and gamma bit
-n + 1).  It enumerates no circuit: it reads the ranks and closures of A
-and A + e in the base and in M', the base matrix plus the parity row
-(``SplitContext.parity``, built from the base matrix and X), and the
-components of M|cl(A) from fundamental circuits; its docstring proves
-each fact.  So a query costs a few eliminations at any size.  Its
-methods evaluate the rank formula and both closure tables on masks.
-The four split queries A, A + a, A + gamma and A + a + gamma share one
-base part, so one record serves them all.  ``_BaseFacts.at`` makes the
-record of one base part; an exhaustive ``essplit check`` makes the
-records of all of them from ``BinaryMatroid.walk_closures`` on the base
-and on M' in step, with e as the extra.
+n + 1).  It enumerates no circuit: it reads the ranks and closures of
+A, A + e, A + a and A + e + a in N (``SplitContext.lift``, the base
+matrix plus the parity row and the column a = (0, 1), built from the
+base matrix and X), which hold those of A and A + e in the base and in
+M', the base plus the parity row, and the components of M|cl(A) from
+fundamental circuits; its docstring proves each fact.  So a record
+costs one elimination at any size.  The rank formula, both closure
+tables and the flat conditions read A only through a few predicates,
+the record's signature, so their rows are evaluated once per signature
+and query into a case plan (``_plan``, built on first use), and a
+record reads its answers from the plan and its closure from its
+shapes.  The four split queries A, A + a, A + gamma and A + a + gamma
+share one base part, so one record serves them all.
+``_BaseFacts.at`` makes the record of one base part; an exhaustive
+``essplit check`` makes the records of all of them from one
+``BinaryMatroid.walk_closures`` on N, with e and a as the extras.
 
 Labels cross into masks at one place, ``SplitContext.mask_of``, and
 come back at one place, ``SplitContext.sorted_labels``, in split-ground
@@ -57,7 +62,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -176,16 +181,26 @@ class SplitContext:
         return self.mask_of(self.x_set)
 
     @cached_property
-    def parity(self) -> BinaryMatroid:
-        """M': the base matrix plus the parity row, on the base ground.
+    def lift(self) -> BinaryMatroid:
+        """N: the base matrix plus the parity row and the column a = (0, 1),
+        on the base ground plus a.
 
-        It is the split matroid without a and gamma, built from the base
-        matrix and X alone.  Column z of M' is (v_z, [z in X]), with v_z
-        the base column of z.
+        It is the split matroid without gamma, built from the base matrix
+        and X alone.  Column z of N is (v_z, [z in X]), with v_z the base
+        column of z, and a keeps its split position n.  N without a is
+        M', the base plus the parity row, and N/a is the base.
         """
         base = self.base.matrix
-        matrix = GF2Matrix(base.rows + (self.x_mask,), base.col_labels)
+        matrix = GF2Matrix(
+            base.rows + (self.x_mask | self.a_bit,), base.col_labels + (self.label_a,)
+        )
         return BinaryMatroid(matrix, self.base.enumeration_cap)
+
+    @cached_property
+    def lift_extras(self) -> tuple[int, int]:
+        """The positions of e and of a: the extras of the closures of N
+        that ``_BaseFacts`` reads."""
+        return (self.e_bit.bit_length() - 1, len(self.base.ground))
 
     @cached_property
     def _odd_parts(self) -> dict[int, int]:
@@ -356,9 +371,13 @@ class _BaseFacts:
 
     rank = rank(A); e_in_cl, ox_a, ox_ae and ox_cl say whether e is in
     cl(A) and whether A, A + e and cl(A) hold an odd circuit.  No circuit
-    is enumerated: every fact comes from the ranks and closures of the
-    base M and of M' (``SplitContext.parity``, the base matrix plus the
-    parity row), written rank' and cl', and from fundamental circuits.
+    is enumerated: every fact comes from the ranks and closures of
+    M' (the base matrix plus the parity row), written rank' and cl', and
+    of the base M, and from fundamental circuits.  All of them are read
+    off N (``SplitContext.lift``, M' plus the column a = (0, 1)) at A,
+    A + e, A + a and A + e + a: N restricted to E is M', and span_N(A + a)
+    = span(A) x GF(2), so cl(A) = cl_N(A + a) - a and rank(A) =
+    rank_N(A + a) - 1, and likewise for A + e.
 
     * Odd cycles.  A cycle is a set whose base columns sum to zero.  In
       a binary matroid a cycle is a disjoint union of circuits, and
@@ -378,12 +397,11 @@ class _BaseFacts:
       component of M|cl(A) holds an odd circuit.
     * F, the component rule: z in S is on an odd circuit of M|S iff its
       component K does hold one.  One way is clear.  For the other, let D
-      in K be odd, z outside D, and N be M' plus the column a = (0, 1).
-      Even circuits of M are circuits of N, D + a is one (D sums to a,
-      and no nonempty proper subset of D sums to 0 or to a), and for a
-      circuit C' of N through a, C' - a is an odd circuit of M: it is an
-      odd cycle, and a smaller cycle Z inside it would make Z or Z + a a
-      cycle of N strictly inside C'.
+      in K be odd and z outside D.  Even circuits of M are circuits of
+      N, D + a is one (D sums to a, and no nonempty proper subset of D
+      sums to 0 or to a), and for a circuit C' of N through a, C' - a is
+      an odd circuit of M: it is an odd cycle, and a smaller cycle Z
+      inside it would make Z or Z + a a cycle of N strictly inside C'.
       Take y in D and a circuit C of M|S through z and y.  If C is even,
       z, y share the circuit C and y, a share D + a in N|(S + a), so
       some circuit C' of it holds z and a (sharing a circuit is
@@ -416,47 +434,44 @@ class _BaseFacts:
 
     Everything but ``f_star`` and ``t`` off their cheap cases is computed
     when the record is made, so one record serves all four split queries
-    A, A + a, A + gamma and A + a + gamma.  The methods evaluate the rank
-    formula and the two closure predictors on masks; the public
-    predictors below make one from the base part that ``_query`` splits
-    off their labels.
+    A, A + a, A + gamma and A + a + gamma.  So is ``signature``: the
+    predicates the case rows read (``_Key``), shifted up by two
+    bits.  The rank formula, both closure predictors and the flat
+    conditions of a query depend on A only through them, so each query
+    reads its answers from the ``_plan`` of its key, the signature with
+    bit 0 set for a in A' and bit 1 for gamma, and takes its closure
+    from the shapes.  The public predictors below make a record from the
+    base part that ``_query`` splits off their labels.
     """
 
     __slots__ = (
         "ctx", "a", "rank", "cl", "cl_e", "e_in_cl", "ox_a", "ox_ae", "ox_cl",
-        "f", "_f_star", "_t", "table_shapes", "rule_shapes",
+        "f", "_f_star", "_t", "table_shapes", "rule_shapes", "signature",
     )
 
-    def __init__(
-        self,
-        ctx: SplitContext,
-        a: int,
-        spans: tuple[tuple[int, int], ...],
-        parity_spans: tuple[tuple[int, int], ...] | None = None,
-    ):
-        """``a`` is the mask of A; ``spans`` and ``parity_spans`` hold
-        (rank, closure mask) of A and of A + e in M and in M', as
-        ``BinaryMatroid.closures_at`` gives them with the position of e
-        as the extra.  Without ``parity_spans`` they are computed."""
-        e = ctx.e_bit
-        if parity_spans is None:
-            parity_spans = ctx.parity.closures_at(a, (e.bit_length() - 1,))
-        (rank, cl), (rank_e, cl_e) = spans
-        (rank_p, cl_p), (rank_pe, cl_pe) = parity_spans
+    def __init__(self, ctx: SplitContext, a: int, spans: tuple[tuple[int, int], ...]):
+        """``a`` is the mask of A; ``spans`` holds (rank, closure mask) in
+        N of A, A + e, A + a and A + e + a, as ``closures_at`` and
+        ``walk_closures`` of ``SplitContext.lift`` give them with
+        ``SplitContext.lift_extras``."""
+        e, a_bit, g = ctx.e_bit, ctx.a_bit, ctx.gamma_bit
+        (rank_p, cl_p), (rank_pe, cl_pe), (rank, cl), (rank_e, cl_e) = spans
+        # Take a out of the ranks and closures of A + a and A + e + a.
+        rank, rank_e = rank - 1, rank_e - 1
+        cl, cl_e = cl ^ a_bit, cl_e ^ a_bit
         self.ctx = ctx
         self.a = a
         self.rank = rank
         self.cl = cl
         self.cl_e = cl_e
-        self.e_in_cl = bool(cl & e)
-        self.ox_a = rank_p > rank
-        self.ox_ae = rank_pe > rank_e
+        self.e_in_cl = e_in_cl = cl & e != 0
+        self.ox_a = ox_a = rank_p > rank
+        self.ox_ae = ox_ae = rank_pe > rank_e
         odd = ctx.odd_part(cl)
-        self.ox_cl = bool(odd)
+        self.ox_cl = ox_cl = odd != 0
         self.f = f = odd & ~a
         self._f_star = f_star = cl & ~cl_p
         self._t = t = cl_e & ~cl & ~cl_pe & ~e
-        a_bit, g = ctx.a_bit, ctx.gamma_bit
         cl_f = cl & ~f
         self.table_shapes = (
             cl_f,
@@ -475,11 +490,22 @@ class _BaseFacts:
             cl | a_bit,
             cl_e | a_bit | g,
         )
+        # The predicates of ``_Key`` in its order, from bit 2 up.
+        self.signature = (
+            ox_a << 2
+            | ox_ae << 3
+            | ox_cl << 4
+            | e_in_cl << 5
+            | (f_star & e != 0) << 6
+            | (f != 0) << 7
+            | (t != 0) << 8
+            | (a & e != 0) << 9
+        )
 
     @classmethod
     def at(cls, ctx: SplitContext, a: int) -> "_BaseFacts":
         """The record of the base part with the mask ``a``."""
-        return cls(ctx, a, _base_spans(ctx, a))
+        return cls(ctx, a, ctx.lift.closures_at(a, ctx.lift_extras))
 
     @property
     def f_star(self) -> int:
@@ -511,123 +537,197 @@ class _BaseFacts:
                     t |= out
         return t
 
+    def plan(self, has_a: bool, has_gamma: bool) -> "_Plan":
+        """The plan of the query A plus the new elements named."""
+        return _plan(self.signature | (2 if has_gamma else 0) | (1 if has_a else 0))
+
     def split_rank(self, has_a: bool, has_gamma: bool) -> int:
         """``predict_rank`` of A plus the new elements named."""
-        r = self.rank
-        if not has_gamma:
-            if has_a:
-                return r + 1
-            return r + 1 if self.ox_a else r
-        if not has_a:
-            if not self.ox_a and self.ox_ae:
-                return r
-            if self.ox_a and not self.e_in_cl:
-                return r + 2
-            return r + 1
-        return r + 1 if self.e_in_cl else r + 2
+        return self.rank + self.plan(has_a, has_gamma).rank
 
     def table_closure(
         self, has_a: bool, has_gamma: bool
     ) -> tuple[tuple[str, ...], int | None]:
         """Matched case ids and closure mask of ``predict_closure``."""
-        cl_f, cl, cl_a, cl_f_g, cl_f_g_t, cl_g_t, cl_aeg = self.table_shapes
-        ox_a, ox_ae, ox_cl, e_in_cl = self.ox_a, self.ox_ae, self.ox_cl, self.e_in_cl
-        plain = not has_a and not has_gamma
-        with_a = has_a and not has_gamma
-        with_g = has_gamma and not has_a
-        with_ag = has_a and has_gamma
-        table = (
-            ("L3.2", plain and not ox_ae, cl_f),
-            ("L3.3", plain and not ox_cl, cl),
-            ("L3.4.1", plain and ox_a and not e_in_cl, cl_a),
-            ("L3.4.2", with_a and not e_in_cl, cl_a),
-            ("L3.5", plain and ox_ae and not ox_a, cl_f_g),
-            ("L3.6", with_g and not e_in_cl and ox_cl and not ox_a, cl_f_g_t),
-            ("L3.7", with_g and not ox_cl and not e_in_cl, cl_g_t),
-            ("L3.8.1", with_ag, cl_aeg),
-            ("L3.8.2", with_a and e_in_cl, cl_aeg),
-            ("L3.8.3", with_g and ox_a, cl_aeg),
-            ("L3.8.4", with_g and e_in_cl, cl_aeg),
-            ("L3.8.5", plain and ox_a and e_in_cl, cl_aeg),
-        )
-        return self._match(has_a, has_gamma, table)
+        cases = self.plan(has_a, has_gamma).table
+        return cases.ids, self.closure(cases, self.table_shapes)
 
     def rule_closure(
         self, has_a: bool, has_gamma: bool
     ) -> tuple[tuple[str, ...], int | None]:
         """Matched case id and closure mask of ``closure_rule``."""
-        kept, kept_g, kept_g_t, cl_a, cl_e_ag = self.rule_shapes
-        e = self.ctx.e_bit
-        e_in_f_star = bool(self._f_star & e)
-        free = has_a or self.ox_a
-        bound_g = has_gamma and not free
-        # With e in cl(A), cl(A + e) + {a, gamma} is cl(A) + {a, gamma}.
-        table = (
-            ("R1.1", free and not has_gamma, cl_e_ag if self.e_in_cl else cl_a),
-            ("R1.2", free and has_gamma, cl_e_ag),
-            ("R2", not free and not has_gamma, kept_g if e_in_f_star else kept),
-            ("R3.1", bound_g and e_in_f_star, kept_g),
-            ("R3.2", bound_g and kept & e, cl_e_ag),
-            ("R3.3", bound_g and not self.e_in_cl, kept_g_t),
-        )
-        return self._match(has_a, has_gamma, table)
+        cases = self.plan(has_a, has_gamma).rule
+        return cases.ids, self.closure(cases, self.rule_shapes)
 
     def flat_condition(self, has_a: bool, has_gamma: bool) -> int | None:
         """``predict_is_flat`` of A plus the new elements named: the first
         of the six sufficient conditions that holds, or None.  A must be
         a flat of the base."""
-        ox_a, ox_ae, ox_cl, e_in_cl = self.ox_a, self.ox_ae, self.ox_cl, self.e_in_cl
-        f, t = self.f, self._t
-        plain = not has_a and not has_gamma
-        with_a = has_a and not has_gamma
-        with_g = has_gamma and not has_a
-        with_ag = has_a and has_gamma
-        conditions = (
-            plain and not ox_ae and not f,
-            plain and not ox_cl,
-            with_a and not e_in_cl,
-            with_g and not e_in_cl and ox_cl and not ox_a and not f and not t,
-            with_g and not ox_cl and not e_in_cl and not t,
-            with_ag and self.a & self.ctx.e_bit,
-        )
-        for number, satisfied in enumerate(conditions, start=1):
-            if satisfied:
-                return number
-        return None
+        return self.plan(has_a, has_gamma).flat
 
-    def _match(
-        self,
-        has_a: bool,
-        has_gamma: bool,
-        table: tuple[tuple[str, object, int], ...],
-    ) -> tuple[tuple[str, ...], int | None]:
-        """Ids of the cases of ``table`` (id, condition, result) whose
-        condition holds, and their common result; matched cases that
-        disagree on the result raise FormulaDisagreement."""
-        matched: list[str] = []
-        formula: int | None = None
-        for case_id, hit, result in table:
-            if not hit:
-                continue
-            matched.append(case_id)
-            if formula is None:
-                formula = result
-            elif result != formula:
+    def closure(self, cases: "_Cases", shapes: tuple[int, ...]) -> int | None:
+        """The common result of the matched ``cases``, ``shapes`` being
+        the record's shapes of their predictor, or None if none matched.
+        Matched cases of distinct shapes are compared here, and the first
+        whose shape differs from the first case's raises
+        FormulaDisagreement."""
+        if cases.shape is not None:
+            return shapes[cases.shape]
+        if not cases.ids:
+            return None
+        formula = shapes[cases.shapes[0]]
+        for case_id, index in zip(cases.ids, cases.shapes):
+            result = shapes[index]
+            if result != formula:
                 ctx = self.ctx
-                a_prime = self.a | (ctx.a_bit if has_a else 0)
-                a_prime |= ctx.gamma_bit if has_gamma else 0
+                a_prime = self.a | (ctx.a_bit if cases.top & 1 else 0)
+                a_prime |= ctx.gamma_bit if cases.top & 2 else 0
                 raise FormulaDisagreement(
-                    f"cases {matched[0]} and {case_id} disagree on "
+                    f"cases {cases.ids[0]} and {case_id} disagree on "
                     f"A'={sorted(ctx.labels_of(a_prime))}: "
                     f"{sorted(ctx.labels_of(formula))} vs "
                     f"{sorted(ctx.labels_of(result))}"
                 )
-        return tuple(matched), formula
+        return formula
 
 
-def _base_spans(ctx: SplitContext, a: int) -> tuple[tuple[int, int], ...]:
-    """(rank, closure mask) of A and of A + e in the base, A by its mask."""
-    return ctx.base.closures_at(a, (ctx.e_bit.bit_length() - 1,))
+# -- case plans --------------------------------------------------------------
+
+
+class _Key:
+    """A plan key decoded: whether A' holds a and gamma, then the
+    predicates of its base part A that the case rows read, bit by bit
+    from bit 0.  Above the first two they are the signature of
+    ``_BaseFacts``; f and t say that F(A) and T(A) (``_t``) are not
+    empty."""
+
+    __slots__ = (
+        "has_a", "has_gamma", "ox_a", "ox_ae", "ox_cl", "e_in_cl", "e_in_f_star",
+        "f", "t", "e_in_a",
+    )
+
+    def __init__(self, key: int):
+        for bit, name in enumerate(self.__slots__):
+            setattr(self, name, bool(key >> bit & 1))
+
+
+class _Cases:
+    """The matched cases of one closure predictor at one plan key: the
+    key's two low bits ``top``, the ids of the cases in row order, the
+    index of each one's shape, and their one ``shape`` index, None if no
+    case matched or their shapes differ."""
+
+    __slots__ = ("top", "ids", "shapes", "shape")
+
+    def __init__(self, top: int, rows: tuple[tuple[str, bool, int], ...]):
+        matched = [(case_id, shape) for case_id, hit, shape in rows if hit]
+        self.top = top
+        self.ids = tuple(case_id for case_id, _ in matched)
+        self.shapes = tuple(shape for _, shape in matched)
+        self.shape = self.shapes[0] if len(set(self.shapes)) == 1 else None
+
+
+class _Plan:
+    """What every predictor gives at one plan key, the signature of
+    ``_BaseFacts`` with bit 0 set for a in A' and bit 1 for gamma: the
+    cases of ``predict_closure`` (``table``) and of ``closure_rule``
+    (``rule``), the flat condition of ``predict_is_flat`` and
+    ``predict_rank`` minus rank(A), from the rows below as written."""
+
+    __slots__ = ("table", "rule", "flat", "rank")
+
+    def __init__(self, key: int):
+        k = _Key(key)
+        self.table = _Cases(key & 3, _table_rows(k))
+        self.rule = _Cases(key & 3, _rule_rows(k))
+        self.flat = _flat_condition(k)
+        self.rank = _rank_offset(k)
+
+
+#: The plan of a key, built on its first use.
+_plan = cache(_Plan)
+
+
+def _table_rows(k: _Key) -> tuple[tuple[str, bool, int], ...]:
+    """The twelve-case table of ``predict_closure``: (id, whether its
+    condition holds, index of its result in ``table_shapes``)."""
+    cl_f, cl, cl_a, cl_f_g, cl_f_g_t, cl_g_t, cl_aeg = range(7)
+    has_a, has_gamma = k.has_a, k.has_gamma
+    ox_a, ox_ae, ox_cl, e_in_cl = k.ox_a, k.ox_ae, k.ox_cl, k.e_in_cl
+    plain = not has_a and not has_gamma
+    with_a = has_a and not has_gamma
+    with_g = has_gamma and not has_a
+    with_ag = has_a and has_gamma
+    return (
+        ("L3.2", plain and not ox_ae, cl_f),
+        ("L3.3", plain and not ox_cl, cl),
+        ("L3.4.1", plain and ox_a and not e_in_cl, cl_a),
+        ("L3.4.2", with_a and not e_in_cl, cl_a),
+        ("L3.5", plain and ox_ae and not ox_a, cl_f_g),
+        ("L3.6", with_g and not e_in_cl and ox_cl and not ox_a, cl_f_g_t),
+        ("L3.7", with_g and not ox_cl and not e_in_cl, cl_g_t),
+        ("L3.8.1", with_ag, cl_aeg),
+        ("L3.8.2", with_a and e_in_cl, cl_aeg),
+        ("L3.8.3", with_g and ox_a, cl_aeg),
+        ("L3.8.4", with_g and e_in_cl, cl_aeg),
+        ("L3.8.5", plain and ox_a and e_in_cl, cl_aeg),
+    )
+
+
+def _rule_rows(k: _Key) -> tuple[tuple[str, bool, int], ...]:
+    """The six cases of ``closure_rule``: (id, whether its condition
+    holds, index of its result in ``rule_shapes``)."""
+    kept, kept_g, kept_g_t, cl_a, cl_e_ag = range(5)
+    has_a, has_gamma, e_in_cl, e_in_f_star = k.has_a, k.has_gamma, k.e_in_cl, k.e_in_f_star
+    free = has_a or k.ox_a
+    bound_g = has_gamma and not free
+    # With e in cl(A), cl(A + e) + {a, gamma} is cl(A) + {a, gamma}.
+    return (
+        ("R1.1", free and not has_gamma, cl_e_ag if e_in_cl else cl_a),
+        ("R1.2", free and has_gamma, cl_e_ag),
+        ("R2", not free and not has_gamma, kept_g if e_in_f_star else kept),
+        ("R3.1", bound_g and e_in_f_star, kept_g),
+        ("R3.2", bound_g and e_in_cl and not e_in_f_star, cl_e_ag),
+        ("R3.3", bound_g and not e_in_cl, kept_g_t),
+    )
+
+
+def _flat_condition(k: _Key) -> int | None:
+    """The number of the first of the six sufficient flat conditions of
+    ``predict_is_flat`` that holds, or None."""
+    has_a, has_gamma = k.has_a, k.has_gamma
+    ox_a, ox_ae, ox_cl, e_in_cl, f, t = k.ox_a, k.ox_ae, k.ox_cl, k.e_in_cl, k.f, k.t
+    plain = not has_a and not has_gamma
+    with_a = has_a and not has_gamma
+    with_g = has_gamma and not has_a
+    with_ag = has_a and has_gamma
+    conditions = (
+        plain and not ox_ae and not f,
+        plain and not ox_cl,
+        with_a and not e_in_cl,
+        with_g and not e_in_cl and ox_cl and not ox_a and not f and not t,
+        with_g and not ox_cl and not e_in_cl and not t,
+        with_ag and k.e_in_a,
+    )
+    for number, satisfied in enumerate(conditions, start=1):
+        if satisfied:
+            return number
+    return None
+
+
+def _rank_offset(k: _Key) -> int:
+    """``predict_rank`` minus rank(A)."""
+    if not k.has_gamma:
+        if k.has_a:
+            return 1
+        return 1 if k.ox_a else 0
+    if not k.has_a:
+        if not k.ox_a and k.ox_ae:
+            return 0
+        if k.ox_a and not k.e_in_cl:
+            return 2
+        return 1
+    return 1 if k.e_in_cl else 2
 
 
 def _query(ctx: SplitContext, labels: Iterable[str]) -> tuple[int, bool, bool]:
@@ -715,6 +815,7 @@ def predict_circuits(ctx: SplitContext) -> CircuitFamily:
     """
     ox, c0 = ctx.ox_masks, ctx.ex_masks
     e, a, gamma = ctx.e_bit, ctx.a_bit, ctx.gamma_bit
+    order = _mask_key(len(ctx.split_ground))
 
     holds_ex = _inside(c0)
     unions = {
@@ -724,7 +825,7 @@ def predict_circuits(ctx: SplitContext) -> CircuitFamily:
         if not first & second
     }
     c1 = tuple(
-        sorted(_minimal(u for u in unions if not holds_ex(u)), key=_mask_key)
+        sorted(_minimal(u for u in unions if not holds_ex(u)), key=order)
     )
 
     # a is above every base position, so adding it keeps the order.
@@ -747,7 +848,7 @@ def predict_circuits(ctx: SplitContext) -> CircuitFamily:
     )
 
     minimal = _minimal({*c0, *c1, *c2, *c3_candidates, delta})
-    c3 = tuple(sorted(c3_candidates & minimal, key=_mask_key))
+    c3 = tuple(sorted(c3_candidates & minimal, key=order))
     # A member of the family with a proper subset among all candidates
     # has a minimal one among them too, and every minimal candidate is
     # in the family; so trimming against the candidates is trimming
@@ -807,7 +908,8 @@ def predict_rank(ctx: SplitContext, labels: Iterable[str]) -> int:
     from base-side quantities.
 
     Dispatches on which of the new elements A' carries; the gamma-only
-    case evaluates its three branches in the fixed order below.
+    case evaluates its three branches in the fixed order of
+    ``_rank_offset``.
     """
     a, has_a, has_gamma = _query(ctx, labels)
     return _BaseFacts.at(ctx, a).split_rank(has_a, has_gamma)
@@ -901,8 +1003,9 @@ def predict_is_flat(ctx: SplitContext, labels: Iterable[str]) -> int | None:
     to the oracle's ``is_flat``.
     """
     a, has_a, has_gamma = _query(ctx, labels)
-    spans = _base_spans(ctx, a)
-    if spans[0][1] != a:
+    spans = ctx.lift.closures_at(a, ctx.lift_extras)
+    # The closure of A + a in N is cl(A) + a.
+    if spans[2][1] != a | ctx.a_bit:
         raise BaseNotFlat(
             f"{sorted(ctx.labels_of(a))} is not a flat of the base matroid"
         )

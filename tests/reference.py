@@ -34,13 +34,19 @@ from typing import Iterable, Iterator
 
 from essplit import (
     BinaryMatroid,
+    GF2Matrix,
     LabeledGraph,
     LineSplitSpec,
     SplitContext,
     graphs,
     split_matroid,
 )
-from essplit.errors import GroundSetTooLarge, PreconditionViolated, UnknownLabel
+from essplit.errors import (
+    FormulaDisagreement,
+    GroundSetTooLarge,
+    PreconditionViolated,
+    UnknownLabel,
+)
 from essplit.splitting import (
     _BaseFacts,
     predict_circuits,
@@ -239,6 +245,141 @@ def reference_base_facts(ctx: SplitContext, labels) -> dict:
         "f_star": frozenset(f_star),
         "t": frozenset(t),
     }
+
+
+def facts_from_base_and_parity(ctx: SplitContext, a: int) -> dict:
+    """Every slot of the ``_BaseFacts`` record of the base part with the
+    mask ``a``, and F* and T, from the ranks and closures of A and A + e
+    in the base and in M', the base matrix plus the parity row, as the
+    record read them before it read N."""
+    base = ctx.base.matrix
+    parity = BinaryMatroid(GF2Matrix(base.rows + (ctx.x_mask,), base.col_labels))
+    extra = (ctx.e_bit.bit_length() - 1,)
+    (rank, cl), (rank_e, cl_e) = ctx.base.closures_at(a, extra)
+    (rank_p, cl_p), (rank_pe, cl_pe) = parity.closures_at(a, extra)
+    e, a_bit, g = ctx.e_bit, ctx.a_bit, ctx.gamma_bit
+    ox_a, ox_ae = rank_p > rank, rank_pe > rank_e
+    odd = ctx.odd_part(cl)
+    f = odd & ~a
+    f_star = cl & ~cl_p
+    t = cl_e & ~cl & ~cl_pe & ~e
+    cl_f, kept = cl & ~f, cl & ~f_star
+    e_in_cl = bool(cl & e)
+    definitions = reference_base_facts(ctx, ctx.labels_of(a))
+    return {
+        "ctx": ctx,
+        "a": a,
+        "rank": rank,
+        "cl": cl,
+        "cl_e": cl_e,
+        "e_in_cl": e_in_cl,
+        "ox_a": ox_a,
+        "ox_ae": ox_ae,
+        "ox_cl": bool(odd),
+        "f": f,
+        "_f_star": f_star,
+        "_t": t,
+        "table_shapes": (
+            cl_f, cl, cl | a_bit, cl_f | g, cl_f | g | t, cl | g | t, cl | a_bit | e | g
+        ),
+        "rule_shapes": (kept, kept | g, kept | g | t, cl | a_bit, cl_e | a_bit | g),
+        "signature": sum(
+            bool(bit) << shift
+            for shift, bit in enumerate(
+                (ox_a, ox_ae, odd, e_in_cl, f_star & e, f, t, a & e), start=2
+            )
+        ),
+        "f_star": ctx.mask_of(definitions["f_star"]),
+        "t": ctx.mask_of(definitions["t"]),
+    }
+
+
+def reference_cases(facts: _BaseFacts, has_a: bool, has_gamma: bool) -> dict:
+    """What the rows of ``_BaseFacts`` give for one record and one
+    query, evaluated on the record's masks at every call, as before the
+    case plans: the closure table and the closure rule as (matched ids,
+    closure mask or None), or the FormulaDisagreement they raised when
+    matched cases disagree, the flat condition and the split rank."""
+    ctx = facts.ctx
+    cl_f, cl, cl_a, cl_f_g, cl_f_g_t, cl_g_t, cl_aeg = facts.table_shapes
+    ox_a, ox_ae, ox_cl, e_in_cl = facts.ox_a, facts.ox_ae, facts.ox_cl, facts.e_in_cl
+    plain = not has_a and not has_gamma
+    with_a = has_a and not has_gamma
+    with_g = has_gamma and not has_a
+    with_ag = has_a and has_gamma
+
+    def match(table) -> tuple | FormulaDisagreement:
+        matched: list[str] = []
+        formula = None
+        for case_id, hit, result in table:
+            if not hit:
+                continue
+            matched.append(case_id)
+            if formula is None:
+                formula = result
+            elif result != formula:
+                a_prime = facts.a | (ctx.a_bit if has_a else 0)
+                a_prime |= ctx.gamma_bit if has_gamma else 0
+                return FormulaDisagreement(
+                    f"cases {matched[0]} and {case_id} disagree on "
+                    f"A'={sorted(ctx.labels_of(a_prime))}: "
+                    f"{sorted(ctx.labels_of(formula))} vs "
+                    f"{sorted(ctx.labels_of(result))}"
+                )
+        return tuple(matched), formula
+
+    table = match((
+        ("L3.2", plain and not ox_ae, cl_f),
+        ("L3.3", plain and not ox_cl, cl),
+        ("L3.4.1", plain and ox_a and not e_in_cl, cl_a),
+        ("L3.4.2", with_a and not e_in_cl, cl_a),
+        ("L3.5", plain and ox_ae and not ox_a, cl_f_g),
+        ("L3.6", with_g and not e_in_cl and ox_cl and not ox_a, cl_f_g_t),
+        ("L3.7", with_g and not ox_cl and not e_in_cl, cl_g_t),
+        ("L3.8.1", with_ag, cl_aeg),
+        ("L3.8.2", with_a and e_in_cl, cl_aeg),
+        ("L3.8.3", with_g and ox_a, cl_aeg),
+        ("L3.8.4", with_g and e_in_cl, cl_aeg),
+        ("L3.8.5", plain and ox_a and e_in_cl, cl_aeg),
+    ))
+
+    kept, kept_g, kept_g_t, rule_cl_a, cl_e_ag = facts.rule_shapes
+    e_in_f_star = bool(facts._f_star & ctx.e_bit)
+    free = has_a or ox_a
+    bound_g = has_gamma and not free
+    rule = match((
+        ("R1.1", free and not has_gamma, cl_e_ag if e_in_cl else rule_cl_a),
+        ("R1.2", free and has_gamma, cl_e_ag),
+        ("R2", not free and not has_gamma, kept_g if e_in_f_star else kept),
+        ("R3.1", bound_g and e_in_f_star, kept_g),
+        ("R3.2", bound_g and kept & ctx.e_bit, cl_e_ag),
+        ("R3.3", bound_g and not e_in_cl, kept_g_t),
+    ))
+
+    f, t = facts.f, facts._t
+    conditions = (
+        plain and not ox_ae and not f,
+        plain and not ox_cl,
+        with_a and not e_in_cl,
+        with_g and not e_in_cl and ox_cl and not ox_a and not f and not t,
+        with_g and not ox_cl and not e_in_cl and not t,
+        with_ag and facts.a & ctx.e_bit,
+    )
+    flat = next((i for i, held in enumerate(conditions, start=1) if held), None)
+
+    r = facts.rank
+    if not has_gamma:
+        rank = r + 1 if has_a or ox_a else r
+    elif not has_a:
+        if not ox_a and ox_ae:
+            rank = r
+        elif ox_a and not e_in_cl:
+            rank = r + 2
+        else:
+            rank = r + 1
+    else:
+        rank = r + 1 if e_in_cl else r + 2
+    return {"table": table, "rule": rule, "flat": flat, "rank": rank}
 
 
 def _base_subset(ctx: SplitContext, labels: Iterable[str]) -> frozenset[str]:

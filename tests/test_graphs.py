@@ -101,6 +101,26 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             LabeledGraph(("p",), (("e", "p", "q"),))
 
+    def test_vertices_in_first_appearance_order(self):
+        rng = random.Random(5150)
+        loops = parallels = 0
+        for _ in range(200):
+            g = random_connected_multigraph(rng, max_vertices=9, max_edges=16)
+            edges = list(g.edges)
+            rng.shuffle(edges)
+            loops += any(u == v for _, u, v in edges)
+            parallels += len({frozenset((u, v)) for _, u, v in edges}) < len(edges)
+            # The order by a scan of a list, as the vertices were first read.
+            expected: list[str] = []
+            for _, u, v in edges:
+                for vertex in (u, v):
+                    if vertex not in expected:
+                        expected.append(vertex)
+            built = LabeledGraph.from_edges(edges)
+            assert built.vertices == tuple(expected)
+            assert built.edges == tuple(edges)
+        assert min(loops, parallels) >= 20
+
 
 class TestNLineSplit:
     def test_wheel_split_structure(self):

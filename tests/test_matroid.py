@@ -2,9 +2,12 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from essplit import BinaryMatroid, GF2Matrix
 from essplit.errors import GroundSetTooLarge, UnknownLabel
+from essplit.matroid import _mask_key
 
 from instances import matroid_from_columns, random_columns, random_matroid
 from reference import EX, OX, all_subsets, classify_circuit
@@ -55,6 +58,34 @@ def test_columns_built_in_one_pass_match_column_lookups():
         zero_rows += rows.count(0)
         zero_cols += columns.count(0)
     assert zero_rows and zero_cols
+
+
+def tuple_key(mask: int) -> tuple:
+    """The canonical order spelt out: size, then the positions."""
+    return (mask.bit_count(), tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
+
+
+@st.composite
+def masks_of_one_width(draw):
+    width = draw(st.integers(0, 70))
+    mask = st.integers(0, (1 << width) - 1)
+    # Masks of few or of many bits, so that many of them share a size.
+    sparse = st.lists(st.integers(0, max(width - 1, 0)), max_size=3).map(
+        lambda positions: sum({1 << p for p in positions}) if width else 0
+    )
+    full = (1 << width) - 1
+    dense = sparse.map(lambda m: full & ~m)
+    return width, draw(st.lists(st.one_of(mask, sparse, dense), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks_of_one_width())
+def test_int_mask_key_sorts_like_the_tuple_key(case):
+    width, masks = case
+    key = _mask_key(width)
+    assert sorted(masks, key=key) == sorted(masks, key=tuple_key)
+    # Equal keys only for equal masks.
+    assert len({key(m) for m in masks}) == len(set(masks))
 
 
 class TestRankOf:

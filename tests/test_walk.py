@@ -9,12 +9,22 @@ zero rows, and e is often a loop.
 """
 
 import random
+from pathlib import Path
 
-from essplit import SplitContext, split_matroid
-from essplit.splitting import _BaseFacts
+import pytest
+
+from essplit import BinaryMatroid, SplitContext, parse_matrix, split_matroid
+from essplit.errors import FormulaDisagreement
+from essplit.showcase import showcase_context
+from essplit.splitting import _BaseFacts, _plan
 
 from instances import matroid_from_columns, random_columns
-from reference import base_facts, reference_base_facts
+from reference import (
+    base_facts,
+    facts_from_base_and_parity,
+    reference_base_facts,
+    reference_cases,
+)
 
 
 def random_contexts(seed, count=160, max_n=7):
@@ -91,8 +101,8 @@ class TestMaskRecord:
     def test_walked_and_labelled_records_match_the_definitions(self):
         for ctx, _ in random_contexts(34):
             base = ctx.base
-            e = base.ground.index(ctx.e)
-            for mask, spans in base.walk_closures((e,), len(base.ground)):
+            walk = ctx.lift.walk_closures(ctx.lift_extras, len(base.ground))
+            for mask, spans in walk:
                 facts = _BaseFacts(ctx, mask, spans)
                 a = base._labels(mask)
                 expected = reference_base_facts(ctx, a)
@@ -109,3 +119,97 @@ class TestMaskRecord:
                     getattr(labelled, slot) == getattr(facts, slot)
                     for slot in _BaseFacts.__slots__
                 )
+
+
+class TestLift:
+    """``_BaseFacts`` reads every base fact off N, the base plus the
+    parity row and the column a, where it read the base and M'."""
+
+    def test_facts_from_n_equal_facts_from_the_base_and_m_prime(self):
+        e_loops = 0
+        for ctx, _ in random_contexts(35):
+            e_loops += ctx.base.matrix.column(ctx.e) == 0
+            for mask in range(2 ** len(ctx.base.ground)):
+                facts = _BaseFacts.at(ctx, mask)
+                expected = facts_from_base_and_parity(ctx, mask)
+                for name in (*_BaseFacts.__slots__, "f_star", "t"):
+                    assert getattr(facts, name) == expected[name], name
+        assert e_loops >= 20
+
+    def test_a_record_is_one_elimination(self, monkeypatch):
+        calls = []
+        closures_at = BinaryMatroid.closures_at
+
+        def counting(matroid, mask, extra):
+            calls.append(mask)
+            return closures_at(matroid, mask, extra)
+
+        monkeypatch.setattr(BinaryMatroid, "closures_at", counting)
+        for ctx, rng in random_contexts(36, count=40):
+            mask = rng.getrandbits(len(ctx.base.ground))
+            calls.clear()
+            _BaseFacts.at(ctx, mask)
+            assert calls == [mask]
+
+
+def plan_instances():
+    """Random contexts, the wheel and the 12-element golden instance."""
+    yield from (ctx for ctx, _ in random_contexts(37, count=120))
+    yield showcase_context()
+    golden = Path(__file__).parent / "golden" / "mid12.txt"
+    base = BinaryMatroid(parse_matrix(golden.read_text(), str(golden)))
+    yield SplitContext(base, frozenset("p1 p2 p4 p8 p11 p12".split()), "p2")
+
+
+class TestCasePlans:
+    """The plans of ``_BaseFacts`` against its rows evaluated on every
+    call, as ``reference_cases`` does."""
+
+    def test_every_reachable_key_matches_the_rows(self):
+        compared = set()
+        for ctx in plan_instances():
+            walk = ctx.lift.walk_closures(ctx.lift_extras, len(ctx.base.ground))
+            for mask, spans in walk:
+                facts = _BaseFacts(ctx, mask, spans)
+                for top in range(4):
+                    has_a, has_gamma = bool(top & 1), bool(top & 2)
+                    expected = reference_cases(facts, has_a, has_gamma)
+                    assert facts.table_closure(has_a, has_gamma) == expected["table"]
+                    assert facts.rule_closure(has_a, has_gamma) == expected["rule"]
+                    assert facts.flat_condition(has_a, has_gamma) == expected["flat"]
+                    assert facts.split_rank(has_a, has_gamma) == expected["rank"]
+                    compared.add(facts.signature | top)
+        # Every query shape, and many signatures for each.
+        assert {key & 3 for key in compared} == {0, 1, 2, 3}
+        assert len(compared) >= 50
+        assert _plan.cache_info().currsize >= len(compared)
+
+    def test_matched_cases_of_distinct_shapes_are_compared(self):
+        # A plan whose matched cases have distinct shapes compares their
+        # values; a record whose values differ there raises the message
+        # the rows give.
+        raised = 0
+        for ctx in plan_instances():
+            for mask in range(min(2 ** len(ctx.base.ground), 64)):
+                facts = _BaseFacts.at(ctx, mask)
+                for top in range(4):
+                    has_a, has_gamma = bool(top & 1), bool(top & 2)
+                    for cases, shapes in (
+                        (facts.plan(has_a, has_gamma).table, "table_shapes"),
+                        (facts.plan(has_a, has_gamma).rule, "rule_shapes"),
+                    ):
+                        if len(set(cases.shapes)) < 2:
+                            continue
+                        # Give the last matched case's shape a value of its own.
+                        values = list(getattr(facts, shapes))
+                        values[cases.shapes[-1]] ^= ctx.gamma_bit
+                        setattr(facts, shapes, tuple(values))
+                        kind = "table" if shapes == "table_shapes" else "rule"
+                        expected = reference_cases(facts, has_a, has_gamma)[kind]
+                        assert isinstance(expected, FormulaDisagreement)
+                        with pytest.raises(FormulaDisagreement) as got:
+                            facts.closure(cases, getattr(facts, shapes))
+                        assert str(got.value) == str(expected)
+                        raised += 1
+                        facts = _BaseFacts.at(ctx, mask)
+        assert raised >= 20
