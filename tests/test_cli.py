@@ -95,6 +95,25 @@ def test_mid_instance_sweep_matches_its_digest(capsys, fmt, suffix):
     assert digest == golden_digests("mid12-check.sha256")[f"mid12-check.{suffix}"]
 
 
+# A 22-element base of rank 10 with a loop (q16) and a parallel pair
+# (q14, q18), drawn once from a seeded generator.  Its split has 24
+# elements, the enumeration cap, and rank 11, so the cycle-space walk
+# visits 2^13 vectors; it has 1,701 circuits, pinned by digest.
+MID22_INSTANCE = [
+    "--input", str(GOLDEN.parent / "mid22.txt"),
+    "--X", "q02,q03,q04,q05,q07,q08,q09,q11,q12,q14,q15,q16,q18,q19,q21,q22",
+    "--e", "q07", "--mode", "both",
+]
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_cap_instance_circuits_match_their_digest(capsys, fmt, suffix):
+    code, out, err = run(capsys, "circuits", *MID22_INSTANCE, "--format", fmt)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == golden_digests("mid22-circuits.sha256")[f"mid22-circuits.{suffix}"]
+
+
 # A 40-element base of rank 12 with a loop (v30) and parallel classes,
 # drawn once from a seeded generator: above the 24-element circuit cap,
 # which ``closure``, ``rank`` and ``flats --subset`` no longer reach.
