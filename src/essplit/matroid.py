@@ -18,7 +18,10 @@ subset:
 
 * ``circuits()`` either sweeps subsets by size or walks the cycle space
   (the kernel of the matrix, spanned by the fundamental circuits of a
-  basis), whichever has fewer candidates;
+  basis), whichever has fewer candidates.  The walk tests each vector's
+  support S on its cotree part: the fundamental circuits summed into
+  the vector, cut down to their parts outside S, must have rank one
+  below their number;
 * ``flats()`` climbs the lattice of flats from the loops, one cover at
   a time.
 
@@ -343,22 +346,6 @@ class BinaryMatroid:
                 basis[low] = word
         return out
 
-    def _is_circuit_support(self, mask: int) -> bool:
-        """For the support S of a nonzero cycle: True iff rank(S) = |S| - 1.
-
-        Then the cycle is the only one inside S, so no proper subset of S
-        is dependent.  Inserting S column by column fails |S| - rank(S)
-        times, at least once as S is dependent.
-        """
-        basis: dict[int, int] = {}
-        dependent = False
-        for pos in _bits(mask):
-            if not _insert(basis, self._cols[pos]):
-                if dependent:
-                    return False
-                dependent = True
-        return True
-
     def _circuits_by_cycle_space(self) -> tuple[int, ...]:
         """Walk all 2^(n - rank) vectors of the cycle space and keep the
         supports that are circuits.
@@ -367,16 +354,43 @@ class BinaryMatroid:
         supports of its cycle space (Oxley, Matroid Theory, ch. 9), and
         each is the support of exactly one cycle.  A Gray-code order
         reaches every vector by one XOR of a basis cycle each.
+
+        Each support S is tested on the parts of the basis cycles outside
+        it.  A basis B leaves the fundamental circuits c_j = z_j + P_j,
+        with z_j outside B and P_j inside it, and every cycle is the sum
+        c_U of the c_j over a unique set U.  The walk keeps T, with c_T
+        the current vector, next to S (``summed`` and ``support``).
+        Write v_j = c_j - S.  A cycle c_U lies inside S exactly when U is
+        a subset of T whose v_j sum to zero: z_j is in c_U only for j in
+        U, and in S only for j in T.  So the cycles inside S form the
+        kernel of U -> (sum of v_j over U) on the subsets of T, which
+        holds the empty set and T.  S is a circuit, c_T being its only
+        nonzero cycle, exactly when the kernel holds nothing else: when
+        the v_j of T have rank |T| - 1.  Their sum is the part of c_T
+        outside S, which is zero, so the highest v_j lies in the span of
+        the others, and the rank is |T| - 1 exactly when the others are
+        independent.  The test inserts them into a fresh basis, about
+        k/2 - 1 short inserts for k = n - rank, and stops at the first
+        dependent one.
         """
         # A basis leaves n - rank fundamental circuits, each with its own
         # element outside the basis, so they are independent and span the
         # (n - rank)-dimensional cycle space.
         cycles = list(self.fundamental_circuits((1 << len(self.ground)) - 1).values())
         found: list[int] = []
-        support = 0
+        support = summed = 0
         for i in range(1, 1 << len(cycles)):
-            support ^= cycles[(i & -i).bit_length() - 1]
-            if self._is_circuit_support(support):
+            j = (i & -i).bit_length() - 1
+            support ^= cycles[j]
+            summed ^= 1 << j
+            rest = summed ^ 1 << summed.bit_length() - 1
+            basis: dict[int, int] = {}
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not _insert(basis, cycles[low.bit_length() - 1] & ~support):
+                    break
+            else:
                 found.append(support)
         return tuple(sorted(found, key=_mask_key(len(self.ground))))
 

@@ -432,9 +432,10 @@ class _BaseFacts:
       gives T off the guard from the odd circuits (``ox_masks``), for
       tests only.
 
-    Everything but ``f_star`` and ``t`` off their cheap cases is computed
-    when the record is made, so one record serves all four split queries
-    A, A + a, A + gamma and A + a + gamma.  So is ``signature``: the
+    Everything but ``f_star`` and ``t`` off their cheap cases and
+    ``rule_shapes``, which only ``closure_rule`` reads, is computed when
+    the record is made, so one record serves all four split queries A,
+    A + a, A + gamma and A + a + gamma.  So is ``signature``: the
     predicates the case rows read (``_Key``), shifted up by two
     bits.  The rank formula, both closure predictors and the flat
     conditions of a query depend on A only through them, so each query
@@ -446,7 +447,7 @@ class _BaseFacts:
 
     __slots__ = (
         "ctx", "a", "rank", "cl", "cl_e", "e_in_cl", "ox_a", "ox_ae", "ox_cl",
-        "f", "_f_star", "_t", "table_shapes", "rule_shapes", "signature",
+        "f", "_f_star", "_t", "table_shapes", "signature",
     )
 
     def __init__(self, ctx: SplitContext, a: int, spans: tuple[tuple[int, int], ...]):
@@ -481,14 +482,6 @@ class _BaseFacts:
             cl_f | g | t,
             cl | g | t,
             cl | a_bit | e | g,
-        )
-        kept = cl & ~f_star
-        self.rule_shapes = (
-            kept,
-            kept | g,
-            kept | g | t,
-            cl | a_bit,
-            cl_e | a_bit | g,
         )
         # The predicates of ``_Key`` in its order, from bit 2 up.
         self.signature = (
@@ -536,6 +529,20 @@ class _BaseFacts:
                 if out and not out & (out - 1):
                     t |= out
         return t
+
+    @property
+    def rule_shapes(self) -> tuple[int, ...]:
+        """The shapes of ``closure_rule``, made when read: the exhaustive
+        sweep reads only ``table_shapes``."""
+        a_bit, g = self.ctx.a_bit, self.ctx.gamma_bit
+        kept = self.cl & ~self._f_star
+        return (
+            kept,
+            kept | g,
+            kept | g | self._t,
+            self.cl | a_bit,
+            self.cl_e | a_bit | g,
+        )
 
     def plan(self, has_a: bool, has_gamma: bool) -> "_Plan":
         """The plan of the query A plus the new elements named."""

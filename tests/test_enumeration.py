@@ -75,6 +75,29 @@ def test_wheel_and_its_split(wheel_ctx, wheel_split):
         assert labeled(m, m.flats(masks=True)) == reference_flats(m)
 
 
+def wide_instances():
+    """Corner cases, then 60 seeded random matrices with 12 to 16
+    columns, where the all-subset reference is too slow."""
+    yield matroid_from_columns([0] * 16, 0)  # rank 0: every circuit a loop
+    yield matroid_from_columns([1 << j for j in range(16)], 16)  # full rank
+    yield matroid_from_columns([1, 1, 1, 2, 2, 2, 3, 3, 0, 4, 4, 5, 6, 7], 3)
+    rng = random.Random(1216)
+    for _ in range(60):
+        n = rng.randint(12, 16)
+        yield matroid_from_columns(random_columns(rng, n, rng.randint(0, 10)), 10)
+
+
+def test_cycle_walk_equals_sweep_beyond_eleven_elements():
+    instances = list(wide_instances())
+    columns = [[m.matrix.column(lab) for lab in m.ground] for m in instances]
+    assert sum(0 in cols for cols in columns) > 20  # loops
+    parallel = [len(set(cols) - {0}) < len(cols) - cols.count(0) for cols in columns]
+    assert sum(parallel) > 20  # parallel classes
+    assert {len(m.ground) for m in instances} == set(range(12, 17))
+    for m in instances:
+        assert m._circuits_by_cycle_space() == m._circuits_by_sweep(), m
+
+
 @pytest.mark.parametrize(
     "n, rank, walk",
     [

@@ -117,7 +117,7 @@ class TestMaskRecord:
                 labelled = base_facts(ctx, a)
                 assert all(
                     getattr(labelled, slot) == getattr(facts, slot)
-                    for slot in _BaseFacts.__slots__
+                    for slot in (*_BaseFacts.__slots__, "rule_shapes")
                 )
 
 
@@ -132,7 +132,7 @@ class TestLift:
             for mask in range(2 ** len(ctx.base.ground)):
                 facts = _BaseFacts.at(ctx, mask)
                 expected = facts_from_base_and_parity(ctx, mask)
-                for name in (*_BaseFacts.__slots__, "f_star", "t"):
+                for name in (*_BaseFacts.__slots__, "f_star", "t", "rule_shapes"):
                     assert getattr(facts, name) == expected[name], name
         assert e_loops >= 20
 
