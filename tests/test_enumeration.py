@@ -80,7 +80,6 @@ def wide_instances():
     columns, where the all-subset reference is too slow."""
     yield matroid_from_columns([0] * 16, 0)  # rank 0: every circuit a loop
     yield matroid_from_columns([1 << j for j in range(16)], 16)  # full rank
-    yield matroid_from_columns([1, 1, 1, 2, 2, 2, 3, 3, 0, 4, 4, 5, 6, 7], 3)
     rng = random.Random(1216)
     for _ in range(60):
         n = rng.randint(12, 16)
