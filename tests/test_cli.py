@@ -114,6 +114,25 @@ def test_cap_instance_circuits_match_their_digest(capsys, fmt, suffix):
     assert digest == golden_digests("mid22-circuits.sha256")[f"mid22-circuits.{suffix}"]
 
 
+# A 16-element base of rank 3 with two loops (s06, s10) and parallel
+# classes, drawn once from a seeded generator.  Its split has 18
+# elements and rank 4, where the circuit strategy rule sits near its
+# boundary between the sweep and the cycle-space walk; its 328
+# circuits are pinned by digest.
+MID16_INSTANCE = [
+    "--input", str(GOLDEN.parent / "mid16.txt"),
+    "--X", "s01,s04,s05,s08,s09,s10,s11,s12,s14", "--e", "s14", "--mode", "both",
+]
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_rank_three_instance_circuits_match_their_digest(capsys, fmt, suffix):
+    code, out, err = run(capsys, "circuits", *MID16_INSTANCE, "--format", fmt)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == golden_digests("mid16-circuits.sha256")[f"mid16-circuits.{suffix}"]
+
+
 # A 40-element base of rank 12 with a loop (v30) and parallel classes,
 # drawn once from a seeded generator: above the 24-element circuit cap,
 # which ``closure``, ``rank`` and ``flats --subset`` no longer reach.
