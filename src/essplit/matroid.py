@@ -18,10 +18,10 @@ subset:
 
 * ``circuits()`` either sweeps subsets by size or walks the cycle space
   (the kernel of the matrix, spanned by the fundamental circuits of a
-  basis), whichever has fewer candidates.  The walk tests each vector's
-  support S on its cotree part: the fundamental circuits summed into
-  the vector, cut down to their parts outside S, must have rank one
-  below their number;
+  basis), whichever is cheaper, a sweep candidate counted as two walk
+  vectors.  The walk tests each vector's support S on its cotree part:
+  the fundamental circuits summed into the vector, cut down to their
+  parts outside S, must have rank one below their number;
 * ``flats()`` climbs the lattice of flats from the loops, one cover at
   a time.
 
@@ -80,10 +80,11 @@ def _cycle_walk_is_cheaper(n: int, rank: int) -> bool:
     """Circuit strategy rule for n elements of the given rank.
 
     True when the 2^(n - rank) vectors of the cycle space are fewer than
-    the subsets of size at most rank + 1 that the size-ordered sweep may
-    test.
+    twice the subsets of size at most rank + 1 that the size-ordered
+    sweep may test: a sweep candidate, an elimination of up to rank + 1
+    columns, costs about two walk vectors.
     """
-    return 1 << (n - rank) < sum(comb(n, k) for k in range(rank + 2))
+    return 1 << (n - rank) < 2 * sum(comb(n, k) for k in range(rank + 2))
 
 
 def _spans(
@@ -400,8 +401,8 @@ class BinaryMatroid:
         ``masks``.
 
         Two strategies give the same masks: the size-ordered subset sweep
-        and the cycle-space walk.  The one with fewer candidates runs,
-        sum of C(n, k) for k <= rank + 1 against 2^(n - rank).  The
+        and the cycle-space walk.  The cheaper one runs, twice the sum of
+        C(n, k) for k <= rank + 1 against 2^(n - rank).  The
         enumeration cap still applies, with the same error.  The label
         view is built from the masks on its first request.
         """

@@ -101,17 +101,18 @@ def test_cycle_walk_equals_sweep_beyond_eleven_elements():
     "n, rank, walk",
     [
         (19, 9, True),  # 2^10 cycles against 354,522 subsets
-        (16, 3, False),  # 2^13 cycles against 2,517 subsets
+        (16, 3, False),  # 2^13 cycles against 2 x 2,517 subsets
+        (18, 4, True),  # 2^14 cycles against 2 x 12,616 subsets
         (8, 8, True),  # free: one cycle, the zero vector
-        (6, 0, False),  # all loops: 2^6 cycles against 7 subsets
-        (0, 0, False),  # a tie goes to the sweep
+        (6, 0, False),  # all loops: 2^6 cycles against 2 x 7 subsets
+        (0, 0, True),  # one cycle against 2 x 1 subset
     ],
 )
 def test_cost_rule(n, rank, walk):
     assert _cycle_walk_is_cheaper(n, rank) is walk
 
 
-@pytest.mark.parametrize("columns, used", [([1, 2, 3, 4, 5, 6, 7], "walk"), ([1] * 6, "sweep")])
+@pytest.mark.parametrize("columns, used", [([1, 2, 3, 4, 5, 6, 7], "walk"), ([1] * 8, "sweep")])
 def test_circuits_runs_the_cheaper_strategy(monkeypatch, columns, used):
     def refuse(self):
         raise AssertionError("the costlier strategy ran")
