@@ -363,7 +363,7 @@ def cmd_flats(args: argparse.Namespace) -> Result:
         facts = records.get(flat & (ctx.a_bit - 1))
         if facts is None:
             return None
-        return facts.flat_condition(flat & ctx.a_bit, flat & ctx.gamma_bit)
+        return facts.plan(flat & ctx.a_bit, flat & ctx.gamma_bit).flat
 
     # The split matrix's columns are the split-ground positions.
     rows = [
@@ -484,7 +484,7 @@ def cmd_check(args: argparse.Namespace) -> Result:
     flat_found: list[tuple[int, int]] = []
     for facts, spans in queried(ctx.base.flats(masks=True)):
         for top in range(4):
-            condition = facts.flat_condition(top & 1, top & 2)
+            condition = facts.plan(top & 1, top & 2).flat
             a_prime = facts.a | top << n
             if condition is not None and spans[top][1] != a_prime:
                 flat_found.append((a_prime, condition))

@@ -323,10 +323,9 @@ class BinaryMatroid:
                     found.append(mask)
         return tuple(found)
 
-    def fundamental_circuits(self, mask: int, extra: int = 0) -> dict[int, int]:
+    def fundamental_circuits(self, mask: int) -> dict[int, int]:
         """The fundamental circuits of a basis B of the subset ``mask``:
-        position to circuit mask, for every position z of ``mask`` or of
-        ``extra`` that lies in cl(B) - B.
+        position to circuit mask, for each position of ``mask`` outside B.
 
         B is taken greedily, lowest position first.  Each column carries a
         tag bit for its own position above the row bits, and the columns
@@ -338,12 +337,12 @@ class BinaryMatroid:
         shift = self.matrix.n_rows
         basis: dict[int, int] = {}
         out: dict[int, int] = {}
-        for pos in (*_bits(mask), *_bits(extra & ~mask)):
+        for pos in _bits(mask):
             word = _reduce(self._cols[pos] | 1 << (shift + pos), basis)
             low = word & -word
             if low >> shift:
                 out[pos] = word >> shift
-            elif mask >> pos & 1:
+            else:
                 basis[low] = word
         return out
 

@@ -17,24 +17,25 @@ themselves; the oracle comparison is always a separate route, so
 disagreements between a predictor and the ground truth surface instead
 of being hidden.
 
-Each base quantity the predictors read (rank(A), cl(A), cl(A + e), F,
-F*, T, whether A, A + e or cl(A) holds an odd-overlap circuit, and the
-closure shapes) is computed in one place: the record ``_BaseFacts`` of
-the base part A.  It holds every set as a position mask (a base element
-keeps its base position in the split ground, a is bit n and gamma bit
-n + 1).  It enumerates no circuit: it reads the ranks and closures of
-A, A + e, A + a and A + e + a in N (``SplitContext.lift``, the base
-matrix plus the parity row and the column a = (0, 1), built from the
-base matrix and X), which hold those of A and A + e in the base and in
-M', the base plus the parity row, and the components of M|cl(A) from
-fundamental circuits; its docstring proves each fact.  So a record
-costs one elimination at any size.  The rank formula, both closure
-tables and the flat conditions read A only through a few predicates,
-the record's signature, so their rows are evaluated once per signature
-and query into a case plan (``_plan``, built on first use), and a
-record reads its answers from the plan and its closure from its
-shapes.  The four split queries A, A + a, A + gamma and A + a + gamma
-share one base part, so one record serves them all.
+Each base quantity the predictors read (rank(A), cl(A), cl(A + e), F, F*
+and T under their guards, whether A, A + e or cl(A) holds an odd-overlap
+circuit, and the closure shapes) is computed in one place: the record
+``_BaseFacts`` of the base part A.  It holds every set as a position
+mask (a base element keeps its base position in the split ground, a is
+bit n and gamma bit n + 1).  It enumerates no circuit: it reads the
+ranks and closures of A, A + e, A + a and A + e + a in N
+(``SplitContext.lift``, the base matrix plus the parity row and the
+column a = (0, 1), built from the base matrix and X), which hold those
+of A and A + e in the base and in M', the base plus the parity row, and
+the components of M|cl(A) from fundamental circuits; its docstring
+proves each fact and that every predictor reads F* and T under their
+guards only.  So a record costs one elimination at any size.  The rank
+formula, both closure tables and the flat conditions read A only through
+a few predicates, the record's signature, so their rows are evaluated
+once per signature and query into a case plan (``_plan``, built on first
+use), and a record reads its answers from the plan and its closure from
+its shapes.  The four split queries A, A + a, A + gamma and A + a +
+gamma share one base part, so one record serves them all.
 ``_BaseFacts.at`` makes the record of one base part; an exhaustive
 ``essplit check`` makes the records of all of them from one
 ``BinaryMatroid.walk_closures`` on N, with e and a as the extras.
@@ -218,9 +219,24 @@ class SplitContext:
         """
         part = self._odd_parts.get(flat)
         if part is None:
-            part = self._odd_parts[flat] = _odd_union(
-                self.base.fundamental_circuits(flat).values(), self.x_mask
-            )
+            x = self.x_mask
+            classes: list[tuple[int, int]] = []
+            for c in self.base.fundamental_circuits(flat).values():
+                merged, odd = c, (c & x).bit_count() & 1
+                apart = []
+                for members, parity in classes:
+                    if members & c:
+                        merged |= members
+                        odd |= parity
+                    else:
+                        apart.append((members, parity))
+                apart.append((merged, odd))
+                classes = apart
+            part = 0
+            for members, odd in classes:
+                if odd:
+                    part |= members
+            self._odd_parts[flat] = part
         return part
 
     @cached_property
@@ -331,35 +347,14 @@ def split_matroid(ctx: SplitContext) -> BinaryMatroid:
 # -- base-side facts ---------------------------------------------------------
 
 
-def _odd_union(circuits: Iterable[int], x: int) -> int:
-    """The union of the classes of ``circuits``, merged where they meet,
-    that hold a circuit of odd overlap with the mask ``x``."""
-    classes: list[tuple[int, int]] = []
-    for c in circuits:
-        merged, odd = c, (c & x).bit_count() & 1
-        apart = []
-        for members, parity in classes:
-            if members & c:
-                merged |= members
-                odd |= parity
-            else:
-                apart.append((members, parity))
-        apart.append((merged, odd))
-        classes = apart
-    union = 0
-    for members, odd in classes:
-        if odd:
-            union |= members
-    return union
-
-
 class _BaseFacts:
     """The base quantities of one base part A that the predictors read.
 
     Every set is a position mask (see ``SplitContext.mask_of``): a = A,
-    cl = cl(A), cl_e = cl(A + e), f, f_star and t = F, F* and T, and the
-    shapes of both closure predictors.  Call a base circuit odd when its
-    overlap with X is.  Then
+    cl = cl(A), cl_e = cl(A + e), f = F, f_star and t = F* and T under
+    their guards and 0 off them (see below), and the shapes of both
+    closure predictors.  Call a base circuit odd when its overlap with X
+    is.  Then
 
     * F(A) holds the elements of cl(A) - A on an odd circuit inside
       cl(A);
@@ -416,28 +411,27 @@ class _BaseFacts:
       is in F* iff C_z is odd or meets an odd component of M|A.  Without
       ox_a no component is odd, and C_z is odd iff z is outside cl'(A):
       the columns of C_z sum to (0, [C_z odd]) in M', and span'(A) lacks
-      (0, 1).  So then F* = cl(A) - cl'(A), kept as ``_f_star``.  With
-      ox_a, cl'(A) = cl(A) and ``_f_star`` is empty; no predictor reads
-      F* there (free parity), and ``f_star`` applies the rule when read.
+      (0, 1).  So under its guard, no ox_a, F* = cl(A) - cl'(A), kept as
+      ``f_star``.  With ox_a, cl'(A) = cl(A) and ``f_star`` is 0, while
+      F* need not be empty; every predictor reads F* without ox_a only
+      (the bound-parity cases R2 and R3 of ``closure_rule``).
     * T, under its guard: no ox_a and e outside cl(A).  Then A + e holds
       no odd circuit and no circuit through e.  A z in cl(A + e) - cl(A)
       other than e lies on circuits inside A + e + z, all through e and
       z, and all of one parity, as two of them sum to a cycle inside
       A + e; z is in cl'(A + e) iff they are even.  A z in cl(A) - A
       lies on none through e, as it would sum with C_z to a cycle through
-      e in A + e.  So T = cl(A + e) - cl(A) - cl'(A + e) - e, kept as ``_t``;
-      it is empty off the guard, where cl'(A + e) = cl(A + e) or cl(A + e)
-      = cl(A).  Every predictor reads T under the guard only (L3.6, L3.7,
-      R3.3, flat conditions 4 and 5), so the shapes use ``_t``; ``t``
-      gives T off the guard from the odd circuits (``ox_masks``), for
-      tests only.
+      e in A + e.  So T = cl(A + e) - cl(A) - cl'(A + e) - e, kept as
+      ``t``.  Off the guard ``t`` is 0, as cl'(A + e) = cl(A + e) or
+      cl(A + e) = cl(A), while T need not be empty; every predictor reads
+      T under the guard only (L3.6, R3.3 and flat condition 4, and L3.7
+      and condition 5, whose no ox_cl implies no ox_a).
 
-    Everything but ``f_star`` and ``t`` off their cheap cases and
-    ``rule_shapes``, which only ``closure_rule`` reads, is computed when
-    the record is made, so one record serves all four split queries A,
-    A + a, A + gamma and A + a + gamma.  So is ``signature``: the
-    predicates the case rows read (``_Key``), shifted up by two
-    bits.  The rank formula, both closure predictors and the flat
+    Everything but ``rule_shapes``, which only ``closure_rule`` reads, is
+    computed when the record is made, so one record serves all four
+    split queries A, A + a, A + gamma and A + a + gamma.  So is
+    ``signature``: the predicates the case rows read (``_Key``), shifted
+    up by two bits.  The rank formula, both closure predictors and the flat
     conditions of a query depend on A only through them, so each query
     reads its answers from the ``_plan`` of its key, the signature with
     bit 0 set for a in A' and bit 1 for gamma, and takes its closure
@@ -447,7 +441,7 @@ class _BaseFacts:
 
     __slots__ = (
         "ctx", "a", "rank", "cl", "cl_e", "e_in_cl", "ox_a", "ox_ae", "ox_cl",
-        "f", "_f_star", "_t", "table_shapes", "signature",
+        "f", "f_star", "t", "table_shapes", "signature",
     )
 
     def __init__(self, ctx: SplitContext, a: int, spans: tuple[tuple[int, int], ...]):
@@ -471,8 +465,8 @@ class _BaseFacts:
         odd = ctx.odd_part(cl)
         self.ox_cl = ox_cl = odd != 0
         self.f = f = odd & ~a
-        self._f_star = f_star = cl & ~cl_p
-        self._t = t = cl_e & ~cl & ~cl_pe & ~e
+        self.f_star = f_star = cl & ~cl_p
+        self.t = t = cl_e & ~cl & ~cl_pe & ~e
         cl_f = cl & ~f
         self.table_shapes = (
             cl_f,
@@ -501,45 +495,15 @@ class _BaseFacts:
         return cls(ctx, a, ctx.lift.closures_at(a, ctx.lift_extras))
 
     @property
-    def f_star(self) -> int:
-        """F*(A); with ox_a by the fundamental-circuit rule."""
-        if not self.ox_a:
-            return self._f_star
-        ctx, a = self.ctx, self.a
-        x = ctx.x_mask
-        circuits = ctx.base.fundamental_circuits(a, self.cl & ~a)
-        odd = _odd_union((c for z, c in circuits.items() if a >> z & 1), x)
-        f_star = 0
-        for z, c in circuits.items():
-            if not a >> z & 1 and ((c & x).bit_count() & 1 or c & odd):
-                f_star |= 1 << z
-        return f_star
-
-    @property
-    def t(self) -> int:
-        """T(A); off its guard from the odd circuits, by its definition."""
-        if not self.ox_a and not self.e_in_cl:
-            return self._t
-        e = self.ctx.e_bit
-        not_ae = ~(self.a | e)
-        t = 0
-        for c in self.ctx.ox_masks:
-            if c & e:
-                out = c & not_ae
-                if out and not out & (out - 1):
-                    t |= out
-        return t
-
-    @property
     def rule_shapes(self) -> tuple[int, ...]:
         """The shapes of ``closure_rule``, made when read: the exhaustive
         sweep reads only ``table_shapes``."""
         a_bit, g = self.ctx.a_bit, self.ctx.gamma_bit
-        kept = self.cl & ~self._f_star
+        kept = self.cl & ~self.f_star
         return (
             kept,
             kept | g,
-            kept | g | self._t,
+            kept | g | self.t,
             self.cl | a_bit,
             self.cl_e | a_bit | g,
         )
@@ -565,12 +529,6 @@ class _BaseFacts:
         """Matched case id and closure mask of ``closure_rule``."""
         cases = self.plan(has_a, has_gamma).rule
         return cases.ids, self.closure(cases, self.rule_shapes)
-
-    def flat_condition(self, has_a: bool, has_gamma: bool) -> int | None:
-        """``predict_is_flat`` of A plus the new elements named: the first
-        of the six sufficient conditions that holds, or None.  A must be
-        a flat of the base."""
-        return self.plan(has_a, has_gamma).flat
 
     def closure(self, cases: "_Cases", shapes: tuple[int, ...]) -> int | None:
         """The common result of the matched ``cases``, ``shapes`` being
@@ -605,8 +563,7 @@ class _Key:
     """A plan key decoded: whether A' holds a and gamma, then the
     predicates of its base part A that the case rows read, bit by bit
     from bit 0.  Above the first two they are the signature of
-    ``_BaseFacts``; f and t say that F(A) and T(A) (``_t``) are not
-    empty."""
+    ``_BaseFacts``; f and t say that its slots f and t are not empty."""
 
     __slots__ = (
         "has_a", "has_gamma", "ox_a", "ox_ae", "ox_cl", "e_in_cl", "e_in_f_star",
@@ -1005,15 +962,14 @@ def predict_is_flat(ctx: SplitContext, labels: Iterable[str]) -> int | None:
     A' with these labels, or None.
 
     Requires the base part A of A' to be a flat of the base matroid,
-    which is checked before the rest of the record is built.  A None return
-    says nothing either way; callers needing a complete answer fall back
-    to the oracle's ``is_flat``.
+    which is checked on its record.  A None return says nothing either
+    way; callers needing a complete answer fall back to the oracle's
+    ``is_flat``.
     """
     a, has_a, has_gamma = _query(ctx, labels)
-    spans = ctx.lift.closures_at(a, ctx.lift_extras)
-    # The closure of A + a in N is cl(A) + a.
-    if spans[2][1] != a | ctx.a_bit:
+    facts = _BaseFacts.at(ctx, a)
+    if facts.cl != a:
         raise BaseNotFlat(
             f"{sorted(ctx.labels_of(a))} is not a flat of the base matroid"
         )
-    return _BaseFacts(ctx, a, spans).flat_condition(has_a, has_gamma)
+    return facts.plan(has_a, has_gamma).flat

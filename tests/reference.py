@@ -9,7 +9,9 @@ small instances.  ``reference_circuit_family`` is ``predict_circuits``
 as it was on label sets, before the family moved to position masks.
 ``reference_base_facts`` computes the odd-overlap circuit facts of one
 base part on label sets from their circuit definitions, the
-differential for ``splitting._BaseFacts``, which reads ranks instead.
+differential for ``splitting._BaseFacts``, which reads ranks instead;
+``assert_guarded_sets`` compares the record's F* and T with it under
+their guards.
 ``classify_circuit`` and ``reference_find_ox_subcircuit`` are the
 label-set forms of the parity test and of ``find_ox_subcircuit`` from
 before those moved to masks.
@@ -247,11 +249,28 @@ def reference_base_facts(ctx: SplitContext, labels) -> dict:
     }
 
 
+def assert_guarded_sets(ctx: SplitContext, facts: _BaseFacts, expected: dict) -> int:
+    """Assert that the slots f_star and t of a record equal F* and T of
+    ``expected``, the ``reference_base_facts`` of its base part, under
+    their guards (no odd-overlap circuit in A for both, and e outside
+    cl(A) for T) and are 0 off them.  Return how many of the two sets
+    were off their guard with a nonempty definition."""
+    off_guard = 0
+    guards = {"f_star": not facts.ox_a, "t": not facts.ox_a and not facts.e_in_cl}
+    for name, guarded in guards.items():
+        if guarded:
+            assert ctx.labels_of(getattr(facts, name)) == expected[name], name
+        else:
+            assert getattr(facts, name) == 0, name
+            off_guard += bool(expected[name])
+    return off_guard
+
+
 def facts_from_base_and_parity(ctx: SplitContext, a: int) -> dict:
     """Every slot of the ``_BaseFacts`` record of the base part with the
-    mask ``a``, and F* and T, from the ranks and closures of A and A + e
-    in the base and in M', the base matrix plus the parity row, as the
-    record read them before it read N."""
+    mask ``a``, and its rule shapes, from the ranks and closures of A and
+    A + e in the base and in M', the base matrix plus the parity row, as
+    the record read them before it read N."""
     base = ctx.base.matrix
     parity = BinaryMatroid(GF2Matrix(base.rows + (ctx.x_mask,), base.col_labels))
     extra = (ctx.e_bit.bit_length() - 1,)
@@ -265,7 +284,6 @@ def facts_from_base_and_parity(ctx: SplitContext, a: int) -> dict:
     t = cl_e & ~cl & ~cl_pe & ~e
     cl_f, kept = cl & ~f, cl & ~f_star
     e_in_cl = bool(cl & e)
-    definitions = reference_base_facts(ctx, ctx.labels_of(a))
     return {
         "ctx": ctx,
         "a": a,
@@ -277,8 +295,8 @@ def facts_from_base_and_parity(ctx: SplitContext, a: int) -> dict:
         "ox_ae": ox_ae,
         "ox_cl": bool(odd),
         "f": f,
-        "_f_star": f_star,
-        "_t": t,
+        "f_star": f_star,
+        "t": t,
         "table_shapes": (
             cl_f, cl, cl | a_bit, cl_f | g, cl_f | g | t, cl | g | t, cl | a_bit | e | g
         ),
@@ -289,8 +307,6 @@ def facts_from_base_and_parity(ctx: SplitContext, a: int) -> dict:
                 (ox_a, ox_ae, odd, e_in_cl, f_star & e, f, t, a & e), start=2
             )
         ),
-        "f_star": ctx.mask_of(definitions["f_star"]),
-        "t": ctx.mask_of(definitions["t"]),
     }
 
 
@@ -344,7 +360,7 @@ def reference_cases(facts: _BaseFacts, has_a: bool, has_gamma: bool) -> dict:
     ))
 
     kept, kept_g, kept_g_t, rule_cl_a, cl_e_ag = facts.rule_shapes
-    e_in_f_star = bool(facts._f_star & ctx.e_bit)
+    e_in_f_star = bool(facts.f_star & ctx.e_bit)
     free = has_a or ox_a
     bound_g = has_gamma and not free
     rule = match((
@@ -356,7 +372,7 @@ def reference_cases(facts: _BaseFacts, has_a: bool, has_gamma: bool) -> dict:
         ("R3.3", bound_g and not e_in_cl, kept_g_t),
     ))
 
-    f, t = facts.f, facts._t
+    f, t = facts.f, facts.t
     conditions = (
         plain and not ox_ae and not f,
         plain and not ox_cl,

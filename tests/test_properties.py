@@ -3,8 +3,8 @@
 ``predict_rank``, ``closure_rule`` and ``predict_circuits`` read base
 data only; ``split_matroid`` is the brute-force GF(2) oracle.  The
 record of base facts, built from ranks with the parity row, must equal
-``reference_base_facts``, the circuit definitions, on every base part.  The
-drawn bases have loops, parallel classes and zero rows, e is often a
+``reference_base_facts``, the circuit definitions, on every base part,
+with F* and T under their guards and 0 off them.  The drawn bases have loops, parallel classes and zero rows, e is often a
 loop, and X is often {e} or the whole ground set.  Over the same space,
 ``predict_circuits`` must also give the very tuples of
 ``reference_circuit_family``, its earlier form on label sets; a second
@@ -26,6 +26,7 @@ from essplit import (
 from instances import matroid_from_columns
 from reference import (
     all_subsets,
+    assert_guarded_sets,
     base_facts,
     reference_base_facts,
     reference_circuit_family,
@@ -78,8 +79,8 @@ def test_base_facts_match_the_circuit_definitions(ctx):
         expected = reference_base_facts(ctx, a)
         for name in ("ox_a", "ox_ae", "ox_cl"):
             assert getattr(facts, name) == expected[name], name
-        for name in ("f", "f_star", "t"):
-            assert ctx.labels_of(getattr(facts, name)) == expected[name], name
+        assert ctx.labels_of(facts.f) == expected["f"]
+        assert_guarded_sets(ctx, facts, expected)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@
 residues down from parent to child; every answer it gives is checked
 against ``rank_of`` and ``closure_of``.  The position-mask record
 ``splitting._BaseFacts`` is checked against the label-set definitions of
-``reference_base_facts``.  The matrices have loops, parallel classes and
+``reference_base_facts``, F* and T under their guards.  The matrices have loops, parallel classes and
 zero rows, and e is often a loop.
 """
 
@@ -20,6 +20,7 @@ from essplit.splitting import _BaseFacts, _plan
 
 from instances import matroid_from_columns, random_columns
 from reference import (
+    assert_guarded_sets,
     base_facts,
     facts_from_base_and_parity,
     reference_base_facts,
@@ -99,6 +100,7 @@ class TestWalkClosures:
 
 class TestMaskRecord:
     def test_walked_and_labelled_records_match_the_definitions(self):
+        off_guard = 0
         for ctx, _ in random_contexts(34):
             base = ctx.base
             walk = ctx.lift.walk_closures(ctx.lift_extras, len(base.ground))
@@ -112,13 +114,15 @@ class TestMaskRecord:
                 assert facts.e_in_cl == (ctx.e in base.closure_of(a))
                 for name in ("ox_a", "ox_ae", "ox_cl"):
                     assert getattr(facts, name) == expected[name], name
-                for name in ("f", "f_star", "t"):
-                    assert ctx.labels_of(getattr(facts, name)) == expected[name], name
+                assert ctx.labels_of(facts.f) == expected["f"]
+                off_guard += assert_guarded_sets(ctx, facts, expected)
                 labelled = base_facts(ctx, a)
                 assert all(
                     getattr(labelled, slot) == getattr(facts, slot)
                     for slot in (*_BaseFacts.__slots__, "rule_shapes")
                 )
+        # The guards are met: some F* or T off its guard is nonempty.
+        assert off_guard > 0
 
 
 class TestLift:
@@ -126,15 +130,18 @@ class TestLift:
     parity row and the column a, where it read the base and M'."""
 
     def test_facts_from_n_equal_facts_from_the_base_and_m_prime(self):
-        e_loops = 0
+        e_loops = off_guard = 0
         for ctx, _ in random_contexts(35):
             e_loops += ctx.base.matrix.column(ctx.e) == 0
             for mask in range(2 ** len(ctx.base.ground)):
                 facts = _BaseFacts.at(ctx, mask)
                 expected = facts_from_base_and_parity(ctx, mask)
-                for name in (*_BaseFacts.__slots__, "f_star", "t", "rule_shapes"):
+                for name in (*_BaseFacts.__slots__, "rule_shapes"):
                     assert getattr(facts, name) == expected[name], name
+                definitions = reference_base_facts(ctx, ctx.base._labels(mask))
+                off_guard += assert_guarded_sets(ctx, facts, definitions)
         assert e_loops >= 20
+        assert off_guard > 0
 
     def test_a_record_is_one_elimination(self, monkeypatch):
         calls = []
@@ -176,7 +183,7 @@ class TestCasePlans:
                     expected = reference_cases(facts, has_a, has_gamma)
                     assert facts.table_closure(has_a, has_gamma) == expected["table"]
                     assert facts.rule_closure(has_a, has_gamma) == expected["rule"]
-                    assert facts.flat_condition(has_a, has_gamma) == expected["flat"]
+                    assert facts.plan(has_a, has_gamma).flat == expected["flat"]
                     assert facts.split_rank(has_a, has_gamma) == expected["rank"]
                     compared.add(facts.signature | top)
         # Every query shape, and many signatures for each.
