@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -249,20 +250,21 @@ def reference_base_facts(ctx: SplitContext, labels) -> dict:
     }
 
 
-def assert_guarded_sets(ctx: SplitContext, facts: _BaseFacts, expected: dict) -> int:
+def assert_guarded_sets(ctx: SplitContext, facts: _BaseFacts, expected: dict) -> Counter:
     """Assert that the slots f_star and t of a record equal F* and T of
     ``expected``, the ``reference_base_facts`` of its base part, under
     their guards (no odd-overlap circuit in A for both, and e outside
-    cl(A) for T) and are 0 off them.  Return how many of the two sets
-    were off their guard with a nonempty definition."""
-    off_guard = 0
+    cl(A) for T) and are 0 off them.  Return the names of the slots
+    that were off their guard with a nonempty definition, counted."""
+    off_guard: Counter = Counter()
     guards = {"f_star": not facts.ox_a, "t": not facts.ox_a and not facts.e_in_cl}
     for name, guarded in guards.items():
         if guarded:
             assert ctx.labels_of(getattr(facts, name)) == expected[name], name
         else:
             assert getattr(facts, name) == 0, name
-            off_guard += bool(expected[name])
+            if expected[name]:
+                off_guard[name] += 1
     return off_guard
 
 

@@ -4,8 +4,9 @@
 data only; ``split_matroid`` is the brute-force GF(2) oracle.  The
 record of base facts, built from ranks with the parity row, must equal
 ``reference_base_facts``, the circuit definitions, on every base part,
-with F* and T under their guards and 0 off them.  The drawn bases have loops, parallel classes and zero rows, e is often a
-loop, and X is often {e} or the whole ground set.  Over the same space,
+with F* and T under their guards and 0 off them.  The drawn bases have
+loops, parallel classes and zero rows, e is often a loop, and X is
+often {e} or the whole ground set.  Over the same space,
 ``predict_circuits`` must also give the very tuples of
 ``reference_circuit_family``, its earlier form on label sets; a second
 strategy plants unions of two disjoint odd-overlap circuits that hold an
