@@ -95,6 +95,25 @@ def test_mid_instance_sweep_matches_its_digest(capsys, fmt, suffix):
     assert digest == golden_digests("mid12-check.sha256")[f"mid12-check.{suffix}"]
 
 
+# A 14-element base of rank 4 with loops at both ends (r01 outside X,
+# r14 inside it), a parallel pair inside X (r05, r12) and one across X
+# (r04 in it, r13 not), drawn once from a seeded generator.  Many base
+# parts share a span, so the check walk meets each span from several
+# bases; its 65,536 subsets give 5,906 closure disagreements, so exit 3.
+MID14_INSTANCE = [
+    "--input", str(GOLDEN.parent / "mid14.txt"),
+    "--X", "r02,r04,r05,r07,r09,r10,r11,r12,r14", "--e", "r11",
+]
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_shared_span_instance_sweep_matches_its_digest(capsys, fmt, suffix):
+    code, out, err = run(capsys, "check", *MID14_INSTANCE, "--format", fmt)
+    assert (code, err) == (3, "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == golden_digests("mid14-check.sha256")[f"mid14-check.{suffix}"]
+
+
 # A 22-element base of rank 10 with a loop (q16) and a parallel pair
 # (q14, q18), drawn once from a seeded generator.  Its split has 24
 # elements, the enumeration cap, and rank 11, so the cycle-space walk
