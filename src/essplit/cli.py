@@ -14,9 +14,11 @@ Per base part A, one record of base facts and one set of oracle spans
 answer all four queries A, A+a, A+gamma and A+a+gamma, on position
 masks.  An exhaustive run walks the base parts depth first, on
 ``SplitContext.lift`` (the base plus the parity row and the column a)
-and on the split matrix in step, so each A costs one column projection
-per matrix; a sampled run, like the section on the base flats, queries
-each of its base parts directly.  Each query reads its matched cases,
+and on the split matrix in step, so each A costs at most one column
+projection per matrix, and the answers of a span met at several bases
+are computed once per matrix (``BinaryMatroid.walk_closures``); a
+sampled run, like the section on the base flats, queries each of its
+base parts directly.  Each query reads its matched cases,
 its closure shape and its rank from the case plan of its key, the
 record's signature plus the query's a and gamma bits; the hits are
 counted per key and become case counts at the end.  The report lists

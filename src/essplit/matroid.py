@@ -9,9 +9,11 @@ on the kernel of ``gf2``.  From the residues of all columns modulo
 span(A), one pass (``_spans``) gives the rank and the closure of A + S
 for every S inside a few extra elements; ``closures_at`` runs it for
 one A, and ``closure_of`` is the label view of its case S = {}.
-``walk_closures`` runs it for every A in one depth-first walk: each
+``walk_closures`` answers for every A in one depth-first walk: each
 child adds one column above its parent's, so its residues follow from
-the parent's by one projection.  ``fundamental_circuits`` gives the
+the parent's by one projection, and a span met at several bases has its
+answers computed once, kept in a memo of the walk under the residues,
+which are the same at every basis.  ``fundamental_circuits`` gives the
 circuits of a basis of A, one elimination with tag bits.  The two
 enumerations follow the size of their answer rather than walking every
 subset:
@@ -234,12 +236,46 @@ class BinaryMatroid:
         walks with the same ``width`` visit the same masks in the same
         order, so they can be zipped; callers must not rely on the order
         otherwise.
+
+        So answers are computed only at the A whose top column lies
+        outside the span of the rest, every independent set among them,
+        and they depend on span(A) alone.  A memo local to the walk keeps them by
+        the residue tuple, which names the span exactly.  Each residue
+        is the member of its coset with no pivot bit, and the pivots are
+        the lowest bits of the nonzero vectors of span(A): each pivot is
+        the lowest bit of a residue that lies in span(A), the r = rank(A)
+        pivots are distinct, and an r-dimensional space has exactly r
+        such lowest bits.  So every A with the same span gives the same
+        tuple.  Its zero entries are cl(A), whose columns span span(A),
+        so distinct spans give distinct tuples.
+
+        An entry is stored only when cl(A) holds more than r walked
+        non-loops.  Then span(A) has two bases among the walked
+        positions: a basis B of A, and B - x + y for a walked non-loop y
+        in cl(A) - B and an x of B on the fundamental circuit of y.  The
+        walk computes answers at both, as they are independent.  It
+        stores the entry at the first node of the span that computes,
+        which is at most one of the two, and reads it at the other.  So
+        every stored entry saves at least one ``_spans`` call, and the
+        memo never holds more entries than the calls it saves.  Any
+        other span has one basis B among the walked positions and is
+        not stored, so a free matroid costs the memo nothing, with or
+        without loops.  Such a span is computed once at B and once at
+        B + L for each nonempty set L of walked loops below the top
+        position of B.
         """
+        nonloops = sum(1 << pos for pos in range(width) if self._cols[pos])
+        memo: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
         stack = [(0, 0, list(self._cols), None)]
         while stack:
             mask, rank, residues, answers = stack.pop()
             if answers is None:
-                answers = _spans(residues, rank, extra_positions)
+                key = tuple(residues)
+                answers = memo.get(key)
+                if answers is None:
+                    answers = _spans(residues, rank, extra_positions)
+                    if (answers[0][1] & nonloops).bit_count() > rank:
+                        memo[key] = answers
             yield mask, answers
             # Highest first, so the lowest is popped next.
             for pos in range(width - 1, mask.bit_length() - 1, -1):

@@ -2,19 +2,24 @@
 
 ``BinaryMatroid.walk_closures`` visits subsets depth first and carries
 residues down from parent to child; every answer it gives is checked
-against ``rank_of`` and ``closure_of``.  The position-mask record
+against ``rank_of`` and ``closure_of``, and on 11 to 13 columns against
+``closures_at``, where spans recur far apart in the walk.  Its memo is
+checked to compute each span once and to store nothing for a free
+matroid with a loop.  The position-mask record
 ``splitting._BaseFacts`` is checked against the label-set definitions of
 ``reference_base_facts``, F* and T under their guards.  The matrices
 have loops, parallel classes and zero rows, and e is often a loop.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from essplit import BinaryMatroid, SplitContext, parse_matrix, split_matroid
+from essplit import BinaryMatroid, SplitContext, matroid, parse_matrix, split_matroid
+from essplit.cli import main
 from essplit.errors import FormulaDisagreement
 from essplit.showcase import showcase_context
 from essplit.splitting import _BaseFacts, _plan
@@ -97,6 +102,124 @@ class TestWalkClosures:
             if mask:
                 parent = mask ^ 1 << (mask.bit_length() - 1)
                 assert position[parent] < position[mask]
+
+
+def wide_contexts(seed, count):
+    """Split contexts on 11 to 13 base columns of rank at most 5, each
+    with a zero column and a duplicated one, so the walk meets many
+    spans at several bases, far apart in its order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, n_rows = rng.randint(11, 13), rng.randint(3, 5)
+        columns = random_columns(rng, n, n_rows)
+        source, copy, zero = rng.sample(range(n), 3)
+        columns[copy] = columns[source] = columns[source] or 1
+        columns[zero] = 0
+        m = matroid_from_columns(columns, n_rows)
+        loops = [lab for lab in m.ground if m.rank_of({lab}) == 0]
+        e = rng.choice(loops if rng.random() < 0.3 else m.ground)
+        x = {e} | {lab for lab in m.ground if rng.random() < 0.5}
+        yield SplitContext(m, x, e, "a", "g")
+
+
+def walks(ctx):
+    """The two walks of an exhaustive ``check``, as (matroid, extras,
+    width): N with e and a as the extras, and the split matrix with a
+    and gamma."""
+    n = len(ctx.base.ground)
+    return [(ctx.lift, ctx.lift_extras, n), (split_matroid(ctx), (n, n + 1), n)]
+
+
+class TestWideWalks:
+    """Every answer of ``walk_closures`` against ``closures_at`` at the
+    same mask, which eliminates from scratch and uses no memo."""
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["N", "split"])
+    def test_every_answer_equals_closures_at(self, which):
+        for ctx in wide_contexts(38, 3):
+            m, extra, width = walks(ctx)[which]
+            seen = 0
+            for mask, answers in m.walk_closures(extra, width):
+                assert answers == m.closures_at(mask, extra), mask
+                seen += 1
+            assert seen == 2**width
+
+
+def count_spans(monkeypatch):
+    """The ``_spans`` calls: how many, and the rank given, per residue
+    tuple."""
+    calls, ranks = Counter(), {}
+    spans = matroid._spans
+
+    def counting(residues, rank, extra):
+        key = tuple(residues)
+        calls[key] += 1
+        ranks[key] = rank
+        return spans(residues, rank, extra)
+
+    monkeypatch.setattr(matroid, "_spans", counting)
+    return calls, ranks
+
+
+class TestSpanMemo:
+    """``walk_closures`` computes the answers of a span once when it has
+    several bases among the walked positions."""
+
+    def test_spans_with_several_bases_are_computed_once(self, monkeypatch):
+        calls, ranks = count_spans(monkeypatch)
+        stored = saved = 0
+        for ctx in wide_contexts(39, 4):
+            for m, extra, width in walks(ctx):
+                nonloops = sum(1 << p for p in range(width) if m._cols[p])
+                loops = (1 << width) - 1 & ~nonloops
+                calls.clear()
+                answers = dict(m.walk_closures(extra, width))
+                for key, count in calls.items():
+                    closure = sum(1 << p for p, word in enumerate(key) if not word)
+                    basis = closure & nonloops
+                    if basis.bit_count() > ranks[key]:
+                        stored += 1
+                        assert count == 1, key
+                    else:
+                        # The only basis, once with each set of the loops
+                        # below its top position: not stored.
+                        below = loops & (1 << max(basis.bit_length() - 1, 0)) - 1
+                        assert count == 1 << below.bit_count(), key
+                # Without the memo, answers are computed wherever the top
+                # column lies outside the span of the rest.
+                fresh = sum(
+                    not mask
+                    or spans[0][0] > answers[mask ^ 1 << mask.bit_length() - 1][0][0]
+                    for mask, spans in answers.items()
+                )
+                assert len(calls) == len({spans[0][1] for spans in answers.values()})
+                saved += fresh - sum(calls.values())
+        # Many spans were stored, and each saved at least one call.
+        assert stored >= 100
+        assert saved >= stored
+
+    def test_exhaustive_check_of_mid12_calls_spans_884_times(self, monkeypatch, capsys):
+        # 4,640 before the memo.
+        calls, _ = count_spans(monkeypatch)
+        golden = Path(__file__).parent / "golden" / "mid12.txt"
+        code = main(["check", "--input", str(golden), "--X", "p1,p2,p4,p8,p11,p12",
+                     "--e", "p2", "--format", "json"])
+        capsys.readouterr()
+        assert code == 3
+        assert sum(calls.values()) == 884
+
+    def test_a_free_matroid_with_a_loop_stores_nothing(self):
+        # 13 unit columns and a zero column: 8,192 spans, each with one
+        # basis.  Storing them all would peak near 4.8 MB.
+        m = matroid_from_columns([1 << i for i in range(13)] + [0], 13)
+        tracemalloc.start()
+        try:
+            for _ in m.walk_closures((0, 1), 14):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300_000
 
 
 class TestMaskRecord:
