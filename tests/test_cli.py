@@ -152,6 +152,24 @@ def test_rank_three_instance_circuits_match_their_digest(capsys, fmt, suffix):
     assert digest == golden_digests("mid16-circuits.sha256")[f"mid16-circuits.{suffix}"]
 
 
+# A 20-element base of rank 3 with four loops (t01, t07, t09, t17) and
+# five parallel classes of two to four members, drawn once from a seeded
+# generator.  It has 209 circuits; its split has 22 elements, rank 4
+# and 695 circuits, pinned by digest.
+LOW20_INSTANCE = [
+    "--input", str(GOLDEN.parent / "low20.txt"),
+    "--X", "t01,t02,t06,t09,t10,t11,t13,t14", "--e", "t14", "--mode", "both",
+]
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_twenty_element_rank_three_circuits_match_their_digest(capsys, fmt, suffix):
+    code, out, err = run(capsys, "circuits", *LOW20_INSTANCE, "--format", fmt)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == golden_digests("low20-circuits.sha256")[f"low20-circuits.{suffix}"]
+
+
 # A 40-element base of rank 12 with a loop (v30) and parallel classes,
 # drawn once from a seeded generator: above the 24-element circuit cap,
 # which ``closure``, ``rank`` and ``flats --subset`` no longer reach.
