@@ -18,12 +18,12 @@ circuits of a basis of A, one elimination with tag bits.  The two
 enumerations follow the size of their answer rather than walking every
 subset:
 
-* ``circuits()`` either sweeps subsets by size or walks the cycle space
-  (the kernel of the matrix, spanned by the fundamental circuits of a
-  basis), whichever is cheaper, a sweep candidate counted as two walk
-  vectors.  The walk tests each vector's support S on its cotree part:
-  the fundamental circuits summed into the vector, cut down to their
-  parts outside S, must have rank one below their number;
+* ``circuits()`` walks the cycle space of the simplification (the
+  kernel of its matrix, spanned by the fundamental circuits of a basis)
+  and adds the loops and parallel pairs.  The walk tests each vector's
+  support S on its cotree part: the fundamental circuits summed into
+  the vector, cut down to their parts outside S, must have rank one
+  below their number;
 * ``flats()`` climbs the lattice of flats from the loops, one cover at
   a time.
 
@@ -31,7 +31,7 @@ Their docstrings say why the outputs match the definitions; the tests
 keep the all-subset definitions as references and compare.
 
 Inside the module a subset is a position mask: bit i stands for the
-i-th ground element.  Both circuit strategies find masks, and the one
+i-th ground element.  The circuit walk finds masks, and the one
 circuit cache holds masks in canonical order (first by size, then
 lexicographically by position, the order of the int key
 ``_mask_key``).  Labels appear only at the boundary: ``rank_of``,
@@ -45,7 +45,6 @@ masks.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GroundSetTooLarge, UnknownLabel
@@ -78,15 +77,12 @@ def _mask_key(width: int) -> Callable[[int], int]:
     return key
 
 
-def _cycle_walk_is_cheaper(n: int, rank: int) -> bool:
-    """Circuit strategy rule for n elements of the given rank.
-
-    True when the 2^(n - rank) vectors of the cycle space are fewer than
-    twice the subsets of size at most rank + 1 that the size-ordered
-    sweep may test: a sweep candidate, an elimination of up to rank + 1
-    columns, costs about two walk vectors.
-    """
-    return 1 << (n - rank) < 2 * sum(comb(n, k) for k in range(rank + 2))
+def _classes(words: Iterable[int]) -> dict[int, int]:
+    """Each distinct word to the mask of the positions that hold it."""
+    classes: dict[int, int] = {}
+    for pos, word in enumerate(words):
+        classes[word] = classes.get(word, 0) | 1 << pos
+    return classes
 
 
 def _spans(
@@ -102,9 +98,7 @@ def _spans(
     linear) lies in the span of the residues of S, and the rank grows by
     the dimension of that span.  One pass groups the columns by residue.
     """
-    classes: dict[int, int] = {}
-    for pos, word in enumerate(residues):
-        classes[word] = classes.get(word, 0) | 1 << pos
+    classes = _classes(residues)
     spans = [{0}]
     for pos in extra:
         word = residues[pos]
@@ -302,8 +296,10 @@ class BinaryMatroid:
         closures cl(F + x) for x outside F, and over GF(2) the span of
         F + x is span(F) together with column(x) + span(F).  So y outside
         F lies in cl(F + x) exactly when columns x and y have the same
-        residue modulo span(F), and one residue per element outside F
-        yields every cover of F at once.  Every flat other than the
+        residue modulo span(F), and one residue per element yields every
+        cover of F at once: F is closed, so its own columns are exactly
+        those with residue 0, and each nonzero residue class is the part
+        of one cover outside F.  Every flat other than the
         bottom one covers some flat, so the walk reaches them all, and it
         never takes the closure of an arbitrary subset.  The all-subset
         cap still applies, with the same error.
@@ -315,49 +311,15 @@ class BinaryMatroid:
         while todo:
             flat = todo.pop()
             _, residues = self._residues(flat)
-            classes: dict[int, int] = {}
-            for pos, key in enumerate(residues):
-                if not flat >> pos & 1:
-                    classes[key] = classes.get(key, 0) | 1 << pos
-            for cls in classes.values():
+            for word, cls in _classes(residues).items():
                 cover = flat | cls
-                if cover not in seen:
+                if word and cover not in seen:
                     seen.add(cover)
                     todo.append(cover)
         ordered = sorted(seen, key=_mask_key(len(self.ground)))
         return tuple(ordered) if masks else tuple(map(self._labels, ordered))
 
     # -- circuits ----------------------------------------------------------
-
-    def _dependent(self, positions: Iterable[int]) -> bool:
-        basis: dict[int, int] = {}
-        for pos in positions:
-            if not _insert(basis, self._cols[pos]):
-                return True
-        return False
-
-    def _circuits_by_sweep(self) -> tuple[int, ...]:
-        """Size-ordered subset sweep; tests at most the subsets of size
-        up to rank(E) + 1, since a circuit has rank one below its size.
-
-        A subset reached by the sweep is a circuit exactly when it is
-        dependent and contains no previously found circuit, because any
-        dependent proper subset would contain a smaller circuit already
-        recorded.
-        """
-        n = len(self.ground)
-        max_size = self.rank_of(self.ground) + 1
-        found: list[int] = []
-        for size in range(1, max_size + 1):
-            for combo in combinations(range(n), size):
-                mask = 0
-                for pos in combo:
-                    mask |= 1 << pos
-                if any(cm & mask == cm for cm in found):
-                    continue  # contains a smaller circuit
-                if self._dependent(combo):
-                    found.append(mask)
-        return tuple(found)
 
     def fundamental_circuits(self, mask: int) -> dict[int, int]:
         """The fundamental circuits of a basis B of the subset ``mask``:
@@ -383,8 +345,20 @@ class BinaryMatroid:
         return out
 
     def _circuits_by_cycle_space(self) -> tuple[int, ...]:
-        """Walk all 2^(n - rank) vectors of the cycle space and keep the
-        supports that are circuits.
+        """Walk the 2^(m - r) vectors of the cycle space of the
+        simplification, m elements of rank r, and keep the supports that
+        are circuits, each swapped over the parallel classes.
+
+        A circuit of one or two elements is a loop or a pair of equal
+        nonzero columns, and one grouping of the columns by value gives
+        them all.  A larger circuit holds neither, so it meets each
+        parallel class at most once, and putting the lowest position of
+        each class for its member keeps its columns: it is a circuit of
+        the simplification ``simple``, those lowest positions.
+        Conversely every choice of swaps over the classes keeps the
+        columns of a circuit of ``simple``, so gives a circuit, and
+        distinct choices give distinct masks.  A simplification of rank
+        r has at most 2^r - 1 elements.
 
         The circuits of a binary matroid are exactly the minimal nonempty
         supports of its cycle space (Oxley, Matroid Theory, ch. 9), and
@@ -406,14 +380,24 @@ class BinaryMatroid:
         outside S, which is zero, so the highest v_j lies in the span of
         the others, and the rank is |T| - 1 exactly when the others are
         independent.  The test inserts them into a fresh basis, about
-        k/2 - 1 short inserts for k = n - rank, and stops at the first
+        k/2 - 1 short inserts for k = m - r, and stops at the first
         dependent one.
         """
-        # A basis leaves n - rank fundamental circuits, each with its own
+        classes = _classes(self._cols)
+        found = [1 << pos for pos in _bits(classes.pop(0, 0))]
+        simple = 0
+        parallel: dict[int, int] = {}  # lowest bit to its class, if larger
+        for cls in classes.values():
+            low = cls & -cls
+            simple |= low
+            if cls != low:
+                parallel[low] = cls
+                found += [1 << p | 1 << q for p, q in combinations(_bits(cls), 2)]
+        shared = sum(parallel)
+        # A basis leaves m - r fundamental circuits, each with its own
         # element outside the basis, so they are independent and span the
-        # (n - rank)-dimensional cycle space.
-        cycles = list(self.fundamental_circuits((1 << len(self.ground)) - 1).values())
-        found: list[int] = []
+        # (m - r)-dimensional cycle space.
+        cycles = list(self.fundamental_circuits(simple).values())
         support = summed = 0
         for i in range(1, 1 << len(cycles)):
             j = (i & -i).bit_length() - 1
@@ -427,7 +411,16 @@ class BinaryMatroid:
                 if not _insert(basis, cycles[low.bit_length() - 1] & ~support):
                     break
             else:
-                found.append(support)
+                if support & shared:
+                    swapped = [support]
+                    for pos in _bits(support & shared):
+                        bit = 1 << pos
+                        swapped = [
+                            c ^ bit | 1 << q for c in swapped for q in _bits(parallel[bit])
+                        ]
+                    found += swapped
+                else:
+                    found.append(support)
         return tuple(sorted(found, key=_mask_key(len(self.ground))))
 
     def circuits(self, masks: bool = False) -> tuple:
@@ -435,18 +428,14 @@ class BinaryMatroid:
         lexicographic by position: label sets, or position masks with
         ``masks``.
 
-        Two strategies give the same masks: the size-ordered subset sweep
-        and the cycle-space walk.  The cheaper one runs, twice the sum of
-        C(n, k) for k <= rank + 1 against 2^(n - rank).  The
-        enumeration cap still applies, with the same error.  The label
-        view is built from the masks on its first request.
+        The masks come from the cycle-space walk on the simplification,
+        2^(m - rank) vectors for its m elements.  The enumeration cap
+        still applies, with the same error.  The label view is built
+        from the masks on its first request.
         """
         if self._circuits is None:
             self._check_enumeration_cap()
-            if _cycle_walk_is_cheaper(len(self.ground), self.rank_of(self.ground)):
-                self._circuits = self._circuits_by_cycle_space()
-            else:
-                self._circuits = self._circuits_by_sweep()
+            self._circuits = self._circuits_by_cycle_space()
         if masks:
             return self._circuits
         if self._circuit_sets is None:

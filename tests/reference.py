@@ -5,7 +5,10 @@
 lexicographic.  ``reference_flats`` and ``reference_circuits`` walk it,
 so they are exponential in the size of the ground set and only serve to
 check ``BinaryMatroid.circuits()`` and ``BinaryMatroid.flats()`` on
-small instances.  ``reference_circuit_family`` is ``predict_circuits``
+small instances.  ``sweep_circuits`` is the size-ordered subset sweep
+that ``circuits()`` ran on low ranks before the cycle-space walk served
+every input; it tests only subsets of up to rank + 1 elements, so it
+reaches the wider instances that ``reference_circuits`` cannot.  ``reference_circuit_family`` is ``predict_circuits``
 as it was on label sets, before the family moved to position masks.
 ``reference_base_facts`` computes the odd-overlap circuit facts of one
 base part on label sets from their circuit definitions, the
@@ -50,6 +53,7 @@ from essplit.errors import (
     PreconditionViolated,
     UnknownLabel,
 )
+from essplit.gf2 import _insert
 from essplit.splitting import (
     _BaseFacts,
     predict_circuits,
@@ -106,6 +110,29 @@ def reference_circuits(m: BinaryMatroid) -> tuple[frozenset[str], ...]:
         if m.rank_of(subset) < len(subset)
         and all(m.rank_of(subset - {z}) == len(subset) - 1 for z in subset)
     )
+
+
+def sweep_circuits(m: BinaryMatroid) -> tuple[int, ...]:
+    """The circuit masks of ``m`` in canonical order, by a size-ordered
+    subset sweep up to rank(E) + 1 elements, since a circuit has rank one
+    below its size.
+
+    A subset reached by the sweep is a circuit exactly when it is
+    dependent and contains no previously found circuit, because any
+    dependent proper subset would contain a smaller circuit already
+    recorded.  ``combinations`` gives each size in lexicographic order,
+    so the sweep's order is the canonical one.
+    """
+    found: list[int] = []
+    for size in range(1, m.rank_of(m.ground) + 2):
+        for combo in combinations(range(len(m.ground)), size):
+            mask = sum(1 << pos for pos in combo)
+            if any(c & mask == c for c in found):
+                continue  # contains a smaller circuit
+            basis: dict[int, int] = {}
+            if not all(_insert(basis, m._cols[pos]) for pos in combo):
+                found.append(mask)
+    return tuple(found)
 
 
 def circuits_by_overlap(

@@ -135,9 +135,9 @@ def test_cap_instance_circuits_match_their_digest(capsys, fmt, suffix):
 
 # A 16-element base of rank 3 with two loops (s06, s10) and parallel
 # classes, drawn once from a seeded generator.  Its split has 18
-# elements and rank 4, where the circuit strategy rule sits near its
-# boundary between the sweep and the cycle-space walk; its 328
-# circuits are pinned by digest.
+# elements and rank 4, and its 328 circuits, found by the cycle-space
+# walk on the simplification and swapped over the parallel classes,
+# are pinned by digest.
 MID16_INSTANCE = [
     "--input", str(GOLDEN.parent / "mid16.txt"),
     "--X", "s01,s04,s05,s08,s09,s10,s11,s12,s14", "--e", "s14", "--mode", "both",

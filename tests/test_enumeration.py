@@ -1,7 +1,8 @@
 """Differential tests: the oracle's circuit and flat enumerations against
-the all-subset definitions in tests/reference.py."""
+the all-subset definitions and the subset sweep in tests/reference.py."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from essplit import BinaryMatroid
 from essplit.gf2 import _bits
-from essplit.matroid import _cycle_walk_is_cheaper
+from essplit.matroid import _mask_key
 
 from instances import matroid_from_columns, random_columns
-from reference import reference_circuits, reference_flats
+from reference import reference_circuits, reference_flats, sweep_circuits
 
 
 def differential_instances():
@@ -32,11 +33,20 @@ def differential_instances():
 INSTANCES = list(differential_instances())
 
 
+def swaps_a_walked_circuit(m):
+    """True when a circuit of three or more elements meets a parallel
+    class, so the walk swaps members of a support it found."""
+    columns = [m.matrix.column(lab) for lab in m.ground]
+    return any(
+        len(c) > 2 and any(columns.count(m.matrix.column(lab)) > 1 for lab in c)
+        for c in m.circuits()
+    )
+
+
 def test_instances_cover_both_strategies_and_corner_cases():
-    sides = {
-        _cycle_walk_is_cheaper(len(m.ground), m.rank_of(m.ground)) for m in INSTANCES
-    }
-    assert sides == {True, False}
+    # The walk keeps some supports as they are and swaps others.
+    assert any(m.circuits() and not swaps_a_walked_circuit(m) for m in INSTANCES)
+    assert any(swaps_a_walked_circuit(m) for m in INSTANCES)
     assert any(m.rank_of(m.ground) == 0 and m.ground for m in INSTANCES)
     assert any(m.rank_of(m.ground) == len(m.ground) > 6 for m in INSTANCES)
     assert max(len(m.ground) for m in INSTANCES) == 11
@@ -54,7 +64,7 @@ def labeled(m, masks):
 def test_circuit_strategies_equal_reference():
     for m in INSTANCES:
         expected = reference_circuits(m)
-        assert labeled(m, m._circuits_by_sweep()) == expected, m
+        assert labeled(m, sweep_circuits(m)) == expected, m
         assert labeled(m, m._circuits_by_cycle_space()) == expected, m
         assert m.circuits() == expected, m
         assert labeled(m, m.circuits(masks=True)) == expected, m
@@ -68,22 +78,36 @@ def test_flats_equal_reference():
 def test_wheel_and_its_split(wheel_ctx, wheel_split):
     for m in (wheel_ctx.base, wheel_split):
         expected = reference_circuits(m)
-        assert labeled(m, m._circuits_by_sweep()) == expected
-        assert labeled(m, m._circuits_by_cycle_space()) == expected
+        assert labeled(m, sweep_circuits(m)) == expected
         assert m.circuits() == expected
         assert m.flats() == reference_flats(m)
         assert labeled(m, m.flats(masks=True)) == reference_flats(m)
 
 
+def low_rank_columns(rng):
+    """Seeded columns of rank 1 to 5 on 17 to 22 elements, drawn from a
+    few words, so they hold loops and large parallel classes."""
+    n, rank = rng.randint(17, 22), rng.randint(1, 5)
+    while True:
+        words = [rng.randint(1, (1 << rank) - 1) for _ in range(rank + rng.randint(0, 4))]
+        columns = [0 if rng.random() < 0.1 else rng.choice(words) for _ in range(n)]
+        if matroid_from_columns(columns, rank).rank_of(map(str, range(n))) == rank:
+            return columns, rank
+
+
 def wide_instances():
     """Corner cases, then 60 seeded random matrices with 12 to 16
-    columns, where the all-subset reference is too slow."""
+    columns, where the all-subset reference is too slow, and 12 seeded
+    low-rank matrices with 17 to 22 columns."""
     yield matroid_from_columns([0] * 16, 0)  # rank 0: every circuit a loop
     yield matroid_from_columns([1 << j for j in range(16)], 16)  # full rank
     rng = random.Random(1216)
     for _ in range(60):
         n = rng.randint(12, 16)
         yield matroid_from_columns(random_columns(rng, n, rng.randint(0, 10)), 10)
+    rng = random.Random(1722)
+    for _ in range(12):
+        yield matroid_from_columns(*low_rank_columns(rng))
 
 
 def test_cycle_walk_equals_sweep_beyond_eleven_elements():
@@ -92,35 +116,48 @@ def test_cycle_walk_equals_sweep_beyond_eleven_elements():
     assert sum(0 in cols for cols in columns) > 20  # loops
     parallel = [len(set(cols) - {0}) < len(cols) - cols.count(0) for cols in columns]
     assert sum(parallel) > 20  # parallel classes
-    assert {len(m.ground) for m in instances} == set(range(12, 17))
+    assert {len(m.ground) for m in instances[:62]} == set(range(12, 17))
+    low = instances[62:]
+    assert {min(len(m.ground) for m in low), max(len(m.ground) for m in low)} == {17, 22}
+    assert {m.rank_of(m.ground) for m in low} == set(range(1, 6))
     for m in instances:
-        assert m._circuits_by_cycle_space() == m._circuits_by_sweep(), m
+        assert m._circuits_by_cycle_space() == sweep_circuits(m), m
 
 
-@pytest.mark.parametrize(
-    "n, rank, walk",
-    [
-        (19, 9, True),  # 2^10 cycles against 354,522 subsets
-        (16, 3, False),  # 2^13 cycles against 2 x 2,517 subsets
-        (18, 4, True),  # 2^14 cycles against 2 x 12,616 subsets
-        (8, 8, True),  # free: one cycle, the zero vector
-        (6, 0, False),  # all loops: 2^6 cycles against 2 x 7 subsets
-        (0, 0, True),  # one cycle against 2 x 1 subset
-    ],
-)
-def test_cost_rule(n, rank, walk):
-    assert _cycle_walk_is_cheaper(n, rank) is walk
+def test_rank_two_classes_and_loops():
+    # Three parallel classes of sizes a, b and c on the words 1, 2 and 3
+    # of rank 2, interleaved with three loops: the circuits are the
+    # loops, C(s, 2) pairs inside each class and a * b * c triangles.
+    sizes = {1: 7, 2: 6, 3: 8}
+    columns = [1, 2, 3] * 6 + [1, 0, 3, 0, 3, 0]
+    assert len(columns) == 24 and {w: columns.count(w) for w in sizes} == sizes
+    m = matroid_from_columns(columns, 2)
+    where = {w: [pos for pos, col in enumerate(columns) if col == w] for w in (0, 1, 2, 3)}
+    expected = [1 << pos for pos in where[0]]
+    for w in sizes:
+        expected += [1 << p | 1 << q for p in where[w] for q in where[w] if p < q]
+    expected += [1 << p | 1 << q | 1 << t for p in where[1] for q in where[2] for t in where[3]]
+    assert len(expected) == 3 + sum(comb(s, 2) for s in sizes.values()) + 7 * 6 * 8
+    assert m.circuits(masks=True) == tuple(sorted(expected, key=_mask_key(24)))
 
 
-@pytest.mark.parametrize("columns, used", [([1, 2, 3, 4, 5, 6, 7], "walk"), ([1] * 8, "sweep")])
-def test_circuits_runs_the_cheaper_strategy(monkeypatch, columns, used):
-    def refuse(self):
-        raise AssertionError("the costlier strategy ran")
+def test_walk_runs_on_one_position_per_parallel_class(monkeypatch):
+    walked = []
+    fundamental_circuits = BinaryMatroid.fundamental_circuits
 
+    def spy(self, mask):
+        walked.append(mask)
+        return fundamental_circuits(self, mask)
+
+    monkeypatch.setattr(BinaryMatroid, "fundamental_circuits", spy)
+    columns = [0, 5, 3, 5, 0, 6, 3, 3, 1, 5, 0, 7]
     m = matroid_from_columns(columns, 3)
-    unused = "_circuits_by_sweep" if used == "walk" else "_circuits_by_cycle_space"
-    monkeypatch.setattr(BinaryMatroid, unused, refuse)
     assert m.circuits() == reference_circuits(m)
+    lowest = {}
+    for pos, word in enumerate(columns):
+        if word:
+            lowest.setdefault(word, pos)
+    assert walked == [sum(1 << pos for pos in lowest.values())]
 
 
 @settings(max_examples=150, deadline=None)
@@ -130,4 +167,4 @@ def test_circuits_runs_the_cheaper_strategy(monkeypatch, columns, used):
 )
 def test_circuit_strategies_agree(n_rows, columns):
     m = matroid_from_columns([word & ((1 << n_rows) - 1) for word in columns], n_rows)
-    assert m._circuits_by_sweep() == m._circuits_by_cycle_space()
+    assert sweep_circuits(m) == m.circuits(masks=True)
