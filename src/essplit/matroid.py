@@ -386,7 +386,7 @@ class BinaryMatroid:
         classes = _classes(self._cols)
         found = [1 << pos for pos in _bits(classes.pop(0, 0))]
         simple = 0
-        parallel: dict[int, int] = {}  # lowest bit to its class, if larger
+        parallel: dict[int, int] = {}  # lowest bit to class, for classes of 2+
         for cls in classes.values():
             low = cls & -cls
             simple |= low

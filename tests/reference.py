@@ -8,8 +8,9 @@ check ``BinaryMatroid.circuits()`` and ``BinaryMatroid.flats()`` on
 small instances.  ``sweep_circuits`` is the size-ordered subset sweep
 that ``circuits()`` ran on low ranks before the cycle-space walk served
 every input; it tests only subsets of up to rank + 1 elements, so it
-reaches the wider instances that ``reference_circuits`` cannot.  ``reference_circuit_family`` is ``predict_circuits``
-as it was on label sets, before the family moved to position masks.
+reaches the wider instances that ``reference_circuits`` cannot.
+``reference_circuit_family`` is ``predict_circuits`` as it was on label
+sets, before the family moved to position masks.
 ``reference_base_facts`` computes the odd-overlap circuit facts of one
 base part on label sets from their circuit definitions, the
 differential for ``splitting._BaseFacts``, which reads ranks instead;
