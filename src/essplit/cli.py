@@ -10,15 +10,20 @@ build them.
 
 ``check`` compares the closure and rank predictions with the oracle on
 every subset A' of the split ground, or on --sample N distinct ones.
-Per base part A, one record of base facts and one set of oracle spans
-answer all four queries A, A+a, A+gamma and A+a+gamma, on position
-masks.  An exhaustive run walks the base parts depth first, on
-``SplitContext.lift`` (the base plus the parity row and the column a)
-and on the split matrix in step, so each A costs at most one column
-projection per matrix, and the answers of a span met at several bases
-are computed once per matrix (``BinaryMatroid.walk_closures``); a
-sampled run, like the section on the base flats, queries each of its
-base parts directly.  Each query reads its matched cases,
+Per base part A, one elimination on the split matrix, with the extras
+e, a and gamma, answers all four queries A, A+a, A+gamma and A+a+gamma
+(entries 0, 2, 4 and 6) and gives the record of base facts (entries
+0-3), on position masks.  gamma is col(e) + col(a), so the split
+matrix without gamma is ``SplitContext.lift`` (the base plus the parity
+row and the column a), column for column, and entries 0-3 are N's
+answers but for the bit of gamma, which the record drops.
+``cmd_check`` checks that equality before any work, so the record reads
+base data only.  An exhaustive run walks the base parts depth first,
+so each A costs at most one column projection, and the answers of a
+span met at several bases are computed once
+(``BinaryMatroid.walk_closures``); a sampled run, like the section on
+the base flats, queries each of its base parts directly.  Each query
+reads its matched cases,
 its closure shape and its rank from the case plan of its key, the
 record's signature plus the query's a and gamma bits; the hits are
 counted per key and become case counts at the end.  The report lists
@@ -57,6 +62,7 @@ from .errors import (
     FormulaDisagreement,
     GroundSetTooLarge,
     ParseError,
+    PreconditionViolated,
 )
 from .gf2 import format_matrix, parse_matrix
 from .graphs import incidence_matrix, parse_graph
@@ -428,23 +434,25 @@ def cmd_check(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
     oracle = split_matroid(ctx)
     n = len(ctx.base.ground)
+    # The split matrix without gamma must be N column for column, so that
+    # the records read from its spans stay base-only.
+    if oracle._cols[: n + 1] != ctx.lift._cols:
+        raise PreconditionViolated(
+            "the split matrix without gamma is not the base matrix plus "
+            "the parity row and a"
+        )
+    # The extras e, a and gamma: entries 0-3 of the spans are N's, plus
+    # the bit of gamma, and entries 0, 2, 4 and 6 answer A, A+a, A+gamma
+    # and A+a+gamma.
+    extras = (*ctx.lift_extras, n + 1)
 
     plan_hits: dict[int, int] = {}
     closure_found: list[tuple[int, tuple[str, ...], int, int]] = []
     rank_found: list[tuple[int, int, int]] = []
 
-    def queried(parts: Iterable[int]) -> Iterator[tuple[_BaseFacts, tuple]]:
-        # One facts record and one set of oracle spans per base part.
-        for part in parts:
-            yield _BaseFacts.at(ctx, part), oracle.closures_at(part, (n, n + 1))
-
-    def walked() -> Iterator[tuple[_BaseFacts, tuple]]:
-        # Every base part; N and the split matrix walked in step.
-        for (part, spans), (_, split_spans) in zip(
-            ctx.lift.walk_closures(ctx.lift_extras, n),
-            oracle.walk_closures((n, n + 1), n),
-        ):
-            yield _BaseFacts(ctx, part, spans), split_spans
+    def queried(parts: Iterable[int]) -> Iterator[tuple[int, tuple]]:
+        # One elimination on the split matrix per base part.
+        return ((part, oracle.closures_at(part, extras)) for part in parts)
 
     # Per base part A, the facts record and the oracle spans answer the
     # four queries A, A+a, A+gamma and A+a+gamma, all on position masks.
@@ -454,14 +462,16 @@ def cmd_check(args: argparse.Namespace) -> Result:
     # expanded into cases at the end.  The witnesses stay masks, sorted
     # into report order; only their rendering reads labels.
     groups, order = _check_plan(ctx, oracle, args.sample, args.seed)
-    for facts, spans in walked() if groups is None else queried(groups):
-        base, signature, shapes = facts.a, facts.signature, facts.table_shapes
+    parts = oracle.walk_closures(extras, n) if groups is None else queried(groups)
+    for base, spans in parts:
+        facts = _BaseFacts(ctx, base, spans)
+        signature, shapes = facts.signature, facts.table_shapes
         for top in range(4) if groups is None else groups[base]:
             key = signature | top
             plan_hits[key] = plan_hits.get(key, 0) + 1
             plan = _plan(key)
             formula = facts.closure(plan.table, shapes)
-            oracle_rank, oracle_closure = spans[top]
+            oracle_rank, oracle_closure = spans[top << 1]
             if formula is not None and formula != oracle_closure:
                 closure_found.append(
                     (base | top << n, plan.table.ids, formula, oracle_closure)
@@ -484,11 +494,12 @@ def cmd_check(args: argparse.Namespace) -> Result:
 
     # The four subsets F, F+a, F+gamma and F+a+gamma of each base flat F.
     flat_found: list[tuple[int, int]] = []
-    for facts, spans in queried(ctx.base.flats(masks=True)):
+    for base, spans in queried(ctx.base.flats(masks=True)):
+        facts = _BaseFacts(ctx, base, spans)
         for top in range(4):
             condition = facts.plan(top & 1, top & 2).flat
-            a_prime = facts.a | top << n
-            if condition is not None and spans[top][1] != a_prime:
+            a_prime = base | top << n
+            if condition is not None and spans[top << 1][1] != a_prime:
                 flat_found.append((a_prime, condition))
 
     def in_order(found: list[tuple]) -> list[tuple]:

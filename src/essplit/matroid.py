@@ -226,10 +226,8 @@ class BinaryMatroid:
         position of its parent, so it gets its residues from the
         parent's by one ``_project_out``, and when the new column already
         lies in the parent's span nothing changes: the child's answers
-        are the parent's.  Parents come before their children, and two
-        walks with the same ``width`` visit the same masks in the same
-        order, so they can be zipped; callers must not rely on the order
-        otherwise.
+        are the parent's.  Parents come before their children; callers
+        must not rely on the order otherwise.
 
         So answers are computed only at the A whose top column lies
         outside the span of the rest, every independent set among them,

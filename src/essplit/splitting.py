@@ -36,9 +36,10 @@ once per signature and query into a case plan (``_plan``, built on first
 use), and a record reads its answers from the plan and its closure from
 its shapes.  The four split queries A, A + a, A + gamma and A + a +
 gamma share one base part, so one record serves them all.
-``_BaseFacts.at`` makes the record of one base part; an exhaustive
-``essplit check`` makes the records of all of them from one
-``BinaryMatroid.walk_closures`` on N, with e and a as the extras.
+``_BaseFacts.at`` makes the record of one base part.  ``essplit
+check`` makes its records from the eliminations of its oracle, the split
+matrix with e, a and gamma as the extras: without gamma that matrix is
+N, and the record drops the bit of gamma.
 
 Labels cross into masks at one place, ``SplitContext.mask_of``, and
 come back at one place, ``SplitContext.sorted_labels``, in split-ground
@@ -448,12 +449,18 @@ class _BaseFacts:
         """``a`` is the mask of A; ``spans`` holds (rank, closure mask) in
         N of A, A + e, A + a and A + e + a, as ``closures_at`` and
         ``walk_closures`` of ``SplitContext.lift`` give them with
-        ``SplitContext.lift_extras``."""
+        ``SplitContext.lift_extras``.  It may hold eight entries, from
+        the split matrix with the extras e, a and gamma, whose first four
+        are those four plus, at most, the bit of gamma: the split matrix
+        without gamma is N.  Only the first four are read, and no fact
+        reads a bit at or above a of their closures."""
         e, a_bit, g = ctx.e_bit, ctx.a_bit, ctx.gamma_bit
-        (rank_p, cl_p), (rank_pe, cl_pe), (rank, cl), (rank_e, cl_e) = spans
-        # Take a out of the ranks and closures of A + a and A + e + a.
+        (rank_p, cl_p), (rank_pe, cl_pe), (rank, cl), (rank_e, cl_e) = spans[:4]
+        # Take a out of the ranks of A + a and A + e + a, and a and gamma
+        # out of their closures.
         rank, rank_e = rank - 1, rank_e - 1
-        cl, cl_e = cl ^ a_bit, cl_e ^ a_bit
+        below_a = a_bit - 1
+        cl, cl_e = cl & below_a, cl_e & below_a
         self.ctx = ctx
         self.a = a
         self.rank = rank

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import essplit
-from essplit import splitting
+from essplit import BinaryMatroid, GF2Matrix, splitting
 from essplit.cli import _json_text, main
 from essplit.gf2 import format_matrix
 from essplit.graphs import format_graph
@@ -112,6 +113,20 @@ def test_shared_span_instance_sweep_matches_its_digest(capsys, fmt, suffix):
     assert (code, err) == (3, "")
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == golden_digests("mid14-check.sha256")[f"mid14-check.{suffix}"]
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_shared_span_instance_sample_matches_its_digest(capsys, fmt, suffix):
+    # 5,000 distinct draws in draw order and the section on the base
+    # flats, each base part queried on its own; 434 closure
+    # disagreements, so exit 3.
+    code, out, err = run(
+        capsys, "check", *MID14_INSTANCE, "--sample", "5000", "--seed", "3",
+        "--format", fmt,
+    )
+    assert (code, err) == (3, "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == golden_digests("mid14-sample.sha256")[f"mid14-sample.{suffix}"]
 
 
 # A 22-element base of rank 10 with a loop (q16) and a parallel pair
@@ -741,6 +756,90 @@ class TestCheck:
         )
         assert (code, out) == (2, "")
         assert err == "error: 21 elements exceed the all-subset cap of 20\n"
+
+    def test_a_split_matrix_other_than_n_plus_gamma_fails_before_any_work(
+        self, capsys, monkeypatch, wheel_matrix_file
+    ):
+        # The parity row loses x, a member of X, so the split matrix
+        # without gamma is no longer N and its spans would not give the
+        # base facts.
+        build = splitting.build_split_matrix
+
+        def mutant(ctx):
+            matrix = build(ctx)
+            parity = matrix.rows[-1] & ~ctx.mask_of({"x"})
+            return GF2Matrix(matrix.rows[:-1] + (parity,), matrix.col_labels)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the check started its work")
+
+        monkeypatch.setattr(splitting, "build_split_matrix", mutant)
+        monkeypatch.setattr(essplit.cli, "predict_circuits", forbidden)
+        for method in ("walk_closures", "closures_at"):
+            monkeypatch.setattr(BinaryMatroid, method, forbidden)
+        for fmt in ("text", "json"):
+            code, out, err = run(
+                capsys, "check", "--input", wheel_matrix_file, "--X", "x,y",
+                "--e", "y", "--format", fmt,
+            )
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: the split matrix without gamma is not the base matrix "
+                "plus the parity row and a\n"
+            )
+
+    @staticmethod
+    def count_eliminations(monkeypatch):
+        """The calls of ``walk_closures`` and ``closures_at``, each as the
+        size of the matroid's ground and the arguments."""
+        calls = {"walk_closures": [], "closures_at": []}
+        for name, log in calls.items():
+
+            def counting(m, *args, method=getattr(BinaryMatroid, name), log=log):
+                log.append((len(m.ground), *args))
+                return method(m, *args)
+
+            monkeypatch.setattr(BinaryMatroid, name, counting)
+        return calls
+
+    def test_exhaustive_check_walks_the_split_matrix_once(
+        self, capsys, monkeypatch, wheel_matrix_file
+    ):
+        calls = self.count_eliminations(monkeypatch)
+        code, _, _ = run(
+            capsys, "check", "--input", wheel_matrix_file, "--X", "x,y", "--e", "y",
+            "--format", "json",
+        )
+        assert code == 3
+        base = showcase_matroid()
+        n, e = len(base.ground), base.ground.index("y")
+        assert calls["walk_closures"] == [(n + 2, (e, n, n + 1), n)]
+        # The section on the base flats: one elimination per flat.
+        flats = base.flats(masks=True)
+        assert calls["closures_at"] == [(n + 2, f, (e, n, n + 1)) for f in flats]
+
+    def test_sampled_check_queries_each_base_part_once(
+        self, capsys, monkeypatch, wheel_matrix_file
+    ):
+        calls = self.count_eliminations(monkeypatch)
+        code, _, _ = run(
+            capsys, "check", "--input", wheel_matrix_file, "--X", "x,y", "--e", "y",
+            "--sample", "300", "--seed", "5", "--format", "json",
+        )
+        assert code == 3
+        base = showcase_matroid()
+        n, e = len(base.ground), base.ground.index("y")
+        rng, drawn = random.Random(5), set()
+        while len(drawn) < 300:
+            drawn.add(rng.randrange(1 << n + 2))
+        parts = {mask & (1 << n) - 1 for mask in drawn}
+        assert len(parts) < len(drawn)
+        assert calls["walk_closures"] == []
+        queried = calls["closures_at"]
+        assert {(size, extra) for size, _, extra in queried} == {(n + 2, (e, n, n + 1))}
+        masks = [mask for _, mask, _ in queried]
+        assert sorted(masks[: len(parts)]) == sorted(parts)
+        assert masks[len(parts):] == list(base.flats(masks=True))
 
 
 def test_closed_pipe_ends_silently(wheel_matrix_file):

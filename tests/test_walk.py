@@ -5,7 +5,9 @@ residues down from parent to child; every answer it gives is checked
 against ``rank_of`` and ``closure_of``, and on 11 to 13 columns against
 ``closures_at``, where spans recur far apart in the walk.  Its memo is
 checked to compute each span once and to store nothing for a free
-matroid with a loop.  The position-mask record
+matroid with a loop.  The one walk of an exhaustive ``check``, on the
+split matrix with the extras e, a and gamma, is checked to hold N's
+answers and the oracle's.  The position-mask record
 ``splitting._BaseFacts`` is checked against the label-set definitions of
 ``reference_base_facts``, F* and T under their guards.  The matrices
 have loops, parallel classes and zero rows, and e is often a loop.
@@ -123,18 +125,24 @@ def wide_contexts(seed, count):
 
 
 def walks(ctx):
-    """The two walks of an exhaustive ``check``, as (matroid, extras,
-    width): N with e and a as the extras, and the split matrix with a
-    and gamma."""
+    """Walks over the base parts, as (matroid, extras, width): N with e
+    and a as the extras, as ``_BaseFacts`` reads it, the split matrix
+    with a and gamma, as the oracle answers, and the split matrix with
+    e, a and gamma, the one walk of an exhaustive ``check``."""
     n = len(ctx.base.ground)
-    return [(ctx.lift, ctx.lift_extras, n), (split_matroid(ctx), (n, n + 1), n)]
+    oracle = split_matroid(ctx)
+    return [
+        (ctx.lift, ctx.lift_extras, n),
+        (oracle, (n, n + 1), n),
+        (oracle, (*ctx.lift_extras, n + 1), n),
+    ]
 
 
 class TestWideWalks:
     """Every answer of ``walk_closures`` against ``closures_at`` at the
     same mask, which eliminates from scratch and uses no memo."""
 
-    @pytest.mark.parametrize("which", [0, 1], ids=["N", "split"])
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["N", "split", "check"])
     def test_every_answer_equals_closures_at(self, which):
         for ctx in wide_contexts(38, 3):
             m, extra, width = walks(ctx)[which]
@@ -198,15 +206,16 @@ class TestSpanMemo:
         assert stored >= 100
         assert saved >= stored
 
-    def test_exhaustive_check_of_mid12_calls_spans_884_times(self, monkeypatch, capsys):
-        # 4,640 before the memo.
+    def test_exhaustive_check_of_mid12_calls_spans_442_times(self, monkeypatch, capsys):
+        # One walk of the split matrix; 884 when N and the split matrix
+        # were walked in step, 4,640 before the memo.
         calls, _ = count_spans(monkeypatch)
         golden = Path(__file__).parent / "golden" / "mid12.txt"
         code = main(["check", "--input", str(golden), "--X", "p1,p2,p4,p8,p11,p12",
                      "--e", "p2", "--format", "json"])
         capsys.readouterr()
         assert code == 3
-        assert sum(calls.values()) == 884
+        assert sum(calls.values()) == 442
 
     def test_a_free_matroid_with_a_loop_stores_nothing(self):
         # 13 unit columns and a zero column: 8,192 spans, each with one
@@ -220,6 +229,36 @@ class TestSpanMemo:
         finally:
             tracemalloc.stop()
         assert peak < 300_000
+
+
+class TestOneWalk:
+    """``check`` reads both the base facts and the oracle's answers off
+    the split matrix with the extras e, a and gamma: the split matrix
+    without gamma is N, column for column."""
+
+    def test_split_entries_hold_the_answers_of_n_and_of_the_oracle(self):
+        e_loops = parallel = with_loops = 0
+        for ctx, _ in random_contexts(40):
+            base, n = ctx.base, len(ctx.base.ground)
+            oracle = split_matroid(ctx)
+            cols = [word for word in base._cols if word]
+            e_loops += base.matrix.column(ctx.e) == 0
+            parallel += len(set(cols)) < len(cols)
+            with_loops += len(cols) < n
+            assert oracle._cols[: n + 1] == ctx.lift._cols
+            walked = 0
+            for mask, spans in oracle.walk_closures((*ctx.lift_extras, n + 1), n):
+                walked += 1
+                lifted = ctx.lift.closures_at(mask, ctx.lift_extras)
+                assert [
+                    (rank, closure & ~ctx.gamma_bit) for rank, closure in spans[:4]
+                ] == list(lifted), mask
+                assert spans[::2] == oracle.closures_at(mask, (n, n + 1)), mask
+                facts, expected = _BaseFacts(ctx, mask, spans), _BaseFacts.at(ctx, mask)
+                for name in (*_BaseFacts.__slots__, "rule_shapes"):
+                    assert getattr(facts, name) == getattr(expected, name), name
+            assert walked == 2**n
+        assert min(e_loops, parallel, with_loops) >= 20
 
 
 class TestMaskRecord:
