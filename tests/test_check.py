@@ -2,6 +2,7 @@
 the per-subset loop of ``reference_check_report``, byte for byte."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from essplit import BinaryMatroid, GF2Matrix, SplitContext
+from essplit import BinaryMatroid, GF2Matrix, SplitContext, splitting
 from essplit.cli import (
     _CLOSURE_FIELDS,
     _FLAT_FIELDS,
@@ -235,3 +236,52 @@ def test_golden_is_the_json_reference():
     code, out = reference_check_report(showcase_context())
     assert code == 3
     assert_same_output(out, GOLDEN.read_text())
+
+
+@pytest.fixture
+def every_flat_condition_holds(monkeypatch):
+    """Every flat condition of every plan is condition 1, so each lift of
+    a base flat that is no split flat becomes a violation.  The plans
+    are cached, so they are dropped before and after."""
+    splitting._plan.cache_clear()
+    monkeypatch.setattr(splitting, "_flat_condition", lambda key: 1)
+    yield
+    monkeypatch.undo()
+    splitting._plan.cache_clear()
+
+
+@pytest.mark.usefixtures("every_flat_condition_holds")
+class TestFlatWitnessOrder:
+    """With every condition holding, the flat violations of ``check``
+    are many, so their order is pinned: by base flat, in the base's
+    canonical order, then by a and gamma."""
+
+    def test_the_wheel_report_lists_every_lift_of_every_base_flat(self):
+        ctx = showcase_context()
+        code, out, _ = run_check(ctx, "--format", "json")
+        assert code == 3
+        violations = json.loads(out)["flat_condition_violations"]
+        new = (ctx.label_a, ctx.label_gamma)
+        flats = {tuple(lab for lab in w["subset"] if lab not in new) for w in violations}
+        tops = {tuple(lab for lab in w["subset"] if lab in new) for w in violations}
+        assert len(violations) == 86
+        assert len(flats) == len(ctx.base.flats()) == 43
+        assert tops == {(), (ctx.label_a,), (ctx.label_gamma,), new}
+
+    @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
+    def test_the_wheel_report_matches_its_digest(self, fmt, suffix):
+        code, out, err = run_check(showcase_context(), "--format", fmt)
+        assert (code, err) == (3, "")
+        listing = (GOLDEN.parent / "check-wheel-flat-mutant.sha256").read_text()
+        digests = {name: digest for digest, name in map(str.split, listing.splitlines())}
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == digests[f"check-wheel-flat-mutant.{suffix}"]
+
+    @pytest.mark.parametrize("sample", [None, 300])
+    def test_reports_match_the_reference(self, sample):
+        rng = random.Random(6006)
+        instances = [
+            random_split_instance(rng, rng.randint(7, 9), max_rank=4) for _ in range(4)
+        ]
+        for ctx in [showcase_context(), *instances]:
+            assert_same_report(ctx, sample, seed=5)
