@@ -21,16 +21,17 @@ answers but for the bit of gamma, which the record drops.
 base data only.  An exhaustive run walks the base parts depth first,
 so each A costs at most one column projection, and the answers of a
 span met at several bases are computed once
-(``BinaryMatroid.walk_closures``); a sampled run, like the section on
-the base flats, queries each of its base parts directly.  Each query
-reads its matched cases,
-its closure shape and its rank from the case plan of its key, the
-record's signature plus the query's a and gamma bits; the hits are
-counted per key and become case counts at the end.  The report lists
-disagreements by subset size, then position; with --sample, in draw
-order, or in mask order when N covers every subset.  JSON is rendered
-with one join per list or object, byte for byte as json.dumps with
-indent=2.
+(``BinaryMatroid.walk_closures``); a sampled run queries each of its
+base parts directly.  A query is (A, top), a in bit 0 of top and gamma
+in bit 1.  It reads its matched cases, its closure shape and its rank
+from the case plan of its key, the record's signature | top; the hits
+are counted per key and become case counts at the end.  A part whose
+record has cl(A) = A is a base flat, and its four lifts meet the flat
+conditions on the same spans.  The report lists disagreements by
+subset size, then position; with --sample, in draw order, or in mask
+order when N covers every subset; flat violations by base flat, then
+top.  JSON is rendered with one join per list or object, byte for byte
+as json.dumps with indent=2.
 
 The report's witnesses stay position masks until ``main`` writes them.
 Each witness list is a ``_Witnesses`` of tuples in report order, which
@@ -371,7 +372,7 @@ def cmd_flats(args: argparse.Namespace) -> Result:
         facts = records.get(flat & (ctx.a_bit - 1))
         if facts is None:
             return None
-        return facts.plan(flat & ctx.a_bit, flat & ctx.gamma_bit).flat
+        return facts.plan(flat >> len(ctx.base.ground)).flat
 
     # The split matrix's columns are the split-ground positions.
     rows = [
@@ -390,11 +391,12 @@ def _check_plan(
 
     A subset is a mask over the split ground: its low n bits are the
     base part A, bit n is a and bit n + 1 is gamma.  The groups map a
-    base mask to the values of the two top bits to visit with it; None
-    stands for every base part with all four.  The key sorts masks into
-    report order: by the oracle's subset order (size, then positions)
-    when exhaustive, by mask when ``sample`` covers all 2^(n+2) subsets,
-    and else by first draw, repeated draws being redrawn.
+    base mask to the values of the two top bits to visit with it, and
+    include every base flat, with no top if none was drawn; None stands
+    for every base part with all four.  The key sorts masks into report
+    order: by the oracle's subset order (size, then positions) when
+    exhaustive, by mask when ``sample`` covers all 2^(n+2) subsets, and
+    else by first draw, repeated draws being redrawn.
 
     Every cap the run will hit is tested here, before any work: the
     exhaustive cap on the split ground, then the enumeration caps of the
@@ -427,6 +429,8 @@ def _check_plan(
     groups: dict[int, list[int]] = {}
     for mask in drawn:
         groups.setdefault(mask & (1 << n) - 1, []).append(mask >> n)
+    for flat in ctx.base.flats(masks=True):
+        groups.setdefault(flat, [])
     return groups, drawn.__getitem__
 
 
@@ -449,20 +453,20 @@ def cmd_check(args: argparse.Namespace) -> Result:
     plan_hits: dict[int, int] = {}
     closure_found: list[tuple[int, tuple[str, ...], int, int]] = []
     rank_found: list[tuple[int, int, int]] = []
-
-    def queried(parts: Iterable[int]) -> Iterator[tuple[int, tuple]]:
-        # One elimination on the split matrix per base part.
-        return ((part, oracle.closures_at(part, extras)) for part in parts)
+    flat_found: list[tuple[int, int]] = []
 
     # Per base part A, the facts record and the oracle spans answer the
-    # four queries A, A+a, A+gamma and A+a+gamma, all on position masks.
-    # A query's plan key is the record's signature with its two top bits,
-    # a and gamma, below it; the plan gives the matched cases, the shape
-    # of the closure and the rank offset.  Hits are counted per key and
-    # expanded into cases at the end.  The witnesses stay masks, sorted
-    # into report order; only their rendering reads labels.
+    # queries (A, top), all on position masks.  A query's plan key is
+    # the record's signature | top; the plan gives the matched cases,
+    # the shape of the closure, the rank offset and the flat condition.
+    # Hits are counted per key and expanded into cases at the end.  The
+    # witnesses stay masks, sorted into report order; only their
+    # rendering reads labels.
     groups, order = _check_plan(ctx, oracle, args.sample, args.seed)
-    parts = oracle.walk_closures(extras, n) if groups is None else queried(groups)
+    if groups is None:
+        parts = oracle.walk_closures(extras, n)
+    else:
+        parts = ((part, oracle.closures_at(part, extras)) for part in groups)
     for base, spans in parts:
         facts = _BaseFacts(ctx, base, spans)
         signature, shapes = facts.signature, facts.table_shapes
@@ -479,6 +483,13 @@ def cmd_check(args: argparse.Namespace) -> Result:
             formula_rank = facts.rank + plan.rank
             if formula_rank != oracle_rank:
                 rank_found.append((base | top << n, formula_rank, oracle_rank))
+        if facts.cl == base:
+            # A base flat F: F + top under each flat condition.
+            for top in range(4):
+                condition = facts.plan(top).flat
+                a_prime = base | top << n
+                if condition is not None and spans[top << 1][1] != a_prime:
+                    flat_found.append((a_prime, condition))
 
     case_hits: dict[str, int] = {}
     no_case = 0
@@ -492,19 +503,11 @@ def cmd_check(args: argparse.Namespace) -> Result:
     family_equal = set(predict_circuits(ctx).minimal) == set(oracle.circuits(masks=True))
     corollary_ok = oracle.rank_of(oracle.ground) == ctx.base.rank_of(ctx.base.ground) + 1
 
-    # The four subsets F, F+a, F+gamma and F+a+gamma of each base flat F.
-    flat_found: list[tuple[int, int]] = []
-    for base, spans in queried(ctx.base.flats(masks=True)):
-        facts = _BaseFacts(ctx, base, spans)
-        for top in range(4):
-            condition = facts.plan(top & 1, top & 2).flat
-            a_prime = base | top << n
-            if condition is not None and spans[top << 1][1] != a_prime:
-                flat_found.append((a_prime, condition))
-
     def in_order(found: list[tuple]) -> list[tuple]:
         return sorted(found, key=lambda w: order(w[0]))
 
+    flat_key = _mask_key(n)
+    flat_found.sort(key=lambda w: (flat_key(w[0] & ctx.a_bit - 1), w[0] >> n))
     closure_witnesses = _Witnesses(ctx, _CLOSURE_FIELDS, in_order(closure_found))
     rank_witnesses = _Witnesses(ctx, _RANK_FIELDS, in_order(rank_found))
     flat_violations = _Witnesses(ctx, _FLAT_FIELDS, flat_found)

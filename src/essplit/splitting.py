@@ -34,8 +34,9 @@ formula, both closure tables and the flat conditions read A only through
 a few predicates, the record's signature, so their rows are evaluated
 once per signature and query into a case plan (``_plan``, built on first
 use), and a record reads its answers from the plan and its closure from
-its shapes.  The four split queries A, A + a, A + gamma and A + a +
-gamma share one base part, so one record serves them all.
+its shapes.  A split query is (A, top): its base part and its two top
+bits, a in bit 0 and gamma in bit 1, so A' is A | top << n and the four
+queries of one A share its record.
 ``_BaseFacts.at`` makes the record of one base part.  ``essplit
 check`` makes its records from the eliminations of its oracle, the split
 matrix with e, a and gamma as the extras: without gamma that matrix is
@@ -45,8 +46,8 @@ Labels cross into masks at one place, ``SplitContext.mask_of``, and
 come back at one place, ``SplitContext.sorted_labels``, in split-ground
 order.  ``predict_rank``, ``predict_closure``, ``closure_rule`` and
 ``predict_is_flat`` take the labels of A' and return their prediction
-only: each validates A' through ``mask_of``, splits off the bits of a
-and gamma, and reads the record of the base part that is left.
+only: each validates A' through ``mask_of``, splits it into the query
+(A, top) and reads the record of A.
 
 Circuits travel as position masks too.  ``SplitContext`` splits the
 base's cached circuit masks by the parity of their overlap with X into
@@ -429,15 +430,15 @@ class _BaseFacts:
       and condition 5, whose no ox_cl implies no ox_a).
 
     Everything but ``rule_shapes``, which only ``closure_rule`` reads, is
-    computed when the record is made, so one record serves all four
-    split queries A, A + a, A + gamma and A + a + gamma.  So is
-    ``signature``: the predicates the case rows read (``_Key``), shifted
-    up by two bits.  The rank formula, both closure predictors and the flat
-    conditions of a query depend on A only through them, so each query
-    reads its answers from the ``_plan`` of its key, the signature with
-    bit 0 set for a in A' and bit 1 for gamma, and takes its closure
-    from the shapes.  The public predictors below make a record from the
-    base part that ``_query`` splits off their labels.
+    computed when the record is made, so one record serves the four
+    split queries (A, top), top holding a in bit 0 and gamma in bit 1.
+    So is ``signature``: the predicates the case rows read (``_Key``),
+    shifted up by two bits.  The rank formula, both closure predictors
+    and the flat conditions of a query depend on A only through them, so
+    each query reads its answers from the ``_plan`` of its key,
+    signature | top, and takes its closure from the shapes.  The public
+    predictors below make the record of the A that ``_query`` splits
+    off their labels.
     """
 
     __slots__ = (
@@ -515,26 +516,22 @@ class _BaseFacts:
             self.cl_e | a_bit | g,
         )
 
-    def plan(self, has_a: bool, has_gamma: bool) -> "_Plan":
-        """The plan of the query A plus the new elements named."""
-        return _plan(self.signature | (2 if has_gamma else 0) | (1 if has_a else 0))
+    def plan(self, top: int) -> "_Plan":
+        """The plan of the query (A, top)."""
+        return _plan(self.signature | top)
 
-    def split_rank(self, has_a: bool, has_gamma: bool) -> int:
-        """``predict_rank`` of A plus the new elements named."""
-        return self.rank + self.plan(has_a, has_gamma).rank
+    def split_rank(self, top: int) -> int:
+        """``predict_rank`` of the query (A, top)."""
+        return self.rank + self.plan(top).rank
 
-    def table_closure(
-        self, has_a: bool, has_gamma: bool
-    ) -> tuple[tuple[str, ...], int | None]:
+    def table_closure(self, top: int) -> tuple[tuple[str, ...], int | None]:
         """Matched case ids and closure mask of ``predict_closure``."""
-        cases = self.plan(has_a, has_gamma).table
+        cases = self.plan(top).table
         return cases.ids, self.closure(cases, self.table_shapes)
 
-    def rule_closure(
-        self, has_a: bool, has_gamma: bool
-    ) -> tuple[tuple[str, ...], int | None]:
+    def rule_closure(self, top: int) -> tuple[tuple[str, ...], int | None]:
         """Matched case id and closure mask of ``closure_rule``."""
-        cases = self.plan(has_a, has_gamma).rule
+        cases = self.plan(top).rule
         return cases.ids, self.closure(cases, self.rule_shapes)
 
     def closure(self, cases: "_Cases", shapes: tuple[int, ...]) -> int | None:
@@ -552,8 +549,7 @@ class _BaseFacts:
             result = shapes[index]
             if result != formula:
                 ctx = self.ctx
-                a_prime = self.a | (ctx.a_bit if cases.top & 1 else 0)
-                a_prime |= ctx.gamma_bit if cases.top & 2 else 0
+                a_prime = self.a | cases.top * ctx.a_bit
                 raise FormulaDisagreement(
                     f"cases {cases.ids[0]} and {case_id} disagree on "
                     f"A'={sorted(ctx.labels_of(a_prime))}: "
@@ -600,7 +596,7 @@ class _Cases:
 
 class _Plan:
     """What every predictor gives at one plan key, the signature of
-    ``_BaseFacts`` with bit 0 set for a in A' and bit 1 for gamma: the
+    ``_BaseFacts`` | top, a in bit 0 of top and gamma in bit 1: the
     cases of ``predict_closure`` (``table``) and of ``closure_rule``
     (``rule``), the flat condition of ``predict_is_flat`` and
     ``predict_rank`` minus rank(A), from the rows below as written."""
@@ -701,11 +697,11 @@ def _rank_offset(k: _Key) -> int:
     return 1 if k.e_in_cl else 2
 
 
-def _query(ctx: SplitContext, labels: Iterable[str]) -> tuple[int, bool, bool]:
-    """The mask of the base part A of the query A' with these labels,
-    and whether A' holds a and whether it holds gamma."""
+def _query(ctx: SplitContext, labels: Iterable[str]) -> tuple[int, int]:
+    """The query (A, top) of A' with these labels: the mask of its base
+    part A and its two top bits, a in bit 0 and gamma in bit 1."""
     mask = ctx.mask_of(labels)
-    return mask & (ctx.a_bit - 1), bool(mask & ctx.a_bit), bool(mask & ctx.gamma_bit)
+    return mask & (ctx.a_bit - 1), mask >> len(ctx.base.ground)
 
 
 def _circuit_mask(ctx: SplitContext, labels: Iterable[str]) -> int:
@@ -882,8 +878,8 @@ def predict_rank(ctx: SplitContext, labels: Iterable[str]) -> int:
     case evaluates its three branches in the fixed order of
     ``_rank_offset``.
     """
-    a, has_a, has_gamma = _query(ctx, labels)
-    return _BaseFacts.at(ctx, a).split_rank(has_a, has_gamma)
+    a, top = _query(ctx, labels)
+    return _BaseFacts.at(ctx, a).split_rank(top)
 
 
 def predict_closure(ctx: SplitContext, labels: Iterable[str]) -> ClosureCaseReport:
@@ -955,12 +951,12 @@ def closure_rule(ctx: SplitContext, labels: Iterable[str]) -> ClosureCaseReport:
 def _report(
     ctx: SplitContext,
     labels: Iterable[str],
-    closure: Callable[[_BaseFacts, bool, bool], tuple[tuple[str, ...], int | None]],
+    closure: Callable[[_BaseFacts, int], tuple[tuple[str, ...], int | None]],
 ) -> ClosureCaseReport:
     """The matched case ids and closure of one closure predictor, a
     method of ``_BaseFacts``, at the query with these labels."""
-    a, has_a, has_gamma = _query(ctx, labels)
-    matched, mask = closure(_BaseFacts.at(ctx, a), has_a, has_gamma)
+    a, top = _query(ctx, labels)
+    matched, mask = closure(_BaseFacts.at(ctx, a), top)
     return ClosureCaseReport(matched, None if mask is None else ctx.labels_of(mask))
 
 
@@ -973,10 +969,10 @@ def predict_is_flat(ctx: SplitContext, labels: Iterable[str]) -> int | None:
     way; callers needing a complete answer fall back to the oracle's
     ``is_flat``.
     """
-    a, has_a, has_gamma = _query(ctx, labels)
+    a, top = _query(ctx, labels)
     facts = _BaseFacts.at(ctx, a)
     if facts.cl != a:
         raise BaseNotFlat(
             f"{sorted(ctx.labels_of(a))} is not a flat of the base matroid"
         )
-    return facts.plan(has_a, has_gamma).flat
+    return facts.plan(top).flat

@@ -790,14 +790,16 @@ class TestCheck:
 
     @staticmethod
     def count_eliminations(monkeypatch):
-        """The calls of ``walk_closures`` and ``closures_at``, each as the
-        size of the matroid's ground and the arguments."""
-        calls = {"walk_closures": [], "closures_at": []}
+        """The calls of ``walk_closures``, ``closures_at`` and ``flats``,
+        each as the size of the matroid's ground and the arguments."""
+        calls = {"walk_closures": [], "closures_at": [], "flats": []}
         for name, log in calls.items():
 
-            def counting(m, *args, method=getattr(BinaryMatroid, name), log=log):
-                log.append((len(m.ground), *args))
-                return method(m, *args)
+            def counting(
+                m, *args, method=getattr(BinaryMatroid, name), log=log, **kwargs
+            ):
+                log.append((len(m.ground), *args, *kwargs.values()))
+                return method(m, *args, **kwargs)
 
             monkeypatch.setattr(BinaryMatroid, name, counting)
         return calls
@@ -814,9 +816,10 @@ class TestCheck:
         base = showcase_matroid()
         n, e = len(base.ground), base.ground.index("y")
         assert calls["walk_closures"] == [(n + 2, (e, n, n + 1), n)]
-        # The section on the base flats: one elimination per flat.
-        flats = base.flats(masks=True)
-        assert calls["closures_at"] == [(n + 2, f, (e, n, n + 1)) for f in flats]
+        # The base flats are read off the walk: no flat is enumerated or
+        # eliminated again.
+        assert calls["flats"] == []
+        assert calls["closures_at"] == []
 
     def test_sampled_check_queries_each_base_part_once(
         self, capsys, monkeypatch, wheel_matrix_file
@@ -829,17 +832,20 @@ class TestCheck:
         assert code == 3
         base = showcase_matroid()
         n, e = len(base.ground), base.ground.index("y")
-        rng, drawn = random.Random(5), set()
+        assert calls["flats"] == [(n, True)]
+        rng, drawn = random.Random(5), {}
         while len(drawn) < 300:
-            drawn.add(rng.randrange(1 << n + 2))
-        parts = {mask & (1 << n) - 1 for mask in drawn}
+            drawn.setdefault(rng.randrange(1 << n + 2), None)
+        parts = {mask & (1 << n) - 1: None for mask in drawn}
+        flats = base.flats(masks=True)
         assert len(parts) < len(drawn)
+        assert set(flats) & set(parts) and not set(flats) <= set(parts)
         assert calls["walk_closures"] == []
-        queried = calls["closures_at"]
-        assert {(size, extra) for size, _, extra in queried} == {(n + 2, (e, n, n + 1))}
-        masks = [mask for _, mask, _ in queried]
-        assert sorted(masks[: len(parts)]) == sorted(parts)
-        assert masks[len(parts):] == list(base.flats(masks=True))
+        # Each drawn part in draw order, then each base flat not drawn,
+        # one elimination each.
+        queried = [mask for _, mask, _ in calls["closures_at"]]
+        assert queried == list(dict.fromkeys([*parts, *flats]))
+        assert {extra for *_, extra in calls["closures_at"]} == {(e, n, n + 1)}
 
 
 def test_closed_pipe_ends_silently(wheel_matrix_file):

@@ -7,7 +7,8 @@ against ``rank_of`` and ``closure_of``, and on 11 to 13 columns against
 checked to compute each span once and to store nothing for a free
 matroid with a loop.  The one walk of an exhaustive ``check``, on the
 split matrix with the extras e, a and gamma, is checked to hold N's
-answers and the oracle's.  The position-mask record
+answers and the oracle's, and its parts with cl(A) = A to be the base
+flats.  The position-mask record
 ``splitting._BaseFacts`` is checked against the label-set definitions of
 ``reference_base_facts``, F* and T under their guards.  The matrices
 have loops, parallel classes and zero rows, and e is often a loop.
@@ -206,16 +207,18 @@ class TestSpanMemo:
         assert stored >= 100
         assert saved >= stored
 
-    def test_exhaustive_check_of_mid12_calls_spans_442_times(self, monkeypatch, capsys):
-        # One walk of the split matrix; 884 when N and the split matrix
-        # were walked in step, 4,640 before the memo.
+    def test_exhaustive_check_of_mid12_calls_spans_348_times(self, monkeypatch, capsys):
+        # One walk of the split matrix, which also yields the base
+        # flats; 442 when the base flats were eliminated again, 884 when
+        # N and the split matrix were walked in step, 4,640 before the
+        # memo.
         calls, _ = count_spans(monkeypatch)
         golden = Path(__file__).parent / "golden" / "mid12.txt"
         code = main(["check", "--input", str(golden), "--X", "p1,p2,p4,p8,p11,p12",
                      "--e", "p2", "--format", "json"])
         capsys.readouterr()
         assert code == 3
-        assert sum(calls.values()) == 442
+        assert sum(calls.values()) == 348
 
     def test_a_free_matroid_with_a_loop_stores_nothing(self):
         # 13 unit columns and a zero column: 8,192 spans, each with one
@@ -258,6 +261,23 @@ class TestOneWalk:
                 for name in (*_BaseFacts.__slots__, "rule_shapes"):
                     assert getattr(facts, name) == getattr(expected, name), name
             assert walked == 2**n
+        assert min(e_loops, parallel, with_loops) >= 20
+
+    def test_walked_parts_with_closed_records_are_the_base_flats(self):
+        # ``check`` takes the base flats from its walk, where the record
+        # of A has cl(A) = A, instead of the lattice walk of ``flats()``.
+        e_loops = parallel = with_loops = 0
+        for ctx, _ in random_contexts(41):
+            base, n = ctx.base, len(ctx.base.ground)
+            cols = [word for word in base._cols if word]
+            e_loops += base.matrix.column(ctx.e) == 0
+            parallel += len(set(cols)) < len(cols)
+            with_loops += len(cols) < n
+            walk = split_matroid(ctx).walk_closures((*ctx.lift_extras, n + 1), n)
+            closed = [
+                mask for mask, spans in walk if _BaseFacts(ctx, mask, spans).cl == mask
+            ]
+            assert sorted(closed) == sorted(base.flats(masks=True))
         assert min(e_loops, parallel, with_loops) >= 20
 
 
@@ -344,10 +364,10 @@ class TestCasePlans:
                 for top in range(4):
                     has_a, has_gamma = bool(top & 1), bool(top & 2)
                     expected = reference_cases(facts, has_a, has_gamma)
-                    assert facts.table_closure(has_a, has_gamma) == expected["table"]
-                    assert facts.rule_closure(has_a, has_gamma) == expected["rule"]
-                    assert facts.plan(has_a, has_gamma).flat == expected["flat"]
-                    assert facts.split_rank(has_a, has_gamma) == expected["rank"]
+                    assert facts.table_closure(top) == expected["table"]
+                    assert facts.rule_closure(top) == expected["rule"]
+                    assert facts.plan(top).flat == expected["flat"]
+                    assert facts.split_rank(top) == expected["rank"]
                     compared.add(facts.signature | top)
         # Every query shape, and many signatures for each.
         assert {key & 3 for key in compared} == {0, 1, 2, 3}
@@ -364,7 +384,7 @@ class TestCasePlans:
                 for top in range(4):
                     has_a, has_gamma = bool(top & 1), bool(top & 2)
                     facts = _BaseFacts.at(ctx, mask)
-                    cases = facts.plan(has_a, has_gamma).table
+                    cases = facts.plan(top).table
                     if len(set(cases.shapes)) < 2:
                         continue
                     # Give the last matched case's shape a value of its own.
@@ -374,7 +394,7 @@ class TestCasePlans:
                     expected = reference_cases(facts, has_a, has_gamma)["table"]
                     assert isinstance(expected, FormulaDisagreement)
                     with pytest.raises(FormulaDisagreement) as got:
-                        facts.table_closure(has_a, has_gamma)
+                        facts.table_closure(top)
                     assert str(got.value) == str(expected)
                     raised += 1
         assert raised >= 20
