@@ -8,7 +8,8 @@ predictions.  Columns are ints of any width, and every elimination runs
 on the kernel of ``gf2``.  From the residues of all columns modulo
 span(A), one pass (``_spans``) gives the rank and the closure of A + S
 for every S inside a few extra elements; ``closures_at`` runs it for
-one A, and ``closure_of`` is the label view of its case S = {}.
+one A, and ``rank_of`` and ``closure_of`` are the label views of its
+case S = {}.
 ``walk_closures`` answers for every A in one depth-first walk: each
 child adds one column above its parent's, so its residues follow from
 the parent's by one projection, and a span met at several bases has its
@@ -145,16 +146,6 @@ class BinaryMatroid:
 
     # -- label plumbing -------------------------------------------------
 
-    def _positions(self, labels: Iterable[str]) -> list[int]:
-        out = []
-        for lab in set(labels):
-            pos = self._index.get(lab)
-            if pos is None:
-                raise UnknownLabel(f"{lab!r} is not a ground-set element")
-            out.append(pos)
-        out.sort()
-        return out
-
     def _check_subset_cap(self) -> None:
         if len(self.ground) > self.SUBSET_CAP:
             raise GroundSetTooLarge(
@@ -172,10 +163,13 @@ class BinaryMatroid:
     # -- rank and closure ------------------------------------------------
 
     def _mask(self, labels: Iterable[str]) -> int:
-        mask = 0
-        for pos in self._positions(labels):
-            mask |= 1 << pos
-        return mask
+        """Position mask of a subset of the ground; every unknown label
+        is named, sorted."""
+        labels = set(labels)
+        unknown = labels - self._index.keys()
+        if unknown:
+            raise UnknownLabel(f"labels {sorted(unknown)!r} are not ground-set elements")
+        return sum(1 << self._index[lab] for lab in labels)
 
     def _labels(self, mask: int) -> frozenset[str]:
         return frozenset(self.ground[pos] for pos in _bits(mask))
@@ -194,10 +188,7 @@ class BinaryMatroid:
 
     def rank_of(self, labels: Iterable[str]) -> int:
         """Rank of the columns indexed by ``labels``."""
-        basis: dict[int, int] = {}
-        for pos in self._positions(labels):
-            _insert(basis, self._cols[pos])
-        return len(basis)
+        return self.closures_at(self._mask(labels), ())[0][0]
 
     def closure_of(self, labels: Iterable[str]) -> frozenset[str]:
         """All elements whose addition leaves the rank unchanged."""

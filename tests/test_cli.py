@@ -817,9 +817,11 @@ class TestCheck:
         n, e = len(base.ground), base.ground.index("y")
         assert calls["walk_closures"] == [(n + 2, (e, n, n + 1), n)]
         # The base flats are read off the walk: no flat is enumerated or
-        # eliminated again.
+        # eliminated again.  Only the full-rank check's two ranks remain.
         assert calls["flats"] == []
-        assert calls["closures_at"] == []
+        assert calls["closures_at"] == [
+            (n + 2, (1 << n + 2) - 1, ()), (n, (1 << n) - 1, ())
+        ]
 
     def test_sampled_check_queries_each_base_part_once(
         self, capsys, monkeypatch, wheel_matrix_file
@@ -842,10 +844,11 @@ class TestCheck:
         assert set(flats) & set(parts) and not set(flats) <= set(parts)
         assert calls["walk_closures"] == []
         # Each drawn part in draw order, then each base flat not drawn,
-        # one elimination each.
-        queried = [mask for _, mask, _ in calls["closures_at"]]
+        # one elimination each, and the full-rank check's two ranks.
+        queried = [mask for _, mask, extra in calls["closures_at"] if extra]
         assert queried == list(dict.fromkeys([*parts, *flats]))
-        assert {extra for *_, extra in calls["closures_at"]} == {(e, n, n + 1)}
+        assert {extra for *_, extra in calls["closures_at"]} == {(e, n, n + 1), ()}
+        assert len(calls["closures_at"]) == len(queried) + 2
 
 
 def test_closed_pipe_ends_silently(wheel_matrix_file):

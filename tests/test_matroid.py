@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import essplit
 from essplit import BinaryMatroid, GF2Matrix
 from essplit.errors import GroundSetTooLarge, UnknownLabel
 from essplit.matroid import _mask_key
@@ -101,6 +106,30 @@ class TestRankOf:
     def test_unknown_label(self, wheel_ctx):
         with pytest.raises(UnknownLabel):
             wheel_ctx.base.rank_of({"nope"})
+
+    def test_unknown_labels_are_all_named_under_any_hash_seed(self):
+        # A set of strings iterates in an order that changes with
+        # PYTHONHASHSEED; the message names every unknown label, sorted.
+        script = (
+            "from essplit import BinaryMatroid, GF2Matrix\n"
+            "m = BinaryMatroid(GF2Matrix.from_rows([[1, 1]], ['p', 'q']))\n"
+            "try:\n"
+            "    m.rank_of(['zz', 'yy', 'xx'])\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = str(Path(essplit.__file__).resolve().parents[1])
+        messages = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert messages == {
+            "UnknownLabel labels ['xx', 'yy', 'zz'] are not ground-set elements\n"
+        }
 
 
 class TestClosure:
