@@ -233,6 +233,10 @@ def _load_context(args: argparse.Namespace) -> SplitContext:
         matrix = incidence_matrix(parse_graph(text, args.input))
     else:
         matrix = parse_matrix(text, args.input)
+    # Set flags split on commas, so they could never name such a label.
+    for label in matrix.col_labels:
+        if "," in label:
+            raise ParseError(f"{args.input}: label {label!r} holds a comma")
     base = BinaryMatroid(matrix, enumeration_cap=args.cap)
     return SplitContext(
         base=base,

@@ -316,6 +316,20 @@ class TestSplit:
         assert err.startswith("error: ") and "UTF-8" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "kind, text",
+        [("matrix", "p,q r\n1 1\n"), ("graph", "p,q u v\nr v w\n")],
+    )
+    def test_label_with_a_comma_rejected(self, capsys, tmp_path, kind, text):
+        # --X, --e and --subset split on commas, so none could name it.
+        path = tmp_path / "comma.txt"
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "check", "--kind", kind, "--input", str(path), "--X", "r", "--e", "r"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: label 'p,q' holds a comma\n"
+
     def test_byte_order_mark_in_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "bom.txt"
         path.write_text("\ufeffp q\n1 1\n", encoding="utf-8")
