@@ -117,9 +117,8 @@ def test_shared_span_instance_sweep_matches_its_digest(capsys, fmt, suffix):
 
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
 def test_shared_span_instance_sample_matches_its_digest(capsys, fmt, suffix):
-    # 5,000 distinct draws in draw order and the section on the base
-    # flats, each base part queried on its own; 434 closure
-    # disagreements, so exit 3.
+    # 5,000 distinct draws in draw order, and the base flats, each base
+    # part queried once; 434 closure disagreements, so exit 3.
     code, out, err = run(
         capsys, "check", *MID14_INSTANCE, "--sample", "5000", "--seed", "3",
         "--format", fmt,
@@ -319,6 +318,7 @@ class TestSplit:
     @pytest.mark.parametrize(
         "kind, text",
         [("matrix", "p,q r\n1 1\n"), ("graph", "p,q u v\nr v w\n")],
+        ids=["matrix", "graph"],
     )
     def test_label_with_a_comma_rejected(self, capsys, tmp_path, kind, text):
         # --X, --e and --subset split on commas, so none could name it.
