@@ -26,12 +26,12 @@ base parts directly.  A query is (A, top), a in bit 0 of top and gamma
 in bit 1.  It reads its matched cases, its closure shape and its rank
 from the case plan of its key, the record's signature | top; the hits
 are counted per key and become case counts at the end.  A part whose
-record has cl(A) = A is a base flat, and its four lifts meet the flat
-conditions on the same spans.  The report lists disagreements by
-subset size, then position; with --sample, in draw order, or in mask
-order when N covers every subset; flat violations by base flat, then
-top.  JSON is rendered with one join per list or object, byte for byte
-as json.dumps with indent=2.
+record has cl(A) = A is a base flat, and the flat conditions of its
+four lifts are checked on the same spans.  The report lists
+disagreements by subset size, then position; with --sample, in draw
+order, or in mask order when N covers every subset; flat violations by
+base flat, then top.  JSON is rendered with one join per list or
+object, byte for byte as json.dumps with indent=2.
 
 The report's witnesses stay position masks until ``main`` writes them.
 Each witness list is a ``_Witnesses`` of tuples in report order, which
