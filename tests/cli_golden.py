@@ -1,13 +1,13 @@
 """Every ``essplit`` command on the wheel, in text and in JSON.
 
 Runs ``essplit.cli.main`` in process on the wheel of
-``essplit.showcase`` (X = {x, y}, e = y) and prints each run: a header
-with its argv and exit code, then its stdout, then its stderr if any.
-``tests/golden/cli-wheel.txt`` holds the expected output, and
-``test_cli.py`` diffs the two.  It uses the standard library only, so it
-also runs without pytest::
+``essplit.showcase`` (``tests/golden/wheel.txt``, X = {x, y}, e = y)
+and prints each run: a header with its argv and exit code, then its
+stdout, then its stderr if any.  ``tests/golden/cli-wheel.txt`` holds
+the expected output; the pin ``cli-wheel.txt`` of ``tests/pins.py``
+compares the two.  Run alone, it prints the runs::
 
-    PYTHONPATH=src python tests/cli_golden.py | diff -u tests/golden/cli-wheel.txt -
+    PYTHONPATH=src python tests/cli_golden.py
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
-import tempfile
 from pathlib import Path
 
 from essplit.cli import main
-from essplit.gf2 import format_matrix
-from essplit.showcase import showcase_context
+
+WHEEL = Path(__file__).resolve().parent / "golden" / "wheel.txt"
 
 SUBSETS = ("4,gamma", "1,2,5", "1,6,a")
 MODES = ("formula", "oracle", "both")
@@ -52,19 +51,16 @@ def runs() -> list[list[str]]:
 def render() -> str:
     """The text of every run, in the order of ``runs``."""
     parts = []
-    with tempfile.TemporaryDirectory() as tmp:
-        wheel = Path(tmp) / "wheel.txt"
-        wheel.write_text(format_matrix(showcase_context().base.matrix))
-        instance = ["--input", str(wheel), "--X", "x,y", "--e", "y"]
-        for argv in runs():
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([argv[0], *instance, *argv[1:]])
-            shown = " ".join([argv[0], "--input wheel.txt --X x,y --e y", *argv[1:]])
-            parts.append(f"=== essplit {shown} -> exit {code}\n")
-            parts.append(out.getvalue())
-            if err.getvalue():
-                parts.append("--- stderr\n" + err.getvalue())
+    instance = ["--input", str(WHEEL), "--X", "x,y", "--e", "y"]
+    for argv in runs():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], *instance, *argv[1:]])
+        shown = " ".join([argv[0], "--input wheel.txt --X x,y --e y", *argv[1:]])
+        parts.append(f"=== essplit {shown} -> exit {code}\n")
+        parts.append(out.getvalue())
+        if err.getvalue():
+            parts.append("--- stderr\n" + err.getvalue())
     return "".join(parts)
 
 

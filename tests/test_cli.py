@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import random
@@ -13,21 +12,15 @@ from hypothesis import strategies as st
 import essplit
 from essplit import BinaryMatroid, GF2Matrix, splitting
 from essplit.cli import _json_text, main
-from essplit.gf2 import format_matrix
 from essplit.graphs import format_graph
 from essplit.showcase import showcase_graph, showcase_matroid
 
-from cli_golden import render
-from reference import assert_same_output
-
-GOLDEN = Path(__file__).parent / "golden" / "cli-wheel.txt"
+from pins import GOLDEN, LARGE40, LARGE40_QUERY
 
 
 @pytest.fixture()
-def wheel_matrix_file(tmp_path):
-    path = tmp_path / "wheel.txt"
-    path.write_text(format_matrix(showcase_matroid().matrix))
-    return str(path)
+def wheel_matrix_file():
+    return str(GOLDEN / "wheel.txt")
 
 
 @pytest.fixture()
@@ -53,158 +46,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_every_command_matches_the_wheel_golden():
-    assert_same_output(render(), GOLDEN.read_text())
-
-
-# A 12-element base of rank 5 with a loop (p11, in X) and a parallel pair
-# (p9, p12, one of them in X), drawn once from a seeded generator.  Its
-# split has 89 circuits and 434 flats, enough for an ordering slip in the
-# circuit trims or the flat listing to show.
-MID_INSTANCE = ["--X", "p1,p2,p4,p8,p11,p12", "--e", "p2", "--mode", "both"]
-
-
-@pytest.mark.parametrize("command", ["circuits", "flats"])
-@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-def test_mid_instance_matches_its_golden(capsys, command, fmt, suffix):
-    golden = GOLDEN.parent
-    code, out, err = run(
-        capsys, command, "--input", str(golden / "mid12.txt"),
-        *MID_INSTANCE, "--format", fmt,
-    )
-    assert (code, err) == (0, "")
-    assert_same_output(out, (golden / f"mid12-{command}.{suffix}").read_text())
-
-
-def golden_digests(name: str) -> dict[str, str]:
-    """File name to sha256 hex digest, from a ``sha256sum`` listing."""
-    text = (GOLDEN.parent / name).read_text()
-    return {file: digest for digest, file in (line.split() for line in text.splitlines())}
-
-
-@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-def test_mid_instance_sweep_matches_its_digest(capsys, fmt, suffix):
-    # The exhaustive check covers all 16,384 subsets of the split and
-    # finds 2,491 closure disagreements over 10 table cases, so it exits
-    # 3.  The reports are pinned by digest: the JSON one is 1.3 MB.
-    code, out, err = run(
-        capsys, "check", "--input", str(GOLDEN.parent / "mid12.txt"),
-        *MID_INSTANCE[:4], "--format", fmt,
-    )
-    assert (code, err) == (3, "")
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digest == golden_digests("mid12-check.sha256")[f"mid12-check.{suffix}"]
-
-
-# A 14-element base of rank 4 with loops at both ends (r01 outside X,
-# r14 inside it), a parallel pair inside X (r05, r12) and one across X
-# (r04 in it, r13 not), drawn once from a seeded generator.  Many base
-# parts share a span, so the check walk meets each span from several
-# bases; its 65,536 subsets give 5,906 closure disagreements, so exit 3.
-MID14_INSTANCE = [
-    "--input", str(GOLDEN.parent / "mid14.txt"),
-    "--X", "r02,r04,r05,r07,r09,r10,r11,r12,r14", "--e", "r11",
-]
-
-
-@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-def test_shared_span_instance_sweep_matches_its_digest(capsys, fmt, suffix):
-    code, out, err = run(capsys, "check", *MID14_INSTANCE, "--format", fmt)
-    assert (code, err) == (3, "")
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digest == golden_digests("mid14-check.sha256")[f"mid14-check.{suffix}"]
-
-
-@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-def test_shared_span_instance_sample_matches_its_digest(capsys, fmt, suffix):
-    # 5,000 distinct draws in draw order, and the base flats, each base
-    # part queried once; 434 closure disagreements, so exit 3.
-    code, out, err = run(
-        capsys, "check", *MID14_INSTANCE, "--sample", "5000", "--seed", "3",
-        "--format", fmt,
-    )
-    assert (code, err) == (3, "")
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digest == golden_digests("mid14-sample.sha256")[f"mid14-sample.{suffix}"]
-
-
-# A 22-element base of rank 10 with a loop (q16) and a parallel pair
-# (q14, q18), drawn once from a seeded generator.  Its split has 24
-# elements, the enumeration cap, and rank 11, so the cycle-space walk
-# visits 2^13 vectors; it has 1,701 circuits, pinned by digest.
-MID22_INSTANCE = [
-    "--input", str(GOLDEN.parent / "mid22.txt"),
-    "--X", "q02,q03,q04,q05,q07,q08,q09,q11,q12,q14,q15,q16,q18,q19,q21,q22",
-    "--e", "q07", "--mode", "both",
-]
-
-
-@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-def test_cap_instance_circuits_match_their_digest(capsys, fmt, suffix):
-    code, out, err = run(capsys, "circuits", *MID22_INSTANCE, "--format", fmt)
-    assert (code, err) == (0, "")
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digest == golden_digests("mid22-circuits.sha256")[f"mid22-circuits.{suffix}"]
-
-
-# A 16-element base of rank 3 with two loops (s06, s10) and parallel
-# classes, drawn once from a seeded generator.  Its split has 18
-# elements and rank 4, and its 328 circuits, found by the cycle-space
-# walk on the simplification and swapped over the parallel classes,
-# are pinned by digest.
-MID16_INSTANCE = [
-    "--input", str(GOLDEN.parent / "mid16.txt"),
-    "--X", "s01,s04,s05,s08,s09,s10,s11,s12,s14", "--e", "s14", "--mode", "both",
-]
-
-
-@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-def test_rank_three_instance_circuits_match_their_digest(capsys, fmt, suffix):
-    code, out, err = run(capsys, "circuits", *MID16_INSTANCE, "--format", fmt)
-    assert (code, err) == (0, "")
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digest == golden_digests("mid16-circuits.sha256")[f"mid16-circuits.{suffix}"]
-
-
-# A 20-element base of rank 3 with four loops (t01, t07, t09, t17) and
-# five parallel classes of two to four members, drawn once from a seeded
-# generator.  It has 209 circuits; its split has 22 elements, rank 4
-# and 695 circuits, pinned by digest.
-LOW20_INSTANCE = [
-    "--input", str(GOLDEN.parent / "low20.txt"),
-    "--X", "t01,t02,t06,t09,t10,t11,t13,t14", "--e", "t14", "--mode", "both",
-]
-
-
-@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-def test_twenty_element_rank_three_circuits_match_their_digest(capsys, fmt, suffix):
-    code, out, err = run(capsys, "circuits", *LOW20_INSTANCE, "--format", fmt)
-    assert (code, err) == (0, "")
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digest == golden_digests("low20-circuits.sha256")[f"low20-circuits.{suffix}"]
-
-
-# A 40-element base of rank 12 with a loop (v30) and parallel classes,
-# drawn once from a seeded generator: above the 24-element circuit cap,
-# which ``closure``, ``rank`` and ``flats --subset`` no longer reach.
-LARGE_INSTANCE = [
-    "--input", str(GOLDEN.parent / "large40.txt"),
-    "--X", "v02,v04,v06,v08,v10,v11,v14,v15,v16,v17,v19,v20,v21,v22,v24,v27,v29,v31,v35,v37,v38",
-    "--e", "v10",
-]
-LARGE_QUERY = ["--subset", "v06,v07,v09,v21,v25,v28,v37,gamma", "--mode", "both"]
-
-
-@pytest.mark.parametrize("command", ["closure", "rank"])
-@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-def test_large_instance_matches_its_golden(capsys, command, fmt, suffix):
-    code, out, err = run(
-        capsys, command, *LARGE_INSTANCE, *LARGE_QUERY, "--format", fmt
-    )
-    assert (code, err) == (0, "")
-    assert_same_output(out, (GOLDEN.parent / f"large40-{command}.{suffix}").read_text())
-
-
 class TestAboveTheCircuitCap:
     """``closure``, ``rank`` and ``flats --subset`` answer on 40 base
     elements; before the base facts came from ranks they exited 2."""
@@ -212,24 +53,24 @@ class TestAboveTheCircuitCap:
     @pytest.mark.parametrize("command", ["closure", "rank"])
     def test_query_agrees_with_the_oracle(self, capsys, command):
         code, out, err = run(
-            capsys, command, *LARGE_INSTANCE, *LARGE_QUERY, "--format", "json"
+            capsys, command, *LARGE40, *LARGE40_QUERY, "--format", "json"
         )
         assert (code, err) == (0, "")
         assert json.loads(out)["agree"] is True
 
     def test_flats_subset_answers(self, capsys):
         code, out, _ = run(
-            capsys, "closure", *LARGE_INSTANCE, *LARGE_QUERY, "--format", "json"
+            capsys, "closure", *LARGE40, *LARGE40_QUERY, "--format", "json"
         )
         closed = ",".join(json.loads(out)["oracle"])
         code, out, err = run(
-            capsys, "flats", *LARGE_INSTANCE, "--subset", closed, "--format", "json"
+            capsys, "flats", *LARGE40, "--subset", closed, "--format", "json"
         )
         assert (code, err) == (0, "")
         assert json.loads(out)["is_flat"] is True
 
     def test_check_keeps_its_caps(self, capsys):
-        code, _, err = run(capsys, "check", *LARGE_INSTANCE, "--sample", "5")
+        code, _, err = run(capsys, "check", *LARGE40, "--sample", "5")
         assert code == 2
         assert err == "error: 40 elements exceed the enumeration cap of 24\n"
 
@@ -892,14 +733,6 @@ def test_closed_pipe_ends_silently(wheel_matrix_file):
 
 
 class TestDemo:
-    def test_demo_runs_and_flags_known_defects(self, capsys):
-        code, out, _ = run(capsys, "demo-fig2")
-        assert code == 0
-        assert "cl'({4,5,gamma}) = {3,4,5,gamma}" in out
-        assert "rejected: {3,4,5,x,y,a}" in out
-        assert "base rank: 4" in out
-        assert "split rank: 5" in out
-
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1

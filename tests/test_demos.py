@@ -2,7 +2,10 @@
 its golden output in ``tests/golden/demos/``.
 
 The demos are deterministic, so the goldens pin what they show of the
-public API.  Without pytest the same check is::
+public API.  They are scripts, not runs of the ``essplit`` command, so
+they stay out of the pin table of ``tests/pins.py``, and the pin tests
+leave ``tests/golden/demos/`` to this file.  Without pytest the same
+check is::
 
     for f in demos/*.py; do
         PYTHONPATH=src python "$f" | diff -u "tests/golden/demos/$(basename "$f" .py).txt" -
