@@ -24,8 +24,12 @@ span met at several bases are computed once
 (``BinaryMatroid.walk_closures``); a sampled run queries each of its
 base parts directly.  A query is (A, top), a in bit 0 of top and gamma
 in bit 1.  It reads its matched cases, its closure shape and its rank
-from the case plan of its key, the record's signature | top; the hits
-are counted per key and become case counts at the end.  A part whose
+from the case plan of its key, the record's signature | top.  Each
+signature's four rows, one per top (shape index, cases, rank offset,
+top << n and the index of the answer in the spans), are read off its
+plans once; an exhaustive run counts hits per signature, a sampled one
+per key, and both become case counts at the end.  The records of one
+span share their span part (``_BaseFacts``), derived once.  A part whose
 record has cl(A) = A is a base flat, and the flat conditions of its
 four lifts are checked on the same spans.  The report lists
 disagreements by subset size, then position; with --sample, in draw
@@ -454,6 +458,8 @@ def cmd_check(args: argparse.Namespace) -> Result:
     # and A+a+gamma.
     extras = (*ctx.lift_extras, n + 1)
 
+    signature_rows: dict[int, list[tuple]] = {}
+    signature_hits: dict[int, int] = {}
     plan_hits: dict[int, int] = {}
     closure_found: list[tuple[int, tuple[str, ...], int, int]] = []
     rank_found: list[tuple[int, int, int]] = []
@@ -463,9 +469,10 @@ def cmd_check(args: argparse.Namespace) -> Result:
     # queries (A, top), all on position masks.  A query's plan key is
     # the record's signature | top; the plan gives the matched cases,
     # the shape of the closure, the rank offset and the flat condition.
-    # Hits are counted per key and expanded into cases at the end.  The
-    # witnesses stay masks, sorted into report order; only their
-    # rendering reads labels.
+    # Each signature's rows, one per top, are read off its plans once.
+    # Hits are counted per signature in an exhaustive run, else per key,
+    # and expanded into cases at the end.  The witnesses stay masks,
+    # sorted into report order; only their rendering reads labels.
     groups, order = _check_plan(ctx, oracle, args.sample, args.seed)
     if groups is None:
         parts = oracle.walk_closures(extras, n)
@@ -474,19 +481,29 @@ def cmd_check(args: argparse.Namespace) -> Result:
     for base, spans in parts:
         facts = _BaseFacts(ctx, base, spans)
         signature, shapes = facts.signature, facts.table_shapes
-        for top in range(4) if groups is None else groups[base]:
-            key = signature | top
-            plan_hits[key] = plan_hits.get(key, 0) + 1
-            plan = _plan(key)
-            formula = facts.closure(plan.table, shapes)
-            oracle_rank, oracle_closure = spans[top << 1]
+        rows = signature_rows.get(signature)
+        if rows is None:
+            # (shape index, cases, rank offset, top << n, answer index)
+            plans = [_plan(signature | top) for top in range(4)]
+            rows = signature_rows[signature] = [
+                (plan.table.shape, plan.table, plan.rank, top << n, top << 1)
+                for top, plan in enumerate(plans)
+            ]
+        if groups is None:
+            signature_hits[signature] = signature_hits.get(signature, 0) + 1
+        else:
+            tops = groups[base]
+            rows = [rows[top] for top in tops]
+            for top in tops:
+                plan_hits[signature | top] = plan_hits.get(signature | top, 0) + 1
+        for shape, cases, rank_offset, high, answer in rows:
+            formula = shapes[shape] if shape is not None else facts.closure(cases, shapes)
+            oracle_rank, oracle_closure = spans[answer]
             if formula is not None and formula != oracle_closure:
-                closure_found.append(
-                    (base | top << n, plan.table.ids, formula, oracle_closure)
-                )
-            formula_rank = facts.rank + plan.rank
+                closure_found.append((base | high, cases.ids, formula, oracle_closure))
+            formula_rank = facts.rank + rank_offset
             if formula_rank != oracle_rank:
-                rank_found.append((base | top << n, formula_rank, oracle_rank))
+                rank_found.append((base | high, formula_rank, oracle_rank))
         if facts.cl == base:
             # A base flat F: F + top under each flat condition.
             for top in range(4):
@@ -495,6 +512,9 @@ def cmd_check(args: argparse.Namespace) -> Result:
                 if condition is not None and spans[top << 1][1] != a_prime:
                     flat_found.append((a_prime, condition))
 
+    for signature, hits in signature_hits.items():
+        for top in range(4):
+            plan_hits[signature | top] = hits
     case_hits: dict[str, int] = {}
     no_case = 0
     for key, hits in plan_hits.items():

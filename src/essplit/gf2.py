@@ -21,6 +21,7 @@ deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -171,7 +172,10 @@ def parse_matrix(text: str, source: str = "<string>") -> GF2Matrix:
         if labels is None:
             labels = tuple(line.split())
             if len(set(labels)) != len(labels):
-                raise ParseError(f"{source}:{lineno}: duplicate column labels")
+                repeated = sorted(lab for lab, count in Counter(labels).items() if count > 1)
+                raise ParseError(
+                    f"{source}:{lineno}: duplicate column labels {repeated!r}"
+                )
             continue
         fields = line.split()
         if len(fields) != len(labels):

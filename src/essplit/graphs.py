@@ -18,6 +18,7 @@ check enumerates nothing, so it has no size cap.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,7 +44,8 @@ class LabeledGraph:
             raise ValueError("vertex names must be distinct")
         labels = [label for label, _, _ in self.edges]
         if len(set(labels)) != len(labels):
-            raise ValueError("edge labels must be distinct")
+            repeated = sorted(lab for lab, count in Counter(labels).items() if count > 1)
+            raise ValueError(f"edge labels must be distinct; repeated: {repeated!r}")
         declared = set(self.vertices)
         for label, u, v in self.edges:
             if u not in declared or v not in declared:
@@ -231,17 +233,22 @@ def format_graph(g: LabeledGraph) -> str:
 def parse_graph(text: str, source: str = "<string>") -> LabeledGraph:
     """Parse the edge-list format: ``label u v`` per line, ``#`` comments.
 
+    A field that starts with ``#`` ends the line, so a comment may follow
+    an edge; a ``#`` inside a field, as in the label ``e#1``, is kept.
     The vertex set is inferred from the endpoints.
     """
     edges: list[tuple[str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        for end, field in enumerate(fields):
+            if field.startswith("#"):
+                del fields[end:]
+                break
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) != 3:
             raise ParseError(
-                f"{source}:{lineno}: expected 'label u v', got {line!r}"
+                f"{source}:{lineno}: expected 'label u v', got {raw.strip()!r}"
             )
         edges.append((fields[0], fields[1], fields[2]))
     if not edges:

@@ -29,12 +29,18 @@ column a = (0, 1), built from the base matrix and X), which hold those
 of A and A + e in the base and in M', the base plus the parity row, and
 the components of M|cl(A) from fundamental circuits; its docstring
 proves each fact and that every predictor reads F* and T under their
-guards only.  So a record costs one elimination at any size.  The rank
-formula, both closure tables and the flat conditions read A only through
-a few predicates, the record's signature, so their rows are evaluated
-once per signature and query into a case plan (``_plan``, built on first
-use), and a record reads its answers from the plan and its closure from
-its shapes.  A split query is (A, top): its base part and its two top
+guards only.  So a record costs one elimination at any size.  Every
+fact but F and whether e is in A reads A only through its spans, which
+the span of A in N fixes: these facts are the record's span part
+(``_BaseFacts._span_part``), derived once per spans tuple and kept by
+content on the ``SplitContext``.  A sweep's 2^n base parts share far
+fewer spans, and a part adds only F, the three table shapes on
+cl(A) - F and two signature bits.  The rank formula, both closure
+tables and the flat conditions read A only through a few predicates,
+the record's signature, so their rows are evaluated once per signature
+and query into a case plan (``_plan``, built on first use), and a
+record reads its answers from the plan and its closure from its
+shapes.  A split query is (A, top): its base part and its two top
 bits, a in bit 0 and gamma in bit 1, so A' is A | top << n and the four
 queries of one A share its record.
 ``_BaseFacts.at`` makes the record of one base part.  ``essplit
@@ -242,6 +248,12 @@ class SplitContext:
         return part
 
     @cached_property
+    def _span_parts(self) -> dict[tuple[tuple[int, int], ...], tuple]:
+        """The span part of ``_BaseFacts`` per spans tuple, by content:
+        a sweep meets each span at many base parts."""
+        return {}
+
+    @cached_property
     def ox_masks(self) -> tuple[int, ...]:
         """The base circuits of odd overlap with X, as position masks in
         canonical order."""
@@ -433,9 +445,15 @@ class _BaseFacts:
     computed when the record is made, so one record serves the four
     split queries (A, top), top holding a in bit 0 and gamma in bit 1.
     So is ``signature``: the predicates the case rows read (``_Key``),
-    shifted up by two bits.  The rank formula, both closure predictors
-    and the flat conditions of a query depend on A only through them, so
-    each query reads its answers from the ``_plan`` of its key,
+    shifted up by two bits.  Every fact above but F and ``e_in_a``, the
+    signature's bits 7 and 9, reads the spans only, and so the span of A
+    in N only.  They are the span part, which ``_span_part`` derives and
+    ``SplitContext`` keeps per spans tuple, by content, so the records
+    of one span share it.  A record adds F = odd part - A, the shapes
+    cl - F, cl - F + gamma and cl - F + gamma + T, and those two bits.
+    The rank formula, both closure predictors and the flat conditions of
+    a query depend on A only through the signature and top, so each
+    query reads its answers from the ``_plan`` of its key,
     signature | top, and takes its closure from the shapes.  The public
     predictors below make the record of the A that ``_query`` splits
     off their labels.
@@ -455,6 +473,34 @@ class _BaseFacts:
         are those four plus, at most, the bit of gamma: the split matrix
         without gamma is N.  Only the first four are read, and no fact
         reads a bit at or above a of their closures."""
+        memo = ctx._span_parts
+        span = memo.get(spans)
+        if span is None:
+            span = memo[spans] = _BaseFacts._span_part(ctx, spans)
+        (
+            self.rank, cl, self.cl_e, self.e_in_cl, self.ox_a, self.ox_ae,
+            self.ox_cl, self.f_star, self.t, odd, cl_a, cl_g_t, cl_aeg, g_t,
+            signature,
+        ) = span
+        # The part of A itself: F, the three shapes on cl(A) - F, and the
+        # bits of F and of e in A.
+        self.ctx = ctx
+        self.a = a
+        self.cl = cl
+        self.f = f = odd & ~a
+        cl_f = cl & ~f
+        self.table_shapes = (
+            cl_f, cl, cl_a, cl_f | ctx.gamma_bit, cl_f | g_t, cl_g_t, cl_aeg
+        )
+        self.signature = signature | (f != 0) << 7 | (a & ctx.e_bit != 0) << 9
+
+    @staticmethod
+    def _span_part(ctx: SplitContext, spans: tuple[tuple[int, int], ...]) -> tuple:
+        """The facts that ``spans`` alone gives, for every base part A
+        with these spans: rank, cl, cl_e, e_in_cl, ox_a, ox_ae, ox_cl,
+        f_star and t, the odd part of cl(A), the table shapes cl + a,
+        cl + gamma + T and cl + {a, e, gamma}, gamma + T, and the
+        signature but for its bits of F and of e in A."""
         e, a_bit, g = ctx.e_bit, ctx.a_bit, ctx.gamma_bit
         (rank_p, cl_p), (rank_pe, cl_pe), (rank, cl), (rank_e, cl_e) = spans[:4]
         # Take a out of the ranks of A + a and A + e + a, and a and gamma
@@ -462,39 +508,26 @@ class _BaseFacts:
         rank, rank_e = rank - 1, rank_e - 1
         below_a = a_bit - 1
         cl, cl_e = cl & below_a, cl_e & below_a
-        self.ctx = ctx
-        self.a = a
-        self.rank = rank
-        self.cl = cl
-        self.cl_e = cl_e
-        self.e_in_cl = e_in_cl = cl & e != 0
-        self.ox_a = ox_a = rank_p > rank
-        self.ox_ae = ox_ae = rank_pe > rank_e
+        e_in_cl = cl & e != 0
+        ox_a = rank_p > rank
+        ox_ae = rank_pe > rank_e
         odd = ctx.odd_part(cl)
-        self.ox_cl = ox_cl = odd != 0
-        self.f = f = odd & ~a
-        self.f_star = f_star = cl & ~cl_p
-        self.t = t = cl_e & ~cl & ~cl_pe & ~e
-        cl_f = cl & ~f
-        self.table_shapes = (
-            cl_f,
-            cl,
-            cl | a_bit,
-            cl_f | g,
-            cl_f | g | t,
-            cl | g | t,
-            cl | a_bit | e | g,
-        )
-        # The predicates of ``_Key`` in its order, from bit 2 up.
-        self.signature = (
+        ox_cl = odd != 0
+        f_star = cl & ~cl_p
+        t = cl_e & ~cl & ~cl_pe & ~e
+        # The predicates of ``_Key`` in its order, from bit 2 up, but for
+        # f (bit 7) and e_in_a (bit 9).
+        signature = (
             ox_a << 2
             | ox_ae << 3
             | ox_cl << 4
             | e_in_cl << 5
             | (f_star & e != 0) << 6
-            | (f != 0) << 7
             | (t != 0) << 8
-            | (a & e != 0) << 9
+        )
+        return (
+            rank, cl, cl_e, e_in_cl, ox_a, ox_ae, ox_cl, f_star, t, odd,
+            cl | a_bit, cl | g | t, cl | a_bit | e | g, g | t, signature,
         )
 
     @classmethod

@@ -178,6 +178,16 @@ class TestSplit:
         assert (code, err) == (0, "")
         assert out.splitlines()[0].split() == ["p", "q", "a", "gamma"]
 
+    def test_comment_after_an_edge_in_graph_file(self, capsys, wheel_graph_file, tmp_path):
+        # --help says # starts a comment; one may follow an edge.
+        path = tmp_path / "commented.graph"
+        lines = Path(wheel_graph_file).read_text().splitlines()
+        path.write_text("".join(f"{line}  # edge {i}\n" for i, line in enumerate(lines)))
+        argv = ["split", "--kind", "graph", "--X", "x,y", "--e", "y"]
+        commented = run(capsys, *argv, "--input", str(path))
+        assert commented == run(capsys, *argv, "--input", wheel_graph_file)
+        assert commented[0] == 0
+
     def test_byte_order_mark_in_graph_file(self, capsys, wheel_graph_file, tmp_path):
         path = tmp_path / "bom.graph"
         path.write_text("\ufeff" + Path(wheel_graph_file).read_text(), encoding="utf-8")

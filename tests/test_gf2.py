@@ -184,6 +184,11 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="duplicate"):
             parse_matrix("a a\n0 0\n")
 
+    def test_parse_names_repeated_labels_sorted(self):
+        with pytest.raises(ParseError) as got:
+            parse_matrix("c b a b c d\n0 0 0 0 0 0\n", "f.txt")
+        assert str(got.value) == "f.txt:1: duplicate column labels ['b', 'c']"
+
     def test_parse_rejects_empty(self):
         with pytest.raises(ParseError):
             parse_matrix("\n\n")

@@ -449,6 +449,22 @@ class TestGraphTextFormat:
         g = parse_graph("# a triangle\npq p q\n\nqr q r\nrp r p\n")
         assert len(g.edges) == 3
 
+    @pytest.mark.parametrize("comment", ["  # anchor", " #anchor", "\t#"])
+    def test_comment_after_an_edge(self, comment):
+        g = parse_graph(f"e u v{comment}\nf v w # two words\n")
+        assert g.edges == (("e", "u", "v"), ("f", "v", "w"))
+
+    def test_hash_inside_a_field_is_kept(self):
+        g = parse_graph("e#1 u v# # a comment\n#f v w\n")
+        assert g.edges == (("e#1", "u", "v#"),)
+
+    def test_repeated_edge_labels_are_named_sorted(self):
+        with pytest.raises(ParseError) as got:
+            parse_graph("f p q\ne q r\ng r p\ne p p\nf q q\n", "g.txt")
+        assert str(got.value) == (
+            "g.txt: edge labels must be distinct; repeated: ['e', 'f']"
+        )
+
     def test_bad_line_reports_position(self):
         with pytest.raises(ParseError, match="g.txt:2"):
             parse_graph("pq p q\nbroken line here extra\n", "g.txt")

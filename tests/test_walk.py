@@ -10,8 +10,11 @@ split matrix with the extras e, a and gamma, is checked to hold N's
 answers and the oracle's, and its parts with cl(A) = A to be the base
 flats.  The position-mask record
 ``splitting._BaseFacts`` is checked against the label-set definitions of
-``reference_base_facts``, F* and T under their guards.  The matrices
-have loops, parallel classes and zero rows, and e is often a loop.
+``reference_base_facts``, F* and T under their guards.  Its span part,
+shared by the parts of one span, is checked against records made on a
+fresh context, and an exhaustive ``check`` is checked to derive it once
+per span.  The matrices have loops, parallel classes and zero rows,
+and e is often a loop.
 """
 
 import random
@@ -279,6 +282,64 @@ class TestOneWalk:
             ]
             assert sorted(closed) == sorted(base.flats(masks=True))
         assert min(e_loops, parallel, with_loops) >= 20
+
+
+class TestSpanPart:
+    """``_BaseFacts`` derives the facts that depend on span(A) once per
+    spans tuple of a ``SplitContext`` and the rest per part."""
+
+    def test_walked_records_equal_records_on_a_fresh_context(self):
+        e_loops = parallel = with_loops = 0
+        f_differs = e_in_a_differs = 0
+        for ctx, _ in random_contexts(42, count=80):
+            base, n = ctx.base, len(ctx.base.ground)
+            cols = [word for word in base._cols if word]
+            e_loops += base.matrix.column(ctx.e) == 0
+            parallel += len(set(cols)) < len(cols)
+            with_loops += len(cols) < n
+            by_span = {}
+            walk = split_matroid(ctx).walk_closures((*ctx.lift_extras, n + 1), n)
+            for mask, spans in walk:
+                facts = _BaseFacts(ctx, mask, spans)
+                fresh = SplitContext(base, ctx.x_set, ctx.e, ctx.label_a, ctx.label_gamma)
+                expected = _BaseFacts.at(fresh, mask)
+                for name in (*_BaseFacts.__slots__, "rule_shapes"):
+                    assert getattr(facts, name) == getattr(expected, name), name
+                by_span.setdefault(spans, []).append(facts)
+            assert len(ctx._span_parts) == len(by_span)
+            for records in by_span.values():
+                f_differs += len({facts.f for facts in records}) > 1
+                e_in_a_differs += len({facts.a & ctx.e_bit for facts in records}) > 1
+        assert min(e_loops, parallel, with_loops) >= 10
+        assert min(f_differs, e_in_a_differs) >= 50
+
+    def test_exhaustive_check_of_mid14_derives_each_span_once(self, monkeypatch, capsys):
+        # 183 distinct spans among the 16,384 walked base parts.
+        derived = Counter()
+        span_part = _BaseFacts._span_part
+
+        def counting(ctx, spans):
+            derived[spans] += 1
+            return span_part(ctx, spans)
+
+        walked = set()
+        walk_closures = BinaryMatroid.walk_closures
+
+        def recording(matroid, extra, width):
+            for mask, spans in walk_closures(matroid, extra, width):
+                walked.add(spans)
+                yield mask, spans
+
+        monkeypatch.setattr(_BaseFacts, "_span_part", staticmethod(counting))
+        monkeypatch.setattr(BinaryMatroid, "walk_closures", recording)
+        golden = Path(__file__).parent / "golden" / "mid14.txt"
+        code = main(["check", "--input", str(golden),
+                     "--X", "r02,r04,r05,r07,r09,r10,r11,r12,r14", "--e", "r11",
+                     "--format", "json"])
+        capsys.readouterr()
+        assert code == 3
+        assert set(derived) == walked
+        assert sum(derived.values()) == len(walked) == 183
 
 
 class TestMaskRecord:
