@@ -19,8 +19,9 @@ row and the column a), column for column, and entries 0-3 are N's
 answers but for the bit of gamma, which the record drops.
 ``cmd_check`` checks that equality before any work, so the record reads
 base data only.  An exhaustive run walks the base parts depth first,
-so each A costs at most one column projection, and the answers of a
-span met at several bases are computed once
+so each A costs at most one column projection, and each span's answers
+and the record's span part (``_BaseFacts._span_part``) are computed
+once, the walk carrying the span part with the answers in its memo
 (``BinaryMatroid.walk_closures``); a sampled run queries each of its
 base parts directly.  A query is (A, top), a in bit 0 of top and gamma
 in bit 1.  It reads its matched cases, its closure shape and its rank
@@ -28,8 +29,7 @@ from the case plan of its key, the record's signature | top.  Each
 signature's four rows, one per top (shape index, cases, rank offset,
 top << n and the index of the answer in the spans), are read off its
 plans once; an exhaustive run counts hits per signature, a sampled one
-per key, and both become case counts at the end.  The records of one
-span share their span part (``_BaseFacts``), derived once.  A part whose
+per key, and both become case counts at the end.  A part whose
 record has cl(A) = A is a base flat, and the flat conditions of its
 four lifts are checked on the same spans.  The report lists
 disagreements by subset size, then position; with --sample, in draw
@@ -474,12 +474,18 @@ def cmd_check(args: argparse.Namespace) -> Result:
     # and expanded into cases at the end.  The witnesses stay masks,
     # sorted into report order; only their rendering reads labels.
     groups, order = _check_plan(ctx, oracle, args.sample, args.seed)
+
+    # A span's answers with the record's span part, which the walk
+    # derives once per span.
+    def derive(spans: tuple[tuple[int, int], ...]) -> tuple:
+        return spans, _BaseFacts._span_part(ctx, spans)
+
     if groups is None:
-        parts = oracle.walk_closures(extras, n)
+        parts = oracle.walk_closures(extras, n, derive)
     else:
-        parts = ((part, oracle.closures_at(part, extras)) for part in groups)
-    for base, spans in parts:
-        facts = _BaseFacts(ctx, base, spans)
+        parts = ((part, derive(oracle.closures_at(part, extras))) for part in groups)
+    for base, (spans, span) in parts:
+        facts = _BaseFacts(ctx, base, span)
         signature, shapes = facts.signature, facts.table_shapes
         rows = signature_rows.get(signature)
         if rows is None:

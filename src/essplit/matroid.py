@@ -10,14 +10,17 @@ span(A), one pass (``_spans``) gives the rank and the closure of A + S
 for every S inside a few extra elements; ``closures_at`` runs it for
 one A, and ``rank_of`` and ``closure_of`` are the label views of its
 case S = {}.
-``walk_closures`` answers for every A in one depth-first walk: each
-child adds one column above its parent's, so its residues follow from
-the parent's by one projection, and a span met at several bases has its
-answers computed once, kept in a memo of the walk under the residues,
-which are the same at every basis.  ``fundamental_circuits`` gives the
-circuits of a basis of A, one elimination with tag bits.  The two
-enumerations follow the size of their answer rather than walking every
-subset:
+``walk_closures`` answers for every A in one depth-first walk over the
+sets B of non-loops: each child adds one column above its parent's, so
+its residues follow from the parent's by one projection; B + L, for
+each set L of loops, shares the answers of B; and a span met at several
+bases has its answers computed once, kept in a memo of the walk under
+the residues, which are the same at every basis.  So each span is
+computed once, and a function of its answers that the caller passes is
+applied once per span and carried in their place.
+``fundamental_circuits`` gives the circuits of a basis of A, one
+elimination with tag bits.  The two enumerations follow the size of
+their answer rather than walking every subset:
 
 * ``circuits()`` walks the cycle space of the simplification (the
   kernel of its matrix, spanned by the fundamental circuits of a basis)
@@ -208,21 +211,33 @@ class BinaryMatroid:
         return _spans(residues, rank, extra_positions)
 
     def walk_closures(
-        self, extra_positions: Sequence[int], width: int
-    ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+        self,
+        extra_positions: Sequence[int],
+        width: int,
+        derive: Callable[[tuple[tuple[int, int], ...]], object] | None = None,
+    ) -> Iterator[tuple[int, object]]:
         """``closures_at`` for every subset A of the first ``width``
-        positions, each yielded once as (mask of A, answers).
+        positions, each yielded once as (mask of A, answers), or as
+        (mask of A, ``derive(answers)``) when ``derive`` is given.
 
-        The walk is depth first.  A child adds one position above every
-        position of its parent, so it gets its residues from the
-        parent's by one ``_project_out``, and when the new column already
-        lies in the parent's span nothing changes: the child's answers
-        are the parent's.  Parents come before their children; callers
-        must not rely on the order otherwise.
+        The walk is depth first over the sets B of walked non-loops.  A
+        child adds one non-loop position above every position of its
+        parent, so it gets its residues from the parent's by one
+        ``_project_out``, and when the new column already lies in the
+        parent's span nothing changes: the child's answers are the
+        parent's.  A walked loop is a zero column, in every span, so
+        B + L has the answers of B for every set L of walked loops: after
+        B the walk yields B + L for each nonempty L, in increasing order.
+        Every subset is B + L for one B and one L, so each is yielded
+        once.  Parents come before their children: the parent of B + L
+        drops its top position, and is B + L minus a loop, yielded
+        earlier in the same run, or B' + L for the parent B' of B, whose
+        run comes before B is walked.  Callers must not rely on the order
+        otherwise.
 
-        So answers are computed only at the A whose top column lies
-        outside the span of the rest, every independent set among them,
-        and they depend on span(A) alone.  A memo local to the walk keeps them by
+        So answers are computed only at the B whose top column lies
+        outside the span of the rest, the independent sets of non-loops,
+        and they depend on span(B) alone.  A memo local to the walk keeps them by
         the residue tuple, which names the span exactly.  Each residue
         is the member of its coset with no pivot bit, and the pivots are
         the lowest bits of the nonzero vectors of span(A): each pivot is
@@ -241,14 +256,16 @@ class BinaryMatroid:
         which is at most one of the two, and reads it at the other.  So
         every stored entry saves at least one ``_spans`` call, and the
         memo never holds more entries than the calls it saves.  Any
-        other span has one basis B among the walked positions and is
-        not stored, so a free matroid costs the memo nothing, with or
-        without loops.  Such a span is computed once at B and once at
-        B + L for each nonempty set L of walked loops below the top
-        position of B.
+        other span has one basis B among the walked non-loops, the only
+        node that computes it, and is not stored, so a free matroid
+        costs the memo nothing, with or without loops.  Hence each span
+        is computed exactly once, and ``derive`` runs once per span: the
+        memo stores its result, and the walk yields it, in place of the
+        answers.
         """
-        nonloops = sum(1 << pos for pos in range(width) if self._cols[pos])
-        memo: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+        loops = sum(1 << pos for pos in range(width) if not self._cols[pos])
+        nonloops = (1 << width) - 1 ^ loops
+        memo: dict[tuple[int, ...], object] = {}
         stack = [(0, 0, list(self._cols), None)]
         while stack:
             mask, rank, residues, answers = stack.pop()
@@ -256,18 +273,23 @@ class BinaryMatroid:
                 key = tuple(residues)
                 answers = memo.get(key)
                 if answers is None:
-                    answers = _spans(residues, rank, extra_positions)
-                    if (answers[0][1] & nonloops).bit_count() > rank:
+                    spans = _spans(residues, rank, extra_positions)
+                    answers = spans if derive is None else derive(spans)
+                    if (spans[0][1] & nonloops).bit_count() > rank:
                         memo[key] = answers
             yield mask, answers
-            # Highest first, so the lowest is popped next.
+            added = 0
+            while added := (added - loops) & loops:
+                yield mask | added, answers
+            # Highest first, so the lowest is popped next; a walked loop
+            # gets no child.
             for pos in range(width - 1, mask.bit_length() - 1, -1):
                 pivot = residues[pos]
                 if pivot:
                     stack.append(
                         (mask | 1 << pos, rank + 1, _project_out(residues, pivot), None)
                     )
-                else:
+                elif nonloops >> pos & 1:
                     stack.append((mask | 1 << pos, rank, residues, answers))
 
     def is_flat(self, labels: Iterable[str]) -> bool:

@@ -32,8 +32,8 @@ proves each fact and that every predictor reads F* and T under their
 guards only.  So a record costs one elimination at any size.  Every
 fact but F and whether e is in A reads A only through its spans, which
 the span of A in N fixes: these facts are the record's span part
-(``_BaseFacts._span_part``), derived once per spans tuple and kept by
-content on the ``SplitContext``.  A sweep's 2^n base parts share far
+(``_BaseFacts._span_part``), which ``essplit check`` derives once per
+span, in the memo of its walk.  A sweep's 2^n base parts share far
 fewer spans, and a part adds only F, the three table shapes on
 cl(A) - F and two signature bits.  The rank formula, both closure
 tables and the flat conditions read A only through a few predicates,
@@ -248,12 +248,6 @@ class SplitContext:
         return part
 
     @cached_property
-    def _span_parts(self) -> dict[tuple[tuple[int, int], ...], tuple]:
-        """The span part of ``_BaseFacts`` per spans tuple, by content:
-        a sweep meets each span at many base parts."""
-        return {}
-
-    @cached_property
     def ox_masks(self) -> tuple[int, ...]:
         """The base circuits of odd overlap with X, as position masks in
         canonical order."""
@@ -447,9 +441,11 @@ class _BaseFacts:
     So is ``signature``: the predicates the case rows read (``_Key``),
     shifted up by two bits.  Every fact above but F and ``e_in_a``, the
     signature's bits 7 and 9, reads the spans only, and so the span of A
-    in N only.  They are the span part, which ``_span_part`` derives and
-    ``SplitContext`` keeps per spans tuple, by content, so the records
-    of one span share it.  A record adds F = odd part - A, the shapes
+    in N only.  They are the span part, which ``_span_part`` derives
+    from the spans and the record takes as given: ``at`` derives it for
+    one part, and ``essplit check`` once per span, carried in the memo
+    of its walk (``BinaryMatroid.walk_closures``), so the records of one
+    span share it.  A record adds F = odd part - A, the shapes
     cl - F, cl - F + gamma and cl - F + gamma + T, and those two bits.
     The rank formula, both closure predictors and the flat conditions of
     a query depend on A only through the signature and top, so each
@@ -464,19 +460,9 @@ class _BaseFacts:
         "f", "f_star", "t", "table_shapes", "signature",
     )
 
-    def __init__(self, ctx: SplitContext, a: int, spans: tuple[tuple[int, int], ...]):
-        """``a`` is the mask of A; ``spans`` holds (rank, closure mask) in
-        N of A, A + e, A + a and A + e + a, as ``closures_at`` and
-        ``walk_closures`` of ``SplitContext.lift`` give them with
-        ``SplitContext.lift_extras``.  It may hold eight entries, from
-        the split matrix with the extras e, a and gamma, whose first four
-        are those four plus, at most, the bit of gamma: the split matrix
-        without gamma is N.  Only the first four are read, and no fact
-        reads a bit at or above a of their closures."""
-        memo = ctx._span_parts
-        span = memo.get(spans)
-        if span is None:
-            span = memo[spans] = _BaseFacts._span_part(ctx, spans)
+    def __init__(self, ctx: SplitContext, a: int, span: tuple):
+        """``a`` is the mask of A and ``span`` the span part of its spans
+        (``_span_part``)."""
         (
             self.rank, cl, self.cl_e, self.e_in_cl, self.ox_a, self.ox_ae,
             self.ox_cl, self.f_star, self.t, odd, cl_a, cl_g_t, cl_aeg, g_t,
@@ -500,7 +486,16 @@ class _BaseFacts:
         with these spans: rank, cl, cl_e, e_in_cl, ox_a, ox_ae, ox_cl,
         f_star and t, the odd part of cl(A), the table shapes cl + a,
         cl + gamma + T and cl + {a, e, gamma}, gamma + T, and the
-        signature but for its bits of F and of e in A."""
+        signature but for its bits of F and of e in A.
+
+        ``spans`` holds (rank, closure mask) in N of A, A + e, A + a and
+        A + e + a, as ``closures_at`` and ``walk_closures`` of
+        ``SplitContext.lift`` give them with ``SplitContext.lift_extras``.
+        It may hold eight entries, from the split matrix with the extras
+        e, a and gamma, whose first four are those four plus, at most,
+        the bit of gamma: the split matrix without gamma is N.  Only the
+        first four are read, and no fact reads a bit at or above a of
+        their closures."""
         e, a_bit, g = ctx.e_bit, ctx.a_bit, ctx.gamma_bit
         (rank_p, cl_p), (rank_pe, cl_pe), (rank, cl), (rank_e, cl_e) = spans[:4]
         # Take a out of the ranks of A + a and A + e + a, and a and gamma
@@ -533,7 +528,8 @@ class _BaseFacts:
     @classmethod
     def at(cls, ctx: SplitContext, a: int) -> "_BaseFacts":
         """The record of the base part with the mask ``a``."""
-        return cls(ctx, a, ctx.lift.closures_at(a, ctx.lift_extras))
+        spans = ctx.lift.closures_at(a, ctx.lift_extras)
+        return cls(ctx, a, cls._span_part(ctx, spans))
 
     @property
     def rule_shapes(self) -> tuple[int, ...]:

@@ -96,6 +96,7 @@ ESCAPED_WHEEL = _instance(
 )
 MID12 = _instance("mid12", "p1,p2,p4,p8,p11,p12", "p2")
 MID14 = _instance("mid14", "r02,r04,r05,r07,r09,r10,r11,r12,r14", "r11")
+LOOPS14 = _instance("loops14", "u03,u04,u06,u08,u09,u11,u14", "u14")
 MID16 = _instance("mid16", "s01,s04,s05,s08,s09,s10,s11,s12,s14", "s14")
 LOW20 = _instance("low20", "t01,t02,t06,t09,t10,t11,t13,t14", "t14")
 MID22 = _instance(
@@ -133,6 +134,11 @@ PINS: list[Pin] = [
     *_formats("mid14-sample", ("check", *MID14, "--sample", "5000", "--seed", "3"), 3,
               "5,000 draws, each base part queried on its own: 434 disagreements.",
               listing=True),
+    Pin("loops14-check.json", ("check", *LOOPS14, "--format", "json"), 3,
+        GOLDEN / "loops14-check.sha256",
+        "Zero columns at both ends, e the upper one and the lower one outside X, so a "
+        "loop of the walk; three parallel pairs: 65,536 subsets, 6,070 closure "
+        "disagreements."),
     *_formats("mid22-circuits", ("circuits", *MID22, "--mode", "both"), 0,
               "A split at the 24-element cap: 1,701 circuits from 2^13 cycle-space vectors.",
               listing=True),

@@ -680,7 +680,9 @@ class TestCheck:
         assert code == 3
         base = showcase_matroid()
         n, e = len(base.ground), base.ground.index("y")
-        assert calls["walk_closures"] == [(n + 2, (e, n, n + 1), n)]
+        # One walk, of the split matrix with the extras e, a and gamma;
+        # its last argument derives the span parts.
+        assert [call[:3] for call in calls["walk_closures"]] == [(n + 2, (e, n, n + 1), n)]
         # The base flats are read off the walk: no flat is enumerated or
         # eliminated again.  Only the full-rank check's two ranks remain.
         assert calls["flats"] == []

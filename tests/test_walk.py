@@ -3,18 +3,21 @@
 ``BinaryMatroid.walk_closures`` visits subsets depth first and carries
 residues down from parent to child; every answer it gives is checked
 against ``rank_of`` and ``closure_of``, and on 11 to 13 columns against
-``closures_at``, where spans recur far apart in the walk.  Its memo is
-checked to compute each span once and to store nothing for a free
-matroid with a loop.  The one walk of an exhaustive ``check``, on the
-split matrix with the extras e, a and gamma, is checked to hold N's
-answers and the oracle's, and its parts with cl(A) = A to be the base
-flats.  The position-mask record
-``splitting._BaseFacts`` is checked against the label-set definitions of
-``reference_base_facts``, F* and T under their guards.  Its span part,
-shared by the parts of one span, is checked against records made on a
-fresh context, and an exhaustive ``check`` is checked to derive it once
-per span.  The matrices have loops, parallel classes and zero rows,
-and e is often a loop.
+``closures_at``, where spans recur far apart in the walk.  With zero
+columns at the lowest, a middle and the highest position, every part
+is checked to come once, after its parent, and a derived function of
+the answers to run once per span.  Its memo is checked to compute each
+span once and to store nothing for a free matroid with a loop.  The
+one walk of an exhaustive ``check``, on the split matrix with the
+extras e, a and gamma, is checked to hold N's answers and the
+oracle's, and its parts with cl(A) = A to be the base flats.  The
+position-mask record ``splitting._BaseFacts`` is checked against the
+label-set definitions of ``reference_base_facts``, F* and T under
+their guards.  Its span part, shared by the parts of one span, is
+checked against records made on a fresh context, and an exhaustive
+``check`` is checked to derive it once per span and, on a free matroid
+with a loop, to keep no span.  The matrices have loops, parallel
+classes and zero rows, and e is often a loop.
 """
 
 import random
@@ -27,6 +30,7 @@ import pytest
 from essplit import BinaryMatroid, SplitContext, matroid, parse_matrix, split_matroid
 from essplit.cli import main
 from essplit.errors import FormulaDisagreement
+from essplit.gf2 import format_matrix
 from essplit.showcase import showcase_context
 from essplit.splitting import _BaseFacts, _plan
 
@@ -109,6 +113,41 @@ class TestWalkClosures:
                 parent = mask ^ 1 << (mask.bit_length() - 1)
                 assert position[parent] < position[mask]
 
+    def test_walked_loops_apart_at_every_position(self):
+        # Two to four zero columns, among the lowest, a middle and the
+        # highest position, and a parallel pair.  Every part comes once,
+        # after its parent, with the derived answers of ``closures_at``,
+        # and each span is derived once.
+        rng = random.Random(43)
+        placed = Counter()
+        for _ in range(24):
+            n = rng.randint(7, 10)
+            ends = rng.choice([(0, n - 1), (0, n // 2), (n // 2, n - 1), (0, n // 2, n - 1)])
+            zeros = {*ends, *rng.sample(range(n), rng.randint(0, 4 - len(ends)))}
+            columns = [0 if pos in zeros else rng.getrandbits(4) or 1 for pos in range(n)]
+            source, copy = rng.sample([pos for pos in range(n) if pos not in zeros], 2)
+            columns[copy] = columns[source]
+            placed.update({"low": 0 in zeros, "middle": n // 2 in zeros, "high": n - 1 in zeros})
+            m = matroid_from_columns(columns, 4)
+            extra = rng.sample(range(n), rng.randint(0, 2))
+            derived = Counter()
+
+            def derive(answers):
+                derived[answers[0][1]] += 1
+                return "derived", answers
+
+            position = {}
+            for mask, value in m.walk_closures(extra, n, derive):
+                assert mask not in position
+                position[mask] = len(position)
+                assert value == ("derived", m.closures_at(mask, extra)), mask
+                if mask:
+                    assert position[mask ^ 1 << mask.bit_length() - 1] < position[mask]
+            assert len(position) == 2**n
+            assert set(derived.values()) == {1}
+            assert len(derived) == len({m.closures_at(mask, ())[0][1] for mask in position})
+        assert min(placed["low"], placed["middle"], placed["high"]) >= 8
+
 
 def wide_contexts(seed, count):
     """Split contexts on 11 to 13 base columns of rank at most 5, each
@@ -140,6 +179,17 @@ def walks(ctx):
         (oracle, (n, n + 1), n),
         (oracle, (*ctx.lift_extras, n + 1), n),
     ]
+
+
+def walked_records(ctx, m, extra):
+    """(mask, spans, record) for every base part, from one walk of ``m``
+    that derives the span part of each span once, as ``check`` does."""
+
+    def derive(spans):
+        return spans, _BaseFacts._span_part(ctx, spans)
+
+    for mask, (spans, span) in m.walk_closures(extra, len(ctx.base.ground), derive):
+        yield mask, spans, _BaseFacts(ctx, mask, span)
 
 
 class TestWideWalks:
@@ -174,8 +224,9 @@ def count_spans(monkeypatch):
 
 
 class TestSpanMemo:
-    """``walk_closures`` computes the answers of a span once when it has
-    several bases among the walked positions."""
+    """``walk_closures`` computes the answers of each span once: from
+    the memo when the span has several bases among the walked
+    non-loops, and at its one basis, the walked loops apart, when not."""
 
     def test_spans_with_several_bases_are_computed_once(self, monkeypatch):
         calls, ranks = count_spans(monkeypatch)
@@ -183,21 +234,14 @@ class TestSpanMemo:
         for ctx in wide_contexts(39, 4):
             for m, extra, width in walks(ctx):
                 nonloops = sum(1 << p for p in range(width) if m._cols[p])
-                loops = (1 << width) - 1 & ~nonloops
                 calls.clear()
                 answers = dict(m.walk_closures(extra, width))
                 for key, count in calls.items():
+                    assert count == 1, key
                     closure = sum(1 << p for p, word in enumerate(key) if not word)
-                    basis = closure & nonloops
-                    if basis.bit_count() > ranks[key]:
-                        stored += 1
-                        assert count == 1, key
-                    else:
-                        # The only basis, once with each set of the loops
-                        # below its top position: not stored.
-                        below = loops & (1 << max(basis.bit_length() - 1, 0)) - 1
-                        assert count == 1 << below.bit_count(), key
-                # Without the memo, answers are computed wherever the top
+                    stored += (closure & nonloops).bit_count() > ranks[key]
+                # Without the memo, and with the loops walked like the
+                # other columns, answers are computed wherever the top
                 # column lies outside the span of the rest.
                 fresh = sum(
                     not mask
@@ -222,6 +266,19 @@ class TestSpanMemo:
         capsys.readouterr()
         assert code == 3
         assert sum(calls.values()) == 350
+
+    def test_exhaustive_check_of_mid14_calls_spans_185_times(self, monkeypatch, capsys):
+        # 183 in the walk, one per span, and 2 for the full-rank check;
+        # 269 when a span with one basis was computed again with each set
+        # of the walked loops below its top position.
+        calls, _ = count_spans(monkeypatch)
+        golden = Path(__file__).parent / "golden" / "mid14.txt"
+        code = main(["check", "--input", str(golden),
+                     "--X", "r02,r04,r05,r07,r09,r10,r11,r12,r14", "--e", "r11",
+                     "--format", "json"])
+        capsys.readouterr()
+        assert code == 3
+        assert sum(calls.values()) == 185
 
     def test_a_free_matroid_with_a_loop_stores_nothing(self):
         # 13 unit columns and a zero column: 8,192 spans, each with one
@@ -253,14 +310,14 @@ class TestOneWalk:
             with_loops += len(cols) < n
             assert oracle._cols[: n + 1] == ctx.lift._cols
             walked = 0
-            for mask, spans in oracle.walk_closures((*ctx.lift_extras, n + 1), n):
+            for mask, spans, facts in walked_records(ctx, oracle, (*ctx.lift_extras, n + 1)):
                 walked += 1
                 lifted = ctx.lift.closures_at(mask, ctx.lift_extras)
                 assert [
                     (rank, closure & ~ctx.gamma_bit) for rank, closure in spans[:4]
                 ] == list(lifted), mask
                 assert spans[::2] == oracle.closures_at(mask, (n, n + 1)), mask
-                facts, expected = _BaseFacts(ctx, mask, spans), _BaseFacts.at(ctx, mask)
+                expected = _BaseFacts.at(ctx, mask)
                 for name in (*_BaseFacts.__slots__, "rule_shapes"):
                     assert getattr(facts, name) == getattr(expected, name), name
             assert walked == 2**n
@@ -276,19 +333,32 @@ class TestOneWalk:
             e_loops += base.matrix.column(ctx.e) == 0
             parallel += len(set(cols)) < len(cols)
             with_loops += len(cols) < n
-            walk = split_matroid(ctx).walk_closures((*ctx.lift_extras, n + 1), n)
-            closed = [
-                mask for mask, spans in walk if _BaseFacts(ctx, mask, spans).cl == mask
-            ]
+            walk = walked_records(ctx, split_matroid(ctx), (*ctx.lift_extras, n + 1))
+            closed = [mask for mask, _, facts in walk if facts.cl == mask]
             assert sorted(closed) == sorted(base.flats(masks=True))
         assert min(e_loops, parallel, with_loops) >= 20
 
 
-class TestSpanPart:
-    """``_BaseFacts`` derives the facts that depend on span(A) once per
-    spans tuple of a ``SplitContext`` and the rest per part."""
+def count_span_parts(monkeypatch):
+    """The derivations of ``_BaseFacts._span_part``, per spans tuple."""
+    derived = Counter()
+    span_part = _BaseFacts._span_part
 
-    def test_walked_records_equal_records_on_a_fresh_context(self):
+    def counting(ctx, spans):
+        derived[spans] += 1
+        return span_part(ctx, spans)
+
+    monkeypatch.setattr(_BaseFacts, "_span_part", staticmethod(counting))
+    return derived
+
+
+class TestSpanPart:
+    """``_BaseFacts`` takes the facts that depend on span(A), derived
+    once per span in the memo of the walk, and derives the rest per
+    part."""
+
+    def test_walked_records_equal_records_on_a_fresh_context(self, monkeypatch):
+        derived = count_span_parts(monkeypatch)
         e_loops = parallel = with_loops = 0
         f_differs = e_in_a_differs = 0
         for ctx, _ in random_contexts(42, count=80):
@@ -297,16 +367,17 @@ class TestSpanPart:
             e_loops += base.matrix.column(ctx.e) == 0
             parallel += len(set(cols)) < len(cols)
             with_loops += len(cols) < n
+            derived.clear()
+            walk = list(walked_records(ctx, split_matroid(ctx), (*ctx.lift_extras, n + 1)))
             by_span = {}
-            walk = split_matroid(ctx).walk_closures((*ctx.lift_extras, n + 1), n)
-            for mask, spans in walk:
-                facts = _BaseFacts(ctx, mask, spans)
+            for _, spans, facts in walk:
+                by_span.setdefault(spans, []).append(facts)
+            assert sum(derived.values()) == len(by_span)
+            for mask, _, facts in walk:
                 fresh = SplitContext(base, ctx.x_set, ctx.e, ctx.label_a, ctx.label_gamma)
                 expected = _BaseFacts.at(fresh, mask)
                 for name in (*_BaseFacts.__slots__, "rule_shapes"):
                     assert getattr(facts, name) == getattr(expected, name), name
-                by_span.setdefault(spans, []).append(facts)
-            assert len(ctx._span_parts) == len(by_span)
             for records in by_span.values():
                 f_differs += len({facts.f for facts in records}) > 1
                 e_in_a_differs += len({facts.a & ctx.e_bit for facts in records}) > 1
@@ -315,22 +386,15 @@ class TestSpanPart:
 
     def test_exhaustive_check_of_mid14_derives_each_span_once(self, monkeypatch, capsys):
         # 183 distinct spans among the 16,384 walked base parts.
-        derived = Counter()
-        span_part = _BaseFacts._span_part
-
-        def counting(ctx, spans):
-            derived[spans] += 1
-            return span_part(ctx, spans)
-
+        derived = count_span_parts(monkeypatch)
         walked = set()
         walk_closures = BinaryMatroid.walk_closures
 
-        def recording(matroid, extra, width):
-            for mask, spans in walk_closures(matroid, extra, width):
+        def recording(matroid, extra, width, derive):
+            for mask, (spans, span) in walk_closures(matroid, extra, width, derive):
                 walked.add(spans)
-                yield mask, spans
+                yield mask, (spans, span)
 
-        monkeypatch.setattr(_BaseFacts, "_span_part", staticmethod(counting))
         monkeypatch.setattr(BinaryMatroid, "walk_closures", recording)
         golden = Path(__file__).parent / "golden" / "mid14.txt"
         code = main(["check", "--input", str(golden),
@@ -341,15 +405,33 @@ class TestSpanPart:
         assert set(derived) == walked
         assert sum(derived.values()) == len(walked) == 183
 
+    def test_exhaustive_check_of_a_free_matroid_with_a_loop_keeps_no_span(
+        self, capsys, tmp_path
+    ):
+        # 13 unit columns and a zero column: 8,192 spans, each with one
+        # basis, so the walk's memo keeps none of them and their span
+        # parts.  A memo of every span part peaked near 10 MB.
+        base = matroid_from_columns([1 << i for i in range(13)] + [0], 13)
+        path = tmp_path / "free.txt"
+        path.write_text(format_matrix(base.matrix))
+        tracemalloc.start()
+        try:
+            code = main(["check", "--input", str(path), "--X", "0,1,2,3,4,5,6,7",
+                         "--e", "0", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 2_000_000
+
 
 class TestMaskRecord:
     def test_walked_and_labelled_records_match_the_definitions(self):
         off_guard = Counter()
         for ctx, _ in random_contexts(34):
             base = ctx.base
-            walk = ctx.lift.walk_closures(ctx.lift_extras, len(base.ground))
-            for mask, spans in walk:
-                facts = _BaseFacts(ctx, mask, spans)
+            for mask, _, facts in walked_records(ctx, ctx.lift, ctx.lift_extras):
                 a = base._labels(mask)
                 expected = reference_base_facts(ctx, a)
                 assert facts.rank == base.rank_of(a)
@@ -419,9 +501,7 @@ class TestCasePlans:
     def test_every_reachable_key_matches_the_rows(self):
         compared = set()
         for ctx in plan_instances():
-            walk = ctx.lift.walk_closures(ctx.lift_extras, len(ctx.base.ground))
-            for mask, spans in walk:
-                facts = _BaseFacts(ctx, mask, spans)
+            for _, _, facts in walked_records(ctx, ctx.lift, ctx.lift_extras):
                 for top in range(4):
                     has_a, has_gamma = bool(top & 1), bool(top & 2)
                     expected = reference_cases(facts, has_a, has_gamma)
