@@ -57,7 +57,7 @@ print(f"formula/oracle disagreements: {disagreements} of 1024")
 # every query.
 from essplit import predict_circuits  # noqa: E402
 
-circuits = predict_circuits(ctx).all_circuits()
+circuits = [ctx.labels_of(c) for c in predict_circuits(ctx).minimal]
 exact = 0
 for a_prime in all_subsets(oracle.ground):
     closed = set(a_prime)

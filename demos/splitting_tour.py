@@ -26,19 +26,22 @@ for c in base_circuits:
 family = predict_circuits(ctx)
 print()
 print("predicted split circuits, by class:")
-for name, circuits in (
-    ("even-overlap survivors (c0)", family.c0),
-    ("disjoint odd pairs (c1)", family.c1),
-    ("odd circuits plus a (c2)", family.c2),
-    ("gamma rewrites (c3)", family.c3),
+for name, circuits in zip(
+    (
+        "even-overlap survivors (c0)",
+        "disjoint odd pairs (c1)",
+        "odd circuits plus a (c2)",
+        "gamma rewrites (c3)",
+    ),
+    family.classes,
 ):
     print(f"  {name}:")
     for c in circuits:
-        print("    ", ctx.sort_set(c))
-print("  triangle (delta):", ctx.sort_set(family.delta))
+        print("    ", tuple(ctx.sorted_labels(c)))
+print("  triangle (delta):", tuple(ctx.sorted_labels(family.delta_mask)))
 
 oracle = split_matroid(ctx)
-predicted = set(family.all_circuits())
+predicted = set(map(ctx.labels_of, family.minimal))
 print()
 print(f"oracle circuit count: {len(oracle.circuits())}")
 print(f"prediction matches oracle exactly: {predicted == set(oracle.circuits())}")

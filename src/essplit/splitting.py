@@ -58,21 +58,21 @@ only: each validates A' through ``mask_of``, splits it into the query
 Circuits travel as position masks too.  ``SplitContext`` splits the
 base's cached circuit masks by the parity of their overlap with X into
 ``ox_masks`` and ``ex_masks``, which only ``predict_circuits`` and
-``find_ox_subcircuit`` read; ``predict_circuits`` builds the four
-classes and trims them to minimal members on masks, and each trim
-compares a candidate only with the smaller members of its family.  The
-split matrix's columns are the split-ground positions, so the family
-compares with the oracle's circuit masks as they are.  Labels appear
-only at the boundary: the label sets of ``CircuitFamily`` and of
+``find_ox_subcircuit`` read; ``predict_circuits`` builds the
+candidates of every class and trims them to minimal members in one
+pass on masks, which compares a candidate only with the smaller
+candidates.  ``CircuitFamily`` holds masks only.  The split matrix's
+columns are the split-ground positions, so the family compares with
+the oracle's circuit masks as they are.  Labels appear only at the
+boundary: ``SplitContext.labels_of`` and ``sorted_labels``, and
 ``BinaryMatroid.circuits()``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import (
     BaseNotFlat,
@@ -257,63 +257,30 @@ class SplitContext:
     @cached_property
     def ex_masks(self) -> tuple[int, ...]:
         """The other base circuits, of even overlap with X, likewise."""
-        ox = set(self.ox_masks)
-        return tuple(c for c in self.base.circuits(masks=True) if c not in ox)
+        x = self.x_mask
+        return tuple(c for c in self.base.circuits(masks=True) if not (c & x).bit_count() & 1)
 
 
 @dataclass(frozen=True)
 class CircuitFamily:
-    """Predicted circuits of the split matroid, grouped by origin.
+    """Predicted circuits of the split matroid, grouped by origin, as
+    position masks over the split ground (see ``SplitContext.mask_of``).
 
-    ``c0`` keeps the even-overlap circuits of the base, ``c1`` the
-    minimal unions of two disjoint odd-overlap circuits, ``c2`` the
-    odd-overlap circuits extended by ``a``, ``c3`` the gamma-carrying
-    circuits, and ``delta`` is always {e, a, gamma}.
-
-    The family is held as position masks over the split ground (see
-    ``SplitContext.mask_of``): ``classes`` holds c0, c1, c2 and c3, each
-    in canonical order, ``delta_mask`` the triangle, and ``minimal`` the
-    tuple of ``all_circuits()``.  The label sets of the fields above are
-    built from the masks on each request.
+    ``classes`` holds c0, the even-overlap circuits of the base; c1, the
+    minimal unions of two disjoint odd-overlap circuits; c2, the
+    odd-overlap circuits extended by a; and c3, the gamma-carrying
+    circuits, each in canonical order.  ``delta_mask`` is the triangle
+    {e, a, gamma}, and ``minimal`` is c0, c1, c2, c3 and delta, in that
+    order, with the members that hold a smaller one left out: that only
+    ever drops the triangle, and only when e is a loop of the base
+    (gamma then duplicates a zero column and {gamma} is itself a
+    circuit).  ``SplitContext.labels_of`` and ``sorted_labels`` give the
+    labels of a mask.
     """
 
-    ctx: SplitContext
     classes: tuple[tuple[int, ...], ...]
     delta_mask: int
     minimal: tuple[int, ...]
-
-    def _sets(self, masks: tuple[int, ...]) -> tuple[frozenset[str], ...]:
-        return tuple(map(self.ctx.labels_of, masks))
-
-    @property
-    def c0(self) -> tuple[frozenset[str], ...]:
-        return self._sets(self.classes[0])
-
-    @property
-    def c1(self) -> tuple[frozenset[str], ...]:
-        return self._sets(self.classes[1])
-
-    @property
-    def c2(self) -> tuple[frozenset[str], ...]:
-        return self._sets(self.classes[2])
-
-    @property
-    def c3(self) -> tuple[frozenset[str], ...]:
-        return self._sets(self.classes[3])
-
-    @property
-    def delta(self) -> frozenset[str]:
-        return self.ctx.labels_of(self.delta_mask)
-
-    def all_circuits(self) -> tuple[frozenset[str], ...]:
-        """Deduplicated flattened family c0, c1, c2, c3, delta, in that
-        order, trimmed to minimal members.
-
-        The trim only ever drops the triangle {e, a, gamma}, and only in
-        the degenerate case where e is a loop of the base (gamma then
-        duplicates a zero column and {gamma} is itself a circuit).
-        """
-        return self._sets(self.minimal)
 
 
 @dataclass(frozen=True)
@@ -797,36 +764,42 @@ def find_ox_subcircuit(
 def predict_circuits(ctx: SplitContext) -> CircuitFamily:
     """Circuits of the split matroid, computed from base circuits only.
 
-    The gamma-carrying class is generated generously and then trimmed to
-    its inclusion-minimal members against the whole family.  Every
-    generated candidate is dependent in the split (a parity argument on
-    the appended row) and the candidate set covers every true circuit,
-    so the minimal candidates are exactly the circuit set; the split
-    matroid itself is never consulted.
+    The candidates are c0, the even-overlap base circuits; every union
+    of two disjoint odd-overlap circuits; c2, each odd-overlap circuit
+    plus a; three kinds of gamma candidate; and delta.  Every candidate
+    is dependent in the split (a parity argument on the appended row)
+    and the candidates cover every true circuit, so the minimal
+    candidates, found by one trim, are exactly the circuit set; the
+    split matroid itself is never consulted.  c1 and c3 are the unions
+    and the gamma candidates that survive the trim.
+
+    For c1 the trim is the rule of its definition: a union holds no
+    even-overlap circuit and no smaller union.  A candidate strictly
+    inside a union holds neither a nor gamma, so it is an even-overlap
+    circuit or a smaller union, as no odd-overlap circuit is a
+    candidate.  The classes are disjoint, so ``minimal`` lists each
+    circuit once: c0 and the unions hold neither a nor gamma, and no
+    union is a circuit of the base; c2 holds a but not gamma; c3 holds
+    gamma; and delta is in no class, since a gamma candidate holding a
+    comes from an even-overlap circuit through e, never {e}, whose
+    overlap with X is odd.
 
     Everything runs on position masks, from ``SplitContext.ox_masks``
     and ``ex_masks``: p and q are disjoint when ``p & q`` is 0, and o
-    lies inside c when ``o & c == o``.  Labels are built only by the
-    label views of the family.
+    lies inside c when ``o & c == o``.
     """
     ox, c0 = ctx.ox_masks, ctx.ex_masks
     e, a, gamma = ctx.e_bit, ctx.a_bit, ctx.gamma_bit
     order = _mask_key(len(ctx.split_ground))
 
-    holds_ex = _inside(c0)
     unions = {
         first | second
         for i, first in enumerate(ox)
         for second in ox[i + 1 :]
         if not first & second
     }
-    c1 = tuple(
-        sorted(_minimal(u for u in unions if not holds_ex(u)), key=order)
-    )
-
     # a is above every base position, so adding it keeps the order.
     c2 = tuple(c | a for c in ox)
-
     delta = e | a | gamma
     # C + {e, gamma} when e is not in C, C - e + gamma when it is.
     c3_candidates = {(c ^ e) | gamma for c in ox}
@@ -843,43 +816,14 @@ def predict_circuits(ctx: SplitContext) -> CircuitFamily:
         if not c_even & c_odd
     )
 
-    minimal = _minimal({*c0, *c1, *c2, *c3_candidates, delta})
+    minimal = _minimal({*c0, *unions, *c2, *c3_candidates, delta})
+    c1 = tuple(sorted(unions & minimal, key=order))
     c3 = tuple(sorted(c3_candidates & minimal, key=order))
-    # A member of the family with a proper subset among all candidates
-    # has a minimal one among them too, and every minimal candidate is
-    # in the family; so trimming against the candidates is trimming
-    # within the family.
-    family = dict.fromkeys((*c0, *c1, *c2, *c3, delta))
     return CircuitFamily(
-        ctx=ctx,
         classes=(c0, c1, c2, c3),
         delta_mask=delta,
-        minimal=tuple(c for c in family if c in minimal),
+        minimal=tuple(c for c in (*c0, *c1, *c2, *c3, delta) if c in minimal),
     )
-
-
-def _inside(family: Sequence[int]) -> Callable[[int], int]:
-    """A function from a mask to the bitmap of the members of ``family``
-    inside it, bit i standing for ``family[i]``.
-
-    ``holders[p]`` marks the members that hold position p.  A member
-    lies inside a mask exactly when no position outside the mask holds
-    it, so one OR per position outside answers for all members at once.
-    """
-    holders = [0] * max(family, default=0).bit_length()
-    for i, member in enumerate(family):
-        for pos in _bits(member):
-            holders[pos] |= 1 << i
-    everyone = (1 << len(family)) - 1
-
-    def inside(mask: int) -> int:
-        outside = 0
-        for pos, held in enumerate(holders):
-            if not mask >> pos & 1:
-                outside |= held
-        return everyone & ~outside
-
-    return inside
 
 
 def _minimal(family: Iterable[int]) -> set[int]:
@@ -887,16 +831,29 @@ def _minimal(family: Iterable[int]) -> set[int]:
 
     A proper subset has fewer elements, so each member is compared only
     with the members of strictly smaller size: sorted by size, those
-    come before the first member of its own size.
+    come before the first member of its own size.  The comparison is a
+    bitmap, bit i standing for the i-th member in that order:
+    ``holders[p]`` marks the members that hold position p, and a member
+    lies inside a mask exactly when no position outside the mask holds
+    it, so one OR per position outside answers for all members at once.
     """
     members = sorted(set(family), key=int.bit_count)
-    sizes = [member.bit_count() for member in members]
-    inside = _inside(members)
-    return {
-        member
-        for member in members
-        if not inside(member) & ((1 << bisect_left(sizes, member.bit_count())) - 1)
-    }
+    holders = [0] * max(members, default=0).bit_length()
+    for i, member in enumerate(members):
+        for pos in _bits(member):
+            holders[pos] |= 1 << i
+    minimal = set()
+    size = smaller = 0
+    for i, member in enumerate(members):
+        if member.bit_count() > size:
+            size, smaller = member.bit_count(), (1 << i) - 1
+        outside = 0
+        for pos, held in enumerate(holders):
+            if not member >> pos & 1:
+                outside |= held
+        if not smaller & ~outside:
+            minimal.add(member)
+    return minimal
 
 
 def predict_rank(ctx: SplitContext, labels: Iterable[str]) -> int:

@@ -10,7 +10,10 @@ that ``circuits()`` ran on low ranks before the cycle-space walk served
 every input; it tests only subsets of up to rank + 1 elements, so it
 reaches the wider instances that ``reference_circuits`` cannot.
 ``reference_circuit_family`` is ``predict_circuits`` as it was on label
-sets, before the family moved to position masks.
+sets, before the family moved to position masks; ``family_labels`` and
+``predicted_circuits`` read a ``CircuitFamily``'s masks as label sets,
+and ``assert_same_family`` compares ``predict_circuits`` with the
+reference.
 ``reference_base_facts`` computes the odd-overlap circuit facts of one
 base part on label sets from their circuit definitions, the
 differential for ``splitting._BaseFacts``, which reads ranks instead;
@@ -41,6 +44,7 @@ from typing import Iterable, Iterator
 
 from essplit import (
     BinaryMatroid,
+    CircuitFamily,
     GF2Matrix,
     LabeledGraph,
     LineSplitSpec,
@@ -167,6 +171,34 @@ class ReferenceFamily:
                 seen.add(c)
                 out.append(c)
         return tuple(c for c in out if not any(other < c for other in seen))
+
+
+FAMILY_FIELDS = ("c0", "c1", "c2", "c3", "delta")
+
+
+def family_labels(ctx: SplitContext, family: CircuitFamily) -> dict:
+    """The classes c0-c3 and delta of ``family`` as label sets, by name."""
+    classes = [tuple(map(ctx.labels_of, masks)) for masks in family.classes]
+    return dict(zip(FAMILY_FIELDS, (*classes, ctx.labels_of(family.delta_mask))))
+
+
+def predicted_circuits(ctx: SplitContext) -> tuple[frozenset[str], ...]:
+    """The circuits of ``predict_circuits(ctx)``, as label sets in its order."""
+    return tuple(map(ctx.labels_of, predict_circuits(ctx).minimal))
+
+
+def assert_same_family(ctx: SplitContext, note: str = "") -> dict:
+    """Every class of ``predict_circuits(ctx)`` and its ``minimal``, as
+    label sets, against ``reference_circuit_family``, order included;
+    returns the classes by name."""
+    family = predict_circuits(ctx)
+    expected = reference_circuit_family(ctx)
+    classes = family_labels(ctx, family)
+    for name in FAMILY_FIELDS:
+        assert classes[name] == getattr(expected, name), f"{note}: {name}"
+    minimal = tuple(map(ctx.labels_of, family.minimal))
+    assert minimal == expected.all_circuits(), f"{note}: minimal"
+    return classes
 
 
 def reference_circuit_family(ctx: SplitContext) -> ReferenceFamily:
@@ -545,7 +577,7 @@ def reference_check_report(
                 }
             )
 
-    family_equal = set(predict_circuits(ctx).all_circuits()) == set(oracle.circuits())
+    family_equal = set(predicted_circuits(ctx)) == set(oracle.circuits())
     corollary_ok = oracle.rank_of(oracle.ground) == ctx.base.rank_of(ctx.base.ground) + 1
     flat_violations: list[dict] = []
     for flat in ctx.base.flats():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from essplit import BinaryMatroid, GF2Matrix, SplitContext
+from essplit import BinaryMatroid, GF2Matrix, SplitContext, splitting
 from essplit.cli import (
     _CLOSURE_FIELDS,
     _FLAT_FIELDS,
@@ -251,9 +251,56 @@ class TestFlatWitnessOrder:
 
     @pytest.mark.parametrize("sample", [None, 300])
     def test_reports_match_the_reference(self, sample):
-        rng = random.Random(6006)
-        instances = [
-            random_split_instance(rng, rng.randint(7, 9), max_rank=4) for _ in range(4)
-        ]
-        for ctx in [showcase_context(), *instances]:
-            assert_same_report(ctx, sample, seed=5)
+        assert_witness_instances_match(sample)
+
+
+def assert_witness_instances_match(sample: int | None) -> None:
+    """The wheel and four seeded instances of 9 to 11 split elements
+    give ``check``'s report and the reference's, in both formats."""
+    rng = random.Random(6006)
+    instances = [
+        random_split_instance(rng, rng.randint(7, 9), max_rank=4) for _ in range(4)
+    ]
+    for ctx in [showcase_context(), *instances]:
+        assert_same_report(ctx, sample, seed=5)
+
+
+@pytest.fixture
+def rank_off_by_one(monkeypatch):
+    """``_rank_offset`` one too high on the keys with gamma, without a
+    and with e in cl(A), so every such query is a rank witness.  The
+    plans are cached, so they are dropped before and after."""
+    saved = splitting._rank_offset
+    splitting._plan.cache_clear()
+    monkeypatch.setattr(
+        splitting,
+        "_rank_offset",
+        lambda k: saved(k) + (k.has_gamma and not k.has_a and k.e_in_cl),
+    )
+    yield
+    monkeypatch.undo()
+    splitting._plan.cache_clear()
+
+
+@pytest.mark.usefixtures("rank_off_by_one")
+class TestRankWitnessOrder:
+    """With the rank formula off by one on some keys, the rank
+    witnesses of ``check`` are many, so their order and text are pinned
+    against the reference, which reads the same formula."""
+
+    def test_the_wheel_report_lists_rank_witnesses(self):
+        ctx = showcase_context()
+        code, out, _ = run_check(ctx, "--format", "json")
+        assert code == 3
+        witnesses = json.loads(out)["rank_disagreements"]
+        assert len(witnesses) >= 10
+        for w in witnesses:
+            assert ctx.label_gamma in w["subset"] and ctx.label_a not in w["subset"]
+            assert w["formula"] == w["oracle"] + 1
+        code, out, _ = run_check(ctx, "--format", "text")
+        assert f"rank disagreements: {len(witnesses)}\n" in out
+        assert out.count("  rank mismatch at {") == len(witnesses)
+
+    @pytest.mark.parametrize("sample", [None, 300])
+    def test_reports_match_the_reference(self, sample):
+        assert_witness_instances_match(sample)

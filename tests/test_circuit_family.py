@@ -1,9 +1,10 @@
 """Differential tests: ``predict_circuits`` on position masks against
 ``reference_circuit_family``, the same family computed on label sets.
 
-Every class c0-c3, delta and ``all_circuits()`` must be the same tuple,
-order included, on 300 seeded instances and on a 17-element base of
-rank 8.  The instances have loops, parallel classes and zero rows; e is
+Every class c0-c3 and delta, as label sets, and ``minimal``, against
+the reference's ``all_circuits()``, must be the same tuple, order
+included, on 300 seeded instances and on a 17-element base of rank 8.
+The instances have loops, parallel classes and zero rows; e is
 often a loop, and X is often {e} or the whole ground set.
 """
 
@@ -11,12 +12,10 @@ from __future__ import annotations
 
 import random
 
-from essplit import GF2Matrix, BinaryMatroid, SplitContext, predict_circuits
+from essplit import GF2Matrix, BinaryMatroid, SplitContext
 
 from instances import matroid_from_columns, random_columns
-from reference import circuits_by_overlap, reference_circuit_family
-
-FIELDS = ("c0", "c1", "c2", "c3", "delta")
+from reference import assert_same_family, circuits_by_overlap
 
 
 def seeded_context(rng: random.Random) -> tuple[SplitContext, str]:
@@ -49,14 +48,6 @@ def wide_context() -> SplitContext:
     e = rng.choice(non_loops)
     x = {e} | {lab for lab in base.ground if rng.random() < 0.5}
     return SplitContext(base, frozenset(x), e)
-
-
-def assert_same_family(ctx: SplitContext, note: str) -> None:
-    family = predict_circuits(ctx)
-    expected = reference_circuit_family(ctx)
-    for name in FIELDS:
-        assert getattr(family, name) == getattr(expected, name), f"{note}: {name}"
-    assert family.all_circuits() == expected.all_circuits(), f"{note}: all_circuits"
 
 
 def assert_overlap_classes(ctx: SplitContext, note: str) -> None:

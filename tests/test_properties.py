@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from essplit import (
     SplitContext,
     closure_rule,
-    predict_circuits,
     predict_rank,
     split_matroid,
 )
@@ -29,8 +28,9 @@ from reference import (
     all_subsets,
     assert_guarded_sets,
     base_facts,
+    assert_same_family,
+    predicted_circuits,
     reference_base_facts,
-    reference_circuit_family,
 )
 
 
@@ -87,19 +87,14 @@ def test_base_facts_match_the_circuit_definitions(ctx):
 @settings(max_examples=60, deadline=None)
 @given(split_contexts())
 def test_predicted_circuits_match_the_oracle(ctx):
-    family = predict_circuits(ctx)
-    assert set(family.all_circuits()) == set(split_matroid(ctx).circuits())
+    assert set(predicted_circuits(ctx)) == set(split_matroid(ctx).circuits())
 
 
 # The space of ``test_circuit_family.py``: up to 10 elements and 5 rows.
 @settings(max_examples=150, deadline=None)
 @given(split_contexts(max_rows=5, max_n=10))
 def test_predicted_circuits_match_the_label_set_reference(ctx):
-    family = predict_circuits(ctx)
-    expected = reference_circuit_family(ctx)
-    for name in ("c0", "c1", "c2", "c3", "delta"):
-        assert getattr(family, name) == getattr(expected, name), name
-    assert family.all_circuits() == expected.all_circuits()
+    assert_same_family(ctx)
 
 
 @st.composite
@@ -128,10 +123,7 @@ def planted_even_unions(draw):
 @settings(max_examples=60, deadline=None)
 @given(planted_even_unions())
 def test_c1_leaves_out_unions_that_hold_an_even_circuit(ctx):
-    family = predict_circuits(ctx)
-    for union in family.c1:
-        assert not any(even <= union for even in family.c0)
-    expected = reference_circuit_family(ctx)
-    for name in ("c0", "c1", "c2", "c3", "delta"):
-        assert getattr(family, name) == getattr(expected, name), name
-    assert set(family.all_circuits()) == set(split_matroid(ctx).circuits())
+    classes = assert_same_family(ctx)
+    for union in classes["c1"]:
+        assert not any(even <= union for even in classes["c0"])
+    assert set(predicted_circuits(ctx)) == set(split_matroid(ctx).circuits())

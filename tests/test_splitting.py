@@ -41,6 +41,8 @@ from reference import (
     base_facts,
     circuits_by_overlap,
     classify_circuit,
+    family_labels,
+    predicted_circuits,
     reference_find_ox_subcircuit,
 )
 
@@ -103,26 +105,23 @@ class TestSplitMatroid:
 
 class TestPredictCircuits:
     def test_wheel_examples(self, wheel_ctx):
-        family = predict_circuits(wheel_ctx)
-        assert family.delta == frozenset({"y", "a", "gamma"})
-        assert frozenset({"2", "6", "y", "a"}) in family.c2
-        assert frozenset({"2", "6", "gamma"}) in family.c3
+        family = family_labels(wheel_ctx, predict_circuits(wheel_ctx))
+        assert family["delta"] == frozenset({"y", "a", "gamma"})
+        assert frozenset({"2", "6", "y", "a"}) in family["c2"]
+        assert frozenset({"2", "6", "gamma"}) in family["c3"]
 
     def test_members_stay_inside_split_ground(self, wheel_ctx):
-        family = predict_circuits(wheel_ctx)
         universe = set(wheel_ctx.split_ground)
-        for c in family.all_circuits():
+        for c in predicted_circuits(wheel_ctx):
             assert c <= universe
 
     def test_c1_members_are_minimal(self, wheel_ctx):
-        family = predict_circuits(wheel_ctx)
-        for u in family.c1:
-            assert not any(v < u for v in family.c1)
+        c1 = family_labels(wheel_ctx, predict_circuits(wheel_ctx))["c1"]
+        for u in c1:
+            assert not any(v < u for v in c1)
 
     def test_family_matches_oracle_on_wheel(self, wheel_ctx, wheel_split):
-        assert set(predict_circuits(wheel_ctx).all_circuits()) == set(
-            wheel_split.circuits()
-        )
+        assert set(predicted_circuits(wheel_ctx)) == set(wheel_split.circuits())
 
     def test_spanned_marked_element_trims_gamma_extension(
         self, wheel_ctx, wheel_split
@@ -130,9 +129,8 @@ class TestPredictCircuits:
         # {2,3,6,x} has odd overlap and avoids y, but y is spanned by it,
         # so {2,3,6,x,y,gamma} holds the smaller circuit {3,x,y} and must
         # not be reported.
-        family = predict_circuits(wheel_ctx)
         bad = frozenset({"2", "3", "6", "x", "y", "gamma"})
-        assert bad not in family.all_circuits()
+        assert bad not in predicted_circuits(wheel_ctx)
         assert bad not in set(wheel_split.circuits())
 
     def test_paired_gamma_circuits_on_two_triangles(self):
@@ -152,17 +150,14 @@ class TestPredictCircuits:
         base = BinaryMatroid(GF2Matrix.from_rows(rows, labels))
         ctx = SplitContext(base, frozenset("epr"), "e", "a", "g")
         expected = frozenset({"p", "q", "r", "s", "t", "g"})
-        family = predict_circuits(ctx)
-        assert expected in family.c3
-        assert set(family.all_circuits()) == set(split_matroid(ctx).circuits())
+        assert expected in family_labels(ctx, predict_circuits(ctx))["c3"]
+        assert set(predicted_circuits(ctx)) == set(split_matroid(ctx).circuits())
 
     def test_family_matches_oracle_on_random_instances(self):
         rng = random.Random(31)
         for _ in range(30):
             ctx = random_split_instance(rng, rng.randint(4, 8))
-            assert set(predict_circuits(ctx).all_circuits()) == set(
-                split_matroid(ctx).circuits()
-            )
+            assert set(predicted_circuits(ctx)) == set(split_matroid(ctx).circuits())
 
 
 class TestPredictRank:
@@ -474,7 +469,7 @@ class TestClosureViaPredictedFamily:
         return frozenset(out)
 
     def test_wheel_exhaustive(self, wheel_ctx, wheel_split):
-        circuits = predict_circuits(wheel_ctx).all_circuits()
+        circuits = predicted_circuits(wheel_ctx)
         for a_prime in all_subsets(wheel_split):
             assert self.closure_via_family(
                 wheel_ctx, circuits, a_prime
@@ -485,7 +480,7 @@ class TestClosureViaPredictedFamily:
         for _ in range(10):
             ctx = random_split_instance(rng, rng.randint(4, 6))
             oracle = split_matroid(ctx)
-            circuits = predict_circuits(ctx).all_circuits()
+            circuits = predicted_circuits(ctx)
             for a_prime in all_subsets(oracle):
                 assert self.closure_via_family(
                     ctx, circuits, a_prime
@@ -629,9 +624,7 @@ class TestLoopMarkedElementDegeneracy:
 
     def test_family_still_matches_oracle(self):
         ctx = self.make_ctx()
-        assert set(predict_circuits(ctx).all_circuits()) == set(
-            split_matroid(ctx).circuits()
-        )
+        assert set(predicted_circuits(ctx)) == set(split_matroid(ctx).circuits())
 
 
 class TestNoCircuitEnumeration:

@@ -32,7 +32,7 @@ from essplit.cli import main
 from essplit.errors import FormulaDisagreement
 from essplit.gf2 import format_matrix
 from essplit.showcase import showcase_context
-from essplit.splitting import _BaseFacts, _plan
+from essplit.splitting import _BaseFacts, _Key, _Plan, _plan
 
 from instances import matroid_from_columns, random_columns
 from reference import (
@@ -539,3 +539,24 @@ class TestCasePlans:
                     assert str(got.value) == str(expected)
                     raised += 1
         assert raised >= 20
+
+    def test_the_table_matches_a_case_on_every_key(self):
+        # So ``check``'s ``no case applies`` reads 0 on every input.
+        keys = range(1 << len(_Key.__slots__))
+        assert len(keys) == 1024
+        assert all(_Plan(key).table.ids for key in keys)
+
+    def test_the_rule_matches_one_case_on_every_reachable_key(self):
+        # F* lies inside cl(A), so a key with e in F* but not in cl(A)
+        # is never reached; those with gamma and bound parity match both
+        # R3.1 and R3.3.
+        unreachable = []
+        for key in range(1 << len(_Key.__slots__)):
+            k, ids = _Key(key), _Plan(key).rule.ids
+            if k.e_in_f_star and not k.e_in_cl:
+                unreachable.append(ids)
+            else:
+                assert len(ids) == 1, key
+        assert len(unreachable) == 256
+        assert sum(ids == ("R3.1", "R3.3") for ids in unreachable) == 32
+        assert all(len(ids) == 1 for ids in unreachable if ids != ("R3.1", "R3.3"))
