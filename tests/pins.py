@@ -8,7 +8,10 @@ every pin in process (``tests/test_pins.py``).  With the standard
 library only, ``PYTHONPATH=src python tests/pins.py`` runs each
 command-line pin as ``python -m essplit.cli`` with
 ``PYTHONIOENCODING=utf-8`` from a temporary directory, and compares its
-raw stdout bytes; pins with their own ``entry`` run in process.  It
+raw stdout bytes; pins with their own ``entry`` run in process.  The
+stdout of every JSON pin must also read as ``json.dumps(value,
+indent=2)`` of the value it parses to, so a renderer that is not the
+library's cannot drift from it unseen, even under a digest.  It
 checks every pin, names each failure with its first differing line or
 both digests, and exits 1 if any failed.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -124,6 +128,10 @@ PINS: list[Pin] = [
               listing=True, entry=_flat_mutant),
     Pin("cli-wheel.txt", (), 0, GOLDEN / "cli-wheel.txt",
         "Every command on the wheel, as tests/cli_golden.py lists them.", _cli_wheel),
+    *_formats("wheel-escaped-circuits", ("circuits", *ESCAPED_WHEEL, "--mode", "both"), 0,
+              "The circuit family and the oracle's circuits under every JSON escape."),
+    *_formats("wheel-escaped-flats", ("flats", *ESCAPED_WHEEL, "--mode", "both"), 0,
+              "Every split flat, the empty one first, under every JSON escape."),
     *_formats("mid12-circuits", ("circuits", *MID12, "--mode", "both"), 0, MID12_NOTE),
     *_formats("mid12-flats", ("flats", *MID12, "--mode", "both"), 0, MID12_NOTE),
     *_formats("mid12-check", ("check", *MID12), 3,
@@ -170,10 +178,24 @@ def run_subprocess(pin: Pin, cwd: str) -> tuple[int, bytes, bytes]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def canonical_json(out: bytes) -> bytes | None:
+    """``out`` read as JSON and written again by ``json.dumps`` with
+    indent=2, as a line: the bytes every JSON run must print, whatever
+    renderer made them.  None if ``out`` is no JSON."""
+    try:
+        value = json.loads(out)
+    except ValueError:
+        return None
+    return (json.dumps(value, indent=2) + "\n").encode("utf-8")
+
+
 def mismatch(pin: Pin, code: int, out: bytes, err: bytes) -> str | None:
-    """How a run of ``pin`` differs from its pin, or None if it does not."""
+    """How a run of ``pin`` differs from its pin, or None if it does not.
+    A JSON run must also be its own ``canonical_json``."""
     if (code, err) != (pin.code, b""):
         return f"exit {code}, expected {pin.code}; stderr {err.decode('utf-8', 'replace')!r}"
+    if pin.name.endswith(".json") and out != canonical_json(out):
+        return "stdout is not json.dumps(json.loads(stdout), indent=2) plus a newline"
     if pin.expected.suffix == ".sha256":
         got = hashlib.sha256(out).hexdigest()
         want = digests(pin.expected).get(pin.name, f"no line in {pin.expected.name}")
