@@ -47,6 +47,16 @@ render, so a witness costs one join.  The bytes are those of the label
 lists the masks stand for: the labels come from ``sorted_labels`` in
 split-ground order, are escaped by the function ``json.dumps`` itself
 uses, and sit at the indent ``json.dumps`` would give them.
+
+The payloads of ``circuits`` and ``flats`` keep their masks too, until
+``main`` writes them: each list of circuits, and the flats with their
+conditions, is a ``_LabelLists``, and delta and a ``flats --subset`` A'
+a ``_LabelList``.  They render through ``_mask_join``: each label's
+text is escaped once per list, at that list's indent, and each mask
+costs one join over the texts of its positions.  Without byte tables:
+a list of circuits or flats renders most masks once, so the tables of
+``_mask_texts`` would not pay back their cost.  The text lines read the
+same masks through ``_mask_join`` with the plain labels.
 """
 
 from __future__ import annotations
@@ -69,7 +79,7 @@ from .errors import (
     ParseError,
     PreconditionViolated,
 )
-from .gf2 import format_matrix, parse_matrix
+from .gf2 import _bits, format_matrix, parse_matrix
 from .graphs import incidence_matrix, parse_graph
 from .matroid import BinaryMatroid, _mask_key
 from .splitting import (
@@ -194,13 +204,14 @@ def _json_text(value: object, indent: str = "\n") -> str:
     generator step per token; here each list and dict is one ``join``.
     Strings take the library's own C escaping, and every other value
     that is not a list, tuple or dict goes to ``json.dumps`` itself, so
-    the bytes are the same.  A ``_Witnesses`` list of ``check`` renders
-    itself from its masks, at the indent given, as the list of dicts of
-    label lists that it stands for.
+    the bytes are the same.  A ``_Witnesses`` list of ``check``, and a
+    ``_LabelLists`` or ``_LabelList`` of ``circuits`` and ``flats``,
+    renders itself from its masks, at the indent given, as the label
+    lists, or the dicts of them, that it stands for.
     """
     if type(value) is str:
         return _encode_str(value)
-    if type(value) is _Witnesses:
+    if type(value) in _SELF_RENDERED:
         return value.json(indent)
     if isinstance(value, (list, tuple)):
         if not value:
@@ -315,34 +326,34 @@ def cmd_circuits(args: argparse.Namespace) -> Result:
     # The family and the oracle's circuits stay position masks over the
     # split ground, the split matrix's column order, until rendered.
     ctx = _load_context(args)
-    labels = ctx.sorted_labels
     payload: dict = {}
     if args.mode in ("formula", "both"):
         family = predict_circuits(ctx)
         payload["family"] = {
-            name: [labels(c) for c in masks]
+            name: _LabelLists(ctx, masks)
             for name, masks in zip(_FAMILY_CLASSES, family.classes)
         }
-        payload["family"]["delta"] = labels(family.delta_mask)
+        payload["family"]["delta"] = _LabelList(ctx, family.delta_mask)
     if args.mode in ("oracle", "both"):
         oracle = split_matroid(ctx).circuits(masks=True)
-        payload["oracle"] = [labels(c) for c in oracle]
+        payload["oracle"] = _LabelLists(ctx, oracle)
     payload["equal"] = (
         set(family.minimal) == set(oracle) if args.mode == "both" else None
     )
     code = DISAGREEMENT if payload["equal"] is False else OK
-    return code, payload, _circuit_lines(payload)
+    return code, payload, _circuit_lines(ctx, payload)
 
 
-def _circuit_lines(payload: dict) -> Iterator[str]:
+def _circuit_lines(ctx: SplitContext, payload: dict) -> Iterator[str]:
+    braces = _mask_join(ctx, str, "{", "}", "{}")
     family = payload.get("family")
     if family is not None:
         for name in _FAMILY_CLASSES:
             for c in family[name]:
-                yield f"{name}: {_braces(c)}"
-        yield f"delta: {_braces(family['delta'])}"
+                yield f"{name}: {braces(c)}"
+        yield f"delta: {braces(family['delta'])}"
     for c in payload.get("oracle", ()):
-        yield f"oracle: {_braces(c)}"
+        yield f"oracle: {braces(c)}"
     if payload["equal"] is not None:
         yield f"equal: {payload['equal']}"
 
@@ -351,10 +362,11 @@ def cmd_flats(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
     oracle = split_matroid(ctx)
     predict = args.mode != "oracle"
+    braces = _mask_join(ctx, str, "{", "}", "{}")
 
     if args.subset is not None:
         labels = _parse_labels(args.subset)
-        subset = ctx.sorted_labels(ctx.mask_of(labels))
+        subset = ctx.mask_of(labels)
         is_flat = oracle.is_flat(labels)
         condition = None
         if predict:
@@ -362,8 +374,10 @@ def cmd_flats(args: argparse.Namespace) -> Result:
                 condition = predict_is_flat(ctx, labels)
             except BaseNotFlat:
                 pass
-        payload = {"subset": subset, "is_flat": is_flat, "condition": condition}
-        line = f"{_braces(subset)} flat={is_flat} condition={condition}"
+        payload = {
+            "subset": _LabelList(ctx, subset), "is_flat": is_flat, "condition": condition
+        }
+        line = f"{braces(subset)} flat={is_flat} condition={condition}"
         code = DISAGREEMENT if condition is not None and not is_flat else OK
         return code, payload, (line,)
     # The split's flats first, so an oversized input meets the split's cap.
@@ -383,11 +397,10 @@ def cmd_flats(args: argparse.Namespace) -> Result:
         return facts.plan(flat >> len(ctx.base.ground)).flat
 
     # The split matrix's columns are the split-ground positions.
-    rows = [
-        {"flat": ctx.sorted_labels(flat), "condition": condition_of(flat)}
-        for flat in flats
-    ]
-    lines = (f"{_braces(row['flat'])} condition={row['condition']}" for row in rows)
+    rows = _LabelLists(
+        ctx, [(flat, condition_of(flat)) for flat in flats], ("flat", "condition")
+    )
+    lines = (f"{braces(flat)} condition={condition}" for flat, condition in rows)
     return OK, {"flats": rows}, lines
 
 
@@ -652,6 +665,89 @@ def _mask_texts(
         return opening + joined[1:] + closing
 
     return render
+
+
+class _LabelLists(list):
+    """Position masks of a ``circuits`` or ``flats`` payload, standing
+    for the list of their label lists in split-ground order; with
+    ``keys``, rows of a mask and plain values, standing for the list of
+    dicts from ``keys`` to the mask's label list and those values.
+
+    ``_json_text`` renders it with ``json``, byte for byte as it would
+    render what it stands for, and the text lines read its masks.
+    """
+
+    def __init__(self, ctx: SplitContext, rows: Iterable, keys: tuple[str, ...] = ()):
+        super().__init__(rows)
+        self.ctx = ctx
+        self.keys = keys
+
+    def json(self, indent: str) -> str:
+        """The text of the list at ``indent``, one join per label list,
+        each label escaped once per call."""
+        if not self:
+            return "[]"
+        item = indent + "  "
+        if not self.keys:
+            rows = map(_json_label_list(self.ctx, item), self)
+        else:
+            field = item + "  "
+            label_list = _json_label_list(self.ctx, field)
+            template = (
+                "{"
+                + ",".join(field + _encode_str(key) + ": %s" for key in self.keys)
+                + item
+                + "}"
+            )
+            rows = (
+                template % (label_list(mask), *map(json.dumps, values))
+                for mask, *values in self
+            )
+        return "[" + item + ("," + item).join(rows) + indent + "]"
+
+
+class _LabelList(int):
+    """One position mask of a payload, standing for its label list in
+    split-ground order, which ``_json_text`` renders with ``json``."""
+
+    def __new__(cls, ctx: SplitContext, mask: int):
+        self = super().__new__(cls, mask)
+        self.ctx = ctx
+        return self
+
+    def json(self, indent: str) -> str:
+        return _json_label_list(self.ctx, indent)(self)
+
+
+def _json_label_list(ctx: SplitContext, indent: str) -> Callable[[int], str]:
+    """The renderer of a mask's JSON label list at ``indent``."""
+    inner = indent + "  "
+    return _mask_join(ctx, lambda lab: inner + _encode_str(lab), "[", indent + "]", "[]")
+
+
+def _mask_join(
+    ctx: SplitContext, text: Callable[[str], str], opening: str, closing: str, empty: str
+) -> Callable[[int], str]:
+    """A renderer of position masks: ``empty`` for the empty set, else
+    ``opening``, the ``text`` of each label in split-ground order joined
+    by commas, and ``closing``.
+
+    ``text`` is called once per label of the split ground, and a mask
+    costs one join over the texts of its positions; unlike
+    ``_mask_texts`` it keeps no tables (see the module docstring).
+    """
+    texts = [text(lab) for lab in ctx.split_ground]
+
+    def render(mask: int) -> str:
+        if not mask:
+            return empty
+        return opening + ",".join([texts[pos] for pos in _bits(mask)]) + closing
+
+    return render
+
+
+#: The payload types that stand for label lists and render themselves.
+_SELF_RENDERED = (_Witnesses, _LabelLists, _LabelList)
 
 
 def _check_lines(ctx: SplitContext, summary: dict) -> Iterator[str]:

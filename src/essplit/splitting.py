@@ -766,18 +766,40 @@ def predict_circuits(ctx: SplitContext) -> CircuitFamily:
 
     The candidates are c0, the even-overlap base circuits; every union
     of two disjoint odd-overlap circuits; c2, each odd-overlap circuit
-    plus a; three kinds of gamma candidate; and delta.  Every candidate
+    plus a; four kinds of gamma candidate; and delta.  Every candidate
     is dependent in the split (a parity argument on the appended row)
     and the candidates cover every true circuit, so the minimal
-    candidates, found by one trim, are exactly the circuit set; the
-    split matroid itself is never consulted.  c1 and c3 are the unions
-    and the gamma candidates that survive the trim.
+    candidates are exactly the circuit set; the split matroid itself is
+    never consulted.  c1 and c3 are the unions and the gamma candidates
+    that are minimal.
 
-    For c1 the trim is the rule of its definition: a union holds no
-    even-overlap circuit and no smaller union.  A candidate strictly
-    inside a union holds neither a nor gamma, so it is an even-overlap
-    circuit or a smaller union, as no odd-overlap circuit is a
-    candidate.  The classes are disjoint, so ``minimal`` lists each
+    In the split a base element z has the column (v_z, [z in X]), a has
+    (0, 1) and gamma (v_e, 0); e is in X.  Four kinds of candidate are
+    circuits by construction, so the trim tests only the others, against
+    every candidate:
+
+    * c0: an even-overlap base circuit sums to (0, 0), and its proper
+      subsets are independent in the base.
+    * c2, C + a for an odd-overlap C: C + a sums to 0, and a dependent
+      proper subset would need a nonempty base cycle strictly inside C,
+      alone or summing to (0, 1) with a.
+    * (C - e) + gamma for an odd-overlap C through e: C - e is
+      independent and sums to (v_e, 0) = gamma, and a proper subset of
+      C - e summing to gamma would make a base cycle strictly inside C.
+    * (C - e) + a + gamma for an even-overlap C through e: C - e sums to
+      (v_e, 1), so with a to gamma.  C - e + a is independent, since
+      C - e holds no cycle, and a set S inside C - e summing to (v_e, 1)
+      or to (v_e, 0) makes S + e a base cycle inside C, so S = C - e,
+      whose sum is (v_e, 1).
+
+    The tested candidates are the unions, C + e + gamma for an
+    odd-overlap C without e, the mixed (D - e) + C + gamma for an
+    even-overlap D through e and an odd-overlap C disjoint from it, and
+    delta.  For c1 the trim is the rule of its definition: a union
+    holds no even-overlap circuit and no smaller union.  A candidate
+    strictly inside a union holds neither a nor gamma, so it is an
+    even-overlap circuit or a smaller union, as no odd-overlap circuit
+    is a candidate.  The classes are disjoint, so ``minimal`` lists each
     circuit once: c0 and the unions hold neither a nor gamma, and no
     union is a circuit of the base; c2 holds a but not gamma; c3 holds
     gamma; and delta is in no class, since a gamma candidate holding a
@@ -801,58 +823,67 @@ def predict_circuits(ctx: SplitContext) -> CircuitFamily:
     # a is above every base position, so adding it keeps the order.
     c2 = tuple(c | a for c in ox)
     delta = e | a | gamma
-    # C + {e, gamma} when e is not in C, C - e + gamma when it is.
-    c3_candidates = {(c ^ e) | gamma for c in ox}
     # e is in X, so a circuit through e has odd overlap with X outside e
     # exactly when it has even overlap with X.
     ex_through_e = [c for c in c0 if c & e]
-    c3_candidates.update((c ^ e) | a | gamma for c in ex_through_e)
-    # An even-overlap circuit through e plus a disjoint odd-overlap
-    # circuit also yields a gamma circuit; single circuits miss these.
-    c3_candidates.update(
+    # The gamma candidates that are circuits: C - e + gamma and
+    # C - e + a + gamma.
+    gamma_circuits = {(c ^ e) | gamma for c in ox if c & e}
+    gamma_circuits.update((c ^ e) | a | gamma for c in ex_through_e)
+    # The gamma candidates to test: C + e + gamma, and an even-overlap
+    # circuit through e plus a disjoint odd-overlap circuit, which single
+    # circuits miss.
+    gamma_tested = {c | e | gamma for c in ox if not c & e}
+    gamma_tested.update(
         (c_even ^ e) | c_odd | gamma
         for c_even in ex_through_e
         for c_odd in ox
         if not c_even & c_odd
     )
 
-    minimal = _minimal({*c0, *unions, *c2, *c3_candidates, delta})
-    c1 = tuple(sorted(unions & minimal, key=order))
-    c3 = tuple(sorted(c3_candidates & minimal, key=order))
+    tested = unions | gamma_tested
+    tested.add(delta)
+    kept = _minimal(tested, {*c0, *c2, *gamma_circuits})
+    c1 = tuple(sorted(unions & kept, key=order))
+    c3 = tuple(sorted(gamma_circuits | gamma_tested & kept, key=order))
     return CircuitFamily(
         classes=(c0, c1, c2, c3),
         delta_mask=delta,
-        minimal=tuple(c for c in (*c0, *c1, *c2, *c3, delta) if c in minimal),
+        minimal=(*c0, *c1, *c2, *c3, *(delta,) * (delta in kept)),
     )
 
 
-def _minimal(family: Iterable[int]) -> set[int]:
-    """The members of ``family`` with no proper subset in it.
+def _minimal(tested: set[int], pool: set[int]) -> set[int]:
+    """The members of ``tested`` with no proper subset in ``tested`` or
+    in ``pool``.
 
     A proper subset has fewer elements, so each member is compared only
-    with the members of strictly smaller size: sorted by size, those
-    come before the first member of its own size.  The comparison is a
-    bitmap, bit i standing for the i-th member in that order:
-    ``holders[p]`` marks the members that hold position p, and a member
-    lies inside a mask exactly when no position outside the mask holds
-    it, so one OR per position outside answers for all members at once.
+    with the candidates of strictly smaller size: sorted by size, those
+    come before the first candidate of its own size.  The comparison is a
+    bitmap, bit i standing for the i-th candidate in that order:
+    ``holders[p]`` marks the candidates that hold position p, and a
+    candidate lies inside a mask exactly when no position outside the
+    mask holds it, so one OR per position outside answers for all
+    candidates at once.
     """
-    members = sorted(set(family), key=int.bit_count)
-    holders = [0] * max(members, default=0).bit_length()
-    for i, member in enumerate(members):
-        for pos in _bits(member):
+    candidates = sorted(tested | pool, key=int.bit_count)
+    holders = [0] * max(candidates, default=0).bit_length()
+    for i, candidate in enumerate(candidates):
+        for pos in _bits(candidate):
             holders[pos] |= 1 << i
     minimal = set()
     size = smaller = 0
-    for i, member in enumerate(members):
-        if member.bit_count() > size:
-            size, smaller = member.bit_count(), (1 << i) - 1
+    for i, candidate in enumerate(candidates):
+        if candidate.bit_count() > size:
+            size, smaller = candidate.bit_count(), (1 << i) - 1
+        if candidate not in tested:
+            continue
         outside = 0
         for pos, held in enumerate(holders):
-            if not member >> pos & 1:
+            if not candidate >> pos & 1:
                 outside |= held
         if not smaller & ~outside:
-            minimal.add(member)
+            minimal.add(candidate)
     return minimal
 
 
