@@ -211,7 +211,7 @@ def _json_text(value: object, indent: str = "\n") -> str:
     """
     if type(value) is str:
         return _encode_str(value)
-    if type(value) in _SELF_RENDERED:
+    if type(value) in (_Witnesses, _LabelLists, _LabelList):
         return value.json(indent)
     if isinstance(value, (list, tuple)):
         if not value:
@@ -744,10 +744,6 @@ def _mask_join(
         return opening + ",".join([texts[pos] for pos in _bits(mask)]) + closing
 
     return render
-
-
-#: The payload types that stand for label lists and render themselves.
-_SELF_RENDERED = (_Witnesses, _LabelLists, _LabelList)
 
 
 def _check_lines(ctx: SplitContext, summary: dict) -> Iterator[str]:

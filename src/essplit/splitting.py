@@ -59,13 +59,13 @@ Circuits travel as position masks too.  ``SplitContext`` splits the
 base's cached circuit masks by the parity of their overlap with X into
 ``ox_masks`` and ``ex_masks``, which only ``predict_circuits`` and
 ``find_ox_subcircuit`` read; ``predict_circuits`` builds the
-candidates of every class and trims them to minimal members in one
-pass on masks, which compares a candidate only with the smaller
-candidates.  ``CircuitFamily`` holds masks only.  The split matrix's
-columns are the split-ground positions, so the family compares with
-the oracle's circuit masks as they are.  Labels appear only at the
-boundary: ``SplitContext.labels_of`` and ``sorted_labels``, and
-``BinaryMatroid.circuits()``.
+candidates of every class and, in one pass on masks, trims to minimal
+members only the kinds that can fail, comparing each with the smaller
+candidates of every kind.  ``CircuitFamily`` holds masks only.  The
+split matrix's columns are the split-ground positions, so the family
+compares with the oracle's circuit masks as they are.  Labels appear
+only at the boundary: ``SplitContext.labels_of`` and ``sorted_labels``,
+and ``BinaryMatroid.circuits()``.
 """
 
 from __future__ import annotations
@@ -845,11 +845,11 @@ def predict_circuits(ctx: SplitContext) -> CircuitFamily:
     tested.add(delta)
     kept = _minimal(tested, {*c0, *c2, *gamma_circuits})
     c1 = tuple(sorted(unions & kept, key=order))
-    c3 = tuple(sorted(gamma_circuits | gamma_tested & kept, key=order))
+    c3 = tuple(sorted(gamma_circuits | (gamma_tested & kept), key=order))
     return CircuitFamily(
         classes=(c0, c1, c2, c3),
         delta_mask=delta,
-        minimal=(*c0, *c1, *c2, *c3, *(delta,) * (delta in kept)),
+        minimal=(*c0, *c1, *c2, *c3) + ((delta,) if delta in kept else ()),
     )
 
 
@@ -858,32 +858,31 @@ def _minimal(tested: set[int], pool: set[int]) -> set[int]:
     in ``pool``.
 
     A proper subset has fewer elements, so each member is compared only
-    with the candidates of strictly smaller size: sorted by size, those
-    come before the first candidate of its own size.  The comparison is a
-    bitmap, bit i standing for the i-th candidate in that order:
-    ``holders[p]`` marks the candidates that hold position p, and a
-    candidate lies inside a mask exactly when no position outside the
-    mask holds it, so one OR per position outside answers for all
-    candidates at once.
+    with the members of strictly smaller size: sorted by size, those
+    come before the first member of its own size.  The comparison is a
+    bitmap, bit i standing for the i-th member in that order:
+    ``holders[p]`` marks the members that hold position p, and a member
+    lies inside a mask exactly when no position outside the mask holds
+    it, so one OR per position outside answers for all members at once.
     """
-    candidates = sorted(tested | pool, key=int.bit_count)
-    holders = [0] * max(candidates, default=0).bit_length()
-    for i, candidate in enumerate(candidates):
-        for pos in _bits(candidate):
+    members = sorted(tested | pool, key=int.bit_count)
+    holders = [0] * max(members, default=0).bit_length()
+    for i, member in enumerate(members):
+        for pos in _bits(member):
             holders[pos] |= 1 << i
     minimal = set()
     size = smaller = 0
-    for i, candidate in enumerate(candidates):
-        if candidate.bit_count() > size:
-            size, smaller = candidate.bit_count(), (1 << i) - 1
-        if candidate not in tested:
+    for i, member in enumerate(members):
+        if member.bit_count() > size:
+            size, smaller = member.bit_count(), (1 << i) - 1
+        if member not in tested:
             continue
         outside = 0
         for pos, held in enumerate(holders):
-            if not candidate >> pos & 1:
+            if not member >> pos & 1:
                 outside |= held
         if not smaller & ~outside:
-            minimal.add(candidate)
+            minimal.add(member)
     return minimal
 
 
