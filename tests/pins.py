@@ -132,6 +132,12 @@ PINS: list[Pin] = [
               "The circuit family and the oracle's circuits under every JSON escape."),
     *_formats("wheel-escaped-flats", ("flats", *ESCAPED_WHEEL, "--mode", "both"), 0,
               "Every split flat, the empty one first, under every JSON escape."),
+    *_formats("wheel-escaped-flat-query",
+              ("flats", *ESCAPED_WHEEL, "--subset", 'yé",a\\"', "--mode", "both"), 0,
+              "One A' of escaped labels, no flat: its label list under JSON escapes."),
+    *_formats("wheel-escaped-empty-query",
+              ("flats", *ESCAPED_WHEEL, "--subset", "", "--mode", "both"), 0,
+              "The empty A', a flat under condition 1: an empty label list."),
     *_formats("mid12-circuits", ("circuits", *MID12, "--mode", "both"), 0, MID12_NOTE),
     *_formats("mid12-flats", ("flats", *MID12, "--mode", "both"), 0, MID12_NOTE),
     *_formats("mid12-check", ("check", *MID12), 3,
