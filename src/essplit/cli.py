@@ -37,26 +37,21 @@ order, or in mask order when N covers every subset; flat violations by
 base flat, then top.  JSON is rendered with one join per list or
 object, byte for byte as json.dumps with indent=2.
 
-The report's witnesses stay position masks until ``main`` writes them.
-Each witness list is a ``_Witnesses`` of tuples in report order, which
-``_json_text`` hands to its ``json`` method and ``_check_lines`` reads
-directly.  Both render a mask through ``_mask_texts``: a label's text
-(JSON-escaped and indented, or plain) is made once, each byte value of
-a mask is joined once from ``sorted_labels``, and each mask once per
-render, so a witness costs one join.  The bytes are those of the label
-lists the masks stand for: the labels come from ``sorted_labels`` in
+The lists of masks in a payload (``check``'s witnesses, the circuits
+of ``circuits`` and the flats of ``flats``) stay position masks until
+``main`` writes them.  Each is a ``_MaskList`` of bare masks or of rows
+of fields, which ``_json_text`` hands to its ``json`` method and the
+text lines read directly.  The labels come from ``sorted_labels`` in
 split-ground order, are escaped by the function ``json.dumps`` itself
-uses, and sit at the indent ``json.dumps`` would give them.
-
-The payloads of ``circuits`` and ``flats`` keep their masks too, until
-``main`` writes them: each list of circuits, and the flats with their
-conditions, is a ``_LabelLists``, and delta and a ``flats --subset`` A'
-a ``_LabelList``.  They render through ``_mask_join``: each label's
-text is escaped once per list, at that list's indent, and each mask
-costs one join over the texts of its positions.  Without byte tables:
-a list of circuits or flats renders most masks once, so the tables of
-``_mask_texts`` would not pay back their cost.  The text lines read the
-same masks through ``_mask_join`` with the plain labels.
+uses, and sit at the indent ``json.dumps`` would give them, so the
+bytes are those of the label lists the masks stand for.  Each call site
+picks the mask renderer.  ``check`` takes ``_mask_texts``: each byte
+value of a mask is joined once, and each mask once per render, as a
+report repeats its masks.  ``circuits`` and ``flats`` take
+``_mask_join``, one join over the texts of a mask's positions: their
+lists render most masks once, so byte tables would not pay back their
+cost.  A single label list, delta or a ``flats --subset`` A', is a
+plain list of labels.
 """
 
 from __future__ import annotations
@@ -204,14 +199,13 @@ def _json_text(value: object, indent: str = "\n") -> str:
     generator step per token; here each list and dict is one ``join``.
     Strings take the library's own C escaping, and every other value
     that is not a list, tuple or dict goes to ``json.dumps`` itself, so
-    the bytes are the same.  A ``_Witnesses`` list of ``check``, and a
-    ``_LabelLists`` or ``_LabelList`` of ``circuits`` and ``flats``,
-    renders itself from its masks, at the indent given, as the label
-    lists, or the dicts of them, that it stands for.
+    the bytes are the same.  A ``_MaskList`` renders itself from its
+    masks, at the indent given, as the label lists, or the dicts of
+    them, that it stands for.
     """
     if type(value) is str:
         return _encode_str(value)
-    if type(value) in (_Witnesses, _LabelLists, _LabelList):
+    if type(value) is _MaskList:
         return value.json(indent)
     if isinstance(value, (list, tuple)):
         if not value:
@@ -233,6 +227,7 @@ def _json_text(value: object, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
+# Kept apart from ``main``: bench/tracing.py times it as the cli.emit_json layer.
 def _emit_json(payload: dict) -> None:
     print(_json_text(payload))
 
@@ -330,13 +325,13 @@ def cmd_circuits(args: argparse.Namespace) -> Result:
     if args.mode in ("formula", "both"):
         family = predict_circuits(ctx)
         payload["family"] = {
-            name: _LabelLists(ctx, masks)
+            name: _MaskList(ctx, masks, _mask_join)
             for name, masks in zip(_FAMILY_CLASSES, family.classes)
         }
-        payload["family"]["delta"] = _LabelList(ctx, family.delta_mask)
+        payload["family"]["delta"] = ctx.sorted_labels(family.delta_mask)
     if args.mode in ("oracle", "both"):
         oracle = split_matroid(ctx).circuits(masks=True)
-        payload["oracle"] = _LabelLists(ctx, oracle)
+        payload["oracle"] = _MaskList(ctx, oracle, _mask_join)
     payload["equal"] = (
         set(family.minimal) == set(oracle) if args.mode == "both" else None
     )
@@ -351,7 +346,7 @@ def _circuit_lines(ctx: SplitContext, payload: dict) -> Iterator[str]:
         for name in _FAMILY_CLASSES:
             for c in family[name]:
                 yield f"{name}: {braces(c)}"
-        yield f"delta: {braces(family['delta'])}"
+        yield f"delta: {_braces(family['delta'])}"
     for c in payload.get("oracle", ()):
         yield f"oracle: {braces(c)}"
     if payload["equal"] is not None:
@@ -362,11 +357,10 @@ def cmd_flats(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
     oracle = split_matroid(ctx)
     predict = args.mode != "oracle"
-    braces = _mask_join(ctx, str, "{", "}", "{}")
 
     if args.subset is not None:
         labels = _parse_labels(args.subset)
-        subset = ctx.mask_of(labels)
+        subset = ctx.sorted_labels(ctx.mask_of(labels))
         is_flat = oracle.is_flat(labels)
         condition = None
         if predict:
@@ -374,10 +368,8 @@ def cmd_flats(args: argparse.Namespace) -> Result:
                 condition = predict_is_flat(ctx, labels)
             except BaseNotFlat:
                 pass
-        payload = {
-            "subset": _LabelList(ctx, subset), "is_flat": is_flat, "condition": condition
-        }
-        line = f"{braces(subset)} flat={is_flat} condition={condition}"
+        payload = {"subset": subset, "is_flat": is_flat, "condition": condition}
+        line = f"{_braces(subset)} flat={is_flat} condition={condition}"
         code = DISAGREEMENT if condition is not None and not is_flat else OK
         return code, payload, (line,)
     # The split's flats first, so an oversized input meets the split's cap.
@@ -397,9 +389,9 @@ def cmd_flats(args: argparse.Namespace) -> Result:
         return facts.plan(flat >> len(ctx.base.ground)).flat
 
     # The split matrix's columns are the split-ground positions.
-    rows = _LabelLists(
-        ctx, [(flat, condition_of(flat)) for flat in flats], ("flat", "condition")
-    )
+    fields = (("flat", True), ("condition", False))
+    rows = _MaskList(ctx, zip(flats, map(condition_of, flats)), _mask_join, fields)
+    braces = _mask_join(ctx, str, "{", "}", "{}")
     lines = (f"{braces(flat)} condition={condition}" for flat, condition in rows)
     return OK, {"flats": rows}, lines
 
@@ -551,9 +543,11 @@ def cmd_check(args: argparse.Namespace) -> Result:
 
     flat_key = _mask_key(n)
     flat_found.sort(key=lambda w: (flat_key(w[0] & ctx.a_bit - 1), w[0] >> n))
-    closure_witnesses = _Witnesses(ctx, _CLOSURE_FIELDS, in_order(closure_found))
-    rank_witnesses = _Witnesses(ctx, _RANK_FIELDS, in_order(rank_found))
-    flat_violations = _Witnesses(ctx, _FLAT_FIELDS, flat_found)
+    closure_witnesses = _MaskList(
+        ctx, in_order(closure_found), _mask_texts, _CLOSURE_FIELDS
+    )
+    rank_witnesses = _MaskList(ctx, in_order(rank_found), _mask_texts, _RANK_FIELDS)
+    flat_violations = _MaskList(ctx, flat_found, _mask_texts, _FLAT_FIELDS)
     disagreements = (
         len(closure_witnesses)
         + len(rank_witnesses)
@@ -584,43 +578,44 @@ _RANK_FIELDS = (("subset", True), ("formula", False), ("oracle", False))
 _FLAT_FIELDS = (("subset", True), ("condition", False))
 
 
-class _Witnesses(list):
-    """One witness list of ``check``'s report: tuples in report order,
-    one entry per field of ``fields``.
-
-    It stands for a list of dicts whose masks are label lists in
-    split-ground order, and ``_json_text`` renders it with ``json``,
-    byte for byte as it would render that list.
+class _MaskList(list):
+    """Position masks of a payload, standing for the list of their label
+    lists in split-ground order; with ``fields``, rows of one entry per
+    field, standing for the list of dicts from the field names to the
+    entries, each mask as its label list.  ``render`` renders the masks:
+    ``_mask_texts`` or ``_mask_join`` (see the module docstring).
     """
 
-    def __init__(self, ctx: SplitContext, fields: tuple, rows: list[tuple]):
+    def __init__(self, ctx: SplitContext, rows: Iterable, render: Callable, fields=()):
         super().__init__(rows)
         self.ctx = ctx
+        self.render = render
         self.fields = fields
 
     def json(self, indent: str) -> str:
-        """The text of the list at ``indent``, one join per witness.
+        """The text of the list at ``indent``, one join per row.
 
         Each label is escaped once, with the indent of a label-list item
-        in front, and each mask's label list and each other value is
-        rendered once per call.
+        in front, and each other value is rendered once per call.
         """
         if not self:
             return "[]"
         item = indent + "  "
-        field = item + "  "
-        label_list = _mask_texts(
-            self.ctx, lambda lab: field + "  " + _encode_str(lab), "[", field + "]", "[]"
+        inner = item + "  " if self.fields else item
+        label_list = self.render(
+            self.ctx, lambda lab: inner + "  " + _encode_str(lab), "[", inner + "]", "[]"
         )
+        if not self.fields:
+            return "[" + item + ("," + item).join(map(label_list, self)) + indent + "]"
 
         @cache
         def plain(value: object) -> str:
-            return _json_text(value, field)
+            return _json_text(value, inner)
 
         # One %s per field; each column of fields is rendered in one pass.
         template = (
             "{"
-            + ",".join(field + _encode_str(key) + ": %s" for key, _ in self.fields)
+            + ",".join(inner + _encode_str(key) + ": %s" for key, _ in self.fields)
             + item
             + "}"
         )
@@ -665,64 +660,6 @@ def _mask_texts(
         return opening + joined[1:] + closing
 
     return render
-
-
-class _LabelLists(list):
-    """Position masks of a ``circuits`` or ``flats`` payload, standing
-    for the list of their label lists in split-ground order; with
-    ``keys``, rows of a mask and plain values, standing for the list of
-    dicts from ``keys`` to the mask's label list and those values.
-
-    ``_json_text`` renders it with ``json``, byte for byte as it would
-    render what it stands for, and the text lines read its masks.
-    """
-
-    def __init__(self, ctx: SplitContext, rows: Iterable, keys: tuple[str, ...] = ()):
-        super().__init__(rows)
-        self.ctx = ctx
-        self.keys = keys
-
-    def json(self, indent: str) -> str:
-        """The text of the list at ``indent``, one join per label list,
-        each label escaped once per call."""
-        if not self:
-            return "[]"
-        item = indent + "  "
-        if not self.keys:
-            rows = map(_json_label_list(self.ctx, item), self)
-        else:
-            field = item + "  "
-            label_list = _json_label_list(self.ctx, field)
-            template = (
-                "{"
-                + ",".join(field + _encode_str(key) + ": %s" for key in self.keys)
-                + item
-                + "}"
-            )
-            rows = (
-                template % (label_list(mask), *map(json.dumps, values))
-                for mask, *values in self
-            )
-        return "[" + item + ("," + item).join(rows) + indent + "]"
-
-
-class _LabelList(int):
-    """One position mask of a payload, standing for its label list in
-    split-ground order, which ``_json_text`` renders with ``json``."""
-
-    def __new__(cls, ctx: SplitContext, mask: int):
-        self = super().__new__(cls, mask)
-        self.ctx = ctx
-        return self
-
-    def json(self, indent: str) -> str:
-        return _json_label_list(self.ctx, indent)(self)
-
-
-def _json_label_list(ctx: SplitContext, indent: str) -> Callable[[int], str]:
-    """The renderer of a mask's JSON label list at ``indent``."""
-    inner = indent + "  "
-    return _mask_join(ctx, lambda lab: inner + _encode_str(lab), "[", indent + "]", "[]")
 
 
 def _mask_join(

@@ -39,11 +39,11 @@ i-th ground element.  The circuit walk finds masks, and the one
 circuit cache holds masks in canonical order (first by size, then
 lexicographically by position, the order of the int key
 ``_mask_key``).  Labels appear only at the boundary: ``rank_of``,
-``closure_of`` and ``is_flat`` take label sets, and ``circuits()`` and ``flats()`` return ``frozenset`` objects
-of labels in that order, or with ``masks=True`` the position masks
-themselves, for callers that stay on masks.  ``closures_at`` and
-``walk_closures`` take the extra elements as positions and answer with
-masks.
+``closure_of`` and ``is_flat`` take label sets, and ``circuits()`` and
+``flats()`` return ``frozenset`` objects of labels in that order, or
+with ``masks=True`` the position masks themselves, for callers that
+stay on masks.  ``closures_at`` and ``walk_closures`` take the extra
+elements as positions and answer with masks.
 """
 
 from __future__ import annotations
@@ -237,15 +237,15 @@ class BinaryMatroid:
 
         So answers are computed only at the B whose top column lies
         outside the span of the rest, the independent sets of non-loops,
-        and they depend on span(B) alone.  A memo local to the walk keeps them by
-        the residue tuple, which names the span exactly.  Each residue
-        is the member of its coset with no pivot bit, and the pivots are
-        the lowest bits of the nonzero vectors of span(A): each pivot is
-        the lowest bit of a residue that lies in span(A), the r = rank(A)
-        pivots are distinct, and an r-dimensional space has exactly r
-        such lowest bits.  So every A with the same span gives the same
-        tuple.  Its zero entries are cl(A), whose columns span span(A),
-        so distinct spans give distinct tuples.
+        and they depend on span(B) alone.  A memo local to the walk keeps
+        them by the residue tuple, which names the span exactly.  Each
+        residue is the member of its coset with no pivot bit, and the
+        pivots are the lowest bits of the nonzero vectors of span(A):
+        each pivot is the lowest bit of a residue that lies in span(A),
+        the r = rank(A) pivots are distinct, and an r-dimensional space
+        has exactly r such lowest bits.  So every A with the same span
+        gives the same tuple.  Its zero entries are cl(A), whose columns
+        span span(A), so distinct spans give distinct tuples.
 
         An entry is stored only when cl(A) holds more than r walked
         non-loops.  Then span(A) has two bases among the walked

@@ -18,7 +18,9 @@ from essplit.cli import (
     _FLAT_FIELDS,
     _RANK_FIELDS,
     _json_text,
-    _Witnesses,
+    _mask_join,
+    _mask_texts,
+    _MaskList,
     main,
 )
 from essplit.gf2 import format_matrix
@@ -184,7 +186,9 @@ def test_escaped_random_instances_match_reference(index):
 @pytest.mark.parametrize("n", [6, 13, 20])
 def test_witness_lists_render_as_json_dumps(n):
     # Split grounds of 8, 15 and 22 elements: one byte of a mask, a
-    # short last byte and three bytes.
+    # short last byte and three bytes.  Every shape of mask list (the
+    # witnesses of ``check``, the flats of ``flats`` and the bare masks
+    # of ``circuits``) through both mask renderers.
     rng = random.Random(n)
     ctx = escaped(random_split_instance(rng, n, max_rank=5), n)
     width = len(ctx.split_ground)
@@ -193,6 +197,8 @@ def test_witness_lists_render_as_json_dumps(n):
         return 0 if rng.random() < 0.2 else rng.getrandbits(width)
 
     cases = ["L3.2", "L3.5", "L3.8.1"]
+    conditions = [*range(1, 7), None]
+    flats_fields = (("flat", True), ("condition", False))
     rows = {
         _CLOSURE_FIELDS: [
             (mask(), tuple(rng.sample(cases, rng.randint(0, 2))), mask(), mask())
@@ -200,22 +206,31 @@ def test_witness_lists_render_as_json_dumps(n):
         ],
         _RANK_FIELDS: [(mask(), rng.randint(0, 9), rng.randint(0, 9)) for _ in range(30)],
         _FLAT_FIELDS: [(mask(), rng.randint(1, 6)) for _ in range(30)],
+        flats_fields: [(mask(), rng.choice(conditions)) for _ in range(40)],
+        (): [mask() for _ in range(30)],
     }
-    assert any(row[0] == 0 for kind in rows.values() for row in kind)
-    payload = {"none": _Witnesses(ctx, _FLAT_FIELDS, [])}
-    expected: dict = {"none": []}
-    for fields, kind in rows.items():
-        name = "-".join(key for key, _ in fields)
-        payload[name] = _Witnesses(ctx, fields, kind)
-        expected[name] = [
-            {
-                key: ctx.sorted_labels(value) if is_mask else value
-                for (key, is_mask), value in zip(fields, row)
-            }
-            for row in kind
-        ]
-    assert _json_text(payload) == json.dumps(expected, indent=2)
-    assert _json_text(payload["none"]) == "[]"
+    assert 0 in rows[()] and any(row[0] == 0 for row in rows[_CLOSURE_FIELDS])
+    assert {row[1] for row in rows[flats_fields]} == set(conditions)
+    for render in (_mask_texts, _mask_join):
+        payload = {
+            "none": _MaskList(ctx, [], render, _FLAT_FIELDS),
+            "no masks": _MaskList(ctx, [], render),
+        }
+        expected: dict = {"none": [], "no masks": []}
+        for fields, kind in rows.items():
+            name = "-".join(key for key, _ in fields) or "masks"
+            payload[name] = _MaskList(ctx, kind, render, fields)
+            expected[name] = [
+                {
+                    key: ctx.sorted_labels(value) if is_mask else value
+                    for (key, is_mask), value in zip(fields, row)
+                }
+                if fields
+                else ctx.sorted_labels(row)
+                for row in kind
+            ]
+        assert _json_text(payload) == json.dumps(expected, indent=2)
+        assert _json_text(payload["none"]) == _json_text(payload["no masks"]) == "[]"
 
 
 def test_golden_is_the_json_reference():
