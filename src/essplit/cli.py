@@ -27,11 +27,13 @@ base parts directly.  A query is (A, top), a in bit 0 of top and gamma
 in bit 1.  It reads its matched cases, its closure shape and its rank
 from the case plan of its key, the record's signature | top.  Each
 signature's four rows, one per top (shape index, cases, rank offset,
-top << n and the index of the answer in the spans), are read off its
-plans once; an exhaustive run counts hits per signature, a sampled one
-per key, and both become case counts at the end.  A part whose
-record has cl(A) = A is a base flat, and the flat conditions of its
-four lifts are checked on the same spans.  The report lists
+flat condition, top << n and the index of the answer in the spans),
+are read off its plans once, and one loop serves every run mode: a
+part answers the tops it visits, all four unless a sample left some
+out, and a part whose record has cl(A) = A is a base flat, whose four
+lifts are checked under their flat conditions on the same spans.
+Visits are counted per signature and tops, and one pass over the
+counts gives the case tally from the rows.  The report lists
 disagreements by subset size, then position; with --sample, in draw
 order, or in mask order when N covers every subset; flat violations by
 base flat, then top.  JSON is rendered with one join per list or
@@ -374,23 +376,18 @@ def cmd_flats(args: argparse.Namespace) -> Result:
         return code, payload, (line,)
     # The split's flats first, so an oversized input meets the split's cap.
     flats = oracle.flats(masks=True)
-    # One record per base flat serves F, F+a, F+gamma and F+a+gamma; a
-    # split flat whose base part is no base flat gets no condition.
-    records = (
-        {part: _BaseFacts.at(ctx, part) for part in ctx.base.flats(masks=True)}
-        if predict
-        else {}
-    )
-
-    def condition_of(flat: int) -> int | None:
-        facts = records.get(flat & (ctx.a_bit - 1))
-        if facts is None:
-            return None
-        return facts.plan(flat >> len(ctx.base.ground)).flat
+    # One record per base flat F gives the conditions of F, F+a, F+gamma
+    # and F+a+gamma; a split flat whose base part is no base flat gets no
+    # condition.
+    n = len(ctx.base.ground)
+    conditions: dict[int, int | None] = {}
+    for part in ctx.base.flats(masks=True) if predict else ():
+        facts = _BaseFacts.at(ctx, part)
+        conditions.update({part | top << n: facts.plan(top).flat for top in range(4)})
 
     # The split matrix's columns are the split-ground positions.
     fields = (("flat", True), ("condition", False))
-    rows = _MaskList(ctx, zip(flats, map(condition_of, flats)), _mask_join, fields)
+    rows = _MaskList(ctx, zip(flats, map(conditions.get, flats)), _mask_join, fields)
     braces = _mask_join(ctx, str, "{", "}", "{}")
     lines = (f"{braces(flat)} condition={condition}" for flat, condition in rows)
     return OK, {"flats": rows}, lines
@@ -398,18 +395,19 @@ def cmd_flats(args: argparse.Namespace) -> Result:
 
 def _check_plan(
     ctx: SplitContext, oracle: BinaryMatroid, sample: int | None, seed: int
-) -> tuple[dict[int, list[int]] | None, Callable[[int], object]]:
+) -> tuple[dict[int, tuple[int, ...]], Callable[[int], object]]:
     """The subsets ``check`` visits, grouped by base part, and their
     order in the report.
 
     A subset is a mask over the split ground: its low n bits are the
     base part A, bit n is a and bit n + 1 is gamma.  The groups map a
-    base mask to the values of the two top bits to visit with it, and
-    include every base flat, with no top if none was drawn; None stands
-    for every base part with all four.  The key sorts masks into report
-    order: by the oracle's subset order (size, then positions) when
-    exhaustive, by mask when ``sample`` covers all 2^(n+2) subsets, and
-    else by first draw, repeated draws being redrawn.
+    base mask to the values of the two top bits to visit with it, in
+    draw order, and include every base flat, with no top if none was
+    drawn; they are empty when every base part is visited with all four,
+    exhaustively or by a ``sample`` of all 2^(n+2) subsets.  The key
+    sorts masks into report order: by the oracle's subset order (size,
+    then positions) when exhaustive, by mask when ``sample`` covers
+    every subset, and else by first draw, repeated draws being redrawn.
 
     Every cap the run will hit is tested here, before any work: the
     exhaustive cap on the split ground, then the enumeration caps of the
@@ -434,16 +432,17 @@ def _check_plan(
     if later:
         raise later
     if sample is None or sample >= total:
-        return None, _mask_key(n + 2) if sample is None else int
+        return {}, _mask_key(n + 2) if sample is None else int
     rng = random.Random(seed)
     drawn: dict[int, int] = {}
     while len(drawn) < sample:
         drawn.setdefault(rng.randrange(total), len(drawn))
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, tuple[int, ...]] = {}
     for mask in drawn:
-        groups.setdefault(mask & (1 << n) - 1, []).append(mask >> n)
+        base = mask & (1 << n) - 1
+        groups[base] = groups.get(base, ()) + (mask >> n,)
     for flat in ctx.base.flats(masks=True):
-        groups.setdefault(flat, [])
+        groups.setdefault(flat, ())
     return groups, drawn.__getitem__
 
 
@@ -463,9 +462,8 @@ def cmd_check(args: argparse.Namespace) -> Result:
     # and A+a+gamma.
     extras = (*ctx.lift_extras, n + 1)
 
-    signature_rows: dict[int, list[tuple]] = {}
-    signature_hits: dict[int, int] = {}
-    plan_hits: dict[int, int] = {}
+    signature_rows: dict[int, tuple[tuple, ...]] = {}
+    visits: dict[tuple[int, tuple[int, ...]], int] = {}
     closure_found: list[tuple[int, tuple[str, ...], int, int]] = []
     rank_found: list[tuple[int, int, int]] = []
     flat_found: list[tuple[int, int]] = []
@@ -474,10 +472,11 @@ def cmd_check(args: argparse.Namespace) -> Result:
     # queries (A, top), all on position masks.  A query's plan key is
     # the record's signature | top; the plan gives the matched cases,
     # the shape of the closure, the rank offset and the flat condition.
-    # Each signature's rows, one per top, are read off its plans once.
-    # Hits are counted per signature in an exhaustive run, else per key,
-    # and expanded into cases at the end.  The witnesses stay masks,
-    # sorted into report order; only their rendering reads labels.
+    # Each signature's four rows, one per top, are read off its plans
+    # once, and serve the queries of the tops visited, the flat
+    # conditions of all four lifts and the case tally, which counts
+    # visits per signature and tops.  The witnesses stay masks, sorted
+    # into report order; only their rendering reads labels.
     groups, order = _check_plan(ctx, oracle, args.sample, args.seed)
 
     # A span's answers with the record's span part, which the walk
@@ -485,29 +484,25 @@ def cmd_check(args: argparse.Namespace) -> Result:
     def derive(spans: tuple[tuple[int, int], ...]) -> tuple:
         return spans, _BaseFacts._span_part(ctx, spans)
 
-    if groups is None:
-        parts = oracle.walk_closures(extras, n, derive)
-    else:
+    if groups:
         parts = ((part, derive(oracle.closures_at(part, extras))) for part in groups)
+    else:
+        parts = oracle.walk_closures(extras, n, derive)
     for base, (spans, span) in parts:
         facts = _BaseFacts(ctx, base, span)
         signature, shapes = facts.signature, facts.table_shapes
         rows = signature_rows.get(signature)
         if rows is None:
-            # (shape index, cases, rank offset, top << n, answer index)
+            # (shape index, cases, rank offset, flat condition, top << n, answer index)
             plans = [_plan(signature | top) for top in range(4)]
-            rows = signature_rows[signature] = [
-                (plan.table.shape, plan.table, plan.rank, top << n, top << 1)
+            rows = signature_rows[signature] = tuple(
+                (plan.table.shape, plan.table, plan.rank, plan.flat, top << n, top << 1)
                 for top, plan in enumerate(plans)
-            ]
-        if groups is None:
-            signature_hits[signature] = signature_hits.get(signature, 0) + 1
-        else:
-            tops = groups[base]
-            rows = [rows[top] for top in tops]
-            for top in tops:
-                plan_hits[signature | top] = plan_hits.get(signature | top, 0) + 1
-        for shape, cases, rank_offset, high, answer in rows:
+            )
+        tops = groups.get(base, (0, 1, 2, 3))
+        visits[signature, tops] = visits.get((signature, tops), 0) + 1
+        for top in tops:
+            shape, cases, rank_offset, _, high, answer = rows[top]
             formula = shapes[shape] if shape is not None else facts.closure(cases, shapes)
             oracle_rank, oracle_closure = spans[answer]
             if formula is not None and formula != oracle_closure:
@@ -517,23 +512,20 @@ def cmd_check(args: argparse.Namespace) -> Result:
                 rank_found.append((base | high, formula_rank, oracle_rank))
         if facts.cl == base:
             # A base flat F: F + top under each flat condition.
-            for top in range(4):
-                condition = facts.plan(top).flat
-                a_prime = base | top << n
-                if condition is not None and spans[top << 1][1] != a_prime:
-                    flat_found.append((a_prime, condition))
+            for _, _, _, condition, high, answer in rows:
+                if condition is not None and spans[answer][1] != base | high:
+                    flat_found.append((base | high, condition))
 
-    for signature, hits in signature_hits.items():
-        for top in range(4):
-            plan_hits[signature | top] = hits
+    subsets = no_case = 0
     case_hits: dict[str, int] = {}
-    no_case = 0
-    for key, hits in plan_hits.items():
-        matched = _plan(key).table.ids
-        if not matched:
-            no_case += hits
-        for case_id in matched:
-            case_hits[case_id] = case_hits.get(case_id, 0) + hits
+    for (signature, tops), hits in visits.items():
+        for top in tops:
+            matched = signature_rows[signature][top][1].ids
+            subsets += hits
+            if not matched:
+                no_case += hits
+            for case_id in matched:
+                case_hits[case_id] = case_hits.get(case_id, 0) + hits
 
     family_equal = set(predict_circuits(ctx).minimal) == set(oracle.circuits(masks=True))
     corollary_ok = oracle.rank_of(oracle.ground) == ctx.base.rank_of(ctx.base.ground) + 1
@@ -556,7 +548,7 @@ def cmd_check(args: argparse.Namespace) -> Result:
         + (0 if corollary_ok else 1)
     )
     summary = {
-        "subsets": sum(plan_hits.values()),
+        "subsets": subsets,
         "case_hits": {cid: case_hits.get(cid, 0) for cid in sorted(case_hits)},
         "no_case": no_case,
         "closure_disagreements": closure_witnesses,

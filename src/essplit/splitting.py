@@ -85,28 +85,6 @@ from .errors import (
 from .gf2 import GF2Matrix, _bits
 from .matroid import BinaryMatroid, _mask_key
 
-#: Identifiers of the closure case table, in evaluation order.  The ids
-#: are opaque strings fixed by the JSON report schema.
-CLOSURE_CASE_IDS = (
-    "L3.2",
-    "L3.3",
-    "L3.4.1",
-    "L3.4.2",
-    "L3.5",
-    "L3.6",
-    "L3.7",
-    "L3.8.1",
-    "L3.8.2",
-    "L3.8.3",
-    "L3.8.4",
-    "L3.8.5",
-)
-
-#: Identifiers of the cases of ``closure_rule``, in evaluation order.
-#: Exactly one of them matches any query.
-CLOSURE_RULE_CASE_IDS = ("R1.1", "R1.2", "R2", "R3.1", "R3.2", "R3.3")
-
-
 @dataclass(frozen=True)
 class SplitContext:
     """One split instance: base matroid, X, e, and the two fresh labels."""
@@ -653,6 +631,15 @@ def _rule_rows(k: _Key) -> tuple[tuple[str, bool, int], ...]:
         ("R3.2", bound_g and e_in_cl and not e_in_f_star, cl_e_ag),
         ("R3.3", bound_g and not e_in_cl, kept_g_t),
     )
+
+
+#: Identifiers of the closure case table, in evaluation order.  The ids
+#: are opaque strings fixed by the JSON report schema.
+CLOSURE_CASE_IDS = tuple(case_id for case_id, _, _ in _table_rows(_Key(0)))
+
+#: Identifiers of the cases of ``closure_rule``, in evaluation order.
+#: Exactly one of them matches any query.
+CLOSURE_RULE_CASE_IDS = tuple(case_id for case_id, _, _ in _rule_rows(_Key(0)))
 
 
 def _flat_condition(k: _Key) -> int | None:

@@ -69,6 +69,34 @@ MUTANTS = [
         "kept = _minimal(tested, {*c2, *gamma_circuits})",
         ("tests/test_circuit_family.py",),
     ),
+    Mutant(
+        "check-exhaustive-part-visits-no-top",
+        "essplit/cli.py",
+        "tops = groups.get(base, (0, 1, 2, 3))",
+        "tops = groups.get(base, ())",
+        ("tests/test_check.py::test_wheel_matches_reference",),
+    ),
+    Mutant(
+        "check-flat-pass-drawn-tops-only",
+        "essplit/cli.py",
+        "for _, _, _, condition, high, answer in rows:",
+        "for _, _, _, condition, high, answer in map(rows.__getitem__, tops):",
+        ("tests/test_check.py::TestFlatWitnessOrder::test_reports_match_the_reference",),
+    ),
+    Mutant(
+        "check-tally-drops-subsets",
+        "essplit/cli.py",
+        "            subsets += hits\n",
+        "",
+        ("tests/test_check.py::test_wheel_matches_reference",),
+    ),
+    Mutant(
+        "mixed-candidates-trusted",
+        "essplit/splitting.py",
+        "gamma_tested.update(",
+        "gamma_circuits.update(",
+        ("tests/test_circuit_family.py",),
+    ),
 ]
 
 
