@@ -33,11 +33,12 @@ unless a sample left some out, and a part whose record has cl(A) = A
 is a base flat, whose four lifts are checked under their flat
 conditions on the same spans.  Visits are counted per signature and
 tops, and one pass over the counts gives the case tally from the
-plans.  The report lists
-disagreements by subset size, then position; with --sample, in draw
-order, or in mask order when N covers every subset; flat violations by
-base flat, then top.  JSON is rendered with one join per list or
-object, byte for byte as json.dumps with indent=2.
+plans.  The run mode picks only which queries are checked: every list
+of witnesses is sorted by one key, subset size, then positions
+(``_mask_key``), so a sample that covers every subset prints the
+exhaustive report and a smaller one lists a sub-sequence of its rows.
+JSON is rendered with one join per list or object, byte for byte as
+json.dumps with indent=2.
 
 The lists of masks in a payload (``check``'s witnesses, the circuits
 of ``circuits`` and the flats of ``flats``) stay position masks until
@@ -126,21 +127,9 @@ class _UsageError(Exception):
     pass
 
 
-class _Exit(Exception):
-    """argparse ended the run itself, after printing --help."""
-
-    def __init__(self, status: int):
-        self.status = status
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise _UsageError(message)
-
-    def exit(self, status: int = 0, message: str | None = None):
-        if message:
-            print(message, file=sys.stderr, end="")
-        raise _Exit(status)
 
 
 def _parse_labels(text: str | None) -> tuple[str, ...]:
@@ -260,12 +249,6 @@ def _load_context(args: argparse.Namespace) -> SplitContext:
     )
 
 
-def _require_subset(args: argparse.Namespace) -> tuple[str, ...]:
-    if args.subset is None:
-        raise _UsageError("--subset is required for this command")
-    return _parse_labels(args.subset)
-
-
 # -- commands ----------------------------------------------------------------
 
 # (exit code, JSON payload, text lines); see the module docstring.
@@ -285,7 +268,7 @@ def cmd_split(args: argparse.Namespace) -> Result:
 
 def cmd_closure(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
-    labels = _require_subset(args)
+    labels = _parse_labels(args.subset)
     a_prime = ctx.mask_of(labels)
     report = predict_closure(ctx, labels) if args.mode in ("formula", "both") else None
     formula = None if report is None else report.formula_result
@@ -305,7 +288,7 @@ def cmd_closure(args: argparse.Namespace) -> Result:
 
 def cmd_rank(args: argparse.Namespace) -> Result:
     ctx = _load_context(args)
-    labels = _require_subset(args)
+    labels = _parse_labels(args.subset)
     a_prime = ctx.mask_of(labels)
     formula = predict_rank(ctx, labels) if args.mode in ("formula", "both") else None
     oracle = (
@@ -357,59 +340,63 @@ def _circuit_lines(ctx: SplitContext, payload: dict) -> Iterator[str]:
 
 
 def cmd_flats(args: argparse.Namespace) -> Result:
+    # A route not taken leaves its field out: ``is_flat`` (text
+    # ``flat=``) without the oracle, ``condition`` without the formula,
+    # whose null means that no sufficient condition holds.
     ctx = _load_context(args)
-    oracle = split_matroid(ctx)
-    predict = args.mode != "oracle"
-
     if args.subset is not None:
         labels = _parse_labels(args.subset)
         subset = ctx.sorted_labels(ctx.mask_of(labels))
-        is_flat = oracle.is_flat(labels)
-        condition = None
-        if predict:
+        payload: dict = {"subset": subset}
+        line = _braces(subset)
+        if args.mode != "formula":
+            payload["is_flat"] = split_matroid(ctx).is_flat(labels)
+            line += f" flat={payload['is_flat']}"
+        if args.mode != "oracle":
             try:
-                condition = predict_is_flat(ctx, labels)
+                payload["condition"] = predict_is_flat(ctx, labels)
             except BaseNotFlat:
-                pass
-        payload = {"subset": subset, "is_flat": is_flat, "condition": condition}
-        line = f"{_braces(subset)} flat={is_flat} condition={condition}"
-        code = DISAGREEMENT if condition is not None and not is_flat else OK
-        return code, payload, (line,)
-    # The split's flats first, so an oversized input meets the split's cap.
-    flats = oracle.flats(masks=True)
+                payload["condition"] = None
+            line += f" condition={payload['condition']}"
+        violated = payload.get("condition") is not None and payload.get("is_flat") is False
+        return DISAGREEMENT if violated else OK, payload, (line,)
+    # The listing is the split's flats in every mode, enumerated first, so
+    # an oversized input meets the split's cap.  The split matrix's
+    # columns are the split-ground positions.
+    flats = split_matroid(ctx).flats(masks=True)
+    braces = _mask_join(ctx, str, "{", "}", "{}")
+    if args.mode == "oracle":
+        rows = _MaskList(ctx, zip(flats), _mask_join, (("flat", True),))
+        return OK, {"flats": rows}, map(braces, flats)
     # One record per base flat F gives the conditions of F, F+a, F+gamma
     # and F+a+gamma; a split flat whose base part is no base flat gets no
     # condition.
     n = len(ctx.base.ground)
     conditions: dict[int, int | None] = {}
-    for part in ctx.base.flats(masks=True) if predict else ():
+    for part in ctx.base.flats(masks=True):
         signature = _BaseFacts.at(ctx, part).signature
         for top, (_, _, _, condition, _) in enumerate(_plans(signature)):
             conditions[part | top << n] = condition
 
-    # The split matrix's columns are the split-ground positions.
     fields = (("flat", True), ("condition", False))
     rows = _MaskList(ctx, zip(flats, map(conditions.get, flats)), _mask_join, fields)
-    braces = _mask_join(ctx, str, "{", "}", "{}")
     lines = (f"{braces(flat)} condition={condition}" for flat, condition in rows)
     return OK, {"flats": rows}, lines
 
 
 def _check_plan(
     ctx: SplitContext, oracle: BinaryMatroid, sample: int | None, seed: int
-) -> tuple[dict[int, tuple[int, ...]], Callable[[int], object]]:
-    """The subsets ``check`` visits, grouped by base part, and their
-    order in the report.
+) -> dict[int, tuple[int, ...]]:
+    """The subsets ``check`` visits, grouped by base part.
 
     A subset is a mask over the split ground: its low n bits are the
     base part A, bit n is a and bit n + 1 is gamma.  The groups map a
     base mask to the values of the two top bits to visit with it, in
-    draw order, and include every base flat, with no top if none was
-    drawn; they are empty when every base part is visited with all four,
-    exhaustively or by a ``sample`` of all 2^(n+2) subsets.  The key
-    sorts masks into report order: by the oracle's subset order (size,
-    then positions) when exhaustive, by mask when ``sample`` covers
-    every subset, and else by first draw, repeated draws being redrawn.
+    first-draw order, repeated draws being redrawn, and include every
+    base flat, with no top if none was drawn; they are empty when every
+    base part is visited with all four, exhaustively or by a ``sample``
+    of all 2^(n+2) subsets.  The order of the visits does not reach the
+    report, which sorts its witnesses.
 
     Every cap the run will hit is tested here, before any work: the
     exhaustive cap on the split ground, then the enumeration caps of the
@@ -434,18 +421,18 @@ def _check_plan(
     if later:
         raise later
     if sample is None or sample >= total:
-        return {}, _mask_key(n + 2) if sample is None else int
+        return {}
     rng = random.Random(seed)
-    drawn: dict[int, int] = {}
+    drawn: dict[int, None] = {}
     while len(drawn) < sample:
-        drawn.setdefault(rng.randrange(total), len(drawn))
+        drawn[rng.randrange(total)] = None
     groups: dict[int, tuple[int, ...]] = {}
     for mask in drawn:
         base = mask & (1 << n) - 1
         groups[base] = groups.get(base, ()) + (mask >> n,)
     for flat in ctx.base.flats(masks=True):
         groups.setdefault(flat, ())
-    return groups, drawn.__getitem__
+    return groups
 
 
 def cmd_check(args: argparse.Namespace) -> Result:
@@ -477,7 +464,7 @@ def cmd_check(args: argparse.Namespace) -> Result:
     # conditions of all four lifts and the case tally, which counts
     # visits per signature and tops.  The witnesses stay masks, sorted
     # into report order; only their rendering reads labels.
-    groups, order = _check_plan(ctx, oracle, args.sample, args.seed)
+    groups = _check_plan(ctx, oracle, args.sample, args.seed)
 
     # A span's answers with the record's span part, which the walk
     # derives once per span.
@@ -525,15 +512,12 @@ def cmd_check(args: argparse.Namespace) -> Result:
     family_equal = set(predict_circuits(ctx).minimal) == set(oracle.circuits(masks=True))
     corollary_ok = oracle.rank_of(oracle.ground) == ctx.base.rank_of(ctx.base.ground) + 1
 
-    def in_order(found: list[tuple]) -> list[tuple]:
-        return sorted(found, key=lambda w: order(w[0]))
-
-    flat_key = _mask_key(n)
-    flat_found.sort(key=lambda w: (flat_key(w[0] & ctx.a_bit - 1), w[0] >> n))
-    closure_witnesses = _MaskList(
-        ctx, in_order(closure_found), _mask_texts, _CLOSURE_FIELDS
-    )
-    rank_witnesses = _MaskList(ctx, in_order(rank_found), _mask_texts, _RANK_FIELDS)
+    # Report order, in every run mode: size, then positions.
+    key = _mask_key(n + 2)
+    for found in (closure_found, rank_found, flat_found):
+        found.sort(key=lambda w: key(w[0]))
+    closure_witnesses = _MaskList(ctx, closure_found, _mask_texts, _CLOSURE_FIELDS)
+    rank_witnesses = _MaskList(ctx, rank_found, _mask_texts, _RANK_FIELDS)
     flat_violations = _MaskList(ctx, flat_found, _mask_texts, _FLAT_FIELDS)
     disagreements = (
         len(closure_witnesses)
@@ -786,19 +770,20 @@ def build_parser() -> _Parser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, needs_subset in (
-        ("split", cmd_split, False),
+    # Each command with whether it takes --subset: required, optional or not.
+    for name, func, subset in (
+        ("split", cmd_split, None),
         ("closure", cmd_closure, True),
         ("rank", cmd_rank, True),
-        ("circuits", cmd_circuits, False),
+        ("circuits", cmd_circuits, None),
         ("flats", cmd_flats, False),
     ):
         sub = subparsers.add_parser(name)
         _add_instance_flags(sub)
         if name != "split":
             sub.add_argument("--mode", choices=("formula", "oracle", "both"), default="both")
-        if needs_subset or name == "flats":
-            sub.add_argument("--subset", default=None, help="comma-separated labels of A'")
+        if subset is not None:
+            sub.add_argument("--subset", required=subset, help="comma-separated labels of A'")
         sub.set_defaults(func=func)
 
     check = subparsers.add_parser("check")
@@ -825,9 +810,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(line)
         sys.stdout.flush()
         return code
-    except _Exit as exc:
+    except SystemExit as exc:
+        # argparse ends the run itself after printing --help.
         sys.stdout.flush()
-        return exc.status
+        return exc.code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE

@@ -55,9 +55,26 @@ MUTANTS = [
     Mutant(
         "check-flat-witnesses-unsorted",
         "essplit/cli.py",
-        "    flat_found.sort(key=lambda w: (flat_key(w[0] & ctx.a_bit - 1), w[0] >> n))\n",
-        "",
+        "for found in (closure_found, rank_found, flat_found):",
+        "for found in (closure_found, rank_found):",
         ("tests/test_check.py::TestFlatWitnessOrder",),
+    ),
+    Mutant(
+        "check-witnesses-in-mask-order",
+        "essplit/cli.py",
+        "key = _mask_key(n + 2)",
+        "key = int",
+        ("tests/test_check.py::test_a_sample_of_every_subset_prints_the_exhaustive_report",),
+    ),
+    Mutant(
+        "flats-formula-query-builds-the-oracle",
+        "essplit/cli.py",
+        'if args.mode != "formula":\n'
+        '            payload["is_flat"] = split_matroid(ctx).is_flat(labels)',
+        'oracle = split_matroid(ctx)\n'
+        '        if args.mode != "formula":\n'
+        '            payload["is_flat"] = oracle.is_flat(labels)',
+        ("tests/test_cli.py::TestFlats::test_each_mode_reports_only_its_own_route",),
     ),
     Mutant(
         "c1-untrimmed",

@@ -127,8 +127,8 @@ PINS: list[Pin] = [
               "Every flat condition stubbed to hold: 86 violations over 43 base flats.",
               listing=True, entry=_flat_mutant),
     *_formats("check-wheel-full-sample", ("check", *WHEEL, "--sample", "1024"), 3,
-              "A sample covering all 1,024 subsets, listed in mask order: 183 closure "
-              "disagreements.", listing=True),
+              "A sample covering all 1,024 subsets: the exhaustive report, byte for byte.",
+              listing=True),
     Pin("cli-wheel.txt", (), 0, GOLDEN / "cli-wheel.txt",
         "Every command on the wheel, as tests/cli_golden.py lists them.", _cli_wheel),
     *_formats("wheel-escaped-circuits", ("circuits", *ESCAPED_WHEEL, "--mode", "both"), 0,

@@ -23,7 +23,8 @@ their guards.
 label-set forms of the parity test and of ``find_ox_subcircuit`` from
 before those moved to masks.
 ``reference_check_report`` answers every subset of a ``check`` run on
-its own, with no work shared between subsets, and
+its own, with no work shared between subsets, and lists its witnesses
+in report order by its own (size, positions) key, and
 ``assert_same_output`` compares two outputs line by line.
 ``reference_equivalence`` is ``verify_equivalence`` as it was before it
 moved to row spaces: it compares the circuit families of the vertex
@@ -530,31 +531,37 @@ def reference_find_ox_subcircuit(
     )
 
 
+def _report_order(ctx: SplitContext, subsets: Iterable[frozenset[str]]):
+    """``subsets`` in the order of a ``check`` report: by size, then by
+    their positions in the split ground, lexicographically."""
+    position = {label: i for i, label in enumerate(ctx.split_ground)}
+
+    def key(subset: frozenset[str]) -> tuple[int, list[int]]:
+        return len(subset), sorted(position[label] for label in subset)
+
+    return sorted(subsets, key=key)
+
+
 def _check_subsets(ctx: SplitContext, sample: int | None, seed: int):
-    """The subsets of a ``check`` run, in report order: all of them by
-    size and position, or ``sample`` distinct ones in first-draw order,
-    or all of them in mask order when ``sample`` covers them all."""
+    """The subsets of a ``check`` run, in report order: every subset when
+    ``sample`` is None or covers them all, else ``sample`` distinct draws."""
     ground = ctx.split_ground
     n = len(ground)
-    if sample is None:
-        if n > BinaryMatroid.SUBSET_CAP:
-            raise GroundSetTooLarge(
-                f"{n} split elements exceed the exhaustive cap of "
-                f"{BinaryMatroid.SUBSET_CAP}; rerun with --sample N"
-            )
-        yield from all_subsets(split_matroid(ctx))
-        return
+    if sample is None and n > BinaryMatroid.SUBSET_CAP:
+        raise GroundSetTooLarge(
+            f"{n} split elements exceed the exhaustive cap of "
+            f"{BinaryMatroid.SUBSET_CAP}; rerun with --sample N"
+        )
     total = 1 << n
-    if sample >= total:
-        masks = range(total)
+    drawn: set[int] = set()
+    if sample is None or sample >= total:
+        drawn.update(range(total))
     else:
         rng = random.Random(seed)
-        drawn: dict[int, None] = {}
         while len(drawn) < sample:
-            drawn[rng.randrange(total)] = None
-        masks = drawn
-    for mask in masks:
-        yield frozenset(ground[i] for i in range(n) if (mask >> i) & 1)
+            drawn.add(rng.randrange(total))
+    subsets = (frozenset(ground[i] for i in range(n) if mask >> i & 1) for mask in drawn)
+    return _report_order(ctx, subsets)
 
 
 def reference_check_report(
@@ -600,14 +607,17 @@ def reference_check_report(
     family_equal = set(predicted_circuits(ctx)) == set(oracle.circuits())
     corollary_ok = oracle.rank_of(oracle.ground) == ctx.base.rank_of(ctx.base.ground) + 1
     flat_violations: list[dict] = []
-    for flat in ctx.base.flats():
-        for extras in ((), (ctx.label_a,), (ctx.label_gamma,), (ctx.label_a, ctx.label_gamma)):
-            a_prime = frozenset(flat) | set(extras)
-            condition = predict_is_flat(ctx, a_prime)
-            if condition is not None and not oracle.is_flat(a_prime):
-                flat_violations.append(
-                    {"subset": list(ctx.sort_set(a_prime)), "condition": condition}
-                )
+    lifts = (
+        frozenset(flat) | set(extras)
+        for flat in ctx.base.flats()
+        for extras in ((), (ctx.label_a,), (ctx.label_gamma,), (ctx.label_a, ctx.label_gamma))
+    )
+    for a_prime in _report_order(ctx, lifts):
+        condition = predict_is_flat(ctx, a_prime)
+        if condition is not None and not oracle.is_flat(a_prime):
+            flat_violations.append(
+                {"subset": list(ctx.sort_set(a_prime)), "condition": condition}
+            )
 
     disagreements = (
         len(closure_witnesses)

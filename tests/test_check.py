@@ -233,6 +233,52 @@ def test_witness_lists_render_as_json_dumps(n):
         assert _json_text(payload["none"]) == _json_text(payload["no masks"]) == "[]"
 
 
+def run_pinned(argv: tuple[str, ...], *extra: str) -> tuple[int, str]:
+    """Exit code and stdout of an in-process ``check`` on pinned flags."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check", *argv, *extra])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_sample_of_every_subset_prints_the_exhaustive_report(fmt):
+    expected_code, expected = reference_check_report(showcase_context(), fmt=fmt)
+    for sample in ((), ("--sample", "1024")):
+        code, out = run_pinned(pins.WHEEL, *sample, "--format", fmt)
+        assert code == expected_code == 3
+        assert_same_output(out, expected)
+
+
+def is_subsequence(rows: list, of: list) -> bool:
+    rest = iter(of)
+    return all(row in rest for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, sample, seed",
+    [
+        (pins.WHEEL, 40, 3),
+        (pins.WHEEL, 300, 5),
+        (pins.WHEEL, 700, 11),
+        (pins.MID12, 3000, 2),
+    ],
+)
+def test_a_sampled_report_lists_rows_of_the_exhaustive_report(argv, sample, seed):
+    # The run mode picks only which queries are checked, so the sampled
+    # witnesses come in the exhaustive report's order.
+    _, out = run_pinned(argv, "--format", "json")
+    exhaustive = json.loads(out)
+    _, out = run_pinned(argv, "--sample", str(sample), "--seed", str(seed), "--format", "json")
+    sampled = json.loads(out)
+    assert sampled["subsets"] == sample
+    assert len(sampled["closure_disagreements"]) >= 2
+    for kind in ("closure_disagreements", "rank_disagreements"):
+        assert is_subsequence(sampled[kind], exhaustive[kind])
+    violations = "flat_condition_violations"
+    assert sampled[violations] == exhaustive[violations]
+
+
 def test_golden_is_the_json_reference():
     code, out = reference_check_report(showcase_context())
     assert code == 3
@@ -248,8 +294,8 @@ def every_flat_condition_holds():
 @pytest.mark.usefixtures("every_flat_condition_holds")
 class TestFlatWitnessOrder:
     """With every condition holding, the flat violations of ``check``
-    are many, so their order is pinned: by base flat, in the base's
-    canonical order, then by a and gamma.  The pins
+    are many, so their order is pinned: the report order of every
+    witness list, by size, then positions.  The pins
     ``check-wheel-flat-mutant.*`` hold the wheel's reports."""
 
     def test_the_wheel_report_lists_every_lift_of_every_base_flat(self):
@@ -267,6 +313,13 @@ class TestFlatWitnessOrder:
     @pytest.mark.parametrize("sample", [None, 300])
     def test_reports_match_the_reference(self, sample):
         assert_witness_instances_match(sample)
+
+    def test_a_sampled_report_lists_the_exhaustive_violations(self):
+        # A sampled run checks every base flat, so it finds them all.
+        _, out = run_pinned(pins.WHEEL, "--format", "json")
+        exhaustive = json.loads(out)["flat_condition_violations"]
+        _, out = run_pinned(pins.WHEEL, "--sample", "40", "--seed", "3", "--format", "json")
+        assert json.loads(out)["flat_condition_violations"] == exhaustive
 
 
 def assert_witness_instances_match(sample: int | None) -> None:

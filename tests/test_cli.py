@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import essplit
-from essplit import BinaryMatroid, GF2Matrix, splitting
+from essplit import BinaryMatroid, GF2Matrix, cli, splitting
 from essplit.cli import _json_text, main
+from essplit.errors import FormulaDisagreement
 from essplit.graphs import format_graph
 from essplit.showcase import showcase_graph, showcase_matroid
 
@@ -460,6 +461,43 @@ class TestFlats:
         flats = [tuple(row["flat"]) for row in json.loads(out)["flats"]]
         assert ("y", "a", "gamma") in flats
 
+    def test_each_mode_reports_only_its_own_route(
+        self, capsys, monkeypatch, wheel_matrix_file
+    ):
+        # null already means that no condition holds, so a route not
+        # taken leaves its field out; the formula route builds no oracle.
+        flags = ("--input", wheel_matrix_file, "--X", "x,y", "--e", "y")
+
+        def flats(*argv):
+            code, out, err = run(capsys, "flats", *flags, *argv, "--format", "json")
+            assert (code, err) == (0, "")
+            text = run(capsys, "flats", *flags, *argv, "--format", "text")
+            assert text[0::2] == (0, "")
+            return json.loads(out), text[1].splitlines()
+
+        subset = ("--subset", "4,gamma", "--mode")
+        assert flats(*subset, "both") == (
+            {"subset": ["4", "gamma"], "is_flat": True, "condition": 5},
+            ["{4,gamma} flat=True condition=5"],
+        )
+        assert flats(*subset, "oracle") == (
+            {"subset": ["4", "gamma"], "is_flat": True}, ["{4,gamma} flat=True"]
+        )
+        listing, lines = flats("--mode", "oracle")
+        assert {tuple(row) for row in listing["flats"]} == {("flat",)}
+        assert lines[:2] == ["{}", "{1}"] and not any("condition" in line for line in lines)
+
+        def no_oracle(ctx):
+            raise AssertionError("the formula route built the split oracle")
+
+        monkeypatch.setattr(cli, "split_matroid", no_oracle)
+        assert flats(*subset, "formula") == (
+            {"subset": ["4", "gamma"], "condition": 5}, ["{4,gamma} condition=5"]
+        )
+        assert flats("--subset", "1,2,5", "--mode", "formula") == (
+            {"subset": ["1", "2", "5"], "condition": None}, ["{1,2,5} condition=None"]
+        )
+
     @pytest.mark.parametrize("mode", ["both", "formula", "oracle"])
     def test_listing_builds_one_record_per_base_flat(
         self, capsys, monkeypatch, wheel_matrix_file, mode
@@ -761,6 +799,28 @@ class TestDemo:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+class TestErrorExits:
+    def test_sample_must_be_an_integer(self, capsys, wheel_matrix_file):
+        code, out, err = run(
+            capsys, "check", "--input", wheel_matrix_file, "--X", "x,y", "--e", "y",
+            "--sample", "abc",
+        )
+        assert (code, out) == (1, "")
+        assert err == "usage error: argument --sample: invalid int value: 'abc'\n"
+
+    def test_cases_that_disagree_exit_3(self, capsys, monkeypatch, wheel_matrix_file):
+        def disagree(facts, cases, shapes):
+            raise FormulaDisagreement("cases L3.2 and L3.5 disagree")
+
+        monkeypatch.setattr(splitting._BaseFacts, "closure", disagree)
+        code, out, err = run(
+            capsys, "closure", "--input", wheel_matrix_file, "--X", "x,y", "--e", "y",
+            "--subset", "2,6", "--mode", "formula",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: cases L3.2 and L3.5 disagree\n"
 
 
 def test_help_is_written_for_users(capsys):

@@ -64,6 +64,14 @@ class TestGF2MatrixRows:
         with pytest.raises(ValueError, match="number of columns"):
             GF2Matrix.from_rows([[1, 0], [1]], ["p", "q"])
 
+    def test_rejects_repeated_labels(self):
+        with pytest.raises(ValueError, match="column labels must be distinct"):
+            GF2Matrix.from_rows([[1, 0, 1]], ["p", "q", "p"])
+
+    def test_unknown_column_label(self):
+        with pytest.raises(UnknownLabel, match="unknown column label 'r'"):
+            identity(2).column_index("r")
+
     @pytest.mark.parametrize("row", [0b100, 1 << 70, -1])
     def test_rejects_over_wide_rows(self, row):
         with pytest.raises(ValueError, match="outside the columns"):

@@ -23,6 +23,7 @@ from essplit.errors import (
     InvalidPartition,
     LabelCollision,
     ParseError,
+    UnknownLabel,
 )
 from essplit.showcase import showcase_graph, showcase_split_spec
 
@@ -100,6 +101,16 @@ class TestGraphConstruction:
     def test_undeclared_vertex_rejected(self):
         with pytest.raises(ValueError):
             LabeledGraph(("p",), (("e", "p", "q"),))
+
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(ValueError, match="vertex names must be distinct"):
+            LabeledGraph(("p", "q", "p"), (("e", "p", "q"),))
+
+    def test_endpoints_of_an_unknown_edge(self):
+        g = LabeledGraph.from_edges([("e", "p", "q")])
+        assert g.endpoints("e") == ("p", "q")
+        with pytest.raises(UnknownLabel, match="no edge labelled 'f'"):
+            g.endpoints("f")
 
     def test_vertices_in_first_appearance_order(self):
         rng = random.Random(5150)
@@ -261,6 +272,15 @@ class TestVerifyEquivalence:
             [("a", "p", "q"), ("gamma", "q", "r"), ("c", "p", "r")]
         )
         spec = LineSplitSpec("q", "a", frozenset({"gamma"}), frozenset())
+        assert verify_equivalence(g, spec)
+
+    def test_fresh_labels_count_past_a_taken_second(self):
+        g = LabeledGraph.from_edges(
+            [("a", "p", "q"), ("a2", "q", "r"), ("c", "p", "r")]
+        )
+        spec = LineSplitSpec("q", "a", frozenset({"a2"}), frozenset())
+        ctx, _ = graphs._splits(g, spec)
+        assert (ctx.label_a, ctx.label_gamma) == ("a3", "gamma")
         assert verify_equivalence(g, spec)
 
     def test_random_graphs(self):
