@@ -37,20 +37,22 @@ plans.  The run mode picks only which queries are checked: every list
 of witnesses is sorted by one key, subset size, then positions
 (``_mask_key``), so a sample that covers every subset prints the
 exhaustive report and a smaller one lists a sub-sequence of its rows.
-JSON is rendered with one join per list or object, byte for byte as
-json.dumps with indent=2.
+JSON is rendered into one list of pieces and joined once per document,
+byte for byte as json.dumps with indent=2 (``_json_parts``).
 
 The lists of masks in a payload (``check``'s witnesses, the circuits
 of ``circuits`` and the flats of ``flats``) stay position masks until
 ``main`` writes them.  Each is a ``_MaskList`` of bare masks or of rows
-of fields, which ``_json_text`` hands to its ``json`` method and the
-text lines read directly.  The labels come from ``sorted_labels`` in
-split-ground order, are escaped by the function ``json.dumps`` itself
-uses, and sit at the indent ``json.dumps`` would give them, so the
-bytes are those of the label lists the masks stand for.  Each call site
-picks the mask renderer.  ``check`` takes ``_mask_texts``: each byte
-value of a mask is joined once, and each mask once per render, as a
-report repeats its masks.  ``circuits`` and ``flats`` take
+of fields, which appends its own pieces (``_MaskList.json_parts``) and
+the text lines read directly.  The labels are those of a mask's
+positions, in split-ground order as ``sorted_labels`` gives them, are
+escaped by the function ``json.dumps`` itself uses, and sit at the
+indent ``json.dumps`` would give them, so the bytes are those of the
+label lists the masks stand for.  Each call site picks the mask
+renderer.  ``check`` takes ``_mask_texts``: a table per
+byte of the split ground, built by doubling, gives the text of each
+byte value, and each mask is joined once per render, as a report
+repeats its masks.  ``circuits`` and ``flats`` take
 ``_mask_join``, one join over the texts of a mask's positions: their
 lists render most masks once, so byte tables would not pay back their
 cost.  A single label list, delta or a ``flats --subset`` A', is a
@@ -184,39 +186,56 @@ def _query_lines(ctx: SplitContext, a_prime: int, payload: dict) -> Iterator[str
             yield f"{key + ':':9}{_braces(value) if type(value) is list else value}"
 
 
-def _json_text(value: object, indent: str = "\n") -> str:
-    """The text of ``json.dumps(value, indent=2)``.
+def _json_parts(value: object, indent: str, out: list[str]) -> None:
+    """Append the pieces of the text of ``json.dumps(value, indent=2)``,
+    at ``indent``, to ``out``.
 
     With an indent the standard library encodes in pure Python, one
-    generator step per token; here each list and dict is one ``join``.
-    Strings take the library's own C escaping, and every other value
-    that is not a list, tuple or dict goes to ``json.dumps`` itself, so
-    the bytes are the same.  A ``_MaskList`` renders itself from its
-    masks, at the indent given, as the label lists, or the dicts of
-    them, that it stands for.
+    generator step per token; here a whole document is one list of
+    pieces, joined once, so no list or dict is copied into a text of its
+    own.  Strings take the library's own C escaping, and every other
+    value that is not a list, tuple or dict goes to ``json.dumps``
+    itself, so the bytes are the same.  A ``_MaskList`` appends its own
+    pieces from its masks, at the indent given, as the label lists, or
+    the dicts of them, that it stands for.
     """
     if type(value) is str:
-        return _encode_str(value)
-    if type(value) is _MaskList:
-        return value.json(indent)
-    if isinstance(value, (list, tuple)):
+        out.append(_encode_str(value))
+    elif type(value) is _MaskList:
+        value.json_parts(indent, out)
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            out.append("[]")
+            return
         inner = indent + "  "
-        items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, dict):
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _json_parts(item, inner, out)
+            separator = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
+            out.append("{}")
+            return
         inner = indent + "  "
-        items = [
-            _encode_str(key if type(key) is str else json.dumps(key))
-            + ": "
-            + _json_text(item, inner)
-            for key, item in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    return json.dumps(value)
+        separator = "{" + inner
+        for key, item in value.items():
+            key = _encode_str(key if type(key) is str else json.dumps(key))
+            out.append(separator + key + ": ")
+            _json_parts(item, inner, out)
+            separator = "," + inner
+        out.append(indent + "}")
+    else:
+        out.append(json.dumps(value))
+
+
+def _json_text(value: object, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2)``: the one join of its
+    pieces (``_json_parts``)."""
+    out: list[str] = []
+    _json_parts(value, indent, out)
+    return "".join(out)
 
 
 # Kept apart from ``main``: bench/tracing.py times it as the cli.emit_json layer.
@@ -472,7 +491,18 @@ def cmd_check(args: argparse.Namespace) -> Result:
         return spans, _BaseFacts._span_part(ctx, spans)
 
     if groups:
-        parts = ((part, derive(oracle.closures_at(part, extras))) for part in groups)
+        # No walk memo here: the span part reads only the first four
+        # answers, so the parts that share them share it.
+        span_parts: dict[tuple, tuple] = {}
+
+        def sampled(part: int) -> tuple:
+            spans = oracle.closures_at(part, extras)
+            span = span_parts.get(spans[:4])
+            if span is None:
+                span = span_parts[spans[:4]] = _BaseFacts._span_part(ctx, spans)
+            return part, (spans, span)
+
+        parts = map(sampled, groups)
     else:
         parts = oracle.walk_closures(extras, n, derive)
     for base, (spans, span) in parts:
@@ -554,7 +584,9 @@ class _MaskList(list):
     lists in split-ground order; with ``fields``, rows of one entry per
     field, standing for the list of dicts from the field names to the
     entries, each mask as its label list.  ``render`` renders the masks:
-    ``_mask_texts`` or ``_mask_join`` (see the module docstring).
+    ``_mask_texts`` or ``_mask_join`` (see the module docstring).  The
+    list renders into the pieces of the document that holds it, one
+    piece per row, which only the document's join copies.
     """
 
     def __init__(self, ctx: SplitContext, rows: Iterable, render: Callable, fields=()):
@@ -563,39 +595,52 @@ class _MaskList(list):
         self.render = render
         self.fields = fields
 
-    def json(self, indent: str) -> str:
-        """The text of the list at ``indent``, one join per row.
+    def json_parts(self, indent: str, out: list[str]) -> None:
+        """Append the pieces of the list's text at ``indent`` to ``out``
+        (see ``_json_parts``), one per row, each with the comma and
+        indent in front of it; ``map`` renders the rows and ``extend``
+        appends them, with no Python step per row.
 
         Each label is escaped once, with the indent of a label-list item
         in front, and each other value is rendered once per call.
         """
         if not self:
-            return "[]"
+            out.append("[]")
+            return
         item = indent + "  "
+        separator = "," + item
         inner = item + "  " if self.fields else item
+        # A bare mask is a row, so its text takes the row's separator.
+        front = "" if self.fields else separator
         label_list = self.render(
-            self.ctx, lambda lab: inner + "  " + _encode_str(lab), "[", inner + "]", "[]"
+            self.ctx, lambda lab: inner + "  " + _encode_str(lab),
+            front + "[", inner + "]", front + "[]",
         )
         if not self.fields:
-            return "[" + item + ("," + item).join(map(label_list, self)) + indent + "]"
+            rows = map(label_list, self)
+        else:
+            @cache
+            def plain(value: object) -> str:
+                return _json_text(value, inner)
 
-        @cache
-        def plain(value: object) -> str:
-            return _json_text(value, inner)
-
-        # One %s per field; each column of fields is rendered in one pass.
-        template = (
-            "{"
-            + ",".join(inner + _encode_str(key) + ": %s" for key, _ in self.fields)
-            + item
-            + "}"
-        )
-        columns = [
-            map(label_list if is_mask else plain, column)
-            for (_, is_mask), column in zip(self.fields, zip(*self))
-        ]
-        rows = map(template.__mod__, zip(*columns))
-        return "[" + item + ("," + item).join(rows) + indent + "]"
+            # One %s per field; each column of fields is rendered in one pass.
+            template = (
+                separator
+                + "{"
+                + ",".join(inner + _encode_str(key) + ": %s" for key, _ in self.fields)
+                + item
+                + "}"
+            )
+            columns = [
+                map(label_list if is_mask else plain, column)
+                for (_, is_mask), column in zip(self.fields, zip(*self))
+            ]
+            rows = map(template.__mod__, zip(*columns))
+        first = len(out)
+        out.extend(rows)
+        # The first row opens the list in place of its comma.
+        out[first] = "[" + out[first][1:]
+        out.append(indent + "]")
 
 
 def _mask_texts(
@@ -605,29 +650,28 @@ def _mask_texts(
     the empty set, else ``opening``, the ``text`` of each label in
     split-ground order joined by commas, and ``closing``.
 
-    ``text`` is called once per label.  Masks become labels through
-    ``SplitContext.sorted_labels`` alone, one byte of the mask at a
-    time: the text of each value of each byte is joined once, so a mask
-    costs one join of a string per byte.
+    ``text`` is called once per label.  A mask is read one byte at a
+    time, from a table per byte of the split ground, of the comma and
+    text of each label of each byte value, in position order, the order
+    of ``SplitContext.sorted_labels``.  Each table is built by doubling:
+    the entries of the values with a new highest bit are those before
+    them with that bit's label appended, one concatenation per entry.  A
+    mask costs one lookup per byte and one join.
     """
-    texts = {lab: "," + text(lab) for lab in ctx.split_ground}
-    width = len(ctx.split_ground)
-    tables = [
-        (
-            shift,
-            [
-                "".join([texts[lab] for lab in ctx.sorted_labels(byte << shift)])
-                for byte in range(1 << min(8, width - shift))
-            ],
-        )
-        for shift in range(0, width, 8)
-    ]
+    texts = ["," + text(lab) for lab in ctx.split_ground]
+    tables = []
+    for shift in range(0, len(texts), 8):
+        table = [""]
+        for label_text in texts[shift : shift + 8]:
+            table += [entry + label_text for entry in table]
+        tables.append(table)
+    nbytes = len(tables)
 
     @cache
     def render(mask: int) -> str:
         if not mask:
             return empty
-        joined = "".join([table[mask >> shift & 255] for shift, table in tables])
+        joined = "".join(map(list.__getitem__, tables, mask.to_bytes(nbytes, "little")))
         return opening + joined[1:] + closing
 
     return render

@@ -392,7 +392,8 @@ class BinaryMatroid:
         the others, and the rank is |T| - 1 exactly when the others are
         independent.  The test inserts them into a fresh basis, about
         k/2 - 1 short inserts for k = m - r, and stops at the first
-        dependent one.
+        dependent one.  A support of more than r + 1 elements skips the
+        test: a circuit C has rank |C| - 1 <= r.
         """
         classes = _classes(self._cols)
         found = [1 << pos for pos in _bits(classes.pop(0, 0))]
@@ -409,11 +410,14 @@ class BinaryMatroid:
         # element outside the basis, so they are independent and span the
         # (m - r)-dimensional cycle space.
         cycles = list(self.fundamental_circuits(simple).values())
+        largest = simple.bit_count() - len(cycles) + 1
         support = summed = 0
         for i in range(1, 1 << len(cycles)):
             j = (i & -i).bit_length() - 1
             support ^= cycles[j]
             summed ^= 1 << j
+            if support.bit_count() > largest:
+                continue
             rest = summed ^ 1 << summed.bit_length() - 1
             basis: dict[int, int] = {}
             while rest:

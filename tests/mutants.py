@@ -53,6 +53,22 @@ MUTANTS = [
         ("tests/test_check.py::test_witness_lists_render_as_json_dumps",),
     ),
     Mutant(
+        "mask-list-rows-unseparated",
+        "essplit/cli.py",
+        'separator = "," + item',
+        'separator = ""',
+        ("tests/test_check.py::test_nested_mask_lists_render_as_json_dumps",),
+    ),
+    Mutant(
+        "json-dict-value-copied-per-level",
+        "essplit/cli.py",
+        'out.append(separator + key + ": ")\n'
+        "            _json_parts(item, inner, out)",
+        'out.append(separator + key + ": ")\n'
+        "            out.append(_json_text(item, inner))",
+        ("tests/test_check.py::test_a_report_renders_in_one_join",),
+    ),
+    Mutant(
         "check-flat-witnesses-unsorted",
         "essplit/cli.py",
         "for found in (closure_found, rank_found, flat_found):",
@@ -139,6 +155,13 @@ MUTANTS = [
         " | (a & ctx.e_bit != 0) << 9",
         "",
         ("tests/test_walk.py::TestLift",),
+    ),
+    Mutant(
+        "circuit-walk-bound-one-too-tight",
+        "essplit/matroid.py",
+        "largest = simple.bit_count() - len(cycles) + 1",
+        "largest = simple.bit_count() - len(cycles)",
+        ("tests/test_enumeration.py::test_circuit_strategies_equal_reference",),
     ),
     Mutant(
         "plan-built-without-its-top",

@@ -5,22 +5,26 @@ import contextlib
 import io
 import json
 import random
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from essplit import BinaryMatroid, GF2Matrix, SplitContext, splitting
+from essplit import BinaryMatroid, GF2Matrix, SplitContext, cli, splitting
 from essplit.cli import (
     _CLOSURE_FIELDS,
     _FLAT_FIELDS,
     _RANK_FIELDS,
+    _emit_json,
     _json_text,
     _mask_join,
     _mask_texts,
     _MaskList,
+    build_parser,
     main,
 )
 from essplit.gf2 import format_matrix
@@ -231,6 +235,93 @@ def test_witness_lists_render_as_json_dumps(n):
             ]
         assert _json_text(payload) == json.dumps(expected, indent=2)
         assert _json_text(payload["none"]) == _json_text(payload["no masks"]) == "[]"
+
+
+def expanded(ctx: SplitContext, value: object) -> object:
+    """``value`` with each ``_MaskList`` in it as the list it stands for."""
+    if type(value) is _MaskList:
+        return [
+            {
+                key: ctx.sorted_labels(entry) if is_mask else entry
+                for (key, is_mask), entry in zip(value.fields, row)
+            }
+            if value.fields
+            else ctx.sorted_labels(row)
+            for row in value
+        ]
+    if isinstance(value, list):
+        return [expanded(ctx, item) for item in value]
+    if isinstance(value, dict):
+        return {key: expanded(ctx, item) for key, item in value.items()}
+    return value
+
+
+def test_nested_mask_lists_render_as_json_dumps():
+    # Mask lists two and three levels deep in lists and dicts, empty ones
+    # with fields and without, under keys that are not strings.
+    rng = random.Random(31)
+    ctx = escaped(random_split_instance(rng, 10, max_rank=4), 31)
+    width = len(ctx.split_ground)
+    masks = [rng.getrandbits(width) for _ in range(8)] + [0]
+    rows = [(mask, ("L3.2",) if mask & 1 else rng.randint(1, 6)) for mask in masks]
+    for render in (_mask_texts, _mask_join):
+        bare = _MaskList(ctx, masks, render)
+        fielded = _MaskList(ctx, rows, render, _FLAT_FIELDS)
+        payload = {
+            1: [bare, {"rows": fielded, None: []}],
+            "deep": [[{"x": fielded, "y": [bare]}], [bare, _MaskList(ctx, [], render)]],
+            True: {"empty": _MaskList(ctx, [], render, _FLAT_FIELDS), 2.5: [fielded]},
+            None: [[], {}],
+        }
+        assert _json_text(payload) == json.dumps(expanded(ctx, payload), indent=2)
+        for value in (*payload.values(), payload["deep"][0], payload[True]):
+            assert _json_text(value) == json.dumps(expanded(ctx, value), indent=2)
+
+
+class CountingStdout:
+    """A stdout that keeps only the number of characters written to it."""
+
+    written = 0
+
+    def write(self, text: str) -> int:
+        self.written += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_a_report_renders_in_one_join(monkeypatch):
+    # The exhaustive report of mid14, 3.2 MB of ASCII.  Its pieces and
+    # the one text joined from them peak near twice the text; a join per
+    # list or object, with its brackets concatenated around it, copied
+    # the text again at each level and peaked at 3.0 times.
+    args = build_parser().parse_args(["check", *pins.MID14, "--format", "json"])
+    code, payload, _ = args.func(args)
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    tracemalloc.start()
+    try:
+        _emit_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert stdout.written > 3_000_000
+    assert peak <= 2.5 * stdout.written
+    # A value joined into a text of its own, whose pieces are gone before
+    # the document's join, leaves the peak as it is, so the texts made
+    # are counted too: one list or dict, the document, is joined.
+    joined = []
+
+    def counting(value, *indent):
+        if isinstance(value, (list, dict)):
+            joined.append(value)
+        return _json_text(value, *indent)
+
+    monkeypatch.setattr(cli, "_json_text", counting)
+    _emit_json(payload)
+    assert joined == [payload]
 
 
 def run_pinned(argv: tuple[str, ...], *extra: str) -> tuple[int, str]:

@@ -5,7 +5,8 @@ every multiset of n columns (loops and parallel classes included, so
 every binary matroid of rank at most 3 on n elements), every e, a loop
 e too, and every X that holds e.  On each instance every subset A' of
 the split ground is a query, and ``closure_rule`` and ``predict_rank``
-must equal the oracle on all of them.  The twelve-case table of
+must equal the oracle on all of them, and ``predict_circuits`` must
+give the oracle's circuits.  The twelve-case table of
 ``predict_closure`` is kept verbatim, defects included, so its count of
 wrong closures is pinned instead.
 
@@ -19,7 +20,7 @@ predictors and ``check`` read them.
 
 from itertools import combinations_with_replacement
 
-from essplit import SplitContext, split_matroid
+from essplit import SplitContext, predict_circuits, split_matroid
 from essplit.splitting import _BaseFacts, _plans
 
 from instances import matroid_from_columns
@@ -48,6 +49,8 @@ def test_every_small_instance():
         oracle = split_matroid(ctx)
         instances += 1
         loop_e += not ctx.base._cols[ctx.lift_extras[0]]
+        family = set(predict_circuits(ctx).minimal)
+        assert family == set(oracle.circuits(masks=True)), ctx
 
         def derive(spans):
             return spans, _BaseFacts._span_part(ctx, spans)

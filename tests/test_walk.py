@@ -406,6 +406,31 @@ class TestSpanPart:
         assert set(derived) == walked
         assert sum(derived.values()) == len(walked) == 183
 
+    def test_sampled_check_of_mid14_derives_each_span_part_once(
+        self, monkeypatch, capsys
+    ):
+        # 5,000 draws: 4,485 base parts, whose first four answers, all
+        # that the span part reads, take 143 distinct values.
+        derived = count_span_parts(monkeypatch)
+        keys = []
+        closures_at = BinaryMatroid.closures_at
+
+        def recording(matroid, mask, extra):
+            spans = closures_at(matroid, mask, extra)
+            if len(extra) == 3:  # e, a and gamma: a drawn part
+                keys.append(spans[:4])
+            return spans
+
+        monkeypatch.setattr(BinaryMatroid, "closures_at", recording)
+        golden = Path(__file__).parent / "golden" / "mid14.txt"
+        code = main(["check", "--input", str(golden),
+                     "--X", "r02,r04,r05,r07,r09,r10,r11,r12,r14", "--e", "r11",
+                     "--sample", "5000", "--seed", "3", "--format", "json"])
+        capsys.readouterr()
+        assert code == 3
+        assert len(keys) == 4485
+        assert sum(derived.values()) == len(set(keys)) == 143
+
     def test_exhaustive_check_of_a_free_matroid_with_a_loop_keeps_no_span(
         self, capsys, tmp_path
     ):
