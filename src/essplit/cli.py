@@ -507,13 +507,13 @@ def cmd_check(args: argparse.Namespace) -> Result:
         parts = oracle.walk_closures(extras, n, derive)
     for base, (spans, span) in parts:
         facts = _BaseFacts(ctx, base, span)
-        signature, shapes = facts.signature, facts.table_shapes
+        signature, shapes = facts.signature, facts.shapes
         plans = _plans(signature)
         tops = groups.get(base, (0, 1, 2, 3))
         visits[signature, tops] = visits.get((signature, tops), 0) + 1
         for top in tops:
             shape, cases, rank_offset, _, _ = plans[top]
-            formula = shapes[shape] if shape is not None else facts.closure(cases, shapes)
+            formula = shapes[shape] if shape is not None else facts.closure(cases)
             oracle_rank, oracle_closure = spans[top << 1]
             if formula is not None and formula != oracle_closure:
                 closure_found.append((base | top << n, cases.ids, formula, oracle_closure))
@@ -602,7 +602,7 @@ class _MaskList(list):
         appends them, with no Python step per row.
 
         Each label is escaped once, with the indent of a label-list item
-        in front, and each other value is rendered once per call.
+        in front, and each other value once if all of its column is hashable.
         """
         if not self:
             out.append("[]")
@@ -623,6 +623,12 @@ class _MaskList(list):
             def plain(value: object) -> str:
                 return _json_text(value, inner)
 
+            def plain_column(column: tuple) -> Iterable[str]:
+                try:
+                    return list(map(plain, column))
+                except TypeError:  # unhashable, as a list or a dict is
+                    return map(plain.__wrapped__, column)
+
             # One %s per field; each column of fields is rendered in one pass.
             template = (
                 separator
@@ -632,7 +638,7 @@ class _MaskList(list):
                 + "}"
             )
             columns = [
-                map(label_list if is_mask else plain, column)
+                map(label_list, column) if is_mask else plain_column(column)
                 for (_, is_mask), column in zip(self.fields, zip(*self))
             ]
             rows = map(template.__mod__, zip(*columns))

@@ -305,9 +305,9 @@ class _BaseFacts:
 
     Every set is a position mask (see ``SplitContext.mask_of``): a = A,
     cl = cl(A), cl_e = cl(A + e), f = F, f_star and t = F* and T under
-    their guards and 0 off them (see below), and the shapes of both
-    closure predictors.  Call a base circuit odd when its overlap with X
-    is.  Then
+    their guards and 0 off them (see below), and ``shapes``: the table's
+    seven closure shapes (0-6) and then the rule's five (7-11).  Call a
+    base circuit odd when its overlap with X is.  Then
 
     * F(A) holds the elements of cl(A) - A on an odd circuit inside
       cl(A);
@@ -382,18 +382,18 @@ class _BaseFacts:
       T under the guard only (L3.6, R3.3 and flat condition 4, and L3.7
       and condition 5, whose no ox_cl implies no ox_a).
 
-    Everything but ``rule_shapes``, which only ``closure_rule`` reads, is
-    computed when the record is made, so one record serves the four
-    split queries (A, top), top holding a in bit 0 and gamma in bit 1.
-    So is ``signature``: the predicates the case rows read (``_Key``),
-    shifted up by two bits.  Every fact above but F and ``e_in_a``, the
-    signature's bits 7 and 9, reads the spans only, and so the span of A
-    in N only.  They are the span part, which ``_span_part`` derives
-    from the spans and the record takes as given: ``at`` derives it for
-    one part, and ``essplit check`` once per span, carried in the memo
-    of its walk (``BinaryMatroid.walk_closures``), so the records of one
-    span share it.  A record adds F = odd part - A, the shapes
-    cl - F, cl - F + gamma and cl - F + gamma + T, and those two bits.
+    Everything is computed when the record is made, so one record
+    serves the four split queries (A, top), top holding a in bit 0 and
+    gamma in bit 1.  So is ``signature``: the predicates the case rows
+    read (``_Key``), shifted up by two bits.  Every fact above but F and
+    ``e_in_a``, the signature's bits 7 and 9, reads the spans only, and
+    so the span of A in N only: the span part, which ``_span_part``
+    derives from the spans and the record takes as given.  ``at``
+    derives it for one part, and ``essplit check`` once per span, in the
+    memo of its walk (``BinaryMatroid.walk_closures``), so the records
+    of one span share it.  A record adds F = odd part - A, the table
+    shapes cl - F, cl - F + gamma and cl - F + gamma + T, and those two
+    bits.
     The rank formula, both closure predictors and the flat conditions of
     a query depend on A only through the signature and top, so each
     query reads its answers from the plan of its top among the
@@ -402,27 +402,24 @@ class _BaseFacts:
     ``_query`` splits off their labels, and the plan of its top.
     """
 
-    __slots__ = (
-        "ctx", "a", "rank", "cl", "cl_e", "f", "f_star", "t", "table_shapes",
-        "signature",
-    )
+    __slots__ = ("ctx", "a", "rank", "cl", "cl_e", "f", "f_star", "t", "shapes", "signature")
 
     def __init__(self, ctx: SplitContext, a: int, span: tuple):
         """``a`` is the mask of A and ``span`` the span part of its spans
         (``_span_part``)."""
         (
             self.rank, cl, self.cl_e, self.f_star, self.t, odd, cl_a, cl_g_t,
-            cl_aeg, g_t, signature,
+            cl_aeg, g_t, kept, kept_g, kept_g_t, cl_e_ag, signature,
         ) = span
-        # The part of A itself: F, the three shapes on cl(A) - F, and the
-        # bits of F and of e in A.
+        # What A adds to its span part: F, three table shapes, two bits.
         self.ctx = ctx
         self.a = a
         self.cl = cl
         self.f = f = odd & ~a
         cl_f = cl & ~f
-        self.table_shapes = (
-            cl_f, cl, cl_a, cl_f | ctx.gamma_bit, cl_f | g_t, cl_g_t, cl_aeg
+        self.shapes = (
+            cl_f, cl, cl_a, cl_f | ctx.gamma_bit, cl_f | g_t, cl_g_t, cl_aeg,
+            kept, kept_g, kept_g_t, cl_a, cl_e_ag,
         )
         self.signature = signature | (f != 0) << 7 | (a & ctx.e_bit != 0) << 9
 
@@ -431,8 +428,8 @@ class _BaseFacts:
         """The facts that ``spans`` alone gives, for every base part A
         with these spans: rank, cl, cl_e, f_star and t, the odd part of
         cl(A), the table shapes cl + a, cl + gamma + T and
-        cl + {a, e, gamma}, gamma + T, and the signature but for its bits
-        of F and of e in A.
+        cl + {a, e, gamma}, gamma + T, the rule's shapes but cl + a, and
+        the signature but for its bits of F and of e in A.
 
         ``spans`` holds (rank, closure mask) in N of A, A + e, A + a and
         A + e + a, as ``closures_at`` and ``walk_closures`` of
@@ -466,9 +463,10 @@ class _BaseFacts:
             | (f_star & e != 0) << 6
             | (t != 0) << 8
         )
+        kept = cl & ~f_star
         return (
             rank, cl, cl_e, f_star, t, odd, cl | a_bit, cl | g | t, cl | a_bit | e | g,
-            g | t, signature,
+            g | t, kept, kept | g, kept | g | t, cl_e | a_bit | g, signature,
         )
 
     @classmethod
@@ -477,33 +475,18 @@ class _BaseFacts:
         spans = ctx.lift.closures_at(a, ctx.lift_extras)
         return cls(ctx, a, cls._span_part(ctx, spans))
 
-    @property
-    def rule_shapes(self) -> tuple[int, ...]:
-        """The shapes of ``closure_rule``, made when read: the exhaustive
-        sweep reads only ``table_shapes``."""
-        a_bit, g = self.ctx.a_bit, self.ctx.gamma_bit
-        kept = self.cl & ~self.f_star
-        return (
-            kept,
-            kept | g,
-            kept | g | self.t,
-            self.cl | a_bit,
-            self.cl_e | a_bit | g,
-        )
-
-    def closure(self, cases: "_Cases", shapes: tuple[int, ...]) -> int | None:
-        """The common result of the matched ``cases``, ``shapes`` being
-        the record's shapes of their predictor, or None if none matched.
-        Matched cases of distinct shapes are compared here, and the first
-        whose shape differs from the first case's raises
-        FormulaDisagreement."""
+    def closure(self, cases: "_Cases") -> int | None:
+        """The common result of the matched ``cases``, read from
+        ``shapes``, or None if none matched.  Matched cases of distinct
+        shapes are compared here, and the first whose shape differs from
+        the first case's raises FormulaDisagreement."""
         if cases.shape is not None:
-            return shapes[cases.shape]
+            return self.shapes[cases.shape]
         if not cases.ids:
             return None
-        formula = shapes[cases.shapes[0]]
+        formula = self.shapes[cases.shapes[0]]
         for case_id, index in zip(cases.ids, cases.shapes):
-            result = shapes[index]
+            result = self.shapes[index]
             if result != formula:
                 ctx = self.ctx
                 a_prime = self.a | cases.top * ctx.a_bit
@@ -524,7 +507,19 @@ class _Key:
     predicates of its base part A that the case rows read, bit by bit
     from bit 0.  Above the first two they are the signature of
     ``_BaseFacts``, the one place its predicates are kept; f and t say
-    that its slots f and t are not empty."""
+    that its slots f and t are not empty.  Only 15 of the 256 signatures
+    occur, those that keep six rules (by the facts ``_BaseFacts`` proves):
+
+    * ox_a => ox_ae => ox_cl: an odd circuit C in A + e lies in A, or
+      has C - e in A and so lies in cl(A).
+    * e_in_f_star <=> ox_ae and not ox_a: f_star is 0 with ox_a, and
+      without it ox_ae says that e is in cl(A) - cl'(A), which is F*.
+    * e_in_f_star => e_in_cl and not e_in_a: F* lies in cl(A) - A.
+    * f => ox_cl, and without ox_a f <=> ox_cl: F lies in the odd part
+      of cl(A), and without ox_a no odd component lies inside A.
+    * t => not ox_a and not e_in_cl: t is 0 off its guard.
+    * e_in_a => e_in_cl: A lies in cl(A).
+    """
 
     __slots__ = (
         "has_a", "has_gamma", "ox_a", "ox_ae", "ox_cl", "e_in_cl", "e_in_f_star",
@@ -575,7 +570,7 @@ def _plans(signature: int) -> tuple[tuple, ...]:
 
 def _table_rows(k: _Key) -> tuple[tuple[str, bool, int], ...]:
     """The twelve-case table of ``predict_closure``: (id, whether its
-    condition holds, index of its result in ``table_shapes``)."""
+    condition holds, index of its result in ``_BaseFacts.shapes``, 0-6)."""
     cl_f, cl, cl_a, cl_f_g, cl_f_g_t, cl_g_t, cl_aeg = range(7)
     has_a, has_gamma = k.has_a, k.has_gamma
     ox_a, ox_ae, ox_cl, e_in_cl = k.ox_a, k.ox_ae, k.ox_cl, k.e_in_cl
@@ -601,8 +596,8 @@ def _table_rows(k: _Key) -> tuple[tuple[str, bool, int], ...]:
 
 def _rule_rows(k: _Key) -> tuple[tuple[str, bool, int], ...]:
     """The six cases of ``closure_rule``: (id, whether its condition
-    holds, index of its result in ``rule_shapes``)."""
-    kept, kept_g, kept_g_t, cl_a, cl_e_ag = range(5)
+    holds, index of its result in ``_BaseFacts.shapes``, 7-11)."""
+    kept, kept_g, kept_g_t, cl_a, cl_e_ag = range(7, 12)
     has_a, has_gamma, e_in_cl, e_in_f_star = k.has_a, k.has_gamma, k.e_in_cl, k.e_in_f_star
     free = has_a or k.ox_a
     bound_g = has_gamma and not free
@@ -881,7 +876,7 @@ def predict_closure(ctx: SplitContext, labels: Iterable[str]) -> ClosureCaseRepo
     case matches, the report carries no formula.
     """
     facts, (_, cases, _, _, _) = _query(ctx, labels)
-    return _report(facts, cases, facts.table_shapes)
+    return _report(facts, cases)
 
 
 def closure_rule(ctx: SplitContext, labels: Iterable[str]) -> ClosureCaseReport:
@@ -923,7 +918,7 @@ def closure_rule(ctx: SplitContext, labels: Iterable[str]) -> ClosureCaseReport:
     The cases are mutually exclusive and cover every query, and each
     result is one of five shapes: cl - F*, (cl - F*) + gamma,
     (cl - F*) + gamma + T, cl + a and cl(A + e) + {a, gamma}, with cl
-    = cl(A) (``_BaseFacts.rule_shapes``).  Only base data is read:
+    = cl(A) (``_BaseFacts.shapes`` 7-11).  Only base data is read:
     cl(A), cl(A + e), whether A holds an odd-overlap circuit, F* and T,
     each from ranks and closures of the base and of M' (``_BaseFacts``).
 
@@ -936,15 +931,13 @@ def closure_rule(ctx: SplitContext, labels: Iterable[str]) -> ClosureCaseReport:
     come from the paper or from its transcription is not settled here.
     """
     facts, (_, _, _, _, cases) = _query(ctx, labels)
-    return _report(facts, cases, facts.rule_shapes)
+    return _report(facts, cases)
 
 
-def _report(
-    facts: _BaseFacts, cases: _Cases, shapes: tuple[int, ...]
-) -> ClosureCaseReport:
-    """The matched case ids and closure of one closure predictor: its
-    ``cases`` at a query and ``shapes``, the record's shapes of it."""
-    mask = facts.closure(cases, shapes)
+def _report(facts: _BaseFacts, cases: _Cases) -> ClosureCaseReport:
+    """The matched case ids and closure of one closure predictor at a
+    query: its ``cases`` there, read on the record of A."""
+    mask = facts.closure(cases)
     formula = None if mask is None else facts.ctx.labels_of(mask)
     return ClosureCaseReport(cases.ids, formula)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations_with_replacement
 
 from essplit import (
     BinaryMatroid,
@@ -36,6 +37,21 @@ def matroid_from_columns(columns: list[int], n_rows: int) -> BinaryMatroid:
     return BinaryMatroid(
         GF2Matrix.from_rows(rows, [str(j) for j in range(len(columns))])
     )
+
+
+def every_small_instance():
+    """Every split instance with at most 4 base elements whose columns
+    lie in GF(2)^3, as contexts: every multiset of columns (so every
+    binary matroid of rank at most 3 on them), every e and every X that
+    holds e.  The bases are shared by the choices of e and X."""
+    for n in range(1, 5):
+        for columns in combinations_with_replacement(range(8), n):
+            base = matroid_from_columns(list(columns), 3)
+            for e in base.ground:
+                others = [label for label in base.ground if label != e]
+                for chosen in range(1 << len(others)):
+                    x = {e} | {lab for j, lab in enumerate(others) if chosen >> j & 1}
+                    yield SplitContext(base, frozenset(x), e)
 
 
 def random_columns(rng: random.Random, n: int, n_rows: int) -> list[int]:

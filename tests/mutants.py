@@ -170,6 +170,29 @@ MUTANTS = [
         "_Key(signature)",
         ("tests/test_walk.py::TestCasePlans",),
     ),
+    Mutant(
+        "walk-loops-as-children",
+        "essplit/matroid.py",
+        "loops = sum(1 << pos for pos in range(width) if not self._cols[pos])",
+        "loops = 0",
+        ("tests/test_walk.py::TestSpanPart",),
+    ),
+    Mutant(
+        "rule-rows-read-table-shapes",
+        "essplit/splitting.py",
+        "range(7, 12)",
+        "range(5)",
+        ("tests/test_walk.py::TestCasePlans", "tests/test_exhaustive.py"),
+    ),
+    Mutant(
+        "span-part-e-in-f-star-read-from-cl",
+        "essplit/splitting.py",
+        "(f_star & e != 0) << 6",
+        "(cl & e != 0) << 6",
+        ("tests/test_walk.py::TestCasePlans::"
+         "test_the_small_scope_reaches_exactly_the_realisable_signatures",
+         "tests/test_exhaustive.py"),
+    ),
 ]
 
 

@@ -18,7 +18,8 @@ reference.
 base part on label sets from their circuit definitions, the
 differential for ``splitting._BaseFacts``, which reads ranks instead;
 ``assert_guarded_sets`` compares the record's F* and T with it under
-their guards.
+their guards, and ``realisable`` tests a record's signature against the
+six rules that ``splitting._Key`` proves.
 ``classify_circuit`` and ``reference_find_ox_subcircuit`` are the
 label-set forms of the parity test and of ``find_ox_subcircuit`` from
 before those moved to masks.
@@ -334,10 +335,11 @@ def assert_guarded_sets(ctx: SplitContext, facts: _BaseFacts, expected: dict) ->
 
 def facts_from_base_and_parity(ctx: SplitContext, a: int) -> dict:
     """Every slot of the ``_BaseFacts`` record of the base part with the
-    mask ``a``, its rule shapes and the predicates e_in_cl, ox_a, ox_ae
-    and ox_cl that its signature holds, from the ranks and closures of A
-    and A + e in the base and in M', the base matrix plus the parity
-    row, as the record read them before it read N."""
+    mask ``a``, the shapes of both closure predictors among them, and
+    the predicates e_in_cl, ox_a, ox_ae and ox_cl that its signature
+    holds, from the ranks and closures of A and A + e in the base and in
+    M', the base matrix plus the parity row, as the record read them
+    before it read N."""
     base = ctx.base.matrix
     parity = BinaryMatroid(GF2Matrix(base.rows + (ctx.x_mask,), base.col_labels))
     extra = (ctx.e_bit.bit_length() - 1,)
@@ -364,10 +366,10 @@ def facts_from_base_and_parity(ctx: SplitContext, a: int) -> dict:
         "f": f,
         "f_star": f_star,
         "t": t,
-        "table_shapes": (
-            cl_f, cl, cl | a_bit, cl_f | g, cl_f | g | t, cl | g | t, cl | a_bit | e | g
+        "shapes": (
+            cl_f, cl, cl | a_bit, cl_f | g, cl_f | g | t, cl | g | t, cl | a_bit | e | g,
+            kept, kept | g, kept | g | t, cl | a_bit, cl_e | a_bit | g,
         ),
-        "rule_shapes": (kept, kept | g, kept | g | t, cl | a_bit, cl_e | a_bit | g),
         "signature": sum(
             bool(bit) << shift
             for shift, bit in enumerate(
@@ -377,6 +379,23 @@ def facts_from_base_and_parity(ctx: SplitContext, a: int) -> dict:
     }
 
 
+def realisable(signature: int) -> bool:
+    """Whether a ``_BaseFacts`` signature satisfies the six rules that
+    ``_Key``'s docstring proves for every record, each tested here on
+    the decoded predicates as it is stated there."""
+    k = _Key(signature)
+    return (
+        (not k.ox_a or k.ox_ae)
+        and (not k.ox_ae or k.ox_cl)
+        and k.e_in_f_star == (k.ox_ae and not k.ox_a)
+        and (not k.e_in_f_star or (k.e_in_cl and not k.e_in_a))
+        and (not k.f or k.ox_cl)
+        and (k.ox_a or k.f == k.ox_cl)
+        and (not k.t or (not k.ox_a and not k.e_in_cl))
+        and (not k.e_in_a or k.e_in_cl)
+    )
+
+
 def plan_answers(facts: _BaseFacts, top: int) -> dict:
     """What the plan of the query (A, top) gives on the record of A, as
     the predictors read it: the closure table and the closure rule as
@@ -384,8 +403,8 @@ def plan_answers(facts: _BaseFacts, top: int) -> dict:
     split rank, in the form of ``reference_cases``."""
     _, table, rank_offset, flat, rule = _plans(facts.signature)[top]
     return {
-        "table": (table.ids, facts.closure(table, facts.table_shapes)),
-        "rule": (rule.ids, facts.closure(rule, facts.rule_shapes)),
+        "table": (table.ids, facts.closure(table)),
+        "rule": (rule.ids, facts.closure(rule)),
         "flat": flat,
         "rank": facts.rank + rank_offset,
     }
@@ -399,7 +418,7 @@ def reference_cases(facts: _BaseFacts, has_a: bool, has_gamma: bool) -> dict:
     matched cases disagree, the flat condition and the split rank.  The
     predicates come from the record's signature, decoded by ``_Key``."""
     ctx = facts.ctx
-    cl_f, cl, cl_a, cl_f_g, cl_f_g_t, cl_g_t, cl_aeg = facts.table_shapes
+    cl_f, cl, cl_a, cl_f_g, cl_f_g_t, cl_g_t, cl_aeg = facts.shapes[:7]
     k = _Key(facts.signature)
     ox_a, ox_ae, ox_cl, e_in_cl = k.ox_a, k.ox_ae, k.ox_cl, k.e_in_cl
     plain = not has_a and not has_gamma
@@ -442,7 +461,7 @@ def reference_cases(facts: _BaseFacts, has_a: bool, has_gamma: bool) -> dict:
         ("L3.8.5", plain and ox_a and e_in_cl, cl_aeg),
     ))
 
-    kept, kept_g, kept_g_t, rule_cl_a, cl_e_ag = facts.rule_shapes
+    kept, kept_g, kept_g_t, rule_cl_a, cl_e_ag = facts.shapes[7:]
     e_in_f_star = bool(facts.f_star & ctx.e_bit)
     free = has_a or ox_a
     bound_g = has_gamma and not free

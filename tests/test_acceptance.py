@@ -188,14 +188,14 @@ def _dispatcher_sweep(sweeps):
             # The closure shapes of both predictors at A, as masks.
             facts = base_facts(ctx, a_prime)
             oracle_mask = ctx.mask_of(oracle_closure)
-            if oracle_mask not in facts.rule_shapes:
+            if oracle_mask not in facts.shapes[7:]:
                 rule_miss.append(f"A'={sorted(a_prime)}")
             table = predict_closure(ctx, a_prime)
             if not table.matched_cases:
                 no_case += 1
             elif table.formula_result != oracle_closure:
                 table_bad["+".join(table.matched_cases)] += 1
-            if oracle_mask not in facts.table_shapes:
+            if oracle_mask not in facts.shapes[:7]:
                 table_miss += 1
     return rule_bad, rule_miss, table_bad, table_miss, no_case
 

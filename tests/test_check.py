@@ -278,6 +278,19 @@ def test_nested_mask_lists_render_as_json_dumps():
             assert _json_text(value) == json.dumps(expanded(ctx, value), indent=2)
 
 
+def test_unhashable_plain_fields_render_as_json_dumps():
+    # A plain field may hold a list or a dict, which no memo can key;
+    # equal lists in two rows render alike.
+    rng = random.Random(32)
+    ctx = escaped(random_split_instance(rng, 10, max_rank=4), 32)
+    width = len(ctx.split_ground)
+    values = [["L3.2", "L3.3"], ("L3.2",), {"cases": ["R2"]}, [], 3, None, ["L3.2", "L3.3"]]
+    rows = [(rng.getrandbits(width), value) for value in values]
+    for render in (_mask_texts, _mask_join):
+        payload = {"rows": _MaskList(ctx, rows, render, _FLAT_FIELDS)}
+        assert _json_text(payload) == json.dumps(expanded(ctx, payload), indent=2)
+
+
 class CountingStdout:
     """A stdout that keeps only the number of characters written to it."""
 

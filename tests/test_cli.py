@@ -811,7 +811,7 @@ class TestErrorExits:
         assert err == "usage error: argument --sample: invalid int value: 'abc'\n"
 
     def test_cases_that_disagree_exit_3(self, capsys, monkeypatch, wheel_matrix_file):
-        def disagree(facts, cases, shapes):
+        def disagree(facts, cases):
             raise FormulaDisagreement("cases L3.2 and L3.5 disagree")
 
         monkeypatch.setattr(splitting._BaseFacts, "closure", disagree)

@@ -18,33 +18,15 @@ The predictions are read off the record's plans (``_plans``), as the
 predictors and ``check`` read them.
 """
 
-from itertools import combinations_with_replacement
-
-from essplit import SplitContext, predict_circuits, split_matroid
+from essplit import predict_circuits, split_matroid
 from essplit.splitting import _BaseFacts, _plans
 
-from instances import matroid_from_columns
-
-ROWS = 3
-MAX_N = 4
-
-
-def every_instance():
-    """Every split instance in scope, as contexts; the bases are shared
-    by the choices of e and X."""
-    for n in range(1, MAX_N + 1):
-        for columns in combinations_with_replacement(range(1 << ROWS), n):
-            base = matroid_from_columns(list(columns), ROWS)
-            for e in base.ground:
-                others = [label for label in base.ground if label != e]
-                for chosen in range(1 << len(others)):
-                    x = {e} | {lab for j, lab in enumerate(others) if chosen >> j & 1}
-                    yield SplitContext(base, frozenset(x), e)
+from instances import every_small_instance
 
 
 def test_every_small_instance():
     instances = loop_e = queries = wrong_table = 0
-    for ctx in every_instance():
+    for ctx in every_small_instance():
         n = len(ctx.base.ground)
         oracle = split_matroid(ctx)
         instances += 1
@@ -58,14 +40,13 @@ def test_every_small_instance():
         extras = (*ctx.lift_extras, n + 1)
         for part, (spans, span) in oracle.walk_closures(extras, n, derive):
             facts = _BaseFacts(ctx, part, span)
-            table_shapes, rule_shapes = facts.table_shapes, facts.rule_shapes
             plans = _plans(facts.signature)
             for top, (_, table, rank_offset, _, rule) in enumerate(plans):
                 oracle_rank, oracle_closure = spans[top << 1]
                 query = part | top << n
-                assert facts.closure(rule, rule_shapes) == oracle_closure, (ctx, query)
+                assert facts.closure(rule) == oracle_closure, (ctx, query)
                 assert facts.rank + rank_offset == oracle_rank, (ctx, query)
-                wrong_table += facts.closure(table, table_shapes) != oracle_closure
+                wrong_table += facts.closure(table) != oracle_closure
                 queries += 1
     assert (instances, loop_e, queries) == (12_152, 1_519, 724_288)
     assert wrong_table == 50_696

@@ -495,7 +495,7 @@ class TestClosureViaPredictedFamily:
 
 class TestClosureShapes:
     def test_shapes_at_spoke_pair(self, wheel_ctx):
-        found = shapes(wheel_ctx, base_facts(wheel_ctx, {"4", "5"}).table_shapes)
+        found = shapes(wheel_ctx, base_facts(wheel_ctx, {"4", "5"}).shapes[:7])
         assert frozenset({"4", "5"}) in found  # closure minus F
         assert frozenset({"3", "4", "5", "gamma"}) in found
         assert frozenset({"4", "5", "x", "y", "a", "gamma"}) in found
@@ -530,7 +530,7 @@ class TestClosureRule:
             report = closure_rule(wheel_ctx, a_prime)
             assert len(report.matched_cases) == 1
             assert report.formula_result == wheel_split.closure_of(a_prime)
-            rule_shapes = base_facts(wheel_ctx, a_prime).rule_shapes
+            rule_shapes = base_facts(wheel_ctx, a_prime).shapes[7:]
             assert report.formula_result in shapes(wheel_ctx, rule_shapes)
             hits.update(report.matched_cases)
         assert hits == set(CLOSURE_RULE_CASE_IDS)
@@ -563,7 +563,7 @@ class TestClosureRule:
             base_facts(wheel_ctx, a_prime)
 
     def test_shapes_at_spoke_pair(self, wheel_ctx):
-        rule_shapes = base_facts(wheel_ctx, {"4", "5"}).rule_shapes
+        rule_shapes = base_facts(wheel_ctx, {"4", "5"}).shapes[7:]
         assert shapes(wheel_ctx, rule_shapes) == (
             frozenset({"4", "5"}),
             frozenset({"4", "5", "gamma"}),

@@ -34,12 +34,13 @@ from essplit.gf2 import format_matrix
 from essplit.showcase import showcase_context
 from essplit.splitting import _BaseFacts, _Key, _plans
 
-from instances import matroid_from_columns, random_columns
+from instances import every_small_instance, matroid_from_columns, random_columns
 from reference import (
     assert_guarded_sets,
     base_facts,
     facts_from_base_and_parity,
     plan_answers,
+    realisable,
     reference_base_facts,
     reference_cases,
 )
@@ -319,7 +320,7 @@ class TestOneWalk:
                 ] == list(lifted), mask
                 assert spans[::2] == oracle.closures_at(mask, (n, n + 1)), mask
                 expected = _BaseFacts.at(ctx, mask)
-                for name in (*_BaseFacts.__slots__, "rule_shapes"):
+                for name in _BaseFacts.__slots__:
                     assert getattr(facts, name) == getattr(expected, name), name
             assert walked == 2**n
         assert min(e_loops, parallel, with_loops) >= 20
@@ -377,7 +378,7 @@ class TestSpanPart:
             for mask, _, facts in walk:
                 fresh = SplitContext(base, ctx.x_set, ctx.e, ctx.label_a, ctx.label_gamma)
                 expected = _BaseFacts.at(fresh, mask)
-                for name in (*_BaseFacts.__slots__, "rule_shapes"):
+                for name in _BaseFacts.__slots__:
                     assert getattr(facts, name) == getattr(expected, name), name
             for records in by_span.values():
                 f_differs += len({facts.f for facts in records}) > 1
@@ -472,7 +473,7 @@ class TestMaskRecord:
                 labelled = base_facts(ctx, a)
                 assert all(
                     getattr(labelled, slot) == getattr(facts, slot)
-                    for slot in (*_BaseFacts.__slots__, "rule_shapes")
+                    for slot in _BaseFacts.__slots__
                 )
         # Both zero checks met sets whose definition is not empty.
         assert set(off_guard) == {"f_star", "t"}
@@ -489,7 +490,7 @@ class TestLift:
             for mask in range(2 ** len(ctx.base.ground)):
                 facts = _BaseFacts.at(ctx, mask)
                 expected = facts_from_base_and_parity(ctx, mask)
-                for name in (*_BaseFacts.__slots__, "rule_shapes"):
+                for name in _BaseFacts.__slots__:
                     assert getattr(facts, name) == expected[name], name
                 k = _Key(facts.signature)
                 for name in ("e_in_cl", "ox_a", "ox_ae", "ox_cl"):
@@ -532,9 +533,11 @@ def all_signatures():
 
 class TestCasePlans:
     """The plans of ``_BaseFacts`` against its rows evaluated on every
-    call, as ``reference_cases`` does.  The tests over every key build
-    their plans uncached, through ``_plans.__wrapped__``, so the cache
-    holds only the signatures that records reached."""
+    call, as ``reference_cases`` does, and the census of the signatures
+    that records reach: the 15 that satisfy ``_Key``'s six rules
+    (``realisable``).  The tests over every key build their plans
+    uncached, through ``_plans.__wrapped__``, so the cache holds only
+    the signatures that records reached."""
 
     def test_every_reachable_key_matches_the_rows(self):
         compared = set()
@@ -546,9 +549,11 @@ class TestCasePlans:
                     assert plan_answers(facts, top) == expected
                     assert shape == table.shape
                     compared.add(facts.signature | top)
-        # Every query shape, and many signatures for each.
+        # Every query shape, and many signatures for each, all of them
+        # realisable.
         assert {key & 3 for key in compared} == {0, 1, 2, 3}
         assert len(compared) >= 50
+        assert all(realisable(key & ~3) for key in compared)
         assert _plans.cache_info().currsize >= len({key & ~3 for key in compared})
 
     def test_matched_cases_of_distinct_shapes_are_compared(self):
@@ -565,9 +570,9 @@ class TestCasePlans:
                     if len(set(cases.shapes)) < 2:
                         continue
                     # Give the last matched case's shape a value of its own.
-                    shapes = list(facts.table_shapes)
+                    shapes = list(facts.shapes)
                     shapes[cases.shapes[-1]] ^= ctx.gamma_bit
-                    facts.table_shapes = tuple(shapes)
+                    facts.shapes = tuple(shapes)
                     expected = reference_cases(facts, has_a, has_gamma)["table"]
                     assert isinstance(expected, FormulaDisagreement)
                     with pytest.raises(FormulaDisagreement) as got:
@@ -575,6 +580,27 @@ class TestCasePlans:
                     assert str(got.value) == str(expected)
                     raised += 1
         assert raised >= 20
+
+    def test_the_small_scope_reaches_exactly_the_realisable_signatures(self):
+        # Every instance with n <= 4 and r <= 3, as in test_exhaustive.py.
+        reached = set()
+        for ctx in every_small_instance():
+            for _, _, facts in walked_records(ctx, ctx.lift, ctx.lift_extras):
+                reached.add(facts.signature)
+        assert reached == set(filter(realisable, all_signatures()))
+        assert len(reached) == 15
+
+    def test_matched_table_cases_share_a_shape_on_every_realisable_key(self):
+        # So ``_BaseFacts.closure`` compares equal sets only: the one
+        # pair of distinct shapes, L3.2 with L3.3, is cl - F with cl
+        # (indices 0 and 1), and F is empty wherever both match.
+        pairs = 0
+        for signature in filter(realisable, all_signatures()):
+            for _, table, _, _, _ in _plans.__wrapped__(signature):
+                if len(set(table.shapes)) > 1:
+                    assert set(table.shapes) == {0, 1} and not _Key(signature).f
+                    pairs += 1
+        assert pairs == 4
 
     def test_the_table_matches_a_case_on_every_key(self):
         # So ``check``'s ``no case applies`` reads 0 on every input.
