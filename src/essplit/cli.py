@@ -57,6 +57,18 @@ repeats its masks.  ``circuits`` and ``flats`` take
 lists render most masks once, so byte tables would not pay back their
 cost.  A single label list, delta or a ``flats --subset`` A', is a
 plain list of labels.
+
+Each ``main`` call builds its own parser, so nothing of one call
+outlives it, and reads each command's ``func`` from the module: a
+``cmd_*`` wrapped or patched between calls is the one that runs.
+``build_parser`` makes the top-level parser and the
+parser of every command, whose names the usage, ``--help`` and the
+"invalid choice" error list, but a command gets its flags
+(``_add_instance_flags`` and its own) only on first use: ``_Parser``
+calls its ``add_flags`` once, before it parses or formats its usage or
+help.  argparse passes the rest of the command line to the chosen
+command's ``parse_known_args``, so a call adds the flags of that
+command alone, and a query does not pay for the other six.
 """
 
 from __future__ import annotations
@@ -66,7 +78,7 @@ import json
 import os
 import random
 import sys
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -130,6 +142,31 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting, and adds its flags by
+    ``add_flags(self)`` on first use: before it parses or formats its
+    usage or help."""
+
+    def __init__(self, *args, add_flags: Callable[[_Parser], None] | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_flags = add_flags
+
+    def _fill(self) -> None:
+        add, self._add_flags = self._add_flags, None
+        if add is not None:
+            add(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._fill()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._fill()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._fill()
+        return super().format_help()
+
     def error(self, message: str):
         raise _UsageError(message)
 
@@ -812,6 +849,28 @@ def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
+def _add_query_flags(sub: argparse.ArgumentParser, func, mode: bool, subset: bool | None) -> None:
+    """The flags of an instance command; --subset is required (True),
+    optional (False) or not taken (None)."""
+    _add_instance_flags(sub)
+    if mode:
+        sub.add_argument("--mode", choices=("formula", "oracle", "both"), default="both")
+    if subset is not None:
+        sub.add_argument("--subset", required=subset, help="comma-separated labels of A'")
+    sub.set_defaults(func=func)
+
+
+def _add_check_flags(sub: argparse.ArgumentParser) -> None:
+    _add_instance_flags(sub)
+    sub.add_argument("--sample", type=_int_at_least(1), default=None, metavar="N")
+    sub.add_argument("--seed", type=int, default=0, metavar="S")
+    sub.set_defaults(func=cmd_check)
+
+
+def _add_demo_flags(sub: argparse.ArgumentParser) -> None:
+    sub.set_defaults(func=cmd_demo_fig2, format="text")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="essplit",
@@ -828,23 +887,10 @@ def build_parser() -> _Parser:
         ("circuits", cmd_circuits, None),
         ("flats", cmd_flats, False),
     ):
-        sub = subparsers.add_parser(name)
-        _add_instance_flags(sub)
-        if name != "split":
-            sub.add_argument("--mode", choices=("formula", "oracle", "both"), default="both")
-        if subset is not None:
-            sub.add_argument("--subset", required=subset, help="comma-separated labels of A'")
-        sub.set_defaults(func=func)
-
-    check = subparsers.add_parser("check")
-    _add_instance_flags(check)
-    check.add_argument("--sample", type=_int_at_least(1), default=None, metavar="N")
-    check.add_argument("--seed", type=int, default=0, metavar="S")
-    check.set_defaults(func=cmd_check)
-
-    demo = subparsers.add_parser("demo-fig2")
-    demo.set_defaults(func=cmd_demo_fig2, format="text")
-
+        add_flags = partial(_add_query_flags, func=func, mode=name != "split", subset=subset)
+        subparsers.add_parser(name, add_flags=add_flags)
+    subparsers.add_parser("check", add_flags=_add_check_flags)
+    subparsers.add_parser("demo-fig2", add_flags=_add_demo_flags)
     return parser
 
 

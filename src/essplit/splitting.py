@@ -304,10 +304,12 @@ class _BaseFacts:
     """The base quantities of one base part A that the predictors read.
 
     Every set is a position mask (see ``SplitContext.mask_of``): a = A,
-    cl = cl(A), cl_e = cl(A + e), f = F, f_star and t = F* and T under
-    their guards and 0 off them (see below), and ``shapes``: the table's
-    seven closure shapes (0-6) and then the rule's five (7-11).  Call a
-    base circuit odd when its overlap with X is.  Then
+    cl = cl(A), f = F, and ``shapes``: the table's seven closure shapes
+    (0-6) and then the rule's five (7-11).  cl(A + e), and F* and T under
+    their guards and 0 off them (see below), are entries 2-4 of the span
+    part (``_span_part``), which the shapes and the signature read; the
+    record does not keep them.  Call a base circuit odd when its overlap
+    with X is.  Then
 
     * F(A) holds the elements of cl(A) - A on an odd circuit inside
       cl(A);
@@ -366,18 +368,18 @@ class _BaseFacts:
       is in F* iff C_z is odd or meets an odd component of M|A.  Without
       ox_a no component is odd, and C_z is odd iff z is outside cl'(A):
       the columns of C_z sum to (0, [C_z odd]) in M', and span'(A) lacks
-      (0, 1).  So under its guard, no ox_a, F* = cl(A) - cl'(A), kept as
-      ``f_star``.  With ox_a, cl'(A) = cl(A) and ``f_star`` is 0, while
-      F* need not be empty; every predictor reads F* without ox_a only
-      (the bound-parity cases R2 and R3 of ``closure_rule``).
+      (0, 1).  So under its guard, no ox_a, F* = cl(A) - cl'(A), the
+      span part's ``f_star``.  With ox_a, cl'(A) = cl(A) and ``f_star``
+      is 0, while F* need not be empty; every predictor reads F* without
+      ox_a only (the bound-parity cases R2 and R3 of ``closure_rule``).
     * T, under its guard: no ox_a and e outside cl(A).  Then A + e holds
       no odd circuit and no circuit through e.  A z in cl(A + e) - cl(A)
       other than e lies on circuits inside A + e + z, all through e and
       z, and all of one parity, as two of them sum to a cycle inside
       A + e; z is in cl'(A + e) iff they are even.  A z in cl(A) - A
       lies on none through e, as it would sum with C_z to a cycle through
-      e in A + e.  So T = cl(A + e) - cl(A) - cl'(A + e) - e, kept as
-      ``t``.  Off the guard ``t`` is 0, as cl'(A + e) = cl(A + e) or
+      e in A + e.  So T = cl(A + e) - cl(A) - cl'(A + e) - e, the span
+      part's ``t``.  Off the guard ``t`` is 0, as cl'(A + e) = cl(A + e) or
       cl(A + e) = cl(A), while T need not be empty; every predictor reads
       T under the guard only (L3.6, R3.3 and flat condition 4, and L3.7
       and condition 5, whose no ox_cl implies no ox_a).
@@ -402,13 +404,13 @@ class _BaseFacts:
     ``_query`` splits off their labels, and the plan of its top.
     """
 
-    __slots__ = ("ctx", "a", "rank", "cl", "cl_e", "f", "f_star", "t", "shapes", "signature")
+    __slots__ = ("ctx", "a", "rank", "cl", "f", "shapes", "signature")
 
     def __init__(self, ctx: SplitContext, a: int, span: tuple):
         """``a`` is the mask of A and ``span`` the span part of its spans
         (``_span_part``)."""
         (
-            self.rank, cl, self.cl_e, self.f_star, self.t, odd, cl_a, cl_g_t,
+            self.rank, cl, _, _, _, odd, cl_a, cl_g_t,
             cl_aeg, g_t, kept, kept_g, kept_g_t, cl_e_ag, signature,
         ) = span
         # What A adds to its span part: F, three table shapes, two bits.

@@ -93,6 +93,20 @@ MUTANTS = [
         ("tests/test_cli.py::TestFlats::test_each_mode_reports_only_its_own_route",),
     ),
     Mutant(
+        "command-help-formatted-unfilled",
+        "essplit/cli.py",
+        "def format_help(self) -> str:\n        self._fill()\n",
+        "def format_help(self) -> str:\n",
+        ("tests/test_cli.py::TestFlagsOnFirstUse::test_an_unparsed_command_formats_its_flags",),
+    ),
+    Mutant(
+        "every-command-filled-when-built",
+        "essplit/cli.py",
+        "        self._add_flags = add_flags\n",
+        "        self._add_flags = add_flags\n        self._fill()\n",
+        ("tests/test_cli.py::TestFlagsOnFirstUse::test_only_the_invoked_command_is_filled",),
+    ),
+    Mutant(
         "c1-untrimmed",
         "essplit/splitting.py",
         "c1 = tuple(sorted(unions & kept, key=order))",
@@ -189,9 +203,7 @@ MUTANTS = [
         "essplit/splitting.py",
         "(f_star & e != 0) << 6",
         "(cl & e != 0) << 6",
-        ("tests/test_walk.py::TestCasePlans::"
-         "test_the_small_scope_reaches_exactly_the_realisable_signatures",
-         "tests/test_exhaustive.py"),
+        ("tests/test_exhaustive.py::test_every_small_instance",),
     ),
 ]
 

@@ -8,7 +8,9 @@ every pin in process (``tests/test_pins.py``).  With the standard
 library only, ``PYTHONPATH=src python tests/pins.py`` runs each
 command-line pin as ``python -m essplit.cli`` with
 ``PYTHONIOENCODING=utf-8`` from a temporary directory, and compares its
-raw stdout bytes; pins with their own ``entry`` run in process.  The
+raw stdout bytes; pins with their own ``entry`` run in process.  Both
+ways run with ``COLUMNS=80``, the width argparse wraps the help pins
+at.  The
 stdout of every JSON pin must also read as ``json.dumps(value,
 indent=2)`` of the value it parses to, so a renderer that is not the
 library's cannot drift from it unseen, even under a digest.  It
@@ -27,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import traceback
+import unittest.mock
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +40,8 @@ import cli_golden
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
+COMMANDS = ("split", "closure", "rank", "circuits", "flats", "check", "demo-fig2")
+WIDTH = {"COLUMNS": "80"}  # the terminal width argparse reads
 
 
 @dataclass(frozen=True)
@@ -165,13 +170,19 @@ PINS: list[Pin] = [
               "Rank 3, four loops, five parallel classes: 695 split circuits.", listing=True),
     *_formats("large40-closure", ("closure", *LARGE40, *LARGE40_QUERY), 0, LARGE40_NOTE),
     *_formats("large40-rank", ("rank", *LARGE40, *LARGE40_QUERY), 0, LARGE40_NOTE),
+    Pin("help.txt", ("--help",), 0, GOLDEN / "help.txt",
+        "The user's guide and the list of commands, wrapped at 80 columns."),
+    *(Pin(f"help-{command}.txt", (command, "--help"), 0, GOLDEN / f"help-{command}.txt",
+          f"The usage and flags of {command}, wrapped at 80 columns.")
+      for command in COMMANDS),
 ]
 
 
 def run_in_process(pin: Pin) -> tuple[int, bytes, bytes]:
     """Exit code, stdout and stderr of ``pin``, run in this process."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (unittest.mock.patch.dict(os.environ, WIDTH), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
         code = (pin.entry or cli.main)(list(pin.argv))
     return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
 
@@ -179,7 +190,7 @@ def run_in_process(pin: Pin) -> tuple[int, bytes, bytes]:
 def run_subprocess(pin: Pin, cwd: str) -> tuple[int, bytes, bytes]:
     """Exit code, stdout and stderr of ``python -m essplit.cli`` on the
     argv of ``pin``, run in ``cwd``."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONIOENCODING": "utf-8"}
+    env = {**os.environ, **WIDTH, "PYTHONPATH": str(ROOT / "src"), "PYTHONIOENCODING": "utf-8"}
     proc = subprocess.run(
         [sys.executable, "-m", "essplit.cli", *pin.argv],
         capture_output=True, env=env, cwd=cwd, timeout=600,

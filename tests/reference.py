@@ -17,9 +17,11 @@ reference.
 ``reference_base_facts`` computes the odd-overlap circuit facts of one
 base part on label sets from their circuit definitions, the
 differential for ``splitting._BaseFacts``, which reads ranks instead;
-``assert_guarded_sets`` compares the record's F* and T with it under
-their guards, and ``realisable`` tests a record's signature against the
-six rules that ``splitting._Key`` proves.
+``span_sets`` reads cl(A + e), F* and T off a record's span part, which
+the record does not keep, ``assert_guarded_sets`` compares F* and T
+with the reference under their guards, and ``realisable`` tests a
+record's signature, one of ``all_signatures``, against the six rules
+that ``splitting._Key`` proves.
 ``classify_circuit`` and ``reference_find_ox_subcircuit`` are the
 label-set forms of the parity test and of ``find_ox_subcircuit`` from
 before those moved to masks.
@@ -85,6 +87,16 @@ def base_facts(ctx: SplitContext, labels) -> _BaseFacts:
     """The ``_BaseFacts`` record of the base part of the subset with
     these labels: a and gamma are dropped."""
     return _BaseFacts.at(ctx, ctx.mask_of(labels) & (ctx.a_bit - 1))
+
+
+def span_sets(facts: _BaseFacts, spans=None) -> dict:
+    """cl(A + e), and F* and T under their guards (0 off them), of the
+    base part A of ``facts``: entries 2-4 of the span part of ``spans``,
+    by default A's spans in N, which the record reads but does not keep."""
+    ctx = facts.ctx
+    if spans is None:
+        spans = ctx.lift.closures_at(facts.a, ctx.lift_extras)
+    return dict(zip(("cl_e", "f_star", "t"), _BaseFacts._span_part(ctx, spans)[2:5]))
 
 
 def all_subsets(m: BinaryMatroid) -> Iterator[frozenset[str]]:
@@ -314,20 +326,24 @@ def reference_base_facts(ctx: SplitContext, labels) -> dict:
     }
 
 
-def assert_guarded_sets(ctx: SplitContext, facts: _BaseFacts, expected: dict) -> Counter:
-    """Assert that the slots f_star and t of a record equal F* and T of
-    ``expected``, the ``reference_base_facts`` of its base part, under
-    their guards (no odd-overlap circuit in A for both, and e outside
-    cl(A) for T) and are 0 off them.  Return the names of the slots
-    that were off their guard with a nonempty definition, counted."""
+def assert_guarded_sets(
+    ctx: SplitContext, facts: _BaseFacts, expected: dict, spans=None
+) -> Counter:
+    """Assert that the sets f_star and t of a record's span part
+    (``span_sets`` of ``spans``) equal F* and T of ``expected``, the
+    ``reference_base_facts`` of its base part, under their guards (no
+    odd-overlap circuit in A for both, and e outside cl(A) for T) and
+    are 0 off them.  Return the names of the sets that were off their
+    guard with a nonempty definition, counted."""
     off_guard: Counter = Counter()
     k = _Key(facts.signature)
+    sets = span_sets(facts, spans)
     guards = {"f_star": not k.ox_a, "t": not k.ox_a and not k.e_in_cl}
     for name, guarded in guards.items():
         if guarded:
-            assert ctx.labels_of(getattr(facts, name)) == expected[name], name
+            assert ctx.labels_of(sets[name]) == expected[name], name
         else:
-            assert getattr(facts, name) == 0, name
+            assert sets[name] == 0, name
             if expected[name]:
                 off_guard[name] += 1
     return off_guard
@@ -379,6 +395,12 @@ def facts_from_base_and_parity(ctx: SplitContext, a: int) -> dict:
     }
 
 
+def all_signatures():
+    """Every signature of ``_BaseFacts``, reachable or not: the keys of
+    ``_Key`` with both top bits clear."""
+    return range(0, 1 << len(_Key.__slots__), 4)
+
+
 def realisable(signature: int) -> bool:
     """Whether a ``_BaseFacts`` signature satisfies the six rules that
     ``_Key``'s docstring proves for every record, each tested here on
@@ -418,6 +440,7 @@ def reference_cases(facts: _BaseFacts, has_a: bool, has_gamma: bool) -> dict:
     matched cases disagree, the flat condition and the split rank.  The
     predicates come from the record's signature, decoded by ``_Key``."""
     ctx = facts.ctx
+    sets = span_sets(facts)
     cl_f, cl, cl_a, cl_f_g, cl_f_g_t, cl_g_t, cl_aeg = facts.shapes[:7]
     k = _Key(facts.signature)
     ox_a, ox_ae, ox_cl, e_in_cl = k.ox_a, k.ox_ae, k.ox_cl, k.e_in_cl
@@ -462,7 +485,7 @@ def reference_cases(facts: _BaseFacts, has_a: bool, has_gamma: bool) -> dict:
     ))
 
     kept, kept_g, kept_g_t, rule_cl_a, cl_e_ag = facts.shapes[7:]
-    e_in_f_star = bool(facts.f_star & ctx.e_bit)
+    e_in_f_star = bool(sets["f_star"] & ctx.e_bit)
     free = has_a or ox_a
     bound_g = has_gamma and not free
     rule = match((
@@ -474,7 +497,7 @@ def reference_cases(facts: _BaseFacts, has_a: bool, has_gamma: bool) -> dict:
         ("R3.3", bound_g and not e_in_cl, kept_g_t),
     ))
 
-    f, t = facts.f, facts.t
+    f, t = facts.f, sets["t"]
     conditions = (
         plain and not ox_ae and not f,
         plain and not ox_cl,

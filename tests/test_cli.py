@@ -16,7 +16,7 @@ from essplit.errors import FormulaDisagreement
 from essplit.graphs import format_graph
 from essplit.showcase import showcase_graph, showcase_matroid
 
-from pins import GOLDEN, LARGE40, LARGE40_QUERY
+from pins import COMMANDS, GOLDEN, LARGE40, LARGE40_QUERY, WHEEL
 
 
 @pytest.fixture()
@@ -830,12 +830,126 @@ def test_help_is_written_for_users(capsys):
     assert "cmd_" not in out
 
 
-@pytest.mark.parametrize(
-    "command", ["split", "closure", "rank", "circuits", "flats", "check", "demo-fig2"]
-)
+@pytest.mark.parametrize("command", COMMANDS)
 def test_subcommand_help_returns_zero(capsys, command):
     assert main([command, "-h"]) == 0
     assert capsys.readouterr().out.startswith(f"usage: essplit {command}")
+
+
+REQUIRED = "the following arguments are required: "
+
+
+class TestUsageErrors:
+    """Each usage error is one stderr line and exit 1, byte for byte:
+    argparse's message after ``usage error: ``."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((), REQUIRED + "command"),
+            (
+                ("frobnicate",),
+                "argument command: invalid choice: 'frobnicate' (choose from 'split', "
+                "'closure', 'rank', 'circuits', 'flats', 'check', 'demo-fig2')",
+            ),
+            (("split",), REQUIRED + "--input, --X, --e"),
+            (("closure",), REQUIRED + "--input, --X, --e, --subset"),
+            (("rank",), REQUIRED + "--input, --X, --e, --subset"),
+            (("circuits",), REQUIRED + "--input, --X, --e"),
+            (("flats",), REQUIRED + "--input, --X, --e"),
+            (("check",), REQUIRED + "--input, --X, --e"),
+            # The command parses the rest first, so its own error wins.
+            (("--foo", "closure"), REQUIRED + "--input, --X, --e, --subset"),
+            (("--foo", "split", *WHEEL), "unrecognized arguments: --foo"),
+            (("demo-fig2", "--format", "json"), "unrecognized arguments: --format json"),
+        ],
+        ids=[
+            "no-command", "unknown-command", *COMMANDS[:-1], "flag-before-command",
+            "flag-before-a-full-command", "demo-fig2-with-a-flag",
+        ],
+    )
+    def test_one_line_and_exit_1(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"usage error: {message}\n")
+
+    def test_an_abbreviated_help_prints_the_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        help_text = (GOLDEN / "help-closure.txt").read_text(encoding="utf-8")
+        assert run(capsys, "closure", "--he") == (0, help_text, "")
+
+
+def command_parsers(parser):
+    """The parser of each command, by name."""
+    (action,) = (action for action in parser._actions if action.dest == "command")
+    return action.choices
+
+
+class TestFlagsOnFirstUse:
+    """``build_parser`` makes the parser of every command, for the list
+    of commands, but each adds its flags only when first used."""
+
+    @pytest.fixture()
+    def filled(self, monkeypatch):
+        """The prog of every parser that gets the instance flags."""
+        progs = []
+        add = cli._add_instance_flags
+
+        def recording(sub):
+            progs.append(sub.prog)
+            add(sub)
+
+        monkeypatch.setattr(cli, "_add_instance_flags", recording)
+        return progs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("split",),
+            ("closure", "--subset", "2,6"),
+            ("rank", "--subset", "2,6"),
+            ("circuits",),
+            ("flats",),
+            ("check", "--sample", "5"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_only_the_invoked_command_is_filled(self, capsys, filled, argv):
+        code, out, err = run(capsys, argv[0], *WHEEL, *argv[1:], "--format", "json")
+        assert (code, err) in ((0, ""), (3, ""))
+        assert json.loads(out)
+        assert filled == [f"essplit {argv[0]}"]
+
+    @pytest.mark.parametrize("argv", [("--help",), ("demo-fig2",)], ids=["help", "demo"])
+    def test_no_command_flags_for_help_or_the_demo(self, capsys, filled, argv):
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out
+        assert filled == []
+
+    def test_abbreviated_flags_are_read(self, capsys):
+        # The flags are in place before the command parses its arguments.
+        code, out, err = run(
+            capsys, "rank", "--in", WHEEL[1], "--X", "x,y", "--e", "y", "--sub", "2,6",
+            "--form", "json",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"formula": 2, "oracle": 2, "agree": True}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_an_unparsed_command_formats_its_flags(self, monkeypatch, command):
+        # Help and usage each fill the parser, as parsing does.
+        monkeypatch.setenv("COLUMNS", "80")
+        help_text = (GOLDEN / f"help-{command}.txt").read_text(encoding="utf-8")
+        usage = help_text.split("\n\n")[0] + "\n"
+        assert command_parsers(cli.build_parser())[command].format_help() == help_text
+        assert command_parsers(cli.build_parser())[command].format_usage() == usage
+
+    def test_each_call_builds_its_own_parser(self, capsys, filled, monkeypatch):
+        # ``func`` is read when a command is filled, so a command patched
+        # between calls is the one that runs.
+        assert main(["split", *WHEEL]) == 0
+        monkeypatch.setattr(cli, "cmd_split", lambda args: (0, {}, ["patched"]))
+        assert main(["split", *WHEEL]) == 0
+        assert capsys.readouterr().out.endswith("\npatched\n")
+        assert filled == ["essplit split"] * 2
 
 
 json_values = st.recursive(

@@ -15,17 +15,29 @@ instance, with the extras e, a and gamma, as in an exhaustive
 ``check``: entries 0, 2, 4 and 6 of a part's spans answer A, A + a,
 A + gamma and A + a + gamma, and entries 0-3 give the record of A.
 The predictions are read off the record's plans (``_plans``), as the
-predictors and ``check`` read them.
+predictors and ``check`` read them.  The records reach exactly the 15
+signatures that satisfy the six rules ``_Key`` proves (``realisable``).
+The walk runs once per session (``walk_every_small_instance``); the
+census test of ``test_walk.py`` reads its signatures.
 """
+
+from functools import cache
 
 from essplit import predict_circuits, split_matroid
 from essplit.splitting import _BaseFacts, _plans
 
 from instances import every_small_instance
+from reference import all_signatures, realisable
 
 
-def test_every_small_instance():
+@cache
+def walk_every_small_instance():
+    """Walk every small instance, asserting each circuit family, rule
+    closure and rank against the oracle; return the counts of
+    instances, loop e's, queries and wrong table closures, and the
+    signatures the records reached."""
     instances = loop_e = queries = wrong_table = 0
+    reached = set()
     for ctx in every_small_instance():
         n = len(ctx.base.ground)
         oracle = split_matroid(ctx)
@@ -40,6 +52,7 @@ def test_every_small_instance():
         extras = (*ctx.lift_extras, n + 1)
         for part, (spans, span) in oracle.walk_closures(extras, n, derive):
             facts = _BaseFacts(ctx, part, span)
+            reached.add(facts.signature)
             plans = _plans(facts.signature)
             for top, (_, table, rank_offset, _, rule) in enumerate(plans):
                 oracle_rank, oracle_closure = spans[top << 1]
@@ -48,5 +61,12 @@ def test_every_small_instance():
                 assert facts.rank + rank_offset == oracle_rank, (ctx, query)
                 wrong_table += facts.closure(table) != oracle_closure
                 queries += 1
+    return instances, loop_e, queries, wrong_table, frozenset(reached)
+
+
+def test_every_small_instance():
+    instances, loop_e, queries, wrong_table, reached = walk_every_small_instance()
     assert (instances, loop_e, queries) == (12_152, 1_519, 724_288)
     assert wrong_table == 50_696
+    assert reached == set(filter(realisable, all_signatures()))
+    assert len(reached) == 15

@@ -46,12 +46,15 @@ from reference import (
     plan_answers,
     predicted_circuits,
     reference_find_ox_subcircuit,
+    span_sets,
 )
 
 
 def base_set(ctx, labels, field):
-    """The set ``field`` (f, f_star or t) of the record of A, in labels."""
-    return ctx.labels_of(getattr(base_facts(ctx, labels), field))
+    """The set ``field`` (f, f_star or t) of A, in labels: f from the
+    record of A, f_star and t from its span part."""
+    facts = base_facts(ctx, labels)
+    return ctx.labels_of({"f": facts.f, **span_sets(facts)}[field])
 
 
 def shapes(ctx, masks):
@@ -202,7 +205,8 @@ class TestBaseFacts:
                 assert ctx.labels_of(facts.a) == a
                 assert facts.rank == base.rank_of(a)
                 assert ctx.labels_of(facts.cl) == base.closure_of(a)
-                assert ctx.labels_of(facts.cl_e) == base.closure_of(a | {ctx.e})
+                cl_e = span_sets(facts)["cl_e"]
+                assert ctx.labels_of(cl_e) == base.closure_of(a | {ctx.e})
                 assert _Key(facts.signature).e_in_cl == (ctx.e in base.closure_of(a))
         assert e_loops > 10
 

@@ -34,8 +34,9 @@ from essplit.gf2 import format_matrix
 from essplit.showcase import showcase_context
 from essplit.splitting import _BaseFacts, _Key, _plans
 
-from instances import every_small_instance, matroid_from_columns, random_columns
+from instances import matroid_from_columns, random_columns
 from reference import (
+    all_signatures,
     assert_guarded_sets,
     base_facts,
     facts_from_base_and_parity,
@@ -43,7 +44,9 @@ from reference import (
     realisable,
     reference_base_facts,
     reference_cases,
+    span_sets,
 )
+from test_exhaustive import walk_every_small_instance
 
 
 def random_contexts(seed, count=160, max_n=7):
@@ -458,23 +461,25 @@ class TestMaskRecord:
         off_guard = Counter()
         for ctx, _ in random_contexts(34):
             base = ctx.base
-            for mask, _, facts in walked_records(ctx, ctx.lift, ctx.lift_extras):
+            for mask, spans, facts in walked_records(ctx, ctx.lift, ctx.lift_extras):
                 a = base._labels(mask)
                 expected = reference_base_facts(ctx, a)
+                sets = span_sets(facts, spans)
                 assert facts.rank == base.rank_of(a)
                 assert ctx.labels_of(facts.cl) == base.closure_of(a)
-                assert ctx.labels_of(facts.cl_e) == base.closure_of(a | {ctx.e})
+                assert ctx.labels_of(sets["cl_e"]) == base.closure_of(a | {ctx.e})
                 k = _Key(facts.signature)
                 assert k.e_in_cl == (ctx.e in base.closure_of(a))
                 for name in ("ox_a", "ox_ae", "ox_cl"):
                     assert getattr(k, name) == expected[name], name
                 assert ctx.labels_of(facts.f) == expected["f"]
-                off_guard += assert_guarded_sets(ctx, facts, expected)
+                off_guard += assert_guarded_sets(ctx, facts, expected, spans)
                 labelled = base_facts(ctx, a)
                 assert all(
                     getattr(labelled, slot) == getattr(facts, slot)
                     for slot in _BaseFacts.__slots__
                 )
+                assert span_sets(labelled) == sets
         # Both zero checks met sets whose definition is not empty.
         assert set(off_guard) == {"f_star", "t"}
 
@@ -492,6 +497,8 @@ class TestLift:
                 expected = facts_from_base_and_parity(ctx, mask)
                 for name in _BaseFacts.__slots__:
                     assert getattr(facts, name) == expected[name], name
+                for name, value in span_sets(facts).items():
+                    assert value == expected[name], name
                 k = _Key(facts.signature)
                 for name in ("e_in_cl", "ox_a", "ox_ae", "ox_cl"):
                     assert getattr(k, name) == expected[name], name
@@ -525,19 +532,13 @@ def plan_instances():
     yield SplitContext(base, frozenset("p1 p2 p4 p8 p11 p12".split()), "p2")
 
 
-def all_signatures():
-    """Every signature of ``_BaseFacts``, reachable or not: the keys of
-    ``_Key`` with both top bits clear."""
-    return range(0, 1 << len(_Key.__slots__), 4)
-
-
 class TestCasePlans:
     """The plans of ``_BaseFacts`` against its rows evaluated on every
-    call, as ``reference_cases`` does, and the census of the signatures
-    that records reach: the 15 that satisfy ``_Key``'s six rules
-    (``realisable``).  The tests over every key build their plans
-    uncached, through ``_plans.__wrapped__``, so the cache holds only
-    the signatures that records reached."""
+    call, as ``reference_cases`` does, on every signature and on the 15
+    that satisfy ``_Key``'s six rules (``realisable``), which records
+    reach (read off the walk of ``test_exhaustive.py``).  The tests over
+    every key build their plans uncached, through ``_plans.__wrapped__``,
+    so the cache holds only the signatures that records reached."""
 
     def test_every_reachable_key_matches_the_rows(self):
         compared = set()
@@ -582,11 +583,9 @@ class TestCasePlans:
         assert raised >= 20
 
     def test_the_small_scope_reaches_exactly_the_realisable_signatures(self):
-        # Every instance with n <= 4 and r <= 3, as in test_exhaustive.py.
-        reached = set()
-        for ctx in every_small_instance():
-            for _, _, facts in walked_records(ctx, ctx.lift, ctx.lift_extras):
-                reached.add(facts.signature)
+        # Every instance with n <= 4 and r <= 3, read off the one walk
+        # of test_exhaustive.py.
+        reached = walk_every_small_instance()[-1]
         assert reached == set(filter(realisable, all_signatures()))
         assert len(reached) == 15
 
