@@ -894,9 +894,31 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _unknown_before_command(argv: Sequence[str]) -> list[str]:
+    """The options before the command name, none if one asks for help.
+
+    The top-level parser takes only -h and --help, so every other option
+    there is unknown.  argparse would name them only after the command
+    parsed the rest of the line, so a command's own error, such as a
+    missing flag, would hide them.  A lone "-", "--" or a negative
+    number is an argument to argparse, and ends the scan."""
+    unknown = []
+    for arg in argv:
+        if not arg.startswith("-") or arg in ("-", "--") or arg[1:2].isdigit():
+            break
+        if arg == "-h" or len(arg) > 2 and "--help".startswith(arg):
+            return []
+        unknown.append(arg)
+    return unknown
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        unknown = _unknown_before_command(argv)
+        if unknown:
+            raise _UsageError("unrecognized arguments: " + " ".join(unknown))
         args = parser.parse_args(argv)
         code, payload, lines = args.func(args)
         if args.format == "json":

@@ -59,20 +59,27 @@ Circuits travel as position masks too.  ``SplitContext`` splits the
 base's cached circuit masks by the parity of their overlap with X into
 ``ox_masks`` and ``ex_masks``, which only ``predict_circuits`` and
 ``find_ox_subcircuit`` read; ``predict_circuits`` builds the
-candidates of every class and, in one pass on masks, trims to minimal
-members only the kinds that can fail, comparing each with the smaller
-candidates of every kind.  ``CircuitFamily`` holds masks only.  The
-split matrix's columns are the split-ground positions, so the family
-compares with the oracle's circuit masks as they are.  Labels appear
-only at the boundary: ``SplitContext.labels_of`` and ``sorted_labels``,
-and ``BinaryMatroid.circuits()``.
+candidates of every class and trims to minimal members only the kinds
+that can fail, comparing each with the smaller candidates of every
+kind.  Its disjoint-pair scans and its trim test a word against a whole
+family of masks in a few big-int steps (``_Slots``): the masks are
+packed into one int, a slot of ``width // 8 + 1`` bytes each, so the
+top bit of every slot, its guard, is free; ``packed & ones * word``
+plus each slot's guard bit minus 1 then sets the guards of exactly the
+slots whose mask meets the word, with no carry across a slot, as each
+slot of the sum stays below twice its guard.  ``CircuitFamily`` holds
+masks only.  The split matrix's columns are the split-ground
+positions, so the family compares with the oracle's circuit masks as
+they are.  Labels appear only at the boundary:
+``SplitContext.labels_of`` and ``sorted_labels``, and
+``BinaryMatroid.circuits()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BaseNotFlat,
@@ -777,19 +784,15 @@ def predict_circuits(ctx: SplitContext) -> CircuitFamily:
     overlap with X is odd.
 
     Everything runs on position masks, from ``SplitContext.ox_masks``
-    and ``ex_masks``: p and q are disjoint when ``p & q`` is 0, and o
-    lies inside c when ``o & c == o``.
+    and ``ex_masks``.  The scans for disjoint pairs test each circuit
+    against all the odd-overlap ones at once, packed into ``_Slots``,
+    and visit only the disjoint ones, usually few; the trim is
+    ``_minimal``.
     """
     ox, c0 = ctx.ox_masks, ctx.ex_masks
     e, a, gamma = ctx.e_bit, ctx.a_bit, ctx.gamma_bit
     order = _mask_key(len(ctx.split_ground))
 
-    unions = {
-        first | second
-        for i, first in enumerate(ox)
-        for second in ox[i + 1 :]
-        if not first & second
-    }
     # a is above every base position, so adding it keeps the order.
     c2 = tuple(c | a for c in ox)
     delta = e | a | gamma
@@ -804,12 +807,16 @@ def predict_circuits(ctx: SplitContext) -> CircuitFamily:
     # circuit through e plus a disjoint odd-overlap circuit, which single
     # circuits miss.
     gamma_tested = {c | e | gamma for c in ox if not c & e}
+    slots = _Slots(ox)
     gamma_tested.update(
-        (c_even ^ e) | c_odd | gamma
+        (c_even ^ e) | ox[j] | gamma
         for c_even in ex_through_e
-        for c_odd in ox
-        if not c_even & c_odd
+        for j in slots.indices(slots.disjoint(c_even))
     )
+    # Each union is found twice, once from each of its circuits.
+    unions = {
+        first | ox[j] for first in ox for j in slots.indices(slots.disjoint(first))
+    }
 
     tested = unions | gamma_tested
     tested.add(delta)
@@ -829,31 +836,76 @@ def _minimal(tested: set[int], pool: set[int]) -> set[int]:
 
     A proper subset has fewer elements, so each member is compared only
     with the members of strictly smaller size: sorted by size, those
-    come before the first member of its own size.  The comparison is a
-    bitmap, bit i standing for the i-th member in that order:
-    ``holders[p]`` marks the members that hold position p, and a member
-    lies inside a mask exactly when no position outside the mask holds
-    it, so one OR per position outside answers for all members at once.
+    are the slots before the first member of its own size, where the
+    packed family is cut once per size.  A smaller member lies inside
+    the member exactly when it is disjoint from the member's
+    complement, so the member is minimal when no slot is disjoint from
+    ``~member``: one packed test per tested member.
     """
     members = sorted(tested | pool, key=int.bit_count)
-    holders = [0] * max(members, default=0).bit_length()
-    for i, member in enumerate(members):
-        for pos in _bits(member):
-            holders[pos] |= 1 << i
+    slots = _Slots(members)
     minimal = set()
-    size = smaller = 0
+    size = -1
     for i, member in enumerate(members):
         if member.bit_count() > size:
-            size, smaller = member.bit_count(), (1 << i) - 1
-        if member not in tested:
-            continue
-        outside = 0
-        for pos, held in enumerate(holders):
-            if not member >> pos & 1:
-                outside |= held
-        if not smaller & ~outside:
+            size = member.bit_count()
+            slots.cut(i)
+        if member in tested and not slots.disjoint(~member):
             minimal.add(member)
     return minimal
+
+
+class _Slots:
+    """A family of masks packed into one int, tested against a word all
+    at once: SWAR, many small fields in one machine word.
+
+    Mask i fills slot i, the bits from ``bits * i`` up to
+    ``bits * (i + 1)``.  A slot has ``width // 8 + 1`` bytes, for the
+    largest bit length ``width`` of a mask, so every mask lies below
+    ``2 ** (bits - 1)`` and the top bit of every slot, its guard, is
+    free.  The tested slots are the first ``count`` of the last
+    ``cut(count)``, all at first: ``ones`` has a 1 at the bottom of
+    each, ``guards`` its guard bit and ``fill`` its guard bit minus 1.
+    """
+
+    def __init__(self, masks: Sequence[int]) -> None:
+        width = max(masks, default=0).bit_length()
+        self.bits = 8 * (width // 8 + 1)
+        self.low = (1 << width) - 1
+        self.packed = int.from_bytes(
+            b"".join([mask.to_bytes(self.bits // 8, "little") for mask in masks]), "little"
+        )
+        self.cut(len(masks))
+
+    def cut(self, count: int) -> None:
+        """Test only the first ``count`` slots from now on."""
+        self.ones = int.from_bytes((1).to_bytes(self.bits // 8, "little") * count, "little")
+        self.guards = self.ones << self.bits - 1
+        self.fill = self.guards - self.ones
+
+    def disjoint(self, word: int) -> int:
+        """The guards of the tested slots whose masks are disjoint from
+        ``word``.
+
+        The word is cut to ``width`` bits, as a wider one would carry
+        into the next slot in the product and its high bits meet no
+        mask.  ``ones * word`` repeats it in every tested slot, so slot
+        i of ``packed &`` that is zero exactly when mask i and the word
+        are disjoint.  Adding ``fill`` sets the guard of every nonzero
+        slot, and of no zero one, with no carry across a slot, since
+        each slot stays below its guard: the guards left clear mark the
+        disjoint masks.
+        """
+        both = self.packed & self.ones * (word & self.low)
+        return (both + self.fill & self.guards) ^ self.guards
+
+    def indices(self, guards: int) -> Iterator[int]:
+        """The slot index of each guard set in ``guards``, highest first:
+        the guard of slot j has bit length ``bits * (j + 1)``."""
+        while guards:
+            top = guards.bit_length()
+            yield (top - 1) // self.bits
+            guards ^= 1 << top - 1
 
 
 def predict_rank(ctx: SplitContext, labels: Iterable[str]) -> int:

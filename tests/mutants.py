@@ -121,6 +121,23 @@ MUTANTS = [
         ("tests/test_circuit_family.py",),
     ),
     Mutant(
+        "slot-index-off-by-one",
+        "essplit/splitting.py",
+        "yield (top - 1) // self.bits",
+        "yield top // self.bits",
+        ("tests/test_circuit_family.py::test_disjoint_scan_equals_one_test_per_mask",),
+    ),
+    Mutant(
+        "slot-word-uncut",
+        "essplit/splitting.py",
+        "self.ones * (word & self.low)",
+        "self.ones * word",
+        (
+            "tests/test_circuit_family.py::test_disjoint_scan_equals_one_test_per_mask",
+            "tests/test_circuit_family.py::test_minimal_equals_all_pairs",
+        ),
+    ),
+    Mutant(
         "check-exhaustive-part-visits-no-top",
         "essplit/cli.py",
         "tops = groups.get(base, (0, 1, 2, 3))",

@@ -111,6 +111,10 @@ LOW20 = _instance("low20", "t01,t02,t06,t09,t10,t11,t13,t14", "t14")
 MID22 = _instance(
     "mid22", "q02,q03,q04,q05,q07,q08,q09,q11,q12,q14,q15,q16,q18,q19,q21,q22", "q07"
 )
+WIDE30 = _instance(
+    "wide30", "w01,w02,w04,w05,w07,w08,w10,w11,w13,w14,w16,w17,w19,w20,w22,w23,w25,w26,w28,w29",
+    "w01", "--cap", "40",
+)
 LARGE40 = _instance(
     "large40",
     "v02,v04,v06,v08,v10,v11,v14,v15,v16,v17,v19,v20,v21,v22,v24,v27,v29,v31,v35,v37,v38",
@@ -168,6 +172,10 @@ PINS: list[Pin] = [
               "Rank 3, two loops, parallel classes: 328 split circuits.", listing=True),
     *_formats("low20-circuits", ("circuits", *LOW20, "--mode", "both"), 0,
               "Rank 3, four loops, five parallel classes: 695 split circuits.", listing=True),
+    Pin("wide30-circuits.json", ("circuits", *WIDE30, "--mode", "both", "--format", "json"), 0,
+        GOLDEN / "wide30-circuits.sha256",
+        "30 elements of rank 2 above the default cap: base circuits fill 4-byte mask "
+        "slots and split candidates 5-byte ones; 1,617 split circuits."),
     *_formats("large40-closure", ("closure", *LARGE40, *LARGE40_QUERY), 0, LARGE40_NOTE),
     *_formats("large40-rank", ("rank", *LARGE40, *LARGE40_QUERY), 0, LARGE40_NOTE),
     Pin("help.txt", ("--help",), 0, GOLDEN / "help.txt",

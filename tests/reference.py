@@ -14,6 +14,10 @@ sets, before the family moved to position masks; ``family_labels`` and
 ``predicted_circuits`` read a ``CircuitFamily``'s masks as label sets,
 and ``assert_same_family`` compares ``predict_circuits`` with the
 reference.
+``reference_minimal`` and ``reference_disjoint`` are the trim and the
+disjoint scan of ``predict_circuits`` by their definitions, one plain
+test per pair of masks: the differential for ``splitting._minimal`` and
+``splitting._Slots``, which test a whole packed family at once.
 ``reference_base_facts`` computes the odd-overlap circuit facts of one
 base part on label sets from their circuit definitions, the
 differential for ``splitting._BaseFacts``, which reads ranks instead;
@@ -284,6 +288,22 @@ def reference_circuit_family(ctx: SplitContext) -> ReferenceFamily:
         c3=tuple(sorted(minimal_within(c3_candidates), key=key)),
         delta=delta,
     )
+
+
+def reference_minimal(tested: set[int], pool: set[int]) -> set[int]:
+    """The masks of ``tested`` with no proper subset in ``tested`` or in
+    ``pool``, by testing every pair."""
+    everything = tested | pool
+    return {
+        mask for mask in tested
+        if not any(other != mask and other & mask == other for other in everything)
+    }
+
+
+def reference_disjoint(masks: Iterable[int], word: int) -> list[int]:
+    """The indices of the masks disjoint from ``word``, in order, by one
+    test per mask."""
+    return [j for j, mask in enumerate(masks) if not mask & word]
 
 
 def reference_base_facts(ctx: SplitContext, labels) -> dict:

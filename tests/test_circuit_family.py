@@ -13,16 +13,31 @@ have a parallel class across X, e in a parallel class, or e a loop
 check both halves of that split: every trusted candidate is a circuit
 of the split oracle, some tested ones are not, and the family still
 matches the reference.
+
+The packed kernel of the trim and of the disjoint scans,
+``splitting._minimal`` and ``splitting._Slots``, is checked on its own
+against one plain test per pair (``reference_minimal`` and
+``reference_disjoint``), on seeded mask families whose width puts the
+guard bit at either end of a byte, with empty families, the empty mask
+and words wider than the family.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
 from essplit import GF2Matrix, BinaryMatroid, SplitContext, predict_circuits, split_matroid
+from essplit.splitting import _minimal, _Slots
 
 from instances import matroid_from_columns, random_columns
-from reference import assert_same_family, circuits_by_overlap
+from reference import (
+    assert_same_family,
+    circuits_by_overlap,
+    reference_disjoint,
+    reference_minimal,
+)
 
 
 def seeded_context(rng: random.Random) -> tuple[SplitContext, str]:
@@ -144,3 +159,72 @@ def test_trusted_candidates_are_circuits_and_tested_ones_can_fail():
             failures["union"] += not unions <= circuits
             assert_same_family(ctx, note)
     assert all(count >= 10 for count in failures.values()), failures
+
+
+# A family of width w has slots of w // 8 + 1 bytes: each pair of
+# widths 7/8, 15/16 and 24/25 straddles a move of the guard bit, and 40
+# takes six bytes.
+WIDTHS = (7, 8, 15, 16, 24, 25, 40)
+
+
+def random_masks(rng: random.Random, width: int, count: int) -> list[int]:
+    """``count`` distinct masks of at most ``width`` bits in random
+    order, one of them exactly ``width`` bits wide, sparse or dense; the
+    empty mask among them one time in four."""
+    density = rng.choice((0.05, 0.15, 0.5))
+    top = 1 << width - 1
+    masks = {top | sum(1 << pos for pos in range(width) if rng.random() < density)}
+    if rng.random() < 0.25:
+        masks.add(0)
+    while len(masks) < count:
+        masks.add(sum(1 << pos for pos in range(width) if rng.random() < density))
+    return sorted(masks, key=lambda mask: rng.random())
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_disjoint_scan_equals_one_test_per_mask(width):
+    rng = random.Random(width)
+    for _ in range(60):
+        masks = random_masks(rng, width, rng.randint(1, 40))
+        slots = _Slots(masks)
+        assert slots.bits == 8 * (width // 8 + 1)
+        # Words wider than the family, by up to three slots, reach past
+        # every mask; the empty word and one that meets every mask close
+        # the list.
+        words = [rng.getrandbits(width + rng.choice((0, 0, 3, slots.bits, 3 * slots.bits)))
+                 for _ in range(20)]
+        for word in (*words, 0, (1 << width) - 1, *masks):
+            got = sorted(slots.indices(slots.disjoint(word)))
+            assert got == reference_disjoint(masks, word), (masks, word)
+        count = rng.randint(0, len(masks))
+        slots.cut(count)
+        for word in words:
+            got = sorted(slots.indices(slots.disjoint(word)))
+            assert got == reference_disjoint(masks[:count], word), (masks, count, word)
+
+
+def test_an_empty_family_has_no_disjoint_slot():
+    slots = _Slots([])
+    assert [slots.disjoint(word) for word in (0, 1, (1 << 40) - 1)] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_minimal_equals_all_pairs(width):
+    rng = random.Random(1000 + width)
+    for _ in range(60):
+        # The tested masks are as wide as the pool or wider, past its
+        # slot width at +9; the pool is empty one time in ten.
+        pool = set(random_masks(rng, width, rng.randint(0, 40))) if rng.random() < 0.9 else set()
+        tested_width = width + rng.choice((0, 0, 1, 9))
+        tested = set(random_masks(rng, tested_width, rng.randint(1, 60)))
+        assert _minimal(tested, pool) == reference_minimal(tested, pool), (tested, pool)
+
+
+def test_minimal_of_empty_families_and_the_empty_mask():
+    assert _minimal(set(), set()) == set()
+    assert _minimal(set(), {0, 5}) == set()
+    assert _minimal({0}, {5}) == {0}
+    # The empty mask is a proper subset of every other mask.
+    assert _minimal({1, 6, 0}, set()) == {0}
+    assert _minimal({1, 6}, {0}) == set()
+    assert _minimal({1, 6, 3, 12}, {2}) == {1, 12}

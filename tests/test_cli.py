@@ -858,18 +858,28 @@ class TestUsageErrors:
             (("circuits",), REQUIRED + "--input, --X, --e"),
             (("flats",), REQUIRED + "--input, --X, --e"),
             (("check",), REQUIRED + "--input, --X, --e"),
-            # The command parses the rest first, so its own error wins.
-            (("--foo", "closure"), REQUIRED + "--input, --X, --e, --subset"),
+            # An unknown option before the command is named before the
+            # command's own errors.
+            (("--foo", "closure"), "unrecognized arguments: --foo"),
+            (("--foo", "-x", "closure"), "unrecognized arguments: --foo -x"),
             (("--foo", "split", *WHEEL), "unrecognized arguments: --foo"),
+            (("--foo=1", "--", "closure"), "unrecognized arguments: --foo=1"),
             (("demo-fig2", "--format", "json"), "unrecognized arguments: --format json"),
         ],
         ids=[
             "no-command", "unknown-command", *COMMANDS[:-1], "flag-before-command",
-            "flag-before-a-full-command", "demo-fig2-with-a-flag",
+            "flags-before-command", "flag-before-a-full-command",
+            "flag-before-a-double-dash", "demo-fig2-with-a-flag",
         ],
     )
     def test_one_line_and_exit_1(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [("--foo", "--help"), ("--foo", "--he", "closure")])
+    def test_help_before_the_command_wins_over_an_unknown_flag(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        help_text = (GOLDEN / "help.txt").read_text(encoding="utf-8")
+        assert run(capsys, *argv) == (0, help_text, "")
 
     def test_an_abbreviated_help_prints_the_help(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
