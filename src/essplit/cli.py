@@ -61,14 +61,13 @@ plain list of labels.
 Each ``main`` call builds its own parser, so nothing of one call
 outlives it, and reads each command's ``func`` from the module: a
 ``cmd_*`` wrapped or patched between calls is the one that runs.
-``build_parser`` makes the top-level parser and the
-parser of every command, whose names the usage, ``--help`` and the
-"invalid choice" error list, but a command gets its flags
-(``_add_instance_flags`` and its own) only on first use: ``_Parser``
-calls its ``add_flags`` once, before it parses or formats its usage or
-help.  argparse passes the rest of the command line to the chosen
-command's ``parse_known_args``, so a call adds the flags of that
-command alone, and a query does not pay for the other six.
+``build_parser`` makes the top-level parser and a table of the commands
+(``_Commands``), whose names the usage, ``--help`` and the "invalid
+choice" error list; a command's parser is built, with its flags
+(``_add_instance_flags`` and its own), when argparse looks its name up,
+and argparse looks up only the command it dispatches to.  So a call
+builds two parsers, and ``--help``, no command or an unknown one builds
+the top-level parser alone.
 """
 
 from __future__ import annotations
@@ -142,33 +141,27 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors instead of exiting, and adds its flags by
-    ``add_flags(self)`` on first use: before it parses or formats its
-    usage or help."""
-
-    def __init__(self, *args, add_flags: Callable[[_Parser], None] | None = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_flags = add_flags
-
-    def _fill(self) -> None:
-        add, self._add_flags = self._add_flags, None
-        if add is not None:
-            add(self)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._fill()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self) -> str:
-        self._fill()
-        return super().format_usage()
-
-    def format_help(self) -> str:
-        self._fill()
-        return super().format_help()
+    """Raises usage errors instead of exiting."""
 
     def error(self, message: str):
         raise _UsageError(message)
+
+
+class _Commands(dict):
+    """Each command's name, in the order of the usage, to its
+    ``add_flags``, which the first lookup of the name replaces with the
+    command's parser, built with its flags.  argparse 3.10-3.13 keeps a
+    subparsers action's choices in one dict: it tests and lists the
+    names with ``in`` and iteration, and reads ``[name]`` only in
+    ``__call__``, for the command it dispatches to."""
+
+    def __getitem__(self, name: str) -> _Parser:
+        parser = super().__getitem__(name)
+        if not isinstance(parser, _Parser):
+            add_flags, parser = parser, _Parser(prog=f"essplit {name}")
+            add_flags(parser)
+            self[name] = parser
+        return parser
 
 
 def _parse_labels(text: str | None) -> tuple[str, ...]:
@@ -878,6 +871,7 @@ def build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers.choices = subparsers._name_parser_map = commands = _Commands()
 
     # Each command with whether it takes --subset: required, optional or not.
     for name, func, subset in (
@@ -887,10 +881,9 @@ def build_parser() -> _Parser:
         ("circuits", cmd_circuits, None),
         ("flats", cmd_flats, False),
     ):
-        add_flags = partial(_add_query_flags, func=func, mode=name != "split", subset=subset)
-        subparsers.add_parser(name, add_flags=add_flags)
-    subparsers.add_parser("check", add_flags=_add_check_flags)
-    subparsers.add_parser("demo-fig2", add_flags=_add_demo_flags)
+        commands[name] = partial(_add_query_flags, func=func, mode=name != "split", subset=subset)
+    commands["check"] = _add_check_flags
+    commands["demo-fig2"] = _add_demo_flags
     return parser
 
 

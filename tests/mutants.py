@@ -93,18 +93,23 @@ MUTANTS = [
         ("tests/test_cli.py::TestFlats::test_each_mode_reports_only_its_own_route",),
     ),
     Mutant(
-        "command-help-formatted-unfilled",
+        "every-command-parser-built-with-the-table",
         "essplit/cli.py",
-        "def format_help(self) -> str:\n        self._fill()\n",
-        "def format_help(self) -> str:\n",
-        ("tests/test_cli.py::TestFlagsOnFirstUse::test_an_unparsed_command_formats_its_flags",),
+        '    commands["demo-fig2"] = _add_demo_flags\n',
+        '    commands["demo-fig2"] = _add_demo_flags\n'
+        "    for name in commands:\n"
+        "        commands[name]\n",
+        ("tests/test_cli.py::TestParsersPerCall::test_a_command_builds_two_parsers",),
     ),
     Mutant(
-        "every-command-filled-when-built",
+        "command-parser-built-with-the-top-level-prog",
         "essplit/cli.py",
-        "        self._add_flags = add_flags\n",
-        "        self._add_flags = add_flags\n        self._fill()\n",
-        ("tests/test_cli.py::TestFlagsOnFirstUse::test_only_the_invoked_command_is_filled",),
+        '_Parser(prog=f"essplit {name}")',
+        '_Parser(prog="essplit")',
+        (
+            "tests/test_pins.py::test_pin[help-closure.txt]",
+            "tests/test_cli.py::TestFlagsOnFirstUse::test_an_unparsed_command_formats_its_flags",
+        ),
     ),
     Mutant(
         "c1-untrimmed",

@@ -894,8 +894,8 @@ def command_parsers(parser):
 
 
 class TestFlagsOnFirstUse:
-    """``build_parser`` makes the parser of every command, for the list
-    of commands, but each adds its flags only when first used."""
+    """``build_parser`` lists every command, but each command's parser
+    gets its flags only when first used."""
 
     @pytest.fixture()
     def filled(self, monkeypatch):
@@ -960,6 +960,50 @@ class TestFlagsOnFirstUse:
         assert main(["split", *WHEEL]) == 0
         assert capsys.readouterr().out.endswith("\npatched\n")
         assert filled == ["essplit split"] * 2
+
+
+class TestParsersPerCall:
+    """A ``main`` call builds the top-level parser and at most the one
+    command parser that argparse dispatches to."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """The prog of every ``_Parser`` built."""
+        progs = []
+        init = cli._Parser.__init__
+
+        def recording(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            progs.append(parser.prog)
+
+        monkeypatch.setattr(cli._Parser, "__init__", recording)
+        return progs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("split", *WHEEL),
+            ("closure", *WHEEL, "--subset", "2,6"),
+            ("rank", *WHEEL, "--subset", "2,6"),
+            ("circuits", *WHEEL),
+            ("flats", *WHEEL),
+            ("check", *WHEEL, "--sample", "5"),
+            ("demo-fig2",),
+            ("closure", "--help"),
+        ],
+        ids=[*COMMANDS, "closure-help"],
+    )
+    def test_a_command_builds_two_parsers(self, capsys, built, argv):
+        assert main(list(argv)) in (0, 3)
+        assert capsys.readouterr().out
+        assert built == ["essplit", f"essplit {argv[0]}"]
+
+    @pytest.mark.parametrize(
+        "argv", [("--help",), (), ("frobnicate",)], ids=["help", "no-command", "unknown-command"]
+    )
+    def test_no_command_builds_only_the_top_level_parser(self, capsys, built, argv):
+        main(list(argv))
+        assert built == ["essplit"]
 
 
 json_values = st.recursive(
