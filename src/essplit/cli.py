@@ -38,21 +38,24 @@ of witnesses is sorted by one key, subset size, then positions
 (``_mask_key``), so a sample that covers every subset prints the
 exhaustive report and a smaller one lists a sub-sequence of its rows.
 JSON is rendered into one list of pieces and joined once per document,
-byte for byte as json.dumps with indent=2 (``_json_parts``).
+byte for byte as json.dumps with indent=2 (``_json_parts``); no text is
+built per list, dict or witness row, so only that join copies the
+report.
 
 The lists of masks in a payload (``check``'s witnesses, the circuits
 of ``circuits`` and the flats of ``flats``) stay position masks until
 ``main`` writes them.  Each is a ``_MaskList`` of bare masks or of rows
-of fields, which appends its own pieces (``_MaskList.json_parts``) and
-the text lines read directly.  The labels are those of a mask's
-positions, in split-ground order as ``sorted_labels`` gives them, are
-escaped by the function ``json.dumps`` itself uses, and sit at the
-indent ``json.dumps`` would give them, so the bytes are those of the
-label lists the masks stand for.  Each call site picks the mask
-renderer.  ``check`` takes ``_mask_texts``: a table per
-byte of the split ground, built by doubling, gives the text of each
-byte value, and each mask is joined once per render, as a report
-repeats its masks.  ``circuits`` and ``flats`` take
+of fields, which the text lines read directly and which appends its own
+pieces (``_MaskList.json_parts``): a mask's text, or per row each
+field's constant head and text, then a closing brace.  The labels are
+those of a mask's positions, in split-ground order as ``sorted_labels``
+gives them, are escaped by the function ``json.dumps`` itself uses,
+and sit at the indent ``json.dumps`` would give them, so the bytes are
+those of the label lists the masks stand for.  Each call site picks the
+mask renderer.  ``check`` takes ``_mask_texts``: a table per byte of
+the split ground, built by doubling, gives the text of each byte value,
+and each mask's text is concatenated from them once per render, as a
+report repeats its masks.  ``circuits`` and ``flats`` take
 ``_mask_join``, one join over the texts of a mask's positions: their
 lists render most masks once, so byte tables would not pay back their
 cost.  A single label list, delta or a ``flats --subset`` A', is a
@@ -78,6 +81,7 @@ import os
 import random
 import sys
 from functools import cache, partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -616,7 +620,8 @@ class _MaskList(list):
     entries, each mask as its label list.  ``render`` renders the masks:
     ``_mask_texts`` or ``_mask_join`` (see the module docstring).  The
     list renders into the pieces of the document that holds it, one
-    piece per row, which only the document's join copies.
+    piece per mask, or a few per row of fields, which only the
+    document's join copies.
     """
 
     def __init__(self, ctx: SplitContext, rows: Iterable, render: Callable, fields=()):
@@ -627,12 +632,18 @@ class _MaskList(list):
 
     def json_parts(self, indent: str, out: list[str]) -> None:
         """Append the pieces of the list's text at ``indent`` to ``out``
-        (see ``_json_parts``), one per row, each with the comma and
-        indent in front of it; ``map`` renders the rows and ``extend``
-        appends them, with no Python step per row.
+        (see ``_json_parts``), with no Python step per row.  A bare mask
+        is one piece, its text with the comma and indent in front.  A
+        row of fields is, per field, a constant head (the row's comma,
+        indent and brace before the first key, a comma before the
+        others) and the field's text, then a constant closing brace;
+        ``zip`` interleaves the heads and columns, and ``extend``
+        appends them.
 
         Each label is escaped once, with the indent of a label-list item
-        in front, and each other value once if all of its column is hashable.
+        in front, and each other value once per object, which rows share
+        (a plan's case ids, small ints): equal values may render apart
+        (1, True and 1.0; 0.0 and -0.0), and a list has no hash.
         """
         if not self:
             out.append("[]")
@@ -646,34 +657,23 @@ class _MaskList(list):
             self.ctx, lambda lab: inner + "  " + _encode_str(lab),
             front + "[", inner + "]", front + "[]",
         )
-        if not self.fields:
-            rows = map(label_list, self)
-        else:
-            @cache
-            def plain(value: object) -> str:
-                return _json_text(value, inner)
-
-            def plain_column(column: tuple) -> Iterable[str]:
-                try:
-                    return list(map(plain, column))
-                except TypeError:  # unhashable, as a list or a dict is
-                    return map(plain.__wrapped__, column)
-
-            # One %s per field; each column of fields is rendered in one pass.
-            template = (
-                separator
-                + "{"
-                + ",".join(inner + _encode_str(key) + ": %s" for key, _ in self.fields)
-                + item
-                + "}"
-            )
-            columns = [
-                map(label_list, column) if is_mask else plain_column(column)
-                for (_, is_mask), column in zip(self.fields, zip(*self))
-            ]
-            rows = map(template.__mod__, zip(*columns))
         first = len(out)
-        out.extend(rows)
+        if not self.fields:
+            out.extend(map(label_list, self))
+        else:
+            pieces = []
+            head = separator + "{"
+            for (key, is_mask), column in zip(self.fields, zip(*self)):
+                pieces.append(repeat(head + inner + _encode_str(key) + ": "))
+                if is_mask:
+                    pieces.append(map(label_list, column))
+                else:
+                    values = dict(zip(map(id, column), column))
+                    texts = {at: _json_text(value, inner) for at, value in values.items()}
+                    pieces.append(map(texts.__getitem__, map(id, column)))
+                head = ","
+            pieces.append(repeat(item + "}"))
+            out.extend(chain.from_iterable(zip(*pieces)))
         # The first row opens the list in place of its comma.
         out[first] = "[" + out[first][1:]
         out.append(indent + "]")
@@ -692,7 +692,8 @@ def _mask_texts(
     of ``SplitContext.sorted_labels``.  Each table is built by doubling:
     the entries of the values with a new highest bit are those before
     them with that bit's label appended, one concatenation per entry.  A
-    mask costs one lookup per byte and one join.
+    mask costs one lookup and one concatenation per byte, low byte
+    first, and one f-string.
     """
     texts = ["," + text(lab) for lab in ctx.split_ground]
     tables = []
@@ -701,14 +702,16 @@ def _mask_texts(
         for label_text in texts[shift : shift + 8]:
             table += [entry + label_text for entry in table]
         tables.append(table)
-    nbytes = len(tables)
 
     @cache
     def render(mask: int) -> str:
         if not mask:
             return empty
-        joined = "".join(map(list.__getitem__, tables, mask.to_bytes(nbytes, "little")))
-        return opening + joined[1:] + closing
+        joined = ""
+        for table in tables:
+            joined += table[mask & 255]
+            mask >>= 8
+        return f"{opening}{joined[1:]}{closing}"
 
     return render
 

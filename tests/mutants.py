@@ -48,8 +48,8 @@ MUTANTS = [
     Mutant(
         "mask-list-value-at-row-indent",
         "essplit/cli.py",
-        "return _json_text(value, inner)",
-        "return _json_text(value, item)",
+        "_json_text(value, inner) for at, value",
+        "_json_text(value, item) for at, value",
         ("tests/test_check.py::test_witness_lists_render_as_json_dumps",),
     ),
     Mutant(
@@ -58,6 +58,13 @@ MUTANTS = [
         'separator = "," + item',
         'separator = ""',
         ("tests/test_check.py::test_nested_mask_lists_render_as_json_dumps",),
+    ),
+    Mutant(
+        "mask-list-row-joined-per-row",
+        "essplit/cli.py",
+        "out.extend(chain.from_iterable(zip(*pieces)))",
+        'out.extend(map("".join, zip(*pieces)))',
+        ("tests/test_check.py::test_a_report_renders_in_one_join",),
     ),
     Mutant(
         "json-dict-value-copied-per-level",

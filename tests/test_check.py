@@ -2,6 +2,7 @@
 the per-subset loop of ``reference_check_report``, byte for byte."""
 
 import contextlib
+import functools
 import io
 import json
 import random
@@ -279,7 +280,7 @@ def test_nested_mask_lists_render_as_json_dumps():
 
 
 def test_unhashable_plain_fields_render_as_json_dumps():
-    # A plain field may hold a list or a dict, which no memo can key;
+    # A plain field may hold a list or a dict, which no memo on values can key;
     # equal lists in two rows render alike.
     rng = random.Random(32)
     ctx = escaped(random_split_instance(rng, 10, max_rank=4), 32)
@@ -302,6 +303,51 @@ def test_equal_plain_fields_of_other_types_render_apart():
     for render in (_mask_texts, _mask_join):
         payload = {"rows": _MaskList(ctx, rows, render, _FLAT_FIELDS)}
         assert _json_text(payload) == json.dumps(expanded(ctx, payload), indent=2)
+
+
+@functools.cache
+def escaped_instance(n: int) -> SplitContext:
+    return escaped(random_split_instance(random.Random(n), n, max_rank=4), n)
+
+
+# Equal values that json.dumps writes apart, drawn often, so that rows
+# of one column hold them, alone and nested.
+equal_values = st.sampled_from([0, 1, False, True, 0.0, -0.0, 1.0])
+plain_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | equal_values,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fielded_mask_lists_render_as_json_dumps(data):
+    # Split grounds of 4, 10 and 17 elements (one byte, a short second
+    # byte and three bytes); 1-4 fields of either kind in any order, 0,
+    # 1 or many rows, nested at any indent, through both renderers.
+    ctx = escaped_instance(data.draw(st.sampled_from([2, 8, 15])))
+    keys = data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    fields = tuple((key, data.draw(st.booleans())) for key in keys)
+    mask = st.just(0) | st.integers(0, (1 << len(ctx.split_ground)) - 1)
+    plain = equal_values | plain_values
+    row = st.tuples(*(mask if is_mask else plain for _, is_mask in fields))
+    rows = data.draw(st.lists(row, max_size=1) | st.lists(row, min_size=2, max_size=8))
+    render = data.draw(st.sampled_from([_mask_texts, _mask_join]))
+    payload = _MaskList(ctx, rows, render, fields)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if data.draw(st.booleans()):
+            payload = [data.draw(plain_values), payload]
+        else:
+            payload = {data.draw(st.text(max_size=3)): payload}
+    assert _json_text(payload) == json.dumps(expanded(ctx, payload), indent=2)
 
 
 class CountingStdout:
